@@ -16,7 +16,9 @@ pattern saturation (red_x_mu) and left translation follow by projection.
 
 from __future__ import annotations
 
-from .errors import KNotValidated, PatternNotReduced
+from itertools import combinations, product
+
+from .errors import BallTooSmall, KNotValidated, PatternNotReduced, ResourceLimit
 from .fsa import (
     FSA,
     are_equivalent,
@@ -26,7 +28,7 @@ from .fsa import (
     reverse_fsa,
     trim_fsa,
 )
-from .words import Element, PolygonGroup, Word
+from .words import Element, ElementBall, PolygonGroup, Word
 
 PAD = "-"
 
@@ -273,59 +275,68 @@ def left_translate(group: PolygonGroup, A: FSA, w: Element, k: int) -> FSA:
 # --- fellow-traveler constant ----------------------------------------------
 
 
-def _prefix_differences(group: PolygonGroup, alpha: Word, beta: Word) -> int:
-    """Max length of alpha_i^-1 * beta_i over synchronous prefixes, padding
-    the shorter word at the end."""
-    d = group.identity
-    worst = 0
-    for i in range(max(len(alpha), len(beta))):
-        left = (alpha[i],) if i < len(alpha) else ()
-        right = (beta[i],) if i < len(beta) else ()
-        d = group.element(left + d.word + right)
-        worst = max(worst, d.length)
+def reduced_expressions(ball: ElementBall, cap: int = 1_000_000) -> list[list[Word]]:
+    """Reduced expressions of every ball element, by index, from the Cayley
+    edges: Red(w) is the union of Red(ws).s over right descents s."""
+    red: list[list[Word]] = [[()]]
+    for i in range(1, len(ball)):
+        red.append([r + (s,) for s in sorted(ball.elements[i].right)
+                    for r in red[ball.right_mult[i][s]]])
+        if len(red[i]) > cap:
+            raise ResourceLimit(f"fellow-traveler validation: an element has "
+                                f"more than {cap} reduced expressions")
+    return red
+
+
+def fellow_traveler_constant(group: PolygonGroup, radius: int) -> int:
+    """Largest synchronous difference |alpha_i^-1 beta_i|, the shorter word
+    padded at the end, over (a) two reduced expressions of one element and
+    (b) reduced expressions of w and a longer ws, all in the ball.
+
+    A pair alpha.t, beta.t of one element has the differences of (alpha,
+    beta), then e.  A pair (alpha, beta.t) of family (b) has the differences
+    of (alpha, beta), then s, and alpha.s, beta.t reduce z = ws.  So only
+    (alpha, beta) with alpha.s, beta.t in Red(z) and s != t are walked, from
+    the floor 1.  Through e or through z, each difference and each
+    intermediate alpha_i^-1 beta_(i+1) has length at most |z| <= radius, so
+    the walk over ball indices never leaves the ball."""
+    ball = group.ball(radius)
+    red = reduced_expressions(ball)
+    right_mult, left_mult = ball.right_mult, ball.left_mult
+    lengths = [e.length for e in ball.elements]
+    worst = min(radius, 1)
+    try:
+        for z, e in enumerate(ball.elements):
+            for s, t in combinations(sorted(e.right), 2):
+                for alpha, beta in product(red[right_mult[z][s]], red[right_mult[z][t]]):
+                    d = 0
+                    for x, y in zip(alpha, beta):
+                        d = left_mult[right_mult[d][y]][x]
+                        if lengths[d] > worst:
+                            worst = lengths[d]
+    except TypeError as exc:  # a None step: the length bound above broke
+        raise BallTooSmall(f"fellow-traveler validation: a word difference "
+                           f"left ball({radius})") from exc
     return worst
 
 
 def validate_k(group: PolygonGroup, k: int, radius: int) -> bool:
-    """Exhaustively check over the ball that (a) any two reduced expressions
-    of one element and (b) any reduced expressions of w and ws stay within
-    synchronous distance k."""
-    from .oracle import braid_closure
-
-    ball = group.ball(radius)
-    closures = [sorted(braid_closure(group.presentation, e.word)) for e in ball.elements]
-    for words in closures:
-        for a in words:
-            for b in words:
-                if a < b and _prefix_differences(group, a, b) > k:
-                    return False
-    for i, e in enumerate(ball.elements):
-        for s in range(group.rank):
-            j = ball.right_mult[i][s]
-            if j is None or len(ball.elements[j].word) < e.length:
-                continue
-            for a in closures[i]:
-                for b in closures[j]:
-                    if _prefix_differences(group, a, b) > k:
-                        return False
-    return True
+    """Exhaustive fellow-traveler check of k on the ball of the radius."""
+    return fellow_traveler_constant(group, radius) <= k
 
 
 def choose_k(group: PolygonGroup, radius: int = 10, max_k: int = 64) -> int:
-    """Smallest k that passes validation and for which every dihedral
-    pattern language is stable against k+1."""
+    """Smallest k at least the fellow-traveler constant of the ball for which
+    every dihedral pattern language is stable against k+1."""
     from .cells import dihedral_data
 
     data = dihedral_data(group.presentation)
     patterns = [entry.longest_word for entry in data.entries]
-    k = 1
-    while k <= max_k:
-        if validate_k(group, k, radius):
-            stable = all(
-                are_equivalent(red_x_mu(group, p, k), red_x_mu(group, p, k + 1))
-                for p in patterns
-            )
-            if stable:
-                return k
-        k += 1
-    raise KNotValidated(f"no fellow-traveler constant <= {max_k} validated")
+    constant = fellow_traveler_constant(group, radius)
+    for k in range(max(1, constant), max_k + 1):
+        if all(are_equivalent(red_x_mu(group, p, k), red_x_mu(group, p, k + 1))
+               for p in patterns):
+            return k
+    raise KNotValidated(
+        f"no k <= {max_k} leaves the pattern languages stable; "
+        f"fellow-traveler constant at radius {radius} is {constant}")

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .errors import CorruptCache
+from .errors import CorruptCache, UnknownGenerator
 from .fsa import FSA, from_text, to_text
 from .kl import KLTable
 from .presentation import CoxeterPresentation, config_dict
@@ -123,7 +123,7 @@ class Workspace:
                 length, word, _left, _right = line.split("\t")
                 out.append((int(length),
                             pres.parse_word("" if word == "-" else word)))
-        except (ValueError, KeyError) as exc:
+        except (ValueError, UnknownGenerator) as exc:
             raise CorruptCache(str(path)) from exc
         return out
 
@@ -174,7 +174,7 @@ class Workspace:
                     tuple(int(c) for c in p.split(",")),
                     int(mu),
                 ))
-        except (ValueError, KeyError) as exc:
+        except (ValueError, UnknownGenerator) as exc:
             raise CorruptCache(str(path)) from exc
         return out
 

@@ -258,11 +258,6 @@ def omega_minimal(part: ConjecturalPartition, i: int, radius: int, k: int,
     return kept
 
 
-def one_sided_cells(part: ConjecturalPartition, i: int, radius: int,
-                    k: int) -> list[OneSidedCellSpec]:
-    return omega_minimal(part, i, radius, k)
-
-
 def left_cell_language(spec: OneSidedCellSpec) -> FSA:
     """Right cells reflect to left cells by word reversal (inverse elements)."""
     return minimize(reverse_fsa(spec.language))

@@ -17,13 +17,12 @@ from .automata import (
     choose_k,
     element_counts,
     factor_fsa,
+    fellow_traveler_constant,
     red_x_mu,
     shortlex_fsa,
-    validate_k,
 )
 from .cache import Workspace, group_hash
 from .cells import (
-    ConjecturalPartition,
     build_partition,
     descent_class_fsa,
     dihedral_data,
@@ -32,13 +31,7 @@ from .cells import (
     u_t_fsa,
 )
 from .compare import empirical_vs_conjectural
-from .errors import (
-    CorruptCache,
-    KNotValidated,
-    PolycellError,
-    ResourceLimit,
-    VerificationDisagreement,
-)
+from .errors import KNotValidated, PolycellError, VerificationDisagreement
 from .fsa import FSA, are_equivalent, count_words, from_text
 from .kl import KLTable
 from .oracle import ClassicalKL, braid_closure, oracle_classify, unique_reduced_census
@@ -71,16 +64,14 @@ def _resolve_k(ws: Workspace, pres, group, k_arg: str, validation_radius: int = 
     k = int(k_arg)
     if cached and cached["k"] <= k and cached["radius"] >= validation_radius:
         return k
-    if not validate_k(group, k, validation_radius):
+    constant = fellow_traveler_constant(group, validation_radius)
+    if constant > k:
         raise KNotValidated(
-            f"k={k} fails fellow-traveler validation at radius {validation_radius}"
+            f"k={k} fails fellow-traveler validation; fellow-traveler constant "
+            f"at radius {validation_radius} is {constant}"
         )
     ws.store_validated_k(pres, k, validation_radius)
     return k
-
-
-def _partition(ws, pres, group, k: int) -> ConjecturalPartition:
-    return build_partition(group, k)
 
 
 # --- subcommand implementations ----------------------------------------------
@@ -137,7 +128,7 @@ def cmd_cells(args) -> int:
     pres, group, ws = _context(args)
     k = _resolve_k(ws, pres, group, args.k)
     if args.mode == "conjectural":
-        part = _partition(ws, pres, group, k)
+        part = build_partition(group, k)
         refs = {}
         for label in part.labels:
             path = ws.write_fsa(pres, f"cell_{label}", part.languages[label],
@@ -192,7 +183,7 @@ def cmd_cells(args) -> int:
         print(f"wrote {path}")
         return 0
     # compare
-    part = _partition(ws, pres, group, k)
+    part = build_partition(group, k)
     report = empirical_vs_conjectural(group, part, args.radius,
                                       trust_margin=args.trust_margin)
     path = ws.write_report(pres, f"compare.r{args.radius}.json", report.to_json())
@@ -209,7 +200,7 @@ def _build_target(args, pres, group, ws, target: str) -> FSA:
     if target == "shortlex":
         return shortlex_fsa(group)
     if target.startswith("cell:"):
-        part = _partition(ws, pres, group, k)
+        part = build_partition(group, k)
         return part.languages[target.split(":", 1)[1]]
     if target.startswith("pattern:"):
         return red_x_mu(group, pres.parse_word(target.split(":", 1)[1]), k)
@@ -219,7 +210,7 @@ def _build_target(args, pres, group, ws, target: str) -> FSA:
         letters = target.split(":", 1)[1]
         return descent_class_fsa(group, frozenset(pres.parse_word(letters)))
     if target.startswith("ut:"):
-        part = _partition(ws, pres, group, k)
+        part = build_partition(group, k)
         pair = tuple(sorted(pres.parse_word(target.split(":", 1)[1])))
         return u_t_fsa(part, pair)
     raise PolycellError(f"unknown fsa target {target!r}")
@@ -262,7 +253,7 @@ def _load_or_build(args, pres, group, ws, ref: str) -> FSA:
 def cmd_onesided(args) -> int:
     pres, group, ws = _context(args)
     k = _resolve_k(ws, pres, group, args.k)
-    part = _partition(ws, pres, group, k)
+    part = build_partition(group, k)
     specs = omega_minimal(part, args.level, args.radius, k)
     entries = []
     for spec in specs:
@@ -301,7 +292,7 @@ def cmd_verify(args) -> int:
 
     if args.suite in ("oracles", "all"):
         k = _resolve_k(ws, pres, group, args.k)
-        part = _partition(ws, pres, group, k)
+        part = build_partition(group, k)
         data = part.data
         ball = group.ball(args.radius, cap=args.cap)
         bad = [e for e in ball.elements
@@ -380,7 +371,7 @@ def cmd_verify(args) -> int:
 def cmd_render(args) -> int:
     pres, group, ws = _context(args)
     k = _resolve_k(ws, pres, group, args.k)
-    part = _partition(ws, pres, group, k)
+    part = build_partition(group, k)
     ball = group.ball(args.radius, cap=args.cap)
     realization = realize_polygon(pres)
     if args.coloring == "twosided":
@@ -485,11 +476,8 @@ def main(argv=None) -> int:
     except VerificationDisagreement as exc:
         print(f"verification disagreement: {exc}", file=sys.stderr)
         return 1
-    except (CorruptCache, ResourceLimit, KNotValidated) as exc:
-        print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
-        return 2
     except PolycellError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -17,6 +17,14 @@ class NonHyperbolic(PolycellError):
     pass
 
 
+class BadConfig(PolycellError):
+    pass
+
+
+class UnknownGenerator(PolycellError):
+    pass
+
+
 class ResourceLimit(PolycellError):
     pass
 

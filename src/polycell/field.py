@@ -174,9 +174,6 @@ class RealCyclotomicField:
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
         return self._reduce(_poly_mul(list(a), list(b)))
 
-    def mul_int(self, a: Scalar, k: int) -> Scalar:
-        return tuple(x * k for x in a)
-
     def is_zero(self, a: Scalar) -> bool:
         return not any(a)
 

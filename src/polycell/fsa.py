@@ -52,9 +52,6 @@ class FSA:
             cur = _eps_closure(self, nxt)
         return bool(cur & self.accepting)
 
-    def symbol_index(self, name: str) -> int:
-        return self.alphabet.index(name)
-
     def edges(self):
         for (q, s), targets in self.transitions.items():
             for t in targets:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import BadDenominator, NonHyperbolic, TooFewSides
+from .errors import BadConfig, BadDenominator, NonHyperbolic, TooFewSides, UnknownGenerator
 
 INFINITY = math.inf
 
@@ -62,7 +62,11 @@ class CoxeterPresentation:
 
     def parse_word(self, text: str) -> tuple[int, ...]:
         idx = {name: i for i, name in enumerate(self.names)}
-        return tuple(idx[ch] for ch in text)
+        try:
+            return tuple(idx[ch] for ch in text)
+        except KeyError as exc:
+            raise UnknownGenerator(f"unknown generator {exc.args[0]!r} in {text!r}; "
+                                   f"generators are {', '.join(self.names)}") from None
 
 
 def presentation_from_angles(angles, names=None, label="group") -> CoxeterPresentation:
@@ -116,7 +120,12 @@ def load_presentation(source) -> CoxeterPresentation:
                 text = Path(text).read_text()
         except OSError:
             pass
-        cfg = json.loads(text)
+        try:
+            cfg = json.loads(text)
+        except ValueError as exc:
+            raise BadConfig(f"group config is not a readable file or JSON: {exc}") from None
+    if not isinstance(cfg, dict) or "angles" not in cfg:
+        raise BadConfig("group config has no 'angles' key")
     return presentation_from_angles(
         cfg["angles"], names=cfg.get("generators"), label=cfg.get("name", "group")
     )

@@ -182,9 +182,6 @@ class PolygonGroup:
             return self.identity
         return Element(w, self.left_descents(w), self.right_descents(w))
 
-    def element_from_str(self, text: str) -> Element:
-        return self.element(self.presentation.parse_word(text))
-
     def multiply(self, a: Element, b: Element) -> Element:
         return self.element(a.word + b.word)
 
@@ -197,9 +194,6 @@ class PolygonGroup:
         if side == "right":
             return a.right
         raise ValueError(f"side must be 'left' or 'right', got {side!r}")
-
-    def length_of(self, word) -> int:
-        return len(self.reduce_word(word))
 
     # --- balls --------------------------------------------------------------
 

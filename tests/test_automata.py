@@ -2,21 +2,24 @@ import itertools
 
 import pytest
 
+from polycell import PolygonGroup, presentation_from_angles
 from polycell.automata import (
     canonical_fsa,
     element_counts,
     equal_endpoint_pairs,
     factor_fsa,
+    fellow_traveler_constant,
     left_translate,
     nf_transition_fsa,
     pair_alphabet,
     project_first,
     red_x_mu,
+    reduced_expressions,
     right_descent_class_fsa,
     shortlex_fsa,
     validate_k,
 )
-from polycell.errors import PatternNotReduced
+from polycell.errors import PatternNotReduced, ResourceLimit
 from polycell.fsa import (
     are_equivalent,
     count_words,
@@ -207,6 +210,64 @@ def test_validate_k(g237):
 def test_validated_constants(g237, g2224):
     assert validate_k(g237, K_W237, 10)
     assert validate_k(g2224, K_W2224, 8)
+
+
+def _brute_force_constant(group, radius):
+    """Fellow-traveler constant the slow way: full normal forms of every
+    synchronous difference, over braid closures as reduced expressions."""
+
+    def prefix_differences(alpha, beta):
+        d = group.identity
+        worst = 0
+        for i in range(max(len(alpha), len(beta))):
+            left = (alpha[i],) if i < len(alpha) else ()
+            right = (beta[i],) if i < len(beta) else ()
+            d = group.element(left + d.word + right)
+            worst = max(worst, d.length)
+        return worst
+
+    ball = group.ball(radius)
+    closures = [sorted(braid_closure(group.presentation, e.word))
+                for e in ball.elements]
+    worst = 0
+    for i, e in enumerate(ball.elements):
+        for a, b in itertools.combinations(closures[i], 2):
+            worst = max(worst, prefix_differences(a, b))
+        for s in range(group.rank):
+            j = ball.right_mult[i][s]
+            if j is not None and ball.elements[j].length > e.length:
+                for a in closures[i]:
+                    for b in closures[j]:
+                        worst = max(worst, prefix_differences(a, b))
+    return worst
+
+
+def test_reduced_expressions_match_braid_closure(g237, g2224):
+    for group in (g237, g2224):
+        ball = group.ball(8)
+        red = reduced_expressions(ball)
+        for e, words in zip(ball.elements, red):
+            assert len(words) == len(set(words))
+            assert set(words) == braid_closure(group.presentation, e.word)
+
+
+def test_reduced_expressions_cap(g2224):
+    with pytest.raises(ResourceLimit):
+        reduced_expressions(g2224.ball(6), cap=2)
+
+
+def test_fellow_traveler_constant_matches_brute_force(g237, g2224):
+    others = [PolygonGroup(presentation_from_angles(angles))
+              for angles in ([3, 3, 4], [2, 3, "inf"], [2, 4, "inf", 3])]
+    for group, radius in ((g237, 8), (g2224, 6), *((g, 6) for g in others)):
+        for r in range(radius + 1):
+            assert fellow_traveler_constant(group, r) == \
+                _brute_force_constant(group, r)
+
+
+def test_fellow_traveler_constants_at_radius_10(g237, g2224):
+    assert fellow_traveler_constant(g237, 10) == K_W237
+    assert fellow_traveler_constant(g2224, 10) == K_W2224
 
 
 def test_right_descent_class_states(g237):

@@ -132,6 +132,38 @@ def test_cli_missing_k_validation_is_exit_2(tmp_path, w237_config, capsys):
     assert code == 2
 
 
+def test_cli_failed_k_reports_constant(tmp_path, w237_config, capsys):
+    code = run(tmp_path, "fsa", "build", "canonical",
+               "--group", str(w237_config), "--k", "5")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "k=5 fails" in err
+    assert "fellow-traveler constant at radius 10 is 6" in err
+
+
+def test_cli_unknown_letter_is_exit_2(tmp_path, w237_config, capsys):
+    code = run(tmp_path, "fsa", "build", "pattern:xyz",
+               "--group", str(w237_config), "--k", "6")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "unknown generator 'x'" in err
+    assert "generators are r, s, t" in err
+
+
+@pytest.mark.parametrize("text, message", [
+    ('{"name": "w237", "generators": ["r", "s", "t"]}', "no 'angles' key"),
+    ('{"name": "w237", "angles": [2, 3, 7]', "readable file or JSON"),
+])
+def test_cli_bad_config_is_exit_2(tmp_path, capsys, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert run(tmp_path, "group", "info", "--group", str(path)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert message in err
+
+
 def test_cli_corrupt_cache_is_exit_2(tmp_path, w237_config, capsys):
     assert run(tmp_path, "kl", "--group", str(w237_config), "--radius", "3") == 0
     capsys.readouterr()
