@@ -1,8 +1,12 @@
 #!/usr/bin/env python3
-"""Run every verification suite for both bundled groups.
+"""Run every verification suite for both bundled groups, then the
+empirical-vs-conjectural comparison for w2224 at radius 10.
 
-Exit status 0 means all oracle comparisons agreed; 1 means some oracle
-found a disagreement; 2 signals usage or cache problems.
+    python scripts/full_verification.py [WORKSPACE]
+
+WORKSPACE defaults to the committed `workspace/`.  Exit status 0 means all
+oracle comparisons agreed; 1 means some oracle or the comparison found a
+disagreement; 2 signals usage or cache problems.
 """
 
 import sys
@@ -15,7 +19,7 @@ from polycell.cli import main
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run():
+def run(workspace: Path):
     worst = 0
     # the classical recursion oracle is exponential in word length, so the
     # faster-growing quadrilateral group gets a shorter comparison window
@@ -26,11 +30,20 @@ def run():
             "--group", str(ROOT / f"groups/{group}.json"),
             "--radius", str(radius),
             "--oracle-length", str(oracle_len),
-            "--workspace", str(ROOT / "workspace"),
+            "--workspace", str(workspace),
         ])
         worst = max(worst, code)
-    return worst
+    # the scaling check: both W-graphs over the 3325 elements of ball(10)
+    print("=== w2224 cells compare, radius 10 ===")
+    code = main([
+        "cells", "compare",
+        "--group", str(ROOT / "groups/w2224.json"),
+        "--radius", "10",
+        "--trust-margin", "4",
+        "--workspace", str(workspace),
+    ])
+    return max(worst, code)
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    sys.exit(run(Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT / "workspace"))

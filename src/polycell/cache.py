@@ -141,12 +141,8 @@ class Workspace:
             return "".join(names[s] for s in word) or "-"
 
         lines = []
-        order = sorted(range(len(ball.elements)),
-                       key=lambda i: (ball.elements[i].length, ball.elements[i].word))
-        for v in order:
-            for w in order:
-                if not table.leq_idx(v, w):
-                    continue
+        for v in range(len(ball.elements)):  # ball order is (length, word)
+            for w in table.upper(v):
                 r = table.r_idx(v, w)
                 p = table.p_idx(v, w)
                 lines.append("\t".join([

@@ -31,7 +31,7 @@ from .cells import (
     u_t_fsa,
 )
 from .compare import empirical_vs_conjectural
-from .errors import KNotValidated, PolycellError, VerificationDisagreement
+from .errors import BadArgument, KNotValidated, PolycellError, VerificationDisagreement
 from .fsa import FSA, are_equivalent, count_words, from_text
 from .kl import KLTable
 from .oracle import ClassicalKL, braid_closure, oracle_classify, unique_reduced_census
@@ -43,6 +43,8 @@ _GROUP_CACHE: dict[str, PolygonGroup] = {}
 
 
 def _context(args):
+    if args.radius < 0:
+        raise BadArgument(f"--radius must be a nonnegative integer, got {args.radius}")
     pres = load_presentation(args.group)
     key = group_hash(pres)
     group = _GROUP_CACHE.get(key)
@@ -61,7 +63,12 @@ def _resolve_k(ws: Workspace, pres, group, k_arg: str, validation_radius: int = 
         k = choose_k(group, radius=validation_radius)
         ws.store_validated_k(pres, k, validation_radius)
         return k
-    k = int(k_arg)
+    try:
+        k = int(k_arg)
+    except ValueError:
+        k = 0
+    if k < 1:
+        raise BadArgument(f"--k must be a positive integer or 'auto', got {k_arg!r}")
     if cached and cached["k"] <= k and cached["radius"] >= validation_radius:
         return k
     constant = fellow_traveler_constant(group, validation_radius)
@@ -331,13 +338,12 @@ def cmd_verify(args) -> int:
         bad_pairs = 0
         idxs = [i for i, e in enumerate(ball.elements) if e.length <= cap]
         for wi in idxs:
-            for vi in idxs:
-                if table.leq_idx(vi, wi):
-                    got = table.p_idx(vi, wi)
-                    want = oracle.kl_poly(ball.elements[vi].word,
-                                          ball.elements[wi].word)
-                    if got != want:
-                        bad_pairs += 1
+            for vi in table.lower(wi):
+                got = table.p_idx(vi, wi)
+                want = oracle.kl_poly(ball.elements[vi].word,
+                                      ball.elements[wi].word)
+                if got != want:
+                    bad_pairs += 1
         check("kl_oracle", bad_pairs == 0, f"{bad_pairs} mismatches up to length {cap}")
         name = ws.kl_name(args.radius)
         if (ws.group_dir(pres) / name).exists():

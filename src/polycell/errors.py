@@ -21,6 +21,10 @@ class BadConfig(PolycellError):
     pass
 
 
+class BadArgument(PolycellError):
+    pass
+
+
 class UnknownGenerator(PolycellError):
     pass
 

@@ -15,6 +15,7 @@ A reduced nonzero polynomial cannot vanish at theta, so this terminates.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from fractions import Fraction
 from functools import lru_cache
 
@@ -27,14 +28,20 @@ def _trim(coeffs: list[int]) -> list[int]:
     return coeffs
 
 
-def _poly_mul(a: list[int], b: list[int]) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
+def _poly_mul_into(acc: list[int], a: Sequence[int], b: Sequence[int]) -> None:
+    """acc += a * b for integer coefficient sequences, constant term first;
+    acc must have room for the product's degree."""
     for i, x in enumerate(a):
         if x:
             for j, y in enumerate(b):
-                out[i + j] += x * y
+                acc[i + j] += x * y
+
+
+def _poly_mul(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    _poly_mul_into(out, a, b)
     return _trim(out)
 
 
@@ -172,7 +179,7 @@ class RealCyclotomicField:
         return tuple(-x for x in a)
 
     def mul(self, a: Scalar, b: Scalar) -> Scalar:
-        return self._reduce(_poly_mul(list(a), list(b)))
+        return self._reduce(_poly_mul(a, b))
 
     def is_zero(self, a: Scalar) -> bool:
         return not any(a)

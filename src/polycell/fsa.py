@@ -339,24 +339,6 @@ def symmetric_difference(a: FSA, b: FSA) -> FSA:
     return _product(a, b, lambda x, y: x != y)
 
 
-def complement_within(universe: FSA, a: FSA) -> FSA:
-    return difference(universe, a)
-
-
-def boolean(op: str, a: FSA, b: FSA | None = None, universe: FSA | None = None) -> FSA:
-    if op == "union":
-        return union(a, b)
-    if op == "intersection":
-        return intersect(a, b)
-    if op == "difference":
-        return difference(a, b)
-    if op == "complement":
-        if universe is None:
-            raise ValueError("complement needs the universe automaton")
-        return complement_within(universe, a)
-    raise ValueError(f"unknown boolean op {op!r}")
-
-
 def is_empty(fsa: FSA) -> bool:
     t = trim_fsa(fsa)
     return not t.accepting
@@ -388,12 +370,6 @@ def count_words(fsa: FSA, max_len: int) -> list[int]:
         vec = nxt
         counts.append(sum(c for q, c in vec.items() if q in fsa.accepting))
     return counts
-
-
-def analyze(fsa: FSA, max_len: int) -> dict:
-    d = fsa if fsa.deterministic and not fsa.eps else determinize(fsa)
-    counts = count_words(d, max_len)
-    return {"is_empty": is_empty(d), "word_counts": counts}
 
 
 def enumerate_words(fsa: FSA, max_len: int):

@@ -163,9 +163,8 @@ class HeckeAlgebra:
         """Signed Kazhdan-Lusztig basis element for w (ball must cover [e,w])."""
         wi = table.idx(w)
         out: HeckeElement = {}
-        for yi, y in enumerate(table.ball.elements):
-            if not table.leq_idx(yi, wi):
-                continue
+        for yi in table.lower(wi):
+            y = table.ball.elements[yi]
             p = table.p_idx(yi, wi)
             sign = -1 if (w.length - y.length) % 2 else 1
             coeff = laurent_of_int_poly(

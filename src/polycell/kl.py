@@ -1,5 +1,15 @@
 """Bruhat order, R- and Kazhdan-Lusztig polynomials, W-graphs and cells.
 
+Ball indices run in (length, ShortLex) order.  Bruhat order is stored as
+ideals, one Python-int bitset over ball indices per element: the lower
+ideal of w is built once, in index order, by the lifting property
+
+    down(w) = down(ws) | {x s : x in down(ws)}      for s = min D_R(w),
+
+and the upper ideals are its transpose.  A comparison is one bit test, an
+interval [v, w] is the set bits of down(w) & up(v), and lengths come from a
+flat list.
+
 Polynomials in q are dense integer coefficient tuples from degree 0.  The
 unknown P_{v,w} is read off the defining identity
 
@@ -8,14 +18,16 @@ unknown P_{v,w} is read off the defining identity
 by descending induction on the interval: the degree bound keeps the low
 and high halves of the left side from colliding, so the top coefficients
 of the right side determine P and the rest of the identity is verified
-after the fact.  The classical one-step recursion lives in oracle.py as an
-independent cross-check.
+after the fact.  The right side is accumulated into one coefficient list.
+The classical one-step recursion lives in oracle.py as an independent
+cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .field import _poly_mul, _poly_mul_into
 from .words import Element, ElementBall, PolygonGroup
 
 Poly = tuple[int, ...]
@@ -41,16 +53,7 @@ def poly_sub(a: Poly, b: Poly) -> Poly:
 
 
 def poly_mul(a: Poly, b: Poly) -> Poly:
-    if not a or not b:
-        return ZERO
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
+    return tuple(_poly_mul(a, b))
 
 
 def poly_shift(a: Poly, n: int) -> Poly:
@@ -71,6 +74,17 @@ def poly_reverse(a: Poly, n: int) -> Poly:
     return tuple(out)
 
 
+def _bits(mask: int) -> list[int]:
+    """Indices of the set bits of mask, ascending."""
+    digits = bin(mask)[:1:-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
+
+
 class KLTable:
     """Memoized Bruhat/R/P/mu data over one ball; exact on every pair whose
     longer element lies inside the ball (Bruhat intervals are length-bounded,
@@ -79,59 +93,67 @@ class KLTable:
     def __init__(self, group: PolygonGroup, ball: ElementBall):
         self.group = group
         self.ball = ball
-        self._leq: dict[tuple[int, int], bool] = {}
+        self._length = [e.length for e in ball.elements]
+        self._rdesc = [e.right for e in ball.elements]
+        n = len(ball.elements)
+        # _leq[w]: bitset of {x <= w}; _geq[v]: bitset of {x >= v}
+        self._leq: list[int] = [1]  # the identity is index 0
+        for w in range(1, n):
+            s = min(self._rdesc[w])
+            ws = ball.right_mult[w][s]
+            mask = self._leq[ws]
+            for x in _bits(mask):  # reaches w = (ws)s
+                mask |= 1 << ball.right_mult[x][s]
+            self._leq.append(mask)
+        above: list[list[int]] = [[] for _ in range(n)]
+        for w in range(n):
+            for x in _bits(self._leq[w]):
+                above[x].append(w)
+        self._geq = [sum(1 << w for w in members) for members in above]
         self._R: dict[tuple[int, int], Poly] = {}
         self._P: dict[tuple[int, int], Poly] = {}
 
     def idx(self, e: Element) -> int:
         return self.ball.index[e.word]
 
-    def _len(self, i: int) -> int:
-        return self.ball.elements[i].length
-
-    def _rdesc(self, i: int) -> frozenset[int]:
-        return self.ball.elements[i].right
-
     def _rmult(self, i: int, s: int) -> int:
         j = self.ball.right_mult[i][s]
         assert j is not None
         return j
 
-    # --- Bruhat order (lifting recursion) --------------------------------
+    # --- Bruhat order (ideals) ---------------------------------------------
 
     def leq_idx(self, v: int, w: int) -> bool:
-        if v == w:
-            return True
-        if self._len(v) >= self._len(w):
-            return False
-        key = (v, w)
-        out = self._leq.get(key)
-        if out is None:
-            s = min(self._rdesc(w))
-            ws = self._rmult(w, s)
-            if s in self._rdesc(v):
-                out = self.leq_idx(self._rmult(v, s), ws)
-            else:
-                out = self.leq_idx(v, ws)
-            self._leq[key] = out
-        return out
+        return bool(self._leq[w] >> v & 1)
 
     def bruhat_leq(self, v: Element, w: Element) -> bool:
         return self.leq_idx(self.idx(v), self.idx(w))
+
+    def lower(self, w: int) -> list[int]:
+        """Indices x <= w, ascending."""
+        return _bits(self._leq[w])
+
+    def upper(self, v: int) -> list[int]:
+        """Indices x >= v inside the ball, ascending."""
+        return _bits(self._geq[v])
+
+    def interval(self, v: int, w: int) -> list[int]:
+        """Indices of the Bruhat interval [v, w], ascending."""
+        return _bits(self._leq[w] & self._geq[v])
 
     # --- R polynomials -----------------------------------------------------
 
     def r_idx(self, v: int, w: int) -> Poly:
         if v == w:
             return ONE
-        if not self.leq_idx(v, w):
+        if not self._leq[w] >> v & 1:
             return ZERO
         key = (v, w)
         out = self._R.get(key)
         if out is None:
-            s = min(self._rdesc(w))
+            s = min(self._rdesc[w])
             ws = self._rmult(w, s)
-            if s in self._rdesc(v):
+            if s in self._rdesc[v]:
                 out = self.r_idx(self._rmult(v, s), ws)
             else:
                 vs = self._rmult(v, s)
@@ -147,30 +169,24 @@ class KLTable:
 
     # --- Kazhdan-Lusztig polynomials ----------------------------------------
 
-    def interval(self, v: int, w: int) -> list[int]:
-        lv, lw = self._len(v), self._len(w)
-        return [
-            x
-            for x in range(len(self.ball.elements))
-            if lv <= self._len(x) <= lw
-            and self.leq_idx(v, x)
-            and self.leq_idx(x, w)
-        ]
-
     def p_idx(self, v: int, w: int) -> Poly:
         if v == w:
             return ONE
-        if not self.leq_idx(v, w):
+        if not self._leq[w] >> v & 1:
             return ZERO
         key = (v, w)
         out = self._P.get(key)
         if out is None:
-            n = self._len(w) - self._len(v)
-            rhs = ZERO
-            for x in self.interval(v, w):
-                if x == v:
-                    continue
-                rhs = poly_add(rhs, poly_mul(self.r_idx(v, x), self.p_idx(x, w)))
+            n = self._length[w] - self._length[v]
+            acc = [0] * (n + 1)
+            # memo hits first: R and P on a comparable pair are never zero
+            R, P = self._R, self._P
+            for x in _bits((self._leq[w] & self._geq[v]) ^ 1 << v):
+                _poly_mul_into(acc, R.get((v, x)) or self.r_idx(v, x),
+                               P.get((x, w)) or self.p_idx(x, w))
+            while acc and acc[-1] == 0:
+                acc.pop()
+            rhs = tuple(acc)
             coeffs = [poly_coeff(rhs, n - i) for i in range((n - 1) // 2 + 1)]
             while coeffs and coeffs[-1] == 0:
                 coeffs.pop()
@@ -188,7 +204,7 @@ class KLTable:
         return self.p_idx(self.idx(v), self.idx(w))
 
     def mu_idx(self, v: int, w: int) -> int:
-        n = self._len(w) - self._len(v)
+        n = self._length[w] - self._length[v]
         if n <= 0 or n % 2 == 0:
             return 0
         return poly_coeff(self.p_idx(v, w), (n - 1) // 2)
@@ -198,11 +214,9 @@ class KLTable:
 
     def fill(self) -> None:
         """Compute every pair in the ball (useful before serializing)."""
-        order = sorted(range(len(self.ball.elements)), key=self._len)
-        for w in order:
-            for v in order:
-                if self._len(v) > self._len(w):
-                    break
+        for w in range(len(self._leq)):
+            # longest v first, so every P_{x,w} that P_{v,w} sums is stored
+            for v in reversed(self.lower(w)):
                 self.p_idx(v, w)
 
 
@@ -221,11 +235,8 @@ def w_graph(ball: ElementBall, side: str, table: KLTable) -> WGraph:
         raise ValueError("side must be 'left' or 'right'")
     edges: dict[int, list[int]] = {i: [] for i in range(len(ball.elements))}
     desc = [e.left if side == "left" else e.right for e in ball.elements]
-    order = sorted(range(len(ball.elements)), key=lambda i: ball.elements[i].length)
-    for a in order:
-        for b in order:
-            if ball.elements[a].length >= ball.elements[b].length:
-                continue
+    for b in range(len(ball.elements)):
+        for a in table.lower(b):
             if table.mu_idx(a, b) == 0:
                 continue
             if not desc[a] <= desc[b]:

@@ -151,6 +151,25 @@ def test_cli_unknown_letter_is_exit_2(tmp_path, w237_config, capsys):
     assert "generators are r, s, t" in err
 
 
+@pytest.mark.parametrize("k", ["foo", "0", "-3", "2.5"])
+def test_cli_bad_k_is_exit_2(tmp_path, w237_config, capsys, k):
+    code = run(tmp_path, "fsa", "build", "canonical",
+               "--group", str(w237_config), "--k", k)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: BadArgument: --k must be a positive integer")
+
+
+def test_cli_negative_radius_is_exit_2(tmp_path, w237_config, capsys):
+    code = run(tmp_path, "kl", "--group", str(w237_config), "--radius", "-1")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "--radius must be a nonnegative integer, got -1" in err
+    assert not (tmp_path / "ws" / "w237" / "kl.r-1.tsv").exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"name": "w237", "generators": ["r", "s", "t"]}', "no 'angles' key"),
     ('{"name": "w237", "angles": [2, 3, 7]', "readable file or JSON"),

@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 
 from polycell.errors import AlphabetMismatch
 from polycell.fsa import (
-    analyze,
+    FSA,
     are_equivalent,
-    boolean,
-    complement_within,
     count_words,
+    determinize,
     difference,
     empty_language,
     enumerate_words,
@@ -28,6 +27,32 @@ from polycell.fsa import (
 )
 
 AB = ("a", "b")
+
+
+# Boolean-algebra and summary wrappers over the fsa primitives; only these
+# tests use them.
+def complement_within(universe: FSA, a: FSA) -> FSA:
+    return difference(universe, a)
+
+
+def boolean(op: str, a: FSA, b: FSA | None = None, universe: FSA | None = None) -> FSA:
+    if op == "union":
+        return union(a, b)
+    if op == "intersection":
+        return intersect(a, b)
+    if op == "difference":
+        return difference(a, b)
+    if op == "complement":
+        if universe is None:
+            raise ValueError("complement needs the universe automaton")
+        return complement_within(universe, a)
+    raise ValueError(f"unknown boolean op {op!r}")
+
+
+def analyze(fsa: FSA, max_len: int) -> dict:
+    d = fsa if fsa.deterministic and not fsa.eps else determinize(fsa)
+    counts = count_words(d, max_len)
+    return {"is_empty": is_empty(d), "word_counts": counts}
 
 
 def _dfa_even_as():

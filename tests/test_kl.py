@@ -1,3 +1,5 @@
+import pytest
+
 from polycell.kl import (
     KLTable,
     poly_add,
@@ -7,6 +9,38 @@ from polycell.kl import (
     two_sided_cells,
     w_graph,
 )
+from polycell.oracle import ClassicalKL
+
+
+def _lifting_below(ball):
+    """below[w] = {x : x <= w} by the lifting recursion on pairs
+    (s = min D_R(w)), without ideals."""
+    n = len(ball.elements)
+    memo = {}
+
+    def leq(v, w):
+        if v == w:
+            return True
+        if ball.elements[v].length >= ball.elements[w].length:
+            return False
+        if (v, w) not in memo:
+            s = min(ball.elements[w].right)
+            ws = ball.right_mult[w][s]
+            if s in ball.elements[v].right:
+                memo[v, w] = leq(ball.right_mult[v][s], ws)
+            else:
+                memo[v, w] = leq(v, ws)
+        return memo[v, w]
+
+    return [{x for x in range(n) if leq(x, w)} for w in range(n)]
+
+
+def _scan_interval(ball, below, v, w):
+    """[v, w] by scanning every ball element in the length window."""
+    lv, lw = ball.elements[v].length, ball.elements[w].length
+    return [x for x in range(len(ball.elements))
+            if lv <= ball.elements[x].length <= lw
+            and v in below[x] and x in below[w]]
 
 
 def test_r_poly_base_cases(g237, kl237):
@@ -111,17 +145,47 @@ def test_bruhat_examples(g237, kl237):
     assert not kl237.bruhat_leq(rt, st)
 
 
-def test_bruhat_matches_subexpression_search(g237, w237, kl237):
+def test_bruhat_matches_subexpression_search(g237, kl237, g2224):
     # independent route: enumerate subsequences of one fixed reduced word
-    ball = g237.ball(5)
-    for w in ball.elements:
-        subelems = set()
-        for mask in range(1 << w.length):
-            sub = tuple(w.word[i] for i in range(w.length) if mask >> i & 1)
-            subelems.add(g237.nf(sub))
-        for v in ball.elements:
-            want = v.word in subelems
-            assert kl237.bruhat_leq(v, w) == want
+    for g, table in ((g237, kl237), (g2224, KLTable(g2224, g2224.ball(5)))):
+        ball = g.ball(5)
+        for w in ball.elements:
+            subelems = set()
+            for mask in range(1 << w.length):
+                sub = tuple(w.word[i] for i in range(w.length) if mask >> i & 1)
+                subelems.add(g.nf(sub))
+            for v in ball.elements:
+                want = v.word in subelems
+                assert table.bruhat_leq(v, w) == want
+
+
+@pytest.mark.parametrize("group, radius", [("g237", 8), ("g2224", 6)])
+def test_ideals_match_pairwise_scan(request, group, radius):
+    g = request.getfixturevalue(group)
+    ball = g.ball(radius)
+    table = KLTable(g, ball)
+    below = _lifting_below(ball)
+    n = len(ball.elements)
+    for w in range(n):
+        assert table.lower(w) == sorted(below[w])
+        assert table.upper(w) == [x for x in range(n) if w in below[x]]
+        for v in range(n):
+            assert table.leq_idx(v, w) == (v in below[w])
+            # every x in [v, w] has v <= x <= w, so v <= w or the interval is empty
+            want = _scan_interval(ball, below, v, w) if v in below[w] else []
+            assert table.interval(v, w) == want
+
+
+def test_kl_poly_matches_classical_w2224(g2224, w2224):
+    # pairs v <= w; test_bruhat_matches_subexpression_search covers the
+    # order itself on the same ball, and P is zero off it
+    ball = g2224.ball(5)
+    table = KLTable(g2224, ball)
+    oracle = ClassicalKL(w2224)
+    for wi, w in enumerate(ball.elements):
+        for vi in table.lower(wi):
+            want = oracle.kl_poly(ball.elements[vi].word, w.word)
+            assert table.p_idx(vi, wi) == want
 
 
 def test_w_graph_singleton(g237):
