@@ -8,10 +8,13 @@ different left descents), so machinery that needs left data - normal-form
 counting, descent classes - goes through language reversal, which swaps
 the two sides and keeps everything regular.
 
-Pair machines read padded word pairs while tracking the group element
-alpha_i^-1 * offset * beta_i inside a fixed ball; with a validated
-fellow-traveler bound they recognize equal-endpoint pairs, from which
-pattern saturation (red_x_mu) and left translation follow by projection.
+The pair machine runs a reduced word alpha beside a word beta of a given
+language while tracking the group element alpha_i^-1 * offset * beta_i
+inside a fixed ball; with a validated fellow-traveler bound its runs are the
+equal-endpoint pairs.  It reads only alpha's letters: where beta runs past
+the end of alpha, beta's step is an epsilon move, so no pair alphabet is
+built and the machine is already the projection to alpha from which
+pattern saturation (red_x_mu) and left translation follow.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from .errors import BallTooSmall, KNotValidated, PatternNotReduced, ResourceLimi
 from .fsa import (
     FSA,
     are_equivalent,
+    count_words,
     intersect,
     make_dfa,
     minimize,
@@ -29,8 +33,6 @@ from .fsa import (
     trim_fsa,
 )
 from .words import Element, ElementBall, PolygonGroup, Word
-
-PAD = "-"
 
 
 def canonical_fsa(group: PolygonGroup) -> FSA:
@@ -40,10 +42,8 @@ def canonical_fsa(group: PolygonGroup) -> FSA:
         for s, t in enumerate(row):
             if t is not None:
                 delta[(q, s)] = t
-    out = make_dfa(group.presentation.names, len(group.transitions), 0,
-                   range(len(group.transitions)), delta)
-    out.trim = True
-    return out
+    return make_dfa(group.presentation.names, len(group.transitions), 0,
+                    range(len(group.transitions)), delta)
 
 
 def right_descent_class_fsa(group: PolygonGroup, T: frozenset[int]) -> FSA:
@@ -78,8 +78,6 @@ def shortlex_fsa(group: PolygonGroup) -> FSA:
 
 
 def element_counts(group: PolygonGroup, max_len: int) -> list[int]:
-    from .fsa import count_words
-
     return count_words(nf_transition_fsa(group), max_len)
 
 
@@ -113,163 +111,92 @@ def factor_fsa(group: PolygonGroup, pattern: Word) -> FSA:
     return intersect(base, matcher)
 
 
-def pair_alphabet(names) -> tuple[str, ...]:
-    syms = [f"{x}|{y}" for x in names for y in names]
-    syms += [f"{x}|{PAD}" for x in names]
-    syms += [f"{PAD}|{y}" for y in names]
-    return tuple(syms)
-
-
-def equal_endpoint_pairs(
-    group: PolygonGroup,
-    A: FSA,
-    B: FSA,
-    k: int,
-    offset: Element | None = None,
-    diff_radius: int | None = None,
-) -> FSA:
-    """Automaton over padded pair symbols accepting (alpha, beta) with
-    alpha in L(A), beta in L(B), endpoint(alpha) = offset * endpoint(beta),
-    and every synchronous word difference alpha_i^-1 * offset * beta_i of
-    length <= diff_radius (default k).  The shorter word pads at the end;
-    (pad, pad) never occurs."""
-    if offset is None:
-        offset = group.identity
-    radius = k if diff_radius is None else diff_radius
+def equal_endpoint_pairs(group: PolygonGroup, B: FSA, offset: Element,
+                         k: int) -> FSA:
+    """Trimmed NFA over the generators accepting every reduced alpha that
+    pairs with some beta in L(B) with endpoint(alpha) = offset *
+    endpoint(beta) and every synchronous word difference alpha_i^-1 *
+    offset * beta_i of length <= k + |offset|.  The shorter word pads at
+    the end: a step of alpha alone reads its letter, a step of beta alone
+    is an epsilon move.  B must be deterministic."""
+    radius = k + offset.length
     # the intermediate d*y may overshoot by one before x pulls it back
     ball = group.ball(radius + 1)
-    maxlen = radius
-    n = group.rank
-    names = group.presentation.names
-    alphabet = pair_alphabet(names)
-    sym = {name: i for i, name in enumerate(alphabet)}
-    e_idx = ball.index[()]
-    start_d = ball.index.get(offset.word) if offset.length <= maxlen else None
-    if start_d is None:
-        return FSA(alphabet, 1, 0, frozenset(), {}, deterministic=True)
-    lengths = [e.length for e in ball.elements]
-
-    def diff_step(d: int, x: int | None, y: int | None) -> int | None:
-        # d -> x * d * y, final difference kept within the radius
-        if y is not None:
-            d2 = ball.right_mult[d][y]
-            if d2 is None:
-                return None
-            d = d2
-        if x is not None:
-            d2 = ball.left_mult[d][x]
-            if d2 is None:
-                return None
-            d = d2
-        return d if lengths[d] <= maxlen else None
-
-    # state = (qa, qb, diff index, mode); mode 0 = both words running,
-    # 1 = right word finished (pads right), 2 = left word finished
-    start = (A.initial, B.initial, start_d, 0)
+    right_mult, left_mult, lengths = ball.right_mult, ball.left_mult, ball.lengths
+    canon = group.transitions
+    b_delta, b_acc = B.transitions, B.accepting
+    gens = range(group.rank)
+    # state = (canonical state, B state, difference index, mode); mode 0 =
+    # both words running, 1 = beta finished (so its B state accepts), 2 =
+    # alpha finished.  Every canonical state accepts, and ball index 0 is
+    # the identity.
+    start = (0, B.initial, ball.index[offset.word], 0)
     ids = {start: 0}
     order = [start]
-    transitions: dict[tuple[int, int], tuple[int, ...]] = {}
+    # target lists; trim_fsa hands them back as tuples
+    transitions: dict[tuple[int, int], list[int]] = {}
+    eps: dict[int, list[int]] = {}
     accepting: set[int] = set()
-
-    def intern(key) -> int:
-        j = ids.get(key)
-        if j is None:
-            j = len(order)
-            ids[key] = j
-            order.append(key)
-        return j
-
     i = 0
     while i < len(order):
         qa, qb, d, mode = order[i]
-        a_acc = qa in A.accepting
-        b_acc = qb in B.accepting
-        if d == e_idx:
-            if (mode == 0 and a_acc and b_acc) or (mode == 1 and a_acc) \
-                    or (mode == 2 and b_acc):
-                accepting.add(i)
-        moves: list[tuple[int, tuple]] = []
-        if mode in (0, 1):
-            for x in range(n):
-                ta = A.step(qa, x)
+        qb_acc = qb in b_acc
+        if d == 0 and qb_acc:
+            accepting.add(i)
+        moves: list[tuple[int | None, tuple]] = []  # letter None = epsilon
+        if mode != 2:
+            for x in gens:
+                ta = canon[qa][x]
                 if ta is None:
                     continue
                 if mode == 0:
-                    for y in range(n):
-                        tb = B.step(qb, y)
+                    for y in gens:
+                        tb = b_delta.get((qb, y))
                         if tb is None:
                             continue
-                        nd = diff_step(d, x, y)
-                        if nd is not None:
-                            moves.append((sym[f"{names[x]}|{names[y]}"],
-                                          (ta, tb, nd, 0)))
-                if b_acc or mode == 1:
-                    nd = diff_step(d, x, None)
-                    if nd is not None:
-                        moves.append((sym[f"{names[x]}|{PAD}"], (ta, qb, nd, 1)))
-        if mode in (0, 2) and (a_acc or mode == 2):
-            for y in range(n):
-                tb = B.step(qb, y)
+                        nd = left_mult[right_mult[d][y]][x]
+                        if nd is not None and lengths[nd] <= radius:
+                            moves.append((x, (ta, tb[0], nd, 0)))
+                if qb_acc:
+                    nd = left_mult[d][x]
+                    if lengths[nd] <= radius:
+                        moves.append((x, (ta, qb, nd, 1)))
+        if mode != 1:
+            for y in gens:
+                tb = b_delta.get((qb, y))
                 if tb is None:
                     continue
-                nd = diff_step(d, None, y)
-                if nd is not None:
-                    moves.append((sym[f"{PAD}|{names[y]}"], (qa, tb, nd, 2)))
-        for code, key in moves:
-            j = intern(key)
-            prev = transitions.get((i, code), ())
-            transitions[(i, code)] = prev + (j,)
+                nd = right_mult[d][y]
+                if lengths[nd] <= radius:
+                    moves.append((None, (qa, tb[0], nd, 2)))
+        for x, key in moves:
+            j = ids.get(key)
+            if j is None:
+                j = len(order)
+                ids[key] = j
+                order.append(key)
+            if x is None:
+                eps.setdefault(i, []).append(j)
+            else:
+                transitions.setdefault((i, x), []).append(j)
         i += 1
-
-    det = all(len(v) == 1 for v in transitions.values())
-    out = FSA(alphabet, len(order), 0, frozenset(accepting), transitions,
-              deterministic=det)
+    out = FSA(group.presentation.names, len(order), 0, frozenset(accepting),
+              transitions, eps=eps)
     return trim_fsa(out)
-
-
-def project_first(pairs: FSA, names) -> FSA:
-    """Erase the right coordinate of every pair symbol: (x|y) and (x|-)
-    read as x, (-|y) becomes an epsilon move.  Output is an NFA over the
-    generator alphabet."""
-    names = tuple(names)
-    sidx = {name: i for i, name in enumerate(names)}
-    transitions: dict[tuple[int, int], list[int]] = {}
-    eps: dict[int, list[int]] = {}
-    for q, s, t in pairs.edges():
-        left = pairs.alphabet[s].split("|")[0]
-        if left == PAD:
-            eps.setdefault(q, []).append(t)
-        else:
-            transitions.setdefault((q, sidx[left]), []).append(t)
-    return FSA(
-        alphabet=names,
-        n_states=pairs.n_states,
-        initial=pairs.initial,
-        accepting=pairs.accepting,
-        transitions={k: tuple(sorted(set(v))) for k, v in transitions.items()},
-        eps={k: tuple(sorted(set(v))) for k, v in eps.items()},
-        deterministic=False,
-    )
 
 
 def red_x_mu(group: PolygonGroup, pattern: Word, k: int) -> FSA:
     """Minimal DFA for all reduced expressions of elements having some
     reduced expression that contains the pattern as a factor."""
-    pattern = tuple(pattern)
-    base = canonical_fsa(group)
-    with_factor = factor_fsa(group, pattern)
-    pairs = equal_endpoint_pairs(group, base, with_factor, k)
-    return minimize(project_first(pairs, group.presentation.names))
+    return minimize(equal_endpoint_pairs(group, factor_fsa(group, pattern),
+                                         group.identity, k))
 
 
 def left_translate(group: PolygonGroup, A: FSA, w: Element, k: int) -> FSA:
     """Minimal DFA for Red(w * X) where X is the element set of A; word
     differences for the offset pair machine live in a ball of radius
     k + length(w)."""
-    base = canonical_fsa(group)
-    pairs = equal_endpoint_pairs(group, base, A, k, offset=w,
-                                 diff_radius=k + w.length)
-    return minimize(project_first(pairs, group.presentation.names))
+    return minimize(equal_endpoint_pairs(group, A, w, k))
 
 
 # --- fellow-traveler constant ----------------------------------------------
@@ -302,8 +229,7 @@ def fellow_traveler_constant(group: PolygonGroup, radius: int) -> int:
     the walk over ball indices never leaves the ball."""
     ball = group.ball(radius)
     red = reduced_expressions(ball)
-    right_mult, left_mult = ball.right_mult, ball.left_mult
-    lengths = [e.length for e in ball.elements]
+    right_mult, left_mult, lengths = ball.right_mult, ball.left_mult, ball.lengths
     worst = min(radius, 1)
     try:
         for z, e in enumerate(ball.elements):

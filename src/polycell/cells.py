@@ -25,7 +25,7 @@ from .automata import (
     red_x_mu,
     right_descent_class_fsa,
 )
-from .errors import InvalidDescentClass, NoFiniteVertex
+from .errors import BadArgument, InvalidDescentClass, NoFiniteVertex
 from .fsa import (
     FSA,
     are_equivalent,
@@ -69,6 +69,8 @@ class DihedralData:
         return self.levels.index(order) + 1
 
     def pairs_at_level(self, i: int) -> list[DihedralEntry]:
+        if not 1 <= i <= self.m:
+            raise BadArgument(f"level {i} does not exist; levels are 1..{self.m}")
         return [e for e in self.entries if e.order == self.levels[i - 1]]
 
     @property
@@ -236,8 +238,8 @@ def _spec_candidates(part: ConjecturalPartition, i: int, radius: int,
     return out
 
 
-def omega_minimal(part: ConjecturalPartition, i: int, radius: int, k: int,
-                  log=None) -> list[OneSidedCellSpec]:
+def omega_minimal(part: ConjecturalPartition, i: int, radius: int,
+                  k: int) -> list[OneSidedCellSpec]:
     """Keep the translators whose translated languages are containment-
     maximal, shortest translator first; ties broken by ShortLex, duplicate
     languages collapsed."""
@@ -245,15 +247,7 @@ def omega_minimal(part: ConjecturalPartition, i: int, radius: int, k: int,
     cands.sort(key=lambda c: (c.translator.length, c.translator.word, c.pair))
     kept: list[OneSidedCellSpec] = []
     for cand in cands:
-        dominated = False
-        for other in kept:
-            if is_subset(cand.language, other.language):
-                dominated = True
-                if log is not None and cand.pair != other.pair:
-                    log.append((other.translator.word, other.pair,
-                                cand.translator.word, cand.pair))
-                break
-        if not dominated:
+        if not any(is_subset(cand.language, other.language) for other in kept):
             kept.append(cand)
     return kept
 

@@ -71,13 +71,14 @@ def _resolve_k(ws: Workspace, pres, group, k_arg: str, validation_radius: int = 
         raise BadArgument(f"--k must be a positive integer or 'auto', got {k_arg!r}")
     if cached and cached["k"] <= k and cached["radius"] >= validation_radius:
         return k
+    # only choose_k's answer is stored: a stored explicit k would become
+    # what --k auto returns
     constant = fellow_traveler_constant(group, validation_radius)
     if constant > k:
         raise KNotValidated(
             f"k={k} fails fellow-traveler validation; fellow-traveler constant "
             f"at radius {validation_radius} is {constant}"
         )
-    ws.store_validated_k(pres, k, validation_radius)
     return k
 
 
@@ -133,6 +134,9 @@ def cmd_kl(args) -> int:
 
 def cmd_cells(args) -> int:
     pres, group, ws = _context(args)
+    if args.mode == "compare" and not 0 <= args.trust_margin <= args.radius:
+        raise BadArgument(f"--trust-margin must be between 0 and --radius "
+                          f"{args.radius}, got {args.trust_margin}")
     k = _resolve_k(ws, pres, group, args.k)
     if args.mode == "conjectural":
         part = build_partition(group, k)
@@ -384,7 +388,11 @@ def cmd_render(args) -> int:
         labels = [part.classify(e) for e in ball.elements]
         palette = dict(PALETTE)
     elif args.coloring.startswith("onesided:"):
-        level = int(args.coloring.split(":", 1)[1])
+        try:
+            level = int(args.coloring.split(":", 1)[1])
+        except ValueError:
+            raise BadArgument(f"--coloring onesided:<level> needs an integer "
+                              f"level, got {args.coloring!r}") from None
         specs = omega_minimal(part, level, args.radius, k)
         labels = []
         for e in ball.elements:

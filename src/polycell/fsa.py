@@ -4,8 +4,8 @@ Symbols are indices into an alphabet tuple of short strings; for automata
 over group generators the symbol index equals the generator index, so
 engine words feed straight in.  Transitions map (state, symbol) to a tuple
 of targets; deterministic machines keep singleton tuples.  Epsilon moves
-are stored separately and only appear in intermediate products (projection
-erases one pair coordinate); stored machines are epsilon-free.
+are stored separately and only appear in intermediate products (pair
+machines, reversal); stored machines are epsilon-free.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ class FSA:
     transitions: dict[tuple[int, int], tuple[int, ...]]
     eps: dict[int, tuple[int, ...]] = dc_field(default_factory=dict)
     deterministic: bool = False
-    trim: bool = False
-    minimal: bool = False
 
     def step(self, state: int, sym: int) -> int | None:
         t = self.transitions.get((state, sym))
@@ -96,8 +94,6 @@ def epsilon_language(alphabet) -> FSA:
         accepting=frozenset({0}),
         transitions={},
         deterministic=True,
-        trim=True,
-        minimal=True,
     )
 
 
@@ -134,9 +130,7 @@ def determinize(fsa: FSA, cap: int = STATE_CAP) -> FSA:
                 order.append(key)
             delta[(i, s)] = j
         i += 1
-    out = make_dfa(fsa.alphabet, len(order), 0, accepting, delta)
-    out.trim = False
-    return trim_fsa(out)
+    return trim_fsa(make_dfa(fsa.alphabet, len(order), 0, accepting, delta))
 
 
 def trim_fsa(fsa: FSA) -> FSA:
@@ -168,9 +162,7 @@ def trim_fsa(fsa: FSA) -> FSA:
                 stack.append(t)
     live = reach & co
     if fsa.initial not in live:
-        out = empty_language(fsa.alphabet)
-        out.trim = True
-        return out
+        return empty_language(fsa.alphabet)
     remap = {}
     for q in range(fsa.n_states):
         if q in live:
@@ -195,8 +187,6 @@ def trim_fsa(fsa: FSA) -> FSA:
         transitions=transitions,
         eps=eps,
         deterministic=fsa.deterministic,
-        trim=True,
-        minimal=fsa.minimal,
     )
 
 
@@ -206,9 +196,7 @@ def minimize(fsa: FSA, cap: int = STATE_CAP) -> FSA:
         fsa = determinize(fsa, cap)
     fsa = trim_fsa(fsa)
     if fsa.n_states == 0 or not fsa.accepting:
-        out = empty_language(fsa.alphabet)
-        out.minimal = True
-        return out
+        return empty_language(fsa.alphabet)
     n = fsa.n_states
     dead = n  # implicit non-accepting sink
     nsym = len(fsa.alphabet)
@@ -256,10 +244,7 @@ def minimize(fsa: FSA, cap: int = STATE_CAP) -> FSA:
                 order.append(t)
             delta[(i, s)] = j
         i += 1
-    out = make_dfa(fsa.alphabet, len(renum), 0, accepting, delta)
-    out.trim = True
-    out.minimal = True
-    return out
+    return make_dfa(fsa.alphabet, len(renum), 0, accepting, delta)
 
 
 def reverse_fsa(fsa: FSA) -> FSA:

@@ -93,7 +93,7 @@ class KLTable:
     def __init__(self, group: PolygonGroup, ball: ElementBall):
         self.group = group
         self.ball = ball
-        self._length = [e.length for e in ball.elements]
+        self._length = ball.lengths
         self._rdesc = [e.right for e in ball.elements]
         n = len(ball.elements)
         # _leq[w]: bitset of {x <= w}; _geq[v]: bitset of {x >= v}

@@ -46,6 +46,7 @@ class ElementBall:
     right_mult: list[list[int | None]]  # None = product leaves the ball
     left_mult: list[list[int | None]]
     counts: list[int]  # elements per length
+    lengths: list[int]  # element lengths, by index
 
     def __len__(self):
         return len(self.elements)
@@ -240,6 +241,7 @@ class PolygonGroup:
             right_mult=right_mult,
             left_mult=left_mult,
             counts=counts,
+            lengths=[len(w) for w in words],
         )
         self._balls[radius] = ball
         return ball

@@ -11,16 +11,16 @@ from polycell.automata import (
     fellow_traveler_constant,
     left_translate,
     nf_transition_fsa,
-    pair_alphabet,
-    project_first,
     red_x_mu,
     reduced_expressions,
     right_descent_class_fsa,
     shortlex_fsa,
     validate_k,
 )
+from polycell.cells import _spec_candidates, dihedral_data, u_t_fsa
 from polycell.errors import PatternNotReduced, ResourceLimit
 from polycell.fsa import (
+    FSA,
     are_equivalent,
     count_words,
     determinize,
@@ -28,6 +28,8 @@ from polycell.fsa import (
     epsilon_language,
     is_empty,
     minimize,
+    to_text,
+    trim_fsa,
 )
 from polycell.oracle import braid_closure
 from tests.conftest import K_W237, K_W2224
@@ -85,40 +87,192 @@ def test_factor_requires_reduced_pattern(g237):
 
 
 def test_pair_machine_basics(g237, w237):
-    can = canonical_fsa(g237)
     # equal single-letter words fellow-travel at distance 0
-    p = equal_endpoint_pairs(g237, can, can, k=1)
-    sym = p.alphabet.index("r|r")
-    assert p.accepts((sym,))
+    p = equal_endpoint_pairs(g237, _single_word_fsa(g237, (0,)), g237.identity, 1)
+    assert p.accepts(w237.parse_word("r"))
     # distinct generators never have equal endpoints
-    rs = p.alphabet.index("r|s")
-    assert not p.accepts((rs,))
+    assert not p.accepts(w237.parse_word("s"))
 
 
 def test_pair_machine_braid_pair(g237, w237):
-    can = canonical_fsa(g237)
     # prefix difference of (rt, tr) is the element rt of length 2, so the
     # pair appears at difference radius 2 and not at 1
+    tr = _single_word_fsa(g237, w237.parse_word("tr"))
     for k, expect in ((1, False), (2, True)):
-        p = equal_endpoint_pairs(g237, can, can, k=k)
-        word = (p.alphabet.index("r|t"), p.alphabet.index("t|r"))
-        assert p.accepts(word) == expect
-
-
-def test_pair_alphabet_excludes_double_pad(g237):
-    names = g237.presentation.names
-    alpha = pair_alphabet(names)
-    assert "-|-" not in alpha
-    assert len(alpha) == len(names) ** 2 + 2 * len(names)
+        p = equal_endpoint_pairs(g237, tr, g237.identity, k)
+        assert p.accepts(w237.parse_word("rt")) == expect
 
 
 def test_projection_trivialities(g237):
     can = canonical_fsa(g237)
-    p = equal_endpoint_pairs(g237, can, can, k=2)
-    proj = minimize(project_first(p, g237.presentation.names))
+    proj = minimize(equal_endpoint_pairs(g237, can, g237.identity, 2))
     assert not is_empty(proj)
-    # diagonal projection of equal-endpoint pairs over Red(W) is Red(W)
+    # projection of equal-endpoint pairs over Red(W) is Red(W)
     assert are_equivalent(proj, can)
+
+
+# The padded pair machine over a pair alphabet and its projection to the
+# first coordinate, kept as the reference for the direct machine.
+
+PAD = "-"
+
+
+def pair_alphabet(names) -> tuple[str, ...]:
+    syms = [f"{x}|{y}" for x in names for y in names]
+    syms += [f"{x}|{PAD}" for x in names]
+    syms += [f"{PAD}|{y}" for y in names]
+    return tuple(syms)
+
+
+def padded_equal_endpoint_pairs(
+    group,
+    A,
+    B,
+    k,
+    offset=None,
+    diff_radius=None,
+):
+    """Automaton over padded pair symbols accepting (alpha, beta) with
+    alpha in L(A), beta in L(B), endpoint(alpha) = offset * endpoint(beta),
+    and every synchronous word difference alpha_i^-1 * offset * beta_i of
+    length <= diff_radius (default k).  The shorter word pads at the end;
+    (pad, pad) never occurs."""
+    if offset is None:
+        offset = group.identity
+    radius = k if diff_radius is None else diff_radius
+    # the intermediate d*y may overshoot by one before x pulls it back
+    ball = group.ball(radius + 1)
+    maxlen = radius
+    n = group.rank
+    names = group.presentation.names
+    alphabet = pair_alphabet(names)
+    sym = {name: i for i, name in enumerate(alphabet)}
+    e_idx = ball.index[()]
+    start_d = ball.index.get(offset.word) if offset.length <= maxlen else None
+    if start_d is None:
+        return FSA(alphabet, 1, 0, frozenset(), {}, deterministic=True)
+    lengths = [e.length for e in ball.elements]
+
+    def diff_step(d, x, y):
+        # d -> x * d * y, final difference kept within the radius
+        if y is not None:
+            d2 = ball.right_mult[d][y]
+            if d2 is None:
+                return None
+            d = d2
+        if x is not None:
+            d2 = ball.left_mult[d][x]
+            if d2 is None:
+                return None
+            d = d2
+        return d if lengths[d] <= maxlen else None
+
+    # state = (qa, qb, diff index, mode); mode 0 = both words running,
+    # 1 = right word finished (pads right), 2 = left word finished
+    start = (A.initial, B.initial, start_d, 0)
+    ids = {start: 0}
+    order = [start]
+    transitions = {}
+    accepting = set()
+
+    def intern(key):
+        j = ids.get(key)
+        if j is None:
+            j = len(order)
+            ids[key] = j
+            order.append(key)
+        return j
+
+    i = 0
+    while i < len(order):
+        qa, qb, d, mode = order[i]
+        a_acc = qa in A.accepting
+        b_acc = qb in B.accepting
+        if d == e_idx:
+            if (mode == 0 and a_acc and b_acc) or (mode == 1 and a_acc) \
+                    or (mode == 2 and b_acc):
+                accepting.add(i)
+        moves = []
+        if mode in (0, 1):
+            for x in range(n):
+                ta = A.step(qa, x)
+                if ta is None:
+                    continue
+                if mode == 0:
+                    for y in range(n):
+                        tb = B.step(qb, y)
+                        if tb is None:
+                            continue
+                        nd = diff_step(d, x, y)
+                        if nd is not None:
+                            moves.append((sym[f"{names[x]}|{names[y]}"],
+                                          (ta, tb, nd, 0)))
+                if b_acc or mode == 1:
+                    nd = diff_step(d, x, None)
+                    if nd is not None:
+                        moves.append((sym[f"{names[x]}|{PAD}"], (ta, qb, nd, 1)))
+        if mode in (0, 2) and (a_acc or mode == 2):
+            for y in range(n):
+                tb = B.step(qb, y)
+                if tb is None:
+                    continue
+                nd = diff_step(d, None, y)
+                if nd is not None:
+                    moves.append((sym[f"{PAD}|{names[y]}"], (qa, tb, nd, 2)))
+        for code, key in moves:
+            j = intern(key)
+            prev = transitions.get((i, code), ())
+            transitions[(i, code)] = prev + (j,)
+        i += 1
+
+    det = all(len(v) == 1 for v in transitions.values())
+    out = FSA(alphabet, len(order), 0, frozenset(accepting), transitions,
+              deterministic=det)
+    return trim_fsa(out)
+
+
+def project_first(pairs, names):
+    """Erase the right coordinate of every pair symbol: (x|y) and (x|-)
+    read as x, (-|y) becomes an epsilon move.  Output is an NFA over the
+    generator alphabet."""
+    names = tuple(names)
+    sidx = {name: i for i, name in enumerate(names)}
+    transitions = {}
+    eps = {}
+    for q, s, t in pairs.edges():
+        left = pairs.alphabet[s].split("|")[0]
+        if left == PAD:
+            eps.setdefault(q, []).append(t)
+        else:
+            transitions.setdefault((q, sidx[left]), []).append(t)
+    return FSA(
+        alphabet=names,
+        n_states=pairs.n_states,
+        initial=pairs.initial,
+        accepting=pairs.accepting,
+        transitions={k: tuple(sorted(set(v))) for k, v in transitions.items()},
+        eps={k: tuple(sorted(set(v))) for k, v in eps.items()},
+        deterministic=False,
+    )
+
+
+def test_pair_machine_matches_padded_projection(part237, part2224):
+    for part, k, level, radius in ((part237, K_W237, 3, 10),
+                                   (part2224, K_W2224, 2, 6)):
+        group = part.group
+        names = group.presentation.names
+        base = canonical_fsa(group)
+        for entry in dihedral_data(group.presentation).entries:
+            B = factor_fsa(group, entry.longest_word)
+            want = minimize(project_first(
+                padded_equal_endpoint_pairs(group, base, B, k), names))
+            assert to_text(red_x_mu(group, entry.longest_word, k)) == to_text(want)
+        for cand in _spec_candidates(part, level, radius, k):
+            w = cand.translator
+            ut = u_t_fsa(part, cand.pair)
+            want = minimize(project_first(padded_equal_endpoint_pairs(
+                group, base, ut, k, offset=w, diff_radius=k + w.length), names))
+            assert to_text(cand.language) == to_text(want)
 
 
 def test_red_x_mu_examples(g237, w237):
@@ -186,8 +340,6 @@ def test_left_translate_singletons(g237, w237):
 
 
 def _single_word_fsa(group, word):
-    from polycell.fsa import FSA
-
     delta = {(i, s): (i + 1,) for i, s in enumerate(word)}
     return FSA(
         alphabet=group.presentation.names,

@@ -141,6 +141,52 @@ def test_cli_failed_k_reports_constant(tmp_path, w237_config, capsys):
     assert "fellow-traveler constant at radius 10 is 6" in err
 
 
+def test_cli_explicit_k_leaves_auto_k(tmp_path, w237_config, capsys):
+    assert run(tmp_path, "fsa", "build", "canonical",
+               "--group", str(w237_config), "--k", "9") == 0
+    assert run(tmp_path, "cells", "conjectural", "--group", str(w237_config),
+               "--radius", "4", "--k", "auto") == 0
+    report_path = tmp_path / "ws" / "w237" / "reports" / "partition.r4.json"
+    assert json.loads(report_path.read_text())["k"] == 6
+
+
+def _assert_bad_argument(code, capsys, message):
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: BadArgument: ")
+    assert message in err
+
+
+@pytest.mark.parametrize("level", ["0", "-1", "4"])
+@pytest.mark.parametrize("command", ["onesided", "render"])
+def test_cli_missing_level_is_exit_2(tmp_path, w237_config, capsys, level, command):
+    if command == "onesided":
+        argv = ["onesided", "--level", level]
+    else:
+        argv = ["render", "--coloring", f"onesided:{level}",
+                "--out", str(tmp_path / "out.svg")]
+    code = run(tmp_path, *argv, "--group", str(w237_config),
+               "--radius", "3", "--k", "6")
+    _assert_bad_argument(code, capsys, f"level {level} does not exist; levels are 1..3")
+
+
+def test_cli_non_integer_coloring_level_is_exit_2(tmp_path, w237_config, capsys):
+    code = run(tmp_path, "render", "--coloring", "onesided:x",
+               "--out", str(tmp_path / "out.svg"), "--group", str(w237_config),
+               "--radius", "3", "--k", "6")
+    _assert_bad_argument(code, capsys, "needs an integer level, got 'onesided:x'")
+
+
+@pytest.mark.parametrize("margin", ["-3", "9"])
+def test_cli_trust_margin_outside_radius_is_exit_2(tmp_path, w237_config, capsys,
+                                                   margin):
+    code = run(tmp_path, "cells", "compare", "--group", str(w237_config),
+               "--radius", "4", "--trust-margin", margin, "--k", "6")
+    _assert_bad_argument(code, capsys, f"between 0 and --radius 4, got {margin}")
+    assert not (tmp_path / "ws" / "w237" / "reports" / "compare.r4.json").exists()
+
+
 def test_cli_unknown_letter_is_exit_2(tmp_path, w237_config, capsys):
     code = run(tmp_path, "fsa", "build", "pattern:xyz",
                "--group", str(w237_config), "--k", "6")
