@@ -6,11 +6,15 @@ Layout under the workspace root, one directory per group:
     <group>/kl.r<N>.tsv       v <tab> w <tab> R coeffs <tab> P coeffs <tab> mu
     <group>/fsa/<name>.fsa    text automata, bit-exact round trip
     <group>/reports/*.json
-    <group>/meta.json         group hash, tool version, validated k, stamps
+    <group>/meta.json         group hash, tool version, validated k, KL stamps
 
-Every artifact records a stamp (group hash, radius, k, version); a stamp
-mismatch on read is treated as stale and forces recomputation.  Writes go
-through a temp file and atomic rename.
+Only the validated fellow-traveler constant and the KL tables are costly
+enough to reuse across commands.  `meta.json` holds both; a group-hash or
+version mismatch drops it whole, and a KL table is reused only while its
+stamp matches.  Balls, automata and reports are rewritten on every run.
+Each write goes through its own temp file and an atomic rename, so
+concurrent runs never read a torn file; two runs updating `meta.json` at
+once can lose one update, which costs a recomputation, not an answer.
 """
 
 from __future__ import annotations
@@ -18,15 +22,16 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
 from .errors import CorruptCache, UnknownGenerator
-from .fsa import FSA, from_text, to_text
+from .fsa import FSA, to_text
 from .kl import KLTable
 from .presentation import CoxeterPresentation, config_dict
-from .words import ElementBall, PolygonGroup
+from .words import ElementBall
 
 
 def group_hash(pres: CoxeterPresentation) -> str:
@@ -36,9 +41,15 @@ def group_hash(pres: CoxeterPresentation) -> str:
 
 def _atomic_write(path: Path, data: bytes) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_bytes(data)
-    os.replace(tmp, path)
+    fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp",
+                               dir=path.parent)
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 @dataclass
@@ -58,18 +69,17 @@ class Workspace:
 
     def read_meta(self, pres) -> dict:
         path = self.meta_path(pres)
+        empty = {"group_hash": group_hash(pres), "tool_version": __version__,
+                 "artifacts": {}}
         if not path.exists():
-            return {"group_hash": group_hash(pres), "tool_version": __version__,
-                    "artifacts": {}}
+            return empty
         try:
             meta = json.loads(path.read_text())
         except json.JSONDecodeError as exc:
             raise CorruptCache(str(path)) from exc
-        if meta.get("group_hash") != group_hash(pres) or \
-                meta.get("tool_version") != __version__:
-            return {"group_hash": group_hash(pres), "tool_version": __version__,
-                    "artifacts": {}}
-        return meta
+        stale = meta.get("group_hash") != empty["group_hash"] \
+            or meta.get("tool_version") != __version__
+        return empty if stale else meta
 
     def write_meta(self, pres, meta: dict) -> None:
         meta["group_hash"] = group_hash(pres)
@@ -97,10 +107,7 @@ class Workspace:
 
     # --- ball ----------------------------------------------------------------
 
-    def ball_name(self, radius: int) -> str:
-        return f"ball.r{radius}.tsv"
-
-    def write_ball(self, pres, group: PolygonGroup, ball: ElementBall) -> Path:
+    def write_ball(self, pres, ball: ElementBall) -> Path:
         names = pres.names
         lines = []
         for e in ball.elements:
@@ -110,22 +117,9 @@ class Workspace:
                 "".join(names[s] for s in sorted(e.left)) or "-",
                 "".join(names[s] for s in sorted(e.right)) or "-",
             ]))
-        path = self.group_dir(pres) / self.ball_name(ball.radius)
+        path = self.group_dir(pres) / f"ball.r{ball.radius}.tsv"
         _atomic_write(path, ("\n".join(lines) + "\n").encode())
-        self.stamp(pres, self.ball_name(ball.radius), radius=ball.radius)
         return path
-
-    def read_ball_words(self, pres, radius: int) -> list[tuple[int, tuple[int, ...]]]:
-        path = self.group_dir(pres) / self.ball_name(radius)
-        out = []
-        try:
-            for line in path.read_text().splitlines():
-                length, word, _left, _right = line.split("\t")
-                out.append((int(length),
-                            pres.parse_word("" if word == "-" else word)))
-        except (ValueError, UnknownGenerator) as exc:
-            raise CorruptCache(str(path)) from exc
-        return out
 
     # --- KL -------------------------------------------------------------------
 
@@ -176,21 +170,10 @@ class Workspace:
 
     # --- automata ---------------------------------------------------------------
 
-    def fsa_path(self, pres, name: str) -> Path:
-        return self.group_dir(pres) / "fsa" / f"{name}.fsa"
-
-    def write_fsa(self, pres, name: str, fsa: FSA, **params) -> Path:
-        path = self.fsa_path(pres, name)
+    def write_fsa(self, pres, name: str, fsa: FSA) -> Path:
+        path = self.group_dir(pres) / "fsa" / f"{name}.fsa"
         _atomic_write(path, to_text(fsa).encode())
-        self.stamp(pres, f"fsa/{name}.fsa", **params)
         return path
-
-    def read_fsa(self, pres, name: str) -> FSA:
-        path = self.fsa_path(pres, name)
-        try:
-            return from_text(path.read_text())
-        except (ValueError, IndexError) as exc:
-            raise CorruptCache(str(path)) from exc
 
     # --- reports -------------------------------------------------------------
 

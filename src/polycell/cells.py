@@ -188,10 +188,19 @@ def descent_class_fsa(group: PolygonGroup, T) -> FSA:
     return minimize(reverse_fsa(right))
 
 
+def _dihedral_entry(part: ConjecturalPartition, pair) -> DihedralEntry:
+    by_pair = {e.pair: e for e in part.data.entries}
+    if tuple(sorted(pair)) not in by_pair:
+        name = part.group.presentation.word_str
+        raise BadArgument(f"{name(pair)!r} is not a pair of generators at a finite "
+                          f"vertex; the pairs are {', '.join(map(name, by_pair))}")
+    return by_pair[tuple(sorted(pair))]
+
+
 def u_t_fsa(part: ConjecturalPartition, pair: tuple[int, int]) -> FSA:
     """Red(U^T): the descent class minus all higher-level cells."""
     data = part.data
-    entry = next(e for e in data.entries if e.pair == tuple(sorted(pair)))
+    entry = _dihedral_entry(part, pair)
     i = data.level_of(entry.order)
     out = descent_class_fsa(part.group, frozenset(entry.pair))
     for j in range(i + 1, data.m + 1):
@@ -204,7 +213,7 @@ def omega_elements(part: ConjecturalPartition, pair: tuple[int, int],
     """Translators w^-1 w_T for w in U^T within the ball, deduplicated and
     sorted by (length, word)."""
     group = part.group
-    entry = next(e for e in part.data.entries if e.pair == tuple(sorted(pair)))
+    entry = _dihedral_entry(part, pair)
     ut = u_t_fsa(part, pair)
     w_t = group.element(entry.longest_word)
     ball = group.ball(radius)

@@ -32,27 +32,19 @@ from .cells import (
 )
 from .compare import empirical_vs_conjectural
 from .errors import BadArgument, KNotValidated, PolycellError, VerificationDisagreement
-from .fsa import FSA, are_equivalent, count_words, from_text
+from .fsa import FSA, are_equivalent, count_words, determinize, from_text
 from .kl import KLTable
 from .oracle import ClassicalKL, braid_closure, oracle_classify, unique_reduced_census
 from .presentation import load_presentation
 from .render import PALETTE, realize_polygon, render_svg, scene_for_partition
 from .words import PolygonGroup
 
-_GROUP_CACHE: dict[str, PolygonGroup] = {}
-
 
 def _context(args):
     if args.radius < 0:
         raise BadArgument(f"--radius must be a nonnegative integer, got {args.radius}")
     pres = load_presentation(args.group)
-    key = group_hash(pres)
-    group = _GROUP_CACHE.get(key)
-    if group is None:
-        group = PolygonGroup(pres)
-        _GROUP_CACHE[key] = group
-    ws = Workspace(args.workspace)
-    return pres, group, ws
+    return pres, PolygonGroup(pres), Workspace(args.workspace)
 
 
 def _resolve_k(ws: Workspace, pres, group, k_arg: str, validation_radius: int = 10) -> int:
@@ -110,12 +102,8 @@ def cmd_group_info(args) -> int:
 
 def cmd_ball(args) -> int:
     pres, group, ws = _context(args)
-    name = ws.ball_name(args.radius)
-    if ws.is_fresh(pres, name, radius=args.radius):
-        print(f"cached {ws.group_dir(pres) / name}")
-        return 0
     ball = group.ball(args.radius, cap=args.cap)
-    path = ws.write_ball(pres, group, ball)
+    path = ws.write_ball(pres, ball)
     print(f"computed {path} ({len(ball)} elements)")
     return 0
 
@@ -142,8 +130,7 @@ def cmd_cells(args) -> int:
         part = build_partition(group, k)
         refs = {}
         for label in part.labels:
-            path = ws.write_fsa(pres, f"cell_{label}", part.languages[label],
-                                k=k, kind="cell")
+            path = ws.write_fsa(pres, f"cell_{label}", part.languages[label])
             refs[label] = str(path)
         from .fsa import intersect
 
@@ -212,7 +199,11 @@ def _build_target(args, pres, group, ws, target: str) -> FSA:
         return shortlex_fsa(group)
     if target.startswith("cell:"):
         part = build_partition(group, k)
-        return part.languages[target.split(":", 1)[1]]
+        label = target.split(":", 1)[1]
+        if label not in part.languages:
+            raise BadArgument(f"unknown cell label {label!r} in {target!r}; "
+                              f"labels are {', '.join(part.labels)}")
+        return part.languages[label]
     if target.startswith("pattern:"):
         return red_x_mu(group, pres.parse_word(target.split(":", 1)[1]), k)
     if target.startswith("factor:"):
@@ -224,7 +215,7 @@ def _build_target(args, pres, group, ws, target: str) -> FSA:
         part = build_partition(group, k)
         pair = tuple(sorted(pres.parse_word(target.split(":", 1)[1])))
         return u_t_fsa(part, pair)
-    raise PolycellError(f"unknown fsa target {target!r}")
+    raise BadArgument(f"{target!r} is neither a file nor an fsa target")
 
 
 def cmd_fsa(args) -> int:
@@ -232,15 +223,13 @@ def cmd_fsa(args) -> int:
     if args.action == "build":
         fsa = _build_target(args, pres, group, ws, args.target)
         name = args.target.replace(":", "_")
-        path = ws.write_fsa(pres, name, fsa, target=args.target)
+        path = ws.write_fsa(pres, name, fsa)
         print(f"wrote {path} ({fsa.n_states} states)")
         return 0
     if args.action == "stats":
-        if Path(args.target).exists():
-            fsa = from_text(Path(args.target).read_text())
-        else:
-            fsa = _build_target(args, pres, group, ws, args.target)
-        counts = count_words(fsa, args.radius)
+        fsa = _load_or_build(args, pres, group, ws, args.target)
+        counts = count_words(fsa if fsa.deterministic else determinize(fsa),
+                             args.radius)
         print(json.dumps({
             "states": fsa.n_states,
             "accepting": len(fsa.accepting),
@@ -248,6 +237,9 @@ def cmd_fsa(args) -> int:
         }, indent=2))
         return 0
     # equiv
+    if args.other is None:
+        raise BadArgument(f"fsa equiv needs a second automaton after "
+                          f"{args.target!r}: a file or a target")
     a = _load_or_build(args, pres, group, ws, args.target)
     b = _load_or_build(args, pres, group, ws, args.other)
     same = are_equivalent(a, b)
@@ -256,9 +248,13 @@ def cmd_fsa(args) -> int:
 
 
 def _load_or_build(args, pres, group, ws, ref: str) -> FSA:
-    if Path(ref).exists():
-        return from_text(Path(ref).read_text())
-    return _build_target(args, pres, group, ws, ref)
+    path = Path(ref)
+    if not path.is_file():
+        return _build_target(args, pres, group, ws, ref)
+    try:
+        return from_text(path.read_text())
+    except (OSError, ValueError) as exc:
+        raise BadArgument(f"{ref} is not a readable automaton file: {exc}") from exc
 
 
 def cmd_onesided(args) -> int:
@@ -270,7 +266,7 @@ def cmd_onesided(args) -> int:
     for spec in specs:
         word = pres.word_str(spec.translator.word) or "e"
         name = f"onesided_l{spec.level}_{word}"
-        path = ws.write_fsa(pres, name, spec.language, k=k, level=spec.level)
+        path = ws.write_fsa(pres, name, spec.language)
         entries.append({
             "level": spec.level,
             "pair": [pres.names[s] for s in spec.pair],

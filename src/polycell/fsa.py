@@ -399,10 +399,14 @@ def to_text(fsa: FSA) -> str:
 
 
 def from_text(text: str) -> FSA:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "states" or "alphabet" not in head or "initial" not in head:
-        raise ValueError(f"bad automaton header: {lines[0]!r}")
+    """Parse `to_text` output; malformed text of any kind raises ValueError."""
+    lines = [ln.split() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError("empty automaton text")
+    head = lines[0]
+    if head[0] != "states" or "alphabet" not in head or "initial" not in head \
+            or head.index("initial") != len(head) - 2:
+        raise ValueError(f"bad automaton header: {' '.join(head)!r}")
     n_states = int(head[1])
     ai = head.index("alphabet")
     ii = head.index("initial")
@@ -411,12 +415,15 @@ def from_text(text: str) -> FSA:
     sym_idx = {sym: i for i, sym in enumerate(alphabet)}
     transitions: dict[tuple[int, int], list[int]] = {}
     accepting: frozenset[int] | None = None
-    for ln in lines[1:]:
-        parts = ln.split()
+    for parts in lines[1:]:
         if parts[0] == "accept":
             accepting = frozenset(int(x) for x in parts[1:])
             continue
+        if len(parts) != 3:
+            raise ValueError(f"bad transition line: {' '.join(parts)!r}")
         q, sym, t = int(parts[0]), parts[1], int(parts[2])
+        if sym not in sym_idx:
+            raise ValueError(f"letter {sym!r} is not in the alphabet {alphabet}")
         transitions.setdefault((q, sym_idx[sym]), []).append(t)
     if accepting is None:
         raise ValueError("missing accept line")

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 from pathlib import Path
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from polycell.cache import Workspace, group_hash
 from polycell.cli import main
 from polycell.errors import CorruptCache
+from polycell.fsa import from_text
 from polycell.kl import KLTable
 
 
@@ -24,8 +26,11 @@ def run(tmp_path, *argv):
 def test_ball_roundtrip(tmp_path, w237, g237):
     ws = Workspace(tmp_path / "ws")
     ball = g237.ball(5)
-    ws.write_ball(w237, g237, ball)
-    rows = ws.read_ball_words(w237, 5)
+    path = ws.write_ball(w237, ball)
+    rows = []
+    for line in path.read_text().splitlines():
+        length, word, _left, _right = line.split("\t")
+        rows.append((int(length), w237.parse_word("" if word == "-" else word)))
     assert [(e.length, e.word) for e in ball.elements] == rows
 
 
@@ -51,18 +56,17 @@ def test_fsa_roundtrip_bit_exact(tmp_path, w237, g237):
     fsa = canonical_fsa(g237)
     path = ws.write_fsa(w237, "canonical", fsa)
     text = path.read_text()
-    again = ws.write_fsa(w237, "canonical", ws.read_fsa(w237, "canonical"))
+    again = ws.write_fsa(w237, "canonical", from_text(path.read_text()))
     assert again.read_text() == text
 
 
 def test_stale_stamp_forces_recompute(tmp_path, w237, g237, monkeypatch):
     ws = Workspace(tmp_path / "ws")
-    ball = g237.ball(3)
-    ws.write_ball(w237, g237, ball)
-    assert ws.is_fresh(w237, ws.ball_name(3), radius=3)
+    ws.write_kl(w237, KLTable(g237, g237.ball(3)))
+    assert ws.is_fresh(w237, ws.kl_name(3), radius=3)
     # different tool version invalidates every stamp
     monkeypatch.setattr("polycell.cache.__version__", "0.0.0-test")
-    assert not ws.is_fresh(w237, ws.ball_name(3), radius=3)
+    assert not ws.is_fresh(w237, ws.kl_name(3), radius=3)
 
 
 def test_corrupt_meta_raises(tmp_path, w237):
@@ -74,13 +78,24 @@ def test_corrupt_meta_raises(tmp_path, w237):
         ws.read_meta(w237)
 
 
-def test_corrupt_ball_raises(tmp_path, w237, g237):
-    ws = Workspace(tmp_path / "ws")
-    ws.write_ball(w237, g237, g237.ball(3))
-    path = ws.group_dir(w237) / ws.ball_name(3)
-    path.write_text("5\tzz\t-\t-\n")
-    with pytest.raises(CorruptCache):
-        ws.read_ball_words(w237, 3)
+def _store_k_repeatedly(root, w237, k):
+    ws = Workspace(root)
+    for _ in range(200):
+        ws.store_validated_k(w237, k, 10)
+
+
+def test_concurrent_meta_writes_stay_whole(tmp_path, w237):
+    ctx = multiprocessing.get_context("spawn")
+    workers = [ctx.Process(target=_store_k_repeatedly, args=(tmp_path, w237, k))
+               for k in (4, 6)]
+    for proc in workers:
+        proc.start()
+    for proc in workers:
+        proc.join(timeout=120)
+    assert [proc.exitcode for proc in workers] == [0, 0]
+    ws = Workspace(tmp_path)
+    assert ws.validated_k(w237)["k"] in (4, 6)
+    assert [p.name for p in ws.group_dir(w237).iterdir()] == ["meta.json"]
 
 
 # --- CLI ------------------------------------------------------------------
@@ -99,10 +114,24 @@ def test_cli_ball_idempotent(tmp_path, w237_config, capsys):
     assert first.startswith("computed")
     ball_path = Path(first.split()[1])
     original = ball_path.read_bytes()
+    ball_path.unlink()
     assert run(tmp_path, "ball", "--group", str(w237_config), "--radius", "5") == 0
     second = capsys.readouterr().out
-    assert second.startswith("cached")
+    assert second == first
     assert ball_path.read_bytes() == original
+
+
+def test_cli_kl_cached(tmp_path, w237_config, capsys):
+    assert run(tmp_path, "kl", "--group", str(w237_config), "--radius", "4") == 0
+    first = capsys.readouterr().out
+    assert first.startswith("computed")
+    kl_path = Path(first.split()[1])
+    original = kl_path.read_bytes()
+    inode = kl_path.stat().st_ino  # every write replaces the file
+    assert run(tmp_path, "kl", "--group", str(w237_config), "--radius", "4") == 0
+    assert capsys.readouterr().out == f"cached {kl_path}\n"
+    assert kl_path.read_bytes() == original
+    assert kl_path.stat().st_ino == inode
 
 
 def test_cli_fsa_build_stats_equiv(tmp_path, w237_config, capsys):
@@ -117,6 +146,15 @@ def test_cli_fsa_build_stats_equiv(tmp_path, w237_config, capsys):
     assert run(tmp_path, "fsa", "equiv", path, "canonical",
                "--group", str(w237_config), "--k", "6") == 0
     assert "equivalent: True" in capsys.readouterr().out
+
+
+def test_cli_fsa_stats_counts_words_of_nondeterministic_file(tmp_path, w237_config,
+                                                            capsys):
+    path = tmp_path / "nfa.fsa"
+    path.write_text("states 2 alphabet r s t initial 0\n0 r 0\n0 r 1\naccept 1\n")
+    assert run(tmp_path, "fsa", "stats", str(path),
+               "--group", str(w237_config), "--radius", "3", "--k", "6") == 0
+    assert json.loads(capsys.readouterr().out)["word_counts"] == [0, 1, 1, 1]
 
 
 def test_cli_usage_error_is_exit_2(tmp_path):
@@ -156,6 +194,34 @@ def _assert_bad_argument(code, capsys, message):
     assert err.count("\n") == 1
     assert err.startswith("error: BadArgument: ")
     assert message in err
+
+
+BAD_LETTER_FSA = "states 1 alphabet r initial 0\n0 s 0\naccept 0\n"
+
+
+@pytest.mark.parametrize("argv, text, message", [
+    (["stats", "{file}"], "not an automaton\n", "{file} is not a readable automaton"),
+    (["stats", "{file}"], "", "{file} is not a readable automaton file: empty"),
+    (["stats", "{file}"], BAD_LETTER_FSA, "{file} is not a readable automaton file: "
+                                          "letter 's' is not in the alphabet"),
+    (["stats", "{dir}"], None, "'{dir}' is neither a file nor an fsa target"),
+    (["equiv", "canonical"], None, "needs a second automaton after 'canonical'"),
+    (["build", "cell:c9"], None,
+     "unknown cell label 'c9' in 'cell:c9'; labels are cid, c0, c1, c2, c3"),
+    (["build", "ut:r"], None, "'r' is not a pair of generators at a finite vertex; "
+                              "the pairs are rt, rs, st"),
+], ids=["malformed", "empty", "bad-letter", "directory", "equiv-one-operand",
+        "unknown-cell", "ut-not-a-pair"])
+def test_cli_fsa_bad_input_is_exit_2(tmp_path, w237_config, capsys, argv, text,
+                                     message):
+    paths = {"file": tmp_path / "bad.fsa", "dir": tmp_path / "folder"}
+    if text is not None:
+        paths["file"].write_text(text)
+    paths["dir"].mkdir()
+    argv = [arg.format(**paths) for arg in argv]
+    code = run(tmp_path, "fsa", *argv, "--group", str(w237_config),
+               "--radius", "3", "--k", "6")
+    _assert_bad_argument(code, capsys, message.format(**paths))
 
 
 @pytest.mark.parametrize("level", ["0", "-1", "4"])

@@ -167,6 +167,10 @@ def test_from_text_rejects_garbage():
         from_text("not an automaton\n")
     with pytest.raises(ValueError):
         from_text("states 1 alphabet a initial 0\n0 a 0\n")  # no accept line
+    with pytest.raises(ValueError):
+        from_text("")
+    with pytest.raises(ValueError):
+        from_text("states 1 alphabet a initial 0\n0 b 0\naccept 0\n")
 
 
 random_dfas = st.builds(

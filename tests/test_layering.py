@@ -1,7 +1,10 @@
 """Main-path engines stay independent of the brute-force oracles: only the
-command line may import `polycell.oracle`, to run the verification suites."""
+command line may import `polycell.oracle`, to run the verification suites.
+The benchmark's tracer finds every layer function it wraps."""
 
 import ast
+import importlib
+import importlib.util
 from pathlib import Path
 
 import polycell
@@ -31,3 +34,24 @@ def test_only_cli_imports_oracle():
         and _imports_oracle(ast.parse(path.read_text()))
     ]
     assert offenders == []
+
+
+def test_benchmark_tracer_hooks_resolve():
+    """Every name the benchmark tracer wraps must exist, or `--trace 1`
+    fails with a KeyError; this is the lookup `tracer._wrap_path` makes."""
+    tracer_path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", tracer_path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    names = [(layer, path) for table in (tracer.EXTRA_SPANS, tracer.COUNT_ONLY)
+             for layer, paths in table.items() for path in paths]
+    names += [tuple(name.split(".", 1)) for name in tracer.OBSERVERS]
+    missing = []
+    for layer, path in names:
+        owner = importlib.import_module(f"polycell.{layer}")
+        owner_name, _, attr = path.rpartition(".")
+        if owner_name:
+            owner = getattr(owner, owner_name, None)
+        if owner is None or attr not in vars(owner):
+            missing.append(f"{layer}.{path}")
+    assert missing == []
