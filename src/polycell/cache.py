@@ -6,15 +6,19 @@ Layout under the workspace root, one directory per group:
     <group>/kl.r<N>.tsv       v <tab> w <tab> R coeffs <tab> P coeffs <tab> mu
     <group>/fsa/<name>.fsa    text automata, bit-exact round trip
     <group>/reports/*.json
-    <group>/meta.json         group hash, tool version, validated k, KL stamps
+    <group>/meta.json         group hash, tool version, validated k,
+                              fellow-traveler constant, KL stamps
 
-Only the validated fellow-traveler constant and the KL tables are costly
-enough to reuse across commands.  `meta.json` holds both; a group-hash or
-version mismatch drops it whole, and a KL table is reused only while its
-stamp matches.  Balls, automata and reports are rewritten on every run.
-Each write goes through its own temp file and an atomic rename, so
-concurrent runs never read a torn file; two runs updating `meta.json` at
-once can lose one update, which costs a recomputation, not an answer.
+Only the fellow-traveler data and the KL tables are costly enough to reuse
+across commands.  `meta.json` holds `choose_k`'s validated k, the measured
+constant an explicit k is checked against (kept apart, so an explicit k
+never poses as the validated one) and the KL stamps; a group-hash or
+version mismatch drops it whole, a file of the wrong shape is
+`CorruptCache`, and a KL table is reused only while its stamp matches.
+Balls, automata and reports are rewritten on every run.  Each write goes
+through its own temp file and an atomic rename, so concurrent runs never
+read a torn file; two runs updating `meta.json` at once can lose one
+update, which costs a recomputation, not an answer.
 """
 
 from __future__ import annotations
@@ -32,6 +36,11 @@ from .fsa import FSA, to_text
 from .kl import KLTable
 from .presentation import CoxeterPresentation, config_dict
 from .words import ElementBall
+
+
+# meta.json records and their integer fields
+_RECORDS = {"validated_k": ("k", "radius"),
+            "fellow_traveler": ("constant", "radius")}
 
 
 def group_hash(pres: CoxeterPresentation) -> str:
@@ -75,11 +84,23 @@ class Workspace:
             return empty
         try:
             meta = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise CorruptCache(str(path)) from exc
-        stale = meta.get("group_hash") != empty["group_hash"] \
-            or meta.get("tool_version") != __version__
-        return empty if stale else meta
+        except (OSError, json.JSONDecodeError) as exc:
+            raise CorruptCache(f"{path}: {exc}") from exc
+        if not isinstance(meta, dict):
+            raise CorruptCache(f"{path}: not a JSON object")
+        if (meta.get("group_hash") != empty["group_hash"]
+                or meta.get("tool_version") != __version__):
+            return empty
+        if not isinstance(meta.get("artifacts", {}), dict):
+            raise CorruptCache(f"{path}: artifacts is not an object")
+        for key, fields in _RECORDS.items():
+            record = meta.get(key)
+            if record is not None and not (
+                    isinstance(record, dict)
+                    and all(type(record.get(f)) is int for f in fields)):
+                raise CorruptCache(f"{path}: {key} is not an object with "
+                                   f"integer {' and '.join(fields)}")
+        return meta
 
     def write_meta(self, pres, meta: dict) -> None:
         meta["group_hash"] = group_hash(pres)
@@ -103,6 +124,16 @@ class Workspace:
     def store_validated_k(self, pres, k: int, radius: int) -> None:
         meta = self.read_meta(pres)
         meta["validated_k"] = {"k": k, "radius": radius}
+        self.write_meta(pres, meta)
+
+    def fellow_traveler(self, pres, radius: int) -> int | None:
+        """The stored fellow-traveler constant of ball(radius), if any."""
+        record = self.read_meta(pres).get("fellow_traveler")
+        return record["constant"] if record and record["radius"] == radius else None
+
+    def store_fellow_traveler(self, pres, constant: int, radius: int) -> None:
+        meta = self.read_meta(pres)
+        meta["fellow_traveler"] = {"constant": constant, "radius": radius}
         self.write_meta(pres, meta)
 
     # --- ball ----------------------------------------------------------------

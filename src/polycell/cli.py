@@ -63,9 +63,12 @@ def _resolve_k(ws: Workspace, pres, group, k_arg: str, validation_radius: int = 
         raise BadArgument(f"--k must be a positive integer or 'auto', got {k_arg!r}")
     if cached and cached["k"] <= k and cached["radius"] >= validation_radius:
         return k
-    # only choose_k's answer is stored: a stored explicit k would become
-    # what --k auto returns
-    constant = fellow_traveler_constant(group, validation_radius)
+    # only choose_k's answer is stored as validated_k: a stored explicit k
+    # would become what --k auto returns
+    constant = ws.fellow_traveler(pres, validation_radius)
+    if constant is None:
+        constant = fellow_traveler_constant(group, validation_radius)
+        ws.store_fellow_traveler(pres, constant, validation_radius)
     if constant > k:
         raise KNotValidated(
             f"k={k} fails fellow-traveler validation; fellow-traveler constant "
@@ -332,7 +335,7 @@ def cmd_verify(args) -> int:
         ball = group.ball(args.radius, cap=args.cap)
         table = KLTable(group, ball)
         table.fill()  # raises if the defining identity ever fails
-        check("kl_identity", True, f"all pairs in ball({args.radius})")
+        check("kl_identity", True, f"every extremal pair in ball({args.radius})")
         oracle = ClassicalKL(pres)
         cap = min(args.radius, args.oracle_length)
         bad_pairs = 0

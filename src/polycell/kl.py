@@ -19,8 +19,22 @@ by descending induction on the interval: the degree bound keeps the low
 and high halves of the left side from colliding, so the top coefficients
 of the right side determine P and the rest of the identity is verified
 after the fact.  The right side is accumulated into one coefficient list.
-The classical one-step recursion lives in oracle.py as an independent
-cross-check.
+
+Only extremal pairs are summed: v <= w with D_L(w) in D_L(v) and D_R(w) in
+D_R(v).  Any other pair climbs to one, by
+
+    P_{v,w} = P_{sv,w}  for s in D_L(w) - D_L(v),
+    P_{v,w} = P_{vs,w}  for s in D_R(w) - D_R(v)
+
+(Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 5; the lifting
+property keeps sv <= w), so the memo, and the re-check, hold extremal pairs
+only; F. du Cloux, Experiment. Math. 11 (2002), stores P the same way.
+W-graphs need only mu, and most of it is known without P: mu(v, w) is 0 for
+an even length difference, 1 for a difference of 1, and 0 on a pair that
+is not extremal with a difference of 3 or more (Kazhdan-Lusztig 1979,
+(2.3e): sw < w, sv > v and mu(v, w) != 0 force v = sw; likewise on the
+right).  The classical one-step recursion lives in oracle.py as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -85,6 +99,11 @@ def _bits(mask: int) -> list[int]:
     return out
 
 
+def _lowest(mask: int) -> int:
+    """Index of the lowest set bit of a nonzero mask."""
+    return (mask & -mask).bit_length() - 1
+
+
 class KLTable:
     """Memoized Bruhat/R/P/mu data over one ball; exact on every pair whose
     longer element lies inside the ball (Bruhat intervals are length-bounded,
@@ -94,12 +113,14 @@ class KLTable:
         self.group = group
         self.ball = ball
         self._length = ball.lengths
-        self._rdesc = [e.right for e in ball.elements]
+        # descent sets as bitmasks over the generators
+        self._ldesc = [sum(1 << s for s in e.left) for e in ball.elements]
+        self._rdesc = [sum(1 << s for s in e.right) for e in ball.elements]
         n = len(ball.elements)
         # _leq[w]: bitset of {x <= w}; _geq[v]: bitset of {x >= v}
         self._leq: list[int] = [1]  # the identity is index 0
         for w in range(1, n):
-            s = min(self._rdesc[w])
+            s = _lowest(self._rdesc[w])
             ws = ball.right_mult[w][s]
             mask = self._leq[ws]
             for x in _bits(mask):  # reaches w = (ws)s
@@ -110,6 +131,22 @@ class KLTable:
             for x in _bits(self._leq[w]):
                 above[x].append(w)
         self._geq = [sum(1 << w for w in members) for members in above]
+        # bitsets of {x : s in D_L(x)} and {x : s in D_R(x)} by s, and of
+        # the elements of each length
+        self._has_ldesc = [0] * group.rank
+        self._has_rdesc = [0] * group.rank
+        band = [0] * (ball.radius + 1)
+        for x, e in enumerate(ball.elements):
+            for s in e.left:
+                self._has_ldesc[s] |= 1 << x
+            for s in e.right:
+                self._has_rdesc[s] |= 1 << x
+            band[e.length] |= 1 << x
+        self._band = band
+        # _mu_far[l]: bitset of {x : l(x) <= l - 3, l - l(x) odd}
+        self._mu_far = [0] * len(band)
+        for length in range(3, len(band)):
+            self._mu_far[length] = self._mu_far[length - 2] | band[length - 3]
         self._R: dict[tuple[int, int], Poly] = {}
         self._P: dict[tuple[int, int], Poly] = {}
 
@@ -141,6 +178,33 @@ class KLTable:
         """Indices of the Bruhat interval [v, w], ascending."""
         return _bits(self._leq[w] & self._geq[v])
 
+    def _extremal(self, w: int) -> int:
+        """Bitset of the x <= w with D_L(w) in D_L(x) and D_R(w) in D_R(x)."""
+        mask = self._leq[w]
+        for s in _bits(self._ldesc[w]):
+            mask &= self._has_ldesc[s]
+        for s in _bits(self._rdesc[w]):
+            mask &= self._has_rdesc[s]
+        return mask
+
+    def _step(self, v: int, w: int) -> int:
+        """sv for the least s in D_L(w) - D_L(v), else vs for the least s in
+        D_R(w) - D_R(v): a longer element of [v, w] with the same P; v itself
+        when (v, w) is extremal."""
+        d = self._ldesc[w] & ~self._ldesc[v]
+        if d:
+            return self.ball.left_mult[v][_lowest(d)]
+        d = self._rdesc[w] & ~self._rdesc[v]
+        if d:
+            return self.ball.right_mult[v][_lowest(d)]
+        return v
+
+    def _climb(self, v: int, w: int) -> int:
+        """The extremal v' in [v, w] with P_{v,w} = P_{v',w}."""
+        while (u := self._step(v, w)) != v:
+            v = u
+        return v
+
     # --- R polynomials -----------------------------------------------------
 
     def r_idx(self, v: int, w: int) -> Poly:
@@ -151,9 +215,9 @@ class KLTable:
         key = (v, w)
         out = self._R.get(key)
         if out is None:
-            s = min(self._rdesc[w])
+            s = _lowest(self._rdesc[w])
             ws = self._rmult(w, s)
-            if s in self._rdesc[v]:
+            if self._rdesc[v] >> s & 1:
                 out = self.r_idx(self._rmult(v, s), ws)
             else:
                 vs = self._rmult(v, s)
@@ -164,26 +228,34 @@ class KLTable:
             self._R[key] = out
         return out
 
-    def r_poly(self, v: Element, w: Element) -> Poly:
-        return self.r_idx(self.idx(v), self.idx(w))
-
     # --- Kazhdan-Lusztig polynomials ----------------------------------------
 
     def p_idx(self, v: int, w: int) -> Poly:
-        if v == w:
-            return ONE
         if not self._leq[w] >> v & 1:
             return ZERO
+        v = self._climb(v, w)
+        if v == w:
+            return ONE
         key = (v, w)
         out = self._P.get(key)
         if out is None:
             n = self._length[w] - self._length[v]
             acc = [0] * (n + 1)
-            # memo hits first: R and P on a comparable pair are never zero
+            # longest x first, so one climb step from x lands on an x seen
+            # already: top[x] is the extremal end of x's climb.  Memo hits
+            # first, since R and P on a comparable pair are never zero.
             R, P = self._R, self._P
-            for x in _bits((self._leq[w] & self._geq[v]) ^ 1 << v):
-                _poly_mul_into(acc, R.get((v, x)) or self.r_idx(v, x),
-                               P.get((x, w)) or self.p_idx(x, w))
+            top: dict[int, int] = {}
+            for x in reversed(_bits((self._leq[w] & self._geq[v]) ^ 1 << v)):
+                u = self._step(x, w)
+                t = top[x] = x if u == x else top[u]
+                r = R.get((v, x)) or self.r_idx(v, x)
+                p = ONE if t == w else P.get((t, w)) or self.p_idx(t, w)
+                if p == ONE:
+                    for i, c in enumerate(r):
+                        acc[i] += c
+                else:
+                    _poly_mul_into(acc, r, p)
             while acc and acc[-1] == 0:
                 acc.pop()
             rhs = tuple(acc)
@@ -212,11 +284,23 @@ class KLTable:
     def mu(self, v: Element, w: Element) -> int:
         return self.mu_idx(self.idx(v), self.idx(w))
 
+    def mu_below(self, w: int) -> list[int]:
+        """Indices x < w with mu(x, w) != 0, ascending.  Covering pairs have
+        mu = 1, so P is computed only on the extremal pairs with an odd
+        length difference of 3 or more (see the module docstring)."""
+        length = self._length[w]
+        if length == 0:
+            return []
+        far = [x for x in _bits(self._extremal(w) & self._mu_far[length])
+               if self.mu_idx(x, w)]
+        return far + _bits(self._leq[w] & self._band[length - 1])
+
     def fill(self) -> None:
-        """Compute every pair in the ball (useful before serializing)."""
+        """Compute P on every extremal pair in the ball (useful before
+        serializing); every other pair climbs to one of these."""
         for w in range(len(self._leq)):
             # longest v first, so every P_{x,w} that P_{v,w} sums is stored
-            for v in reversed(self.lower(w)):
+            for v in reversed(_bits(self._extremal(w))):
                 self.p_idx(v, w)
 
 
@@ -236,9 +320,7 @@ def w_graph(ball: ElementBall, side: str, table: KLTable) -> WGraph:
     edges: dict[int, list[int]] = {i: [] for i in range(len(ball.elements))}
     desc = [e.left if side == "left" else e.right for e in ball.elements]
     for b in range(len(ball.elements)):
-        for a in table.lower(b):
-            if table.mu_idx(a, b) == 0:
-                continue
+        for a in table.mu_below(b):
             if not desc[a] <= desc[b]:
                 edges[a].append(b)
             if not desc[b] <= desc[a]:

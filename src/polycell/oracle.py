@@ -130,6 +130,7 @@ class ClassicalKL:
         self._red: dict[Word, frozenset[Word]] = {}
         self._leq: dict[tuple[Word, Word], bool] = {}
         self._P: dict[tuple[Word, Word], tuple[int, ...]] = {}
+        self._canon: dict[Word, Word] = {}
 
     def reduced_words(self, w: Word) -> frozenset[Word]:
         if w not in self._red:
@@ -138,8 +139,11 @@ class ClassicalKL:
 
     def canon(self, word) -> Word:
         """Least reduced word of the element, independent of the engine."""
-        closure = reduce_by_rewriting(self.pres, word)
-        return min(closure, key=lambda z: (len(z), z))
+        word = tuple(word)
+        if word not in self._canon:
+            closure = reduce_by_rewriting(self.pres, word)
+            self._canon[word] = min(closure, key=lambda z: (len(z), z))
+        return self._canon[word]
 
     def left_descents(self, w: Word) -> set[int]:
         return {u[0] for u in self.reduced_words(w) if u}

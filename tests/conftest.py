@@ -45,3 +45,19 @@ def kl237(g237):
     table = KLTable(g237, g237.ball(12))
     table.fill()
     return table
+
+
+# the classical recursion memoizes by word: one oracle per group serves
+# every test that cross-examines the engine
+@pytest.fixture(scope="session")
+def classical237(w237):
+    from polycell.oracle import ClassicalKL
+
+    return ClassicalKL(w237)
+
+
+@pytest.fixture(scope="session")
+def classical2224(w2224):
+    from polycell.oracle import ClassicalKL
+
+    return ClassicalKL(w2224)

@@ -26,7 +26,7 @@ from polycell.fsa import (
 )
 from polycell.hecke import HeckeAlgebra, L_ZERO
 from polycell.kl import KLTable
-from polycell.oracle import ClassicalKL, braid_closure, oracle_classify, unique_reduced_census
+from polycell.oracle import braid_closure, oracle_classify, unique_reduced_census
 from polycell.render import realize_polygon, render_svg, scene_for_partition
 from tests.conftest import K_W237, K_W2224
 
@@ -96,12 +96,12 @@ def test_criterion_04_oracle_equivalence(g237, w237, part237, g2224, w2224, part
         assert time.perf_counter() - start < 300.0
 
 
-def test_criterion_05_kl_self_consistency(g237, w237):
+def test_criterion_05_kl_self_consistency(g237, classical237):
     with criterion(5, "defining identity on ball(10); classical recursion to length 8"):
         start = time.perf_counter()
         table = KLTable(g237, g237.ball(10))
-        table.fill()  # re-derives and re-checks the identity on every pair
-        oracle = ClassicalKL(w237)
+        table.fill()  # re-derives and re-checks the identity on every extremal pair
+        oracle = classical237
         ball = table.ball
         idxs = [i for i, e in enumerate(ball.elements) if e.length <= 8]
         for wi in idxs:
@@ -127,6 +127,18 @@ def test_criterion_06_empirical_agreement(g237, part237, kl237):
         assert report.right_cell_agreement["checked"]
         assert report.right_cell_agreement["pairs_inconsistent"] == []
         assert time.perf_counter() - start < 1800.0
+
+
+def test_criterion_06_empirical_agreement_w2224(g2224, part2224):
+    with criterion(6, "w2224 empirical cells equal conjectural labels to length 6"):
+        start = time.perf_counter()
+        report = empirical_vs_conjectural(g2224, part2224, radius=10,
+                                          trust_margin=4)
+        assert (report.element_count, report.trusted_count) == (3325, 257)
+        assert report.partition_equal
+        assert report.agreement_ratio == 1.0
+        assert report.purity_ratio == 1.0
+        assert time.perf_counter() - start < 60.0
 
 
 def test_criterion_07_counting(g237, w237, g2224, w2224):

@@ -188,6 +188,26 @@ def test_cli_explicit_k_leaves_auto_k(tmp_path, w237_config, capsys):
     assert json.loads(report_path.read_text())["k"] == 6
 
 
+def test_cli_explicit_k_reads_stored_constant(tmp_path, w237_config, capsys,
+                                              monkeypatch):
+    assert run(tmp_path, "fsa", "build", "canonical",
+               "--group", str(w237_config), "--k", "9") == 0
+    meta = json.loads((tmp_path / "ws" / "w237" / "meta.json").read_text())
+    assert meta["fellow_traveler"] == {"constant": 6, "radius": 10}
+    assert "validated_k" not in meta
+
+    def recompute(*args):
+        raise AssertionError("fellow_traveler_constant recomputed")
+
+    monkeypatch.setattr("polycell.cli.fellow_traveler_constant", recompute)
+    assert run(tmp_path, "fsa", "build", "canonical",
+               "--group", str(w237_config), "--k", "7") == 0
+    capsys.readouterr()
+    assert run(tmp_path, "fsa", "build", "canonical",
+               "--group", str(w237_config), "--k", "5") == 2
+    assert "fellow-traveler constant at radius 10 is 6" in capsys.readouterr().err
+
+
 def _assert_bad_argument(code, capsys, message):
     assert code == 2
     err = capsys.readouterr().err
@@ -303,6 +323,41 @@ def test_cli_corrupt_cache_is_exit_2(tmp_path, w237_config, capsys):
     code = run(tmp_path, "verify", "kl", "--group", str(w237_config),
                "--radius", "3", "--oracle-length", "2")
     assert code == 2
+
+
+def _meta_list(path):
+    path.write_text("[]")
+
+
+def _meta_bare_k(path):
+    meta = json.loads(path.read_text())
+    meta["validated_k"] = 4
+    path.write_text(json.dumps(meta))
+
+
+def _meta_list_artifacts(path):
+    meta = json.loads(path.read_text())
+    meta["artifacts"] = []
+    path.write_text(json.dumps(meta))
+
+
+def _meta_directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+@pytest.mark.parametrize("corrupt", [_meta_list, _meta_bare_k,
+                                     _meta_list_artifacts, _meta_directory])
+def test_cli_malformed_meta_is_exit_2(tmp_path, w237_config, capsys, corrupt):
+    argv = ("cells", "conjectural", "--group", str(w237_config), "--radius", "3")
+    assert run(tmp_path, *argv) == 0
+    corrupt(tmp_path / "ws" / "w237" / "meta.json")
+    capsys.readouterr()
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: CorruptCache: ")
+    assert "meta.json" in err
 
 
 def test_cli_planted_disagreement_is_exit_1(tmp_path, w237_config, capsys):

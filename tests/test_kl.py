@@ -9,7 +9,6 @@ from polycell.kl import (
     two_sided_cells,
     w_graph,
 )
-from polycell.oracle import ClassicalKL
 
 
 def _lifting_below(ball):
@@ -43,14 +42,39 @@ def _scan_interval(ball, below, v, w):
             and v in below[x] and x in below[w]]
 
 
+def _r_poly(table, v, w):
+    return table.r_idx(table.idx(v), table.idx(w))
+
+
+def _is_extremal(ball, v, w):
+    """D_L(w) in D_L(v) and D_R(w) in D_R(v), from the ball's descent sets."""
+    a, b = ball.elements[v], ball.elements[w]
+    return b.left <= a.left and b.right <= a.right
+
+
+def _full_scan_w_graph(ball, side, table):
+    """W-graph edges from mu_idx on every Bruhat pair."""
+    edges = {i: [] for i in range(len(ball.elements))}
+    desc = [e.left if side == "left" else e.right for e in ball.elements]
+    for b in range(len(ball.elements)):
+        for a in table.lower(b):
+            if table.mu_idx(a, b) == 0:
+                continue
+            if not desc[a] <= desc[b]:
+                edges[a].append(b)
+            if not desc[b] <= desc[a]:
+                edges[b].append(a)
+    return edges
+
+
 def test_r_poly_base_cases(g237, kl237):
     e = g237.identity
     s = g237.element((1,))
-    assert kl237.r_poly(s, s) == (1,)
-    assert kl237.r_poly(e, s) == (-1, 1)          # q - 1
+    assert _r_poly(kl237, s, s) == (1,)
+    assert _r_poly(kl237, e, s) == (-1, 1)          # q - 1
     st = g237.element((1, 2))
     rt = g237.element((0, 2))
-    assert kl237.r_poly(st, rt) == ()             # incomparable, same length
+    assert _r_poly(kl237, st, rt) == ()             # incomparable, same length
 
 
 def test_r_poly_degree_and_constant(g237, kl237):
@@ -176,16 +200,72 @@ def test_ideals_match_pairwise_scan(request, group, radius):
             assert table.interval(v, w) == want
 
 
-def test_kl_poly_matches_classical_w2224(g2224, w2224):
-    # pairs v <= w; test_bruhat_matches_subexpression_search covers the
-    # order itself on the same ball, and P is zero off it
-    ball = g2224.ball(5)
-    table = KLTable(g2224, ball)
-    oracle = ClassicalKL(w2224)
-    for wi, w in enumerate(ball.elements):
-        for vi in table.lower(wi):
-            want = oracle.kl_poly(ball.elements[vi].word, w.word)
-            assert table.p_idx(vi, wi) == want
+@pytest.mark.parametrize("group, radius", [("g237", 8), ("g2224", 6)])
+def test_p_idx_matches_classical_on_every_pair(request, group, radius):
+    # pairs v <= w of a cold table: non-extremal pairs climb, extremal ones
+    # are summed; test_bruhat_matches_subexpression_search covers the order
+    # itself, and P is zero off it
+    g = request.getfixturevalue(group)
+    oracle = request.getfixturevalue("classical" + group[1:])
+    ball = g.ball(radius)
+    table = KLTable(g, ball)
+    kinds = set()
+    for w, e in enumerate(ball.elements):
+        for v in table.lower(w):
+            kinds.add(_is_extremal(ball, v, w))
+            assert table.p_idx(v, w) == oracle.kl_poly(ball.elements[v].word,
+                                                      e.word)
+    assert kinds == {False, True}
+
+
+@pytest.mark.parametrize("group, radius", [("g237", 8), ("g2224", 6)])
+def test_fill_stores_extremal_pairs_only(request, group, radius):
+    g = request.getfixturevalue(group)
+    ball = g.ball(radius)
+    table = KLTable(g, ball)
+    table.fill()
+    assert set(table._P) == {
+        (v, w) for w in range(len(ball)) for v in table.lower(w)
+        if v != w and _is_extremal(ball, v, w)}
+
+
+def test_defining_identity_recheck_rejects_a_bad_term(g237):
+    ball = g237.ball(6)
+    table = KLTable(g237, ball)
+    v, w = next((v, w) for w in range(len(ball)) for v in table.lower(w)
+                if ball.lengths[w] - ball.lengths[v] >= 3
+                and _is_extremal(ball, v, w))
+    r = table.r_idx(v, w)
+    table._R[v, w] = (r[0] + 1,) + r[1:]  # the x = w term of the sum
+    with pytest.raises(ArithmeticError, match="defining identity failed"):
+        table.p_idx(v, w)
+
+
+def test_nonzero_mu_off_extremal_pairs_is_a_cover(kl237):
+    # Kazhdan-Lusztig 1979, (2.3e), on both sides
+    ball = kl237.ball
+    far_pairs = 0
+    for w, e in enumerate(ball.elements):
+        if e.length > 10:
+            break
+        for v in kl237.lower(w):
+            n = e.length - ball.elements[v].length
+            if _is_extremal(ball, v, w) or n % 2 == 0:
+                continue
+            far_pairs += n >= 3
+            if kl237.mu_idx(v, w):
+                assert n == 1
+    assert far_pairs > 0
+
+
+@pytest.mark.parametrize("group, radius", [("g237", 12), ("g2224", 7)])
+def test_mu_only_w_graph_matches_full_scan(request, group, radius):
+    g = request.getfixturevalue(group)
+    ball = g.ball(radius)
+    scan = request.getfixturevalue("kl237") if group == "g237" else KLTable(g, ball)
+    for side in ("left", "right"):
+        graph = w_graph(ball, side, KLTable(g, ball))
+        assert graph.edges == _full_scan_w_graph(ball, side, scan)
 
 
 def test_w_graph_singleton(g237):
