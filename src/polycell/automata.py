@@ -14,7 +14,10 @@ inside a fixed ball; with a validated fellow-traveler bound its runs are the
 equal-endpoint pairs.  It reads only alpha's letters: where beta runs past
 the end of alpha, beta's step is an epsilon move, so no pair alphabet is
 built and the machine is already the projection to alpha from which
-pattern saturation (red_x_mu) and left translation follow.
+pattern saturation (red_x_mu) and left translation follow.  Once one word
+has finished, the difference is the element the other word still has to
+spell; both words are reduced, so the machine takes only pad moves that
+shorten the difference.
 """
 
 from __future__ import annotations
@@ -118,7 +121,17 @@ def equal_endpoint_pairs(group: PolygonGroup, B: FSA, offset: Element,
     endpoint(beta) and every synchronous word difference alpha_i^-1 *
     offset * beta_i of length <= k + |offset|.  The shorter word pads at
     the end: a step of alpha alone reads its letter, a step of beta alone
-    is an epsilon move.  B must be deterministic."""
+    is an epsilon move.  B must be deterministic, and L(B) must hold
+    reduced words only.
+
+    Once beta has finished, the difference is the element the rest of alpha
+    spells; alpha is reduced, so each pad step of alpha shortens it by one.
+    Once alpha has finished, the difference is the inverse of the element
+    the rest of beta spells, which shortens on each step because beta is
+    reduced.  Pad moves that do not shorten the difference are therefore
+    never on an accepting run and are not taken; only moves of both words
+    need the radius test.  A B accepting a non-reduced word would lose the
+    pairs that pad through it."""
     radius = k + offset.length
     # the intermediate d*y may overshoot by one before x pulls it back
     ball = group.ball(radius + 1)
@@ -129,7 +142,7 @@ def equal_endpoint_pairs(group: PolygonGroup, B: FSA, offset: Element,
     # state = (canonical state, B state, difference index, mode); mode 0 =
     # both words running, 1 = beta finished (so its B state accepts), 2 =
     # alpha finished.  Every canonical state accepts, and ball index 0 is
-    # the identity.
+    # the identity.  The step that enters mode 1 or 2 is a pad move too.
     start = (0, B.initial, ball.index[offset.word], 0)
     ids = {start: 0}
     order = [start]
@@ -159,7 +172,7 @@ def equal_endpoint_pairs(group: PolygonGroup, B: FSA, offset: Element,
                             moves.append((x, (ta, tb[0], nd, 0)))
                 if qb_acc:
                     nd = left_mult[d][x]
-                    if lengths[nd] <= radius:
+                    if lengths[nd] < lengths[d]:
                         moves.append((x, (ta, qb, nd, 1)))
         if mode != 1:
             for y in gens:
@@ -167,7 +180,7 @@ def equal_endpoint_pairs(group: PolygonGroup, B: FSA, offset: Element,
                 if tb is None:
                     continue
                 nd = right_mult[d][y]
-                if lengths[nd] <= radius:
+                if lengths[nd] < lengths[d]:
                     moves.append((None, (qa, tb[0], nd, 2)))
         for x, key in moves:
             j = ids.get(key)
@@ -193,9 +206,9 @@ def red_x_mu(group: PolygonGroup, pattern: Word, k: int) -> FSA:
 
 
 def left_translate(group: PolygonGroup, A: FSA, w: Element, k: int) -> FSA:
-    """Minimal DFA for Red(w * X) where X is the element set of A; word
-    differences for the offset pair machine live in a ball of radius
-    k + length(w)."""
+    """Minimal DFA for Red(w * X) where X is the element set of A, which
+    must accept reduced words only; word differences for the offset pair
+    machine live in a ball of radius k + length(w)."""
     return minimize(equal_endpoint_pairs(group, A, w, k))
 
 

@@ -36,7 +36,6 @@ from .fsa import FSA, are_equivalent, count_words, determinize, from_text
 from .kl import KLTable
 from .oracle import ClassicalKL, braid_closure, oracle_classify, unique_reduced_census
 from .presentation import load_presentation
-from .render import PALETTE, realize_polygon, render_svg, scene_for_partition
 from .words import PolygonGroup
 
 
@@ -378,6 +377,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
+    # render needs numpy; loaded here so that no other command pays for it
+    from .render import PALETTE, realize_polygon, render_svg, scene_for_partition
+
     pres, group, ws = _context(args)
     k = _resolve_k(ws, pres, group, args.k)
     part = build_partition(group, k)

@@ -10,19 +10,24 @@ agreement between the two routes is the evidence the test suite runs on.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .errors import ResourceLimit
 from .presentation import CoxeterPresentation
 from .words import Word
 
 
-def _braid_rules(pres: CoxeterPresentation) -> list[tuple[Word, Word]]:
+# a frozen presentation hashes by value; the KL recursion asks for the rules
+# on every closure it takes
+@cache
+def _braid_rules(pres: CoxeterPresentation) -> tuple[tuple[Word, Word], ...]:
     rules = []
     for (s, t), m in pres.adjacent_pairs():
         a = tuple(s if i % 2 == 0 else t for i in range(m))
         b = tuple(t if i % 2 == 0 else s for i in range(m))
         rules.append((a, b))
         rules.append((b, a))
-    return rules
+    return tuple(rules)
 
 
 def braid_closure(pres: CoxeterPresentation, word, cap: int = 1_000_000) -> frozenset[Word]:

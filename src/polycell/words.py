@@ -6,7 +6,10 @@ the reduced words (states double as right-descent detectors).  On top of
 that single primitive we build reduction, ShortLex normal forms (repeated
 extraction of the least left descent, with the deletion position located by
 running the word until the automaton dies), multiplication, and metric balls
-with full left/right Cayley edges.
+with full left/right Cayley edges.  A ball takes its right edges from its own
+breadth-first search, which already puts every upward product w.s into
+ShortLex form, and its left edges from those through inversion, s.w =
+(w^-1.s)^-1; building a ball calls no `nf`.
 """
 
 from __future__ import annotations
@@ -199,22 +202,25 @@ class PolygonGroup:
     # --- balls --------------------------------------------------------------
 
     def ball(self, radius: int, cap: int = 2_000_000) -> ElementBall:
+        """Every element of length <= radius, with its Cayley edges: each
+        downward edge is the reverse of an upward one the search found."""
         if radius in self._balls:
             return self._balls[radius]
         layers: list[list[Word]] = [[()]]
-        seen: set[Word] = {()}
+        up: list[tuple[Word, int, Word]] = []  # (w, s, shortlex(w.s)), |w.s| > |w|
+        size = 1
         for _ in range(radius):
             nxt: set[Word] = set()
             for w in layers[-1]:
-                state = self.run(w)
+                row = self.transitions[self.run(w)]
                 for s in range(self.rank):
-                    if self.transitions[state][s] is not None:
+                    if row[s] is not None:
                         z = self.shortlex(w + (s,))
-                        if z not in seen:
-                            nxt.add(z)
-            if len(seen) + len(nxt) > cap:
+                        up.append((w, s, z))
+                        nxt.add(z)
+            size += len(nxt)
+            if size > cap:
                 raise ResourceLimit(f"ball exceeds cap {cap}")
-            seen |= nxt
             layers.append(sorted(nxt))
 
         words: list[Word] = [w for layer in layers for w in layer]
@@ -223,16 +229,16 @@ class PolygonGroup:
             Element(w, self.left_descents(w), self.right_descents(w)) if w else self.identity
             for w in words
         ]
-        right_mult: list[list[int | None]] = []
-        left_mult: list[list[int | None]] = []
-        for w in words:
-            rrow: list[int | None] = []
-            lrow: list[int | None] = []
-            for s in range(self.rank):
-                rrow.append(index.get(self.nf(w + (s,))))
-                lrow.append(index.get(self.nf((s,) + w)))
-            right_mult.append(rrow)
-            left_mult.append(lrow)
+        right_mult: list[list[int | None]] = [[None] * self.rank for _ in words]
+        for w, s, z in up:
+            i, j = index[w], index[z]
+            right_mult[i][s] = j
+            right_mult[j][s] = i
+        inv = [index[self.shortlex(w[::-1])] for w in words]
+        left_mult: list[list[int | None]] = [
+            [None if j is None else inv[j] for j in right_mult[inv[i]]]
+            for i in range(len(words))
+        ]
         counts = [len(layer) for layer in layers]
         ball = ElementBall(
             radius=radius,

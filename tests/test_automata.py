@@ -27,6 +27,7 @@ from polycell.fsa import (
     enumerate_words,
     epsilon_language,
     is_empty,
+    is_subset,
     minimize,
     to_text,
     trim_fsa,
@@ -256,9 +257,21 @@ def project_first(pairs, names):
     )
 
 
+def test_pair_machine_languages_hold_reduced_words_only(part237, part2224):
+    # equal_endpoint_pairs prunes pad moves on the premise that L(B) holds
+    # reduced words: the languages red_x_mu and omega_minimal hand it
+    for part in (part237, part2224):
+        group = part.group
+        can = canonical_fsa(group)
+        for entry in part.data.entries:
+            assert is_subset(factor_fsa(group, entry.longest_word), can)
+            assert is_subset(u_t_fsa(part, entry.pair), can)
+
+
 def test_pair_machine_matches_padded_projection(part237, part2224):
+    # w2224 level 2 radius 8 is the benchmark's onesided path
     for part, k, level, radius in ((part237, K_W237, 3, 10),
-                                   (part2224, K_W2224, 2, 6)):
+                                   (part2224, K_W2224, 2, 8)):
         group = part.group
         names = group.presentation.names
         base = canonical_fsa(group)

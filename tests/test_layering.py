@@ -1,10 +1,14 @@
 """Main-path engines stay independent of the brute-force oracles: only the
 command line may import `polycell.oracle`, to run the verification suites.
-The benchmark's tracer finds every layer function it wraps."""
+The benchmark's tracer finds every layer function it wraps.  Only `render`
+loads numpy, so the other commands start without it."""
 
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import polycell
@@ -55,3 +59,12 @@ def test_benchmark_tracer_hooks_resolve():
         if owner is None or attr not in vars(owner):
             missing.append(f"{layer}.{path}")
     assert missing == []
+
+
+def test_cli_start_up_does_not_load_numpy():
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, polycell.cli; print('numpy' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

@@ -72,6 +72,48 @@ def test_ball_edges_involutive(g237):
                 assert ball.right_mult[j][s] == i
 
 
+def _nf_ball(group, radius):
+    """A ball built by full normal forms: breadth-first over nf-distinct
+    words, then nf(w.s) and nf(s.w) for every edge.  The reference for the
+    ball that takes its edges from its own search."""
+    layers = [[()]]
+    seen = {()}
+    for _ in range(radius):
+        nxt = {group.nf(w + (s,)) for w in layers[-1] for s in range(group.rank)}
+        nxt -= seen
+        seen |= nxt
+        layers.append(sorted(nxt))
+    words = [w for layer in layers for w in layer]
+    index = {w: i for i, w in enumerate(words)}
+    elements = [group.element(w) for w in words]
+    right = [[index.get(group.nf(w + (s,))) for s in range(group.rank)]
+             for w in words]
+    left = [[index.get(group.nf((s,) + w)) for s in range(group.rank)]
+            for w in words]
+    return elements, index, right, left
+
+
+@pytest.mark.parametrize("angles, radius", [
+    ([2, 3, 7], 12), ([2, 2, 2, 4], 9), ([3, 3, 4], 8), ([2, 3, "inf"], 8)],
+    ids=["w237-12", "w2224-9", "w334-8", "w23inf-8"])
+def test_ball_edges_match_normal_forms(angles, radius):
+    import polycell
+
+    group = polycell.PolygonGroup(polycell.presentation_from_angles(angles))
+    ball = group.ball(radius)
+    elements, index, right, left = _nf_ball(group, radius)
+    assert ball.elements == elements
+    assert ball.index == index
+    assert ball.right_mult == right
+    assert ball.left_mult == left
+    # s.w is the inverse of w^-1.s
+    inv = [ball.index[group.nf(e.word[::-1])] for e in ball.elements]
+    for i in range(len(ball)):
+        for s in range(group.rank):
+            j = ball.left_mult[i][s]
+            assert (None if j is None else inv[j]) == ball.right_mult[inv[i]][s]
+
+
 def test_ball_cap():
     import polycell
 
