@@ -18,11 +18,19 @@ pattern saturation (red_x_mu) and left translation follow.  Once one word
 has finished, the difference is the element the other word still has to
 spell; both words are reduced, so the machine takes only pad moves that
 shorten the difference.
+
+The offset is only ever the identity (saturation) or a generator (one step
+of translation).  Left translation by a longer w composes one-generator
+steps, w * X = s1 * (s2 * (... * X)) along the ShortLex word of w, as the
+composite multipliers of an automatic structure are built (Epstein et al.,
+Word Processing in Groups, 1992, 2.3): each step's differences stay in a
+ball of radius k + 1, whatever the length of w.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
+from weakref import WeakKeyDictionary
 
 from .errors import BallTooSmall, KNotValidated, PatternNotReduced, ResourceLimit
 from .fsa import (
@@ -198,18 +206,35 @@ def equal_endpoint_pairs(group: PolygonGroup, B: FSA, offset: Element,
     return trim_fsa(out)
 
 
+# pattern machines by group, then by (pattern, k): choose_k and
+# build_partition ask for the same ones, and the entries die with the group.
+# Callers never mutate an FSA, so the machines are shared as they are.
+_pattern_machines: WeakKeyDictionary = WeakKeyDictionary()
+
+
 def red_x_mu(group: PolygonGroup, pattern: Word, k: int) -> FSA:
     """Minimal DFA for all reduced expressions of elements having some
     reduced expression that contains the pattern as a factor."""
-    return minimize(equal_endpoint_pairs(group, factor_fsa(group, pattern),
-                                         group.identity, k))
+    memo = _pattern_machines.setdefault(group, {})
+    key = (tuple(pattern), k)
+    if key not in memo:
+        memo[key] = minimize(equal_endpoint_pairs(
+            group, factor_fsa(group, pattern), group.identity, k))
+    return memo[key]
 
 
 def left_translate(group: PolygonGroup, A: FSA, w: Element, k: int) -> FSA:
     """Minimal DFA for Red(w * X) where X is the element set of A, which
-    must accept reduced words only; word differences for the offset pair
-    machine live in a ball of radius k + length(w)."""
-    return minimize(equal_endpoint_pairs(group, A, w, k))
+    must accept reduced words only.  The letters of w act one at a time,
+    last first, each by a pair machine whose offset is that generator, so
+    every word difference lives in a ball of radius k + 1; each step's
+    output is again a minimal Red language.  The identity saturates A by
+    one pair machine with the identity offset (radius k)."""
+    if not w.word:
+        return minimize(equal_endpoint_pairs(group, A, w, k))
+    for s in reversed(w.word):
+        A = minimize(equal_endpoint_pairs(group, A, group.element((s,)), k))
+    return A
 
 
 # --- fellow-traveler constant ----------------------------------------------

@@ -235,14 +235,26 @@ class OneSidedCellSpec:
 
 def _spec_candidates(part: ConjecturalPartition, i: int, radius: int,
                      k: int) -> list[OneSidedCellSpec]:
+    """One spec per translator omega of each pair at the level, with the
+    language Red(omega * U^T).  The language of omega = s.v is one
+    left_translate step by the generator s from that of v, its
+    one-letter-shorter suffix, which is kept (translated first if it is not
+    itself a translator); the identity's language is U^T itself."""
     group = part.group
     out = []
     for entry in part.data.pairs_at_level(i):
-        ut = u_t_fsa(part, entry.pair)
+        translated = {(): u_t_fsa(part, entry.pair)}
+
+        def translate(word: Word) -> FSA:
+            if word not in translated:
+                translated[word] = left_translate(
+                    group, translate(word[1:]), group.element(word[:1]), k)
+            return translated[word]
+
         for omega in omega_elements(part, entry.pair, radius):
-            lang = left_translate(group, ut, omega, k)
             out.append(OneSidedCellSpec(
-                level=i, pair=entry.pair, translator=omega, language=lang,
+                level=i, pair=entry.pair, translator=omega,
+                language=translate(omega.word),
             ))
     return out
 

@@ -269,16 +269,23 @@ def reverse_fsa(fsa: FSA) -> FSA:
     )
 
 
-def _product(a: FSA, b: FSA, keep) -> FSA:
-    """Pairing on completed DFAs; keep(in_a, in_b) decides acceptance.
-    None marks the implicit dead side."""
+def _dfa_operands(a: FSA, b: FSA) -> tuple[FSA, FSA, tuple]:
+    """Both operands as DFAs over one alphabet, and their start pair; None
+    marks the implicit dead side."""
     _check_alphabet(a, b)
     if not a.deterministic or a.eps:
         a = determinize(a)
     if not b.deterministic or b.eps:
         b = determinize(b)
+    return a, b, (a.initial if a.n_states else None,
+                  b.initial if b.n_states else None)
+
+
+def _product(a: FSA, b: FSA, keep) -> FSA:
+    """Pairing on completed DFAs; keep(in_a, in_b) decides acceptance.
+    None marks the implicit dead side."""
+    a, b, start = _dfa_operands(a, b)
     nsym = len(a.alphabet)
-    start = (a.initial if a.n_states else None, b.initial if b.n_states else None)
     ids = {start: 0}
     order = [start]
     delta = {}
@@ -329,13 +336,38 @@ def is_empty(fsa: FSA) -> bool:
     return not t.accepting
 
 
+def _no_pair(a: FSA, b: FSA, bad) -> bool:
+    """Walk the reachable state pairs of the completed DFAs of a and b and
+    tell whether none has bad(in_a, in_b); stops at the first that does,
+    and builds no product machine."""
+    a, b, start = _dfa_operands(a, b)
+    a_delta, a_acc = a.transitions, a.accepting
+    b_delta, b_acc = b.transitions, b.accepting
+    syms = range(len(a.alphabet))
+    seen = {start}
+    stack = [start]
+    while stack:
+        qa, qb = stack.pop()
+        if bad(qa in a_acc, qb in b_acc):
+            return False
+        for s in syms:
+            ta = a_delta.get((qa, s))
+            tb = b_delta.get((qb, s))
+            if ta is None and tb is None:
+                continue
+            key = (ta[0] if ta else None, tb[0] if tb else None)
+            if key not in seen:
+                seen.add(key)
+                stack.append(key)
+    return True
+
+
 def are_equivalent(a: FSA, b: FSA) -> bool:
-    _check_alphabet(a, b)
-    return is_empty(symmetric_difference(a, b))
+    return _no_pair(a, b, lambda x, y: x != y)
 
 
 def is_subset(a: FSA, b: FSA) -> bool:
-    return is_empty(difference(a, b))
+    return _no_pair(a, b, lambda x, y: x and not y)
 
 
 def count_words(fsa: FSA, max_len: int) -> list[int]:

@@ -214,18 +214,29 @@ def test_left_cells_by_reversal(part237, g237, w237):
             assert lang.accepts(sibling)
 
 
-def test_brute_force_translate_membership(part237, g237, w237):
-    # language membership for w * U^T against ball arithmetic
-    specs = omega_minimal(part237, 3, radius=12, k=K_W237)
-    U = u_t_fsa(part237, (1, 2))
-    ball10 = g237.ball(10)
-    for sp in specs[:4]:
+def _assert_translates_match_balls(part, specs, r):
+    # language membership for w * U^T against ball arithmetic on ball(r)
+    group = part.group
+    for sp in specs:
         w = sp.translator
+        U = u_t_fsa(part, sp.pair)
         members = set()
-        for u in g237.ball(10 + w.length).elements:
+        for u in group.ball(r + w.length).elements:
             if U.accepts(u.word):
-                prod = g237.multiply(w, u)
-                if prod.length <= 10:
+                prod = group.multiply(w, u)
+                if prod.length <= r:
                     members.add(prod.word)
-        for e in ball10.elements:
+        for e in group.ball(r).elements:
             assert sp.language.accepts(e.word) == (e.word in members)
+
+
+def test_brute_force_translate_membership(part237):
+    specs = omega_minimal(part237, 3, radius=12, k=K_W237)
+    _assert_translates_match_balls(part237, specs[:4], 10)
+
+
+def test_brute_force_translate_membership_w2224(part2224):
+    # every spec of the benchmark's onesided path: a translate built by
+    # one-generator steps is w * U^T itself
+    specs = omega_minimal(part2224, 2, radius=8, k=K_W2224)
+    _assert_translates_match_balls(part2224, specs, 6)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polycell.cells import u_t_fsa
 from polycell.errors import AlphabetMismatch
 from polycell.fsa import (
     FSA,
@@ -103,6 +104,39 @@ def test_alphabet_mismatch():
     c = make_dfa(("x", "y"), 1, 0, {0}, {})
     with pytest.raises(AlphabetMismatch):
         intersect(a, c)
+
+
+# the product formulation of containment, kept as the reference for the
+# early-exit walk of is_subset and are_equivalent
+def product_subset(a: FSA, b: FSA) -> bool:
+    return is_empty(difference(a, b))
+
+
+def product_equivalent(a: FSA, b: FSA) -> bool:
+    return is_empty(symmetric_difference(a, b))
+
+
+def _language_pool(part) -> list[FSA]:
+    names = part.group.presentation.names
+    pool = list(part.languages.values()) + list(part.pattern_fsas.values())
+    pool += [u_t_fsa(part, entry.pair) for entry in part.data.entries]
+    pool += [empty_language(names), epsilon_language(names)]
+    rev = reverse_fsa(part.languages["c0"])
+    assert not rev.deterministic
+    return pool + [rev]
+
+
+def test_containment_walk_matches_product(part237, part2224):
+    pools = [_language_pool(part237), _language_pool(part2224)]
+    for pool in pools:
+        for a, b in itertools.product(pool, repeat=2):
+            assert is_subset(a, b) == product_subset(a, b)
+            assert are_equivalent(a, b) == product_equivalent(a, b)
+    a, b = pools[0][0], pools[1][0]
+    with pytest.raises(AlphabetMismatch):
+        is_subset(a, b)
+    with pytest.raises(AlphabetMismatch):
+        are_equivalent(a, b)
 
 
 def test_minimize_idempotent_and_canonical():

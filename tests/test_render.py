@@ -1,5 +1,6 @@
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 
@@ -120,3 +121,16 @@ def test_hash_palette_is_deterministic():
     b = color_for({}, "spec3")
     assert a == b and a.startswith("hsl(")
     assert color_for(PALETTE, "c1") == PALETTE["c1"]
+
+
+def test_onesided_figure_is_byte_stable(tmp_path):
+    # the committed right-cell picture comes from the translation path
+    from polycell.cli import main
+
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "w237_onesided_level3_r10.svg"
+    code = main(["render", "--group", str(root / "groups/w237.json"),
+                 "--radius", "10", "--coloring", "onesided:3",
+                 "--out", str(out), "--workspace", str(tmp_path / "ws")])
+    assert code == 0
+    assert out.read_bytes() == (root / "figures/w237_onesided_level3_r10.svg").read_bytes()
