@@ -7,7 +7,7 @@ empirical-vs-conjectural comparison for w2224 at radius 10.
 WORKSPACE defaults to the committed `workspace/`.  Exit status 0 means all
 oracle comparisons agreed; 1 means some oracle or the comparison found a
 disagreement; 2 signals usage or cache problems.  The whole run takes about
-12 s on a 2-core Xeon, 6 s of it the comparison.
+9-10 s on a 2-core Xeon, 5 s of it the comparison.
 """
 
 import sys

@@ -208,13 +208,12 @@ def u_t_fsa(part: ConjecturalPartition, pair: tuple[int, int]) -> FSA:
     return minimize(out)
 
 
-def omega_elements(part: ConjecturalPartition, pair: tuple[int, int],
+def omega_elements(part: ConjecturalPartition, pair: tuple[int, int], ut: FSA,
                    radius: int) -> list[Element]:
-    """Translators w^-1 w_T for w in U^T within the ball, deduplicated and
-    sorted by (length, word)."""
+    """Translators w^-1 w_T for w in U^T (the language `ut`, built by
+    `u_t_fsa`) within the ball, deduplicated and sorted by (length, word)."""
     group = part.group
     entry = _dihedral_entry(part, pair)
-    ut = u_t_fsa(part, pair)
     w_t = group.element(entry.longest_word)
     ball = group.ball(radius)
     seen: dict[Word, Element] = {}
@@ -251,7 +250,7 @@ def _spec_candidates(part: ConjecturalPartition, i: int, radius: int,
                     group, translate(word[1:]), group.element(word[:1]), k)
             return translated[word]
 
-        for omega in omega_elements(part, entry.pair, radius):
+        for omega in omega_elements(part, entry.pair, translated[()], radius):
             out.append(OneSidedCellSpec(
                 level=i, pair=entry.pair, translator=omega,
                 language=translate(omega.word),
@@ -271,8 +270,3 @@ def omega_minimal(part: ConjecturalPartition, i: int, radius: int,
         if not any(is_subset(cand.language, other.language) for other in kept):
             kept.append(cand)
     return kept
-
-
-def left_cell_language(spec: OneSidedCellSpec) -> FSA:
-    """Right cells reflect to left cells by word reversal (inverse elements)."""
-    return minimize(reverse_fsa(spec.language))

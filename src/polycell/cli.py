@@ -15,7 +15,6 @@ from . import __version__
 from .automata import (
     canonical_fsa,
     choose_k,
-    element_counts,
     factor_fsa,
     fellow_traveler_constant,
     red_x_mu,
@@ -32,9 +31,8 @@ from .cells import (
 )
 from .compare import empirical_vs_conjectural
 from .errors import BadArgument, KNotValidated, PolycellError, VerificationDisagreement
-from .fsa import FSA, are_equivalent, count_words, determinize, from_text
+from .fsa import FSA, are_equivalent, count_words, determinize, from_text, intersect
 from .kl import KLTable
-from .oracle import ClassicalKL, braid_closure, oracle_classify, unique_reduced_census
 from .presentation import load_presentation
 from .words import PolygonGroup
 
@@ -134,8 +132,6 @@ def cmd_cells(args) -> int:
         for label in part.labels:
             path = ws.write_fsa(pres, f"cell_{label}", part.languages[label])
             refs[label] = str(path)
-        from .fsa import intersect
-
         nf = shortlex_fsa(group)
         counts = {
             label: count_words(intersect(nf, part.languages[label]), args.radius)
@@ -290,87 +286,44 @@ def cmd_onesided(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # the oracles load here, so that no other command pays for them
+    from . import verify
+
     pres, group, ws = _context(args)
-    failures: list[str] = []
-    results: dict = {"group": pres.label, "radius": args.radius}
-
-    def check(name: str, ok: bool, detail=""):
-        results[name] = {"pass": bool(ok), "detail": detail}
-        if not ok:
-            failures.append(name)
-
+    if args.oracle_length < 0:
+        raise BadArgument(f"--oracle-length must be a nonnegative integer, "
+                          f"got {args.oracle_length}")
+    k = _resolve_k(ws, pres, group, args.k)
+    part = build_partition(group, k)
+    ball = group.ball(args.radius, cap=args.cap)
+    checks = []
     if args.suite in ("oracles", "all"):
-        k = _resolve_k(ws, pres, group, args.k)
-        part = build_partition(group, k)
-        data = part.data
-        ball = group.ball(args.radius, cap=args.cap)
-        bad = [e for e in ball.elements
-               if part.classify(e) != oracle_classify(pres, e.word, data)]
-        check("oracle_classification", not bad,
-              f"{len(bad)} disagreements in {len(ball)} elements")
-        # dual route for the unique-expression class: closure sizes against
-        # element counts of the c0 language
-        census, words = unique_reduced_census(pres, ball)
-        by_len = [0] * (args.radius + 1)
-        for w in words:
-            by_len[len(w)] += 1
-        from .fsa import intersect
-
-        c0_counts = count_words(
-            intersect(shortlex_fsa(group), part.languages["c0"]), args.radius)
-        check("census_routes", by_len == c0_counts,
-              f"{census} unique-expression elements within radius {args.radius}")
-        check("partition_exact", partition_is_exact(part))
-        wc = count_words(canonical_fsa(group), min(args.radius, 10))
-        brute = [0] * (min(args.radius, 10) + 1)
-        for e in ball.elements:
-            if e.length <= min(args.radius, 10):
-                brute[e.length] += len(braid_closure(pres, e.word))
-        check("word_counts", wc == brute)
-        check("element_counts",
-              element_counts(group, args.radius) == ball.counts)
-
+        checks += [
+            verify.oracle_classification(part, ball),
+            verify.census_routes(part, ball),
+            verify.Check("partition_exact", partition_is_exact(part)),
+            verify.word_counts(group, ball, min(args.radius, 10)),
+            verify.element_counts(group, ball),
+        ]
     if args.suite in ("kl", "all"):
-        ball = group.ball(args.radius, cap=args.cap)
         table = KLTable(group, ball)
-        table.fill()  # raises if the defining identity ever fails
-        check("kl_identity", True, f"every extremal pair in ball({args.radius})")
-        oracle = ClassicalKL(pres)
-        cap = min(args.radius, args.oracle_length)
-        bad_pairs = 0
-        idxs = [i for i, e in enumerate(ball.elements) if e.length <= cap]
-        for wi in idxs:
-            for vi in table.lower(wi):
-                got = table.p_idx(vi, wi)
-                want = oracle.kl_poly(ball.elements[vi].word,
-                                      ball.elements[wi].word)
-                if got != want:
-                    bad_pairs += 1
-        check("kl_oracle", bad_pairs == 0, f"{bad_pairs} mismatches up to length {cap}")
-        name = ws.kl_name(args.radius)
-        if (ws.group_dir(pres) / name).exists():
-            stored = ws.read_kl(pres, args.radius)
-            mism = 0
-            for v_word, w_word, r, p, mu in stored:
-                vi = ball.index.get(v_word)
-                wi = ball.index.get(w_word)
-                if vi is None or wi is None:
-                    mism += 1
-                    continue
-                want_r = table.r_idx(vi, wi) or (0,)
-                want_p = table.p_idx(vi, wi) or (0,)
-                if (tuple(r) != want_r or tuple(p) != want_p
-                        or mu != table.mu_idx(vi, wi)):
-                    mism += 1
-            check("kl_cache", mism == 0, f"{mism} stale records")
+        checks += [
+            verify.kl_identity(table),
+            verify.kl_oracle(table, args.oracle_length),
+            verify.a_function(part, table, min(3, args.radius // 2)),
+        ]
+        if (ws.group_dir(pres) / ws.kl_name(args.radius)).exists():
+            checks.append(verify.kl_cache(table, ws.read_kl(pres, args.radius)))
 
+    results = {"group": pres.label, "radius": args.radius,
+               **{c.name: {"pass": c.ok, "detail": c.detail} for c in checks}}
     path = ws.write_report(pres, f"verify.{args.suite}.r{args.radius}.json",
                            json.dumps(results, indent=2) + "\n")
     print(f"wrote {path}")
-    for name, payload in results.items():
-        if isinstance(payload, dict) and "pass" in payload:
-            print(f"  {name}: {'PASS' if payload['pass'] else 'FAIL'}"
-                  + (f" ({payload['detail']})" if payload["detail"] else ""))
+    for c in checks:
+        print(f"  {c.name}: {'PASS' if c.ok else 'FAIL'}"
+              + (f" ({c.detail})" if c.detail else ""))
+    failures = [c.name for c in checks if not c.ok]
     if failures:
         raise VerificationDisagreement(", ".join(failures))
     return 0

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .cells import ConjecturalPartition, OneSidedCellSpec
 from .kl import KLTable, cells as scc_cells, two_sided_cells, w_graph
-from .words import ElementBall, PolygonGroup
+from .words import PolygonGroup
 
 
 @dataclass
@@ -60,11 +60,10 @@ def _partition_map(parts: list[list[int]]) -> dict[int, int]:
     return out
 
 
-def _restricted_agreement(ball: ElementBall, mine: dict[int, int],
-                          theirs: dict[int, str], trusted: list[int]):
+def _restricted_agreement(mine: dict[int, int], theirs: dict[int, str],
+                          trusted: list[int]):
     """Per-element check that the two partitions restricted to the trusted
     set induce the same class."""
-    trusted_set = set(trusted)
     mine_classes: dict[int, set[int]] = {}
     their_classes: dict[str, set[int]] = {}
     for i in trusted:
@@ -100,7 +99,7 @@ def empirical_vs_conjectural(
     conj = {i: part.classify(e) for i, e in enumerate(ball.elements)}
     trusted = [i for i, e in enumerate(ball.elements)
                if e.length <= radius - trust_margin]
-    agree, disagree, emp_classes = _restricted_agreement(ball, emp, conj, trusted)
+    agree, disagree, emp_classes = _restricted_agreement(emp, conj, trusted)
 
     # purity: an empirical class never mixes two conjectural labels
     impure = sum(

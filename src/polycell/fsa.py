@@ -408,12 +408,6 @@ def enumerate_words(fsa: FSA, max_len: int):
         layer = nxt
 
 
-def shortest_accepted(fsa: FSA, cap: int = 10000) -> tuple[int, ...] | None:
-    for w in enumerate_words(fsa, cap):
-        return w
-    return None
-
-
 # --- text serialization ---------------------------------------------------
 
 

@@ -118,12 +118,6 @@ class HeckeAlgebra:
     def __init__(self, group: PolygonGroup):
         self.group = group
 
-    def unit(self) -> HeckeElement:
-        return {(): L_ONE}
-
-    def t_basis(self, w: Element) -> HeckeElement:
-        return {w.word: L_ONE}
-
     def _mult_gen(self, h: HeckeElement, s: int) -> HeckeElement:
         out: dict[Word, Laurent] = {}
 
@@ -207,24 +201,15 @@ class HeckeAlgebra:
                     prod[k] = tot
         return out
 
-    def a_lower_bound(self, z: Element, sample_radius: int, table: KLTable) -> int:
-        """max over sampled x, y of -min_v_exponent(h_{x,y,z}); a certified
-        lower bound for Lusztig's a(z).  Samples run over all pairs with
-        l(x), l(y) <= sample_radius in (length, ShortLex) order."""
-        if 2 * sample_radius > table.ball.radius:
-            raise BallTooSmall(
-                f"sampling at radius {sample_radius} needs ball radius "
-                f">= {2 * sample_radius}"
-            )
-        best = 0
-        zw = z.word
-        for x in table.ball.elements:
-            if x.length > sample_radius:
-                break
-            for y in table.ball.elements:
-                if y.length > sample_radius:
-                    break
-                h = self.h_constants(x, y, table).get(zw)
-                if h is not None and not h.is_zero:
-                    best = max(best, -h.min_exp())
-        return best
+    def a_lower_bounds(self, sample_radius: int, table: KLTable) -> dict[Word, int]:
+        """max over sampled x, y of -min_v_exponent(h_{x,y,z}), for every z
+        some sampled product reaches: a certified lower bound for Lusztig's
+        a(z).  Samples run over all pairs with l(x), l(y) <= sample_radius;
+        h_constants raises BallTooSmall if a product may leave the ball."""
+        sample = [e for e in table.ball.elements if e.length <= sample_radius]
+        bounds: dict[Word, int] = {}
+        for x in sample:
+            for y in sample:
+                for zw, h in self.h_constants(x, y, table).items():
+                    bounds[zw] = max(bounds.get(zw, 0), -h.min_exp())
+        return bounds

@@ -163,9 +163,6 @@ class KLTable:
     def leq_idx(self, v: int, w: int) -> bool:
         return bool(self._leq[w] >> v & 1)
 
-    def bruhat_leq(self, v: Element, w: Element) -> bool:
-        return self.leq_idx(self.idx(v), self.idx(w))
-
     def lower(self, w: int) -> list[int]:
         """Indices x <= w, ascending."""
         return _bits(self._leq[w])
@@ -272,17 +269,11 @@ class KLTable:
             self._P[key] = out
         return out
 
-    def kl_poly(self, v: Element, w: Element) -> Poly:
-        return self.p_idx(self.idx(v), self.idx(w))
-
     def mu_idx(self, v: int, w: int) -> int:
         n = self._length[w] - self._length[v]
         if n <= 0 or n % 2 == 0:
             return 0
         return poly_coeff(self.p_idx(v, w), (n - 1) // 2)
-
-    def mu(self, v: Element, w: Element) -> int:
-        return self.mu_idx(self.idx(v), self.idx(w))
 
     def mu_below(self, w: int) -> list[int]:
         """Indices x < w with mu(x, w) != 0, ascending.  Covering pairs have

@@ -150,9 +150,6 @@ class ClassicalKL:
             self._canon[word] = min(closure, key=lambda z: (len(z), z))
         return self._canon[word]
 
-    def left_descents(self, w: Word) -> set[int]:
-        return {u[0] for u in self.reduced_words(w) if u}
-
     def right_descents(self, w: Word) -> set[int]:
         return {u[-1] for u in self.reduced_words(w) if u}
 
@@ -227,14 +224,6 @@ class ClassicalKL:
         p = self.kl_poly(v, w)
         deg = (n - 1) // 2
         return p[deg] if len(p) > deg else 0
-
-
-def kl_cross_check(pres: CoxeterPresentation, table, v, w,
-                   oracle: "ClassicalKL | None" = None) -> bool:
-    """True iff the classical-recursion polynomial equals the engine's."""
-    if oracle is None:
-        oracle = ClassicalKL(pres)
-    return oracle.kl_poly(v.word, w.word) == table.kl_poly(v, w)
 
 
 def _poly_add(a, b):

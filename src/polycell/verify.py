@@ -1,0 +1,127 @@
+"""Verification checks: each holds an engine result against an independent
+route, or re-derives it from a defining identity.
+
+`polycell verify` and the acceptance suite call these same functions, so
+every check is written once.  Only this module imports `oracle.py`; the
+engines never do.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+from . import automata
+from .cells import ConjecturalPartition
+from .fsa import count_words, intersect
+from .hecke import HeckeAlgebra
+from .kl import KLTable
+from .oracle import ClassicalKL, braid_closure, oracle_classify, unique_reduced_census
+from .words import ElementBall, PolygonGroup
+
+
+@dataclass(frozen=True)
+class Check:
+    name: str
+    ok: bool
+    detail: str = ""
+
+
+def oracle_classification(part: ConjecturalPartition, ball: ElementBall) -> Check:
+    """Automaton labels against labels read off full braid closures."""
+    pres = part.group.presentation
+    bad = sum(part.classify(e) != oracle_classify(pres, e.word, part.data)
+              for e in ball.elements)
+    return Check("oracle_classification", not bad,
+                 f"{bad} disagreements in {len(ball)} elements")
+
+
+def census_routes(part: ConjecturalPartition, ball: ElementBall) -> Check:
+    """Elements whose braid closure is a single word, by length, against
+    the element counts of the c0 language."""
+    group = part.group
+    census, words = unique_reduced_census(group.presentation, ball)
+    by_len = [0] * (ball.radius + 1)
+    for w in words:
+        by_len[len(w)] += 1
+    c0_counts = count_words(
+        intersect(automata.shortlex_fsa(group), part.languages["c0"]), ball.radius)
+    return Check("census_routes", by_len == c0_counts,
+                 f"{census} unique-expression elements within radius {ball.radius}")
+
+
+def word_counts(group: PolygonGroup, ball: ElementBall, length: int) -> Check:
+    """Words of the canonical machine by length against braid-closure sizes
+    of the elements up to `length`."""
+    brute = [0] * (length + 1)
+    for e in ball.elements:
+        if e.length <= length:
+            brute[e.length] += len(braid_closure(group.presentation, e.word))
+    return Check("word_counts",
+                 count_words(automata.canonical_fsa(group), length) == brute)
+
+
+def element_counts(group: PolygonGroup, ball: ElementBall) -> Check:
+    """Element counts from the ShortLex machine against the ball's layers."""
+    return Check("element_counts",
+                 automata.element_counts(group, ball.radius) == ball.counts)
+
+
+def kl_identity(table: KLTable) -> Check:
+    """The fill re-checks the defining identity on every extremal pair and
+    raises ArithmeticError where it fails."""
+    table.fill()
+    return Check("kl_identity", True, f"every extremal pair in ball({table.ball.radius})")
+
+
+def kl_oracle(table: KLTable, length: int, oracle: ClassicalKL | None = None) -> Check:
+    """P on every Bruhat pair up to `length` against the classical one-step
+    recursion; a shared `oracle` keeps its memo across calls."""
+    ball = table.ball
+    length = min(length, ball.radius)
+    if oracle is None:
+        oracle = ClassicalKL(table.group.presentation)
+    bad = 0
+    for wi, w in enumerate(ball.elements):
+        if w.length > length:
+            break
+        for vi in table.lower(wi):
+            if table.p_idx(vi, wi) != oracle.kl_poly(ball.elements[vi].word, w.word):
+                bad += 1
+    return Check("kl_oracle", not bad, f"{bad} mismatches up to length {length}")
+
+
+def a_function(part: ConjecturalPartition, table: KLTable, sample_length: int) -> Check:
+    """Lusztig's a-function is constant on two-sided cells and a(w_T) =
+    l(w_T) = m(s, t), so no lower bound from structure constants may exceed
+    the level value of an element's conjectured label."""
+    data = part.data
+    level_of_label = {f"c{i}": order for i, order in enumerate(data.levels, start=1)}
+    bounds = HeckeAlgebra(table.group).a_lower_bounds(sample_length, table)
+    ball = table.ball
+    bad = 0
+    for z_word, bound in bounds.items():
+        cap = level_of_label.get(part.classify(ball.elements[ball.index[z_word]]))
+        if cap is not None and bound > cap:
+            bad += 1
+    return Check("a_function", not bad,
+                 f"{bad} violations in {len(bounds)} elements, sample length {sample_length}")
+
+
+def kl_cache(table: KLTable, records: list[tuple]) -> Check:
+    """A stored KL table holds exactly one record per Bruhat pair of the
+    ball, each with the R, P and mu the engine computes."""
+    ball = table.ball
+    seen: set[tuple[int, int]] = set()
+    stale = extra = 0
+    for v_word, w_word, r, p, mu in records:
+        vi = ball.index.get(v_word)
+        wi = ball.index.get(w_word)
+        if vi is None or wi is None or not table.leq_idx(vi, wi) or (vi, wi) in seen:
+            extra += 1
+            continue
+        seen.add((vi, wi))
+        if (r, p, mu) != (table.r_idx(vi, wi), table.p_idx(vi, wi), table.mu_idx(vi, wi)):
+            stale += 1
+    missing = sum(len(table.lower(wi)) for wi in range(len(ball))) - len(seen)
+    return Check("kl_cache", not (stale or extra or missing),
+                 f"{stale} stale, {missing} missing, {extra} extra records")

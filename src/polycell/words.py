@@ -54,9 +54,6 @@ class ElementBall:
     def __len__(self):
         return len(self.elements)
 
-    def idx(self, e: Element) -> int:
-        return self.index[e.word]
-
 
 class PolygonGroup:
     """Word-problem engine for one polygon presentation."""
@@ -191,13 +188,6 @@ class PolygonGroup:
 
     def inverse(self, a: Element) -> Element:
         return self.element(a.word[::-1])
-
-    def descents(self, a: Element, side: str) -> frozenset[int]:
-        if side == "left":
-            return a.left
-        if side == "right":
-            return a.right
-        raise ValueError(f"side must be 'left' or 'right', got {side!r}")
 
     # --- balls --------------------------------------------------------------
 

@@ -1,11 +1,27 @@
 import pytest
 
 from polycell import PolygonGroup, presentation_from_angles
-from polycell.cells import build_partition
+from polycell.cells import build_partition, u_t_fsa
 
 # fellow-traveler constants; test_automata re-validates both exhaustively
 K_W237 = 6
 K_W2224 = 4
+
+
+def assert_translates_match_balls(part, specs, r):
+    # language membership for w * U^T against ball arithmetic on ball(r)
+    group = part.group
+    for sp in specs:
+        w = sp.translator
+        U = u_t_fsa(part, sp.pair)
+        members = set()
+        for u in group.ball(r + w.length).elements:
+            if U.accepts(u.word):
+                prod = group.multiply(w, u)
+                if prod.length <= r:
+                    members.add(prod.word)
+        for e in group.ball(r).elements:
+            assert sp.language.accepts(e.word) == (e.word in members)
 
 
 @pytest.fixture(scope="session")

@@ -11,24 +11,16 @@ import re
 import time
 from contextlib import contextmanager
 
-from polycell.automata import canonical_fsa, element_counts, validate_k
-from polycell.cells import dihedral_data, omega_minimal, u_t_fsa
+from polycell import verify
+from polycell.automata import validate_k
+from polycell.cells import dihedral_data, omega_minimal, partition_is_exact
 from polycell.compare import empirical_vs_conjectural
-from polycell.fsa import (
-    are_equivalent,
-    count_words,
-    difference,
-    intersect,
-    is_empty,
-    is_subset,
-    shortest_accepted,
-    union,
-)
+from polycell.fsa import count_words, difference, enumerate_words, is_subset, union
 from polycell.hecke import HeckeAlgebra, L_ZERO
 from polycell.kl import KLTable
-from polycell.oracle import braid_closure, oracle_classify, unique_reduced_census
+from polycell.oracle import unique_reduced_census
 from polycell.render import realize_polygon, render_svg, scene_for_partition
-from tests.conftest import K_W237, K_W2224
+from tests.conftest import K_W237, K_W2224, assert_translates_match_balls
 
 
 @contextmanager
@@ -43,7 +35,7 @@ def criterion(number: int, description: str):
     print(f"ACCEPTANCE {number:02d} PASS {description} ({elapsed:.1f}s)")
 
 
-def test_criterion_01_unique_expression_census(g237, w237):
+def test_criterion_01_unique_expression_census(g237, w237, part237):
     with criterion(1, "27 unique-reduced-expression elements, under 10 s"):
         start = time.perf_counter()
         count, words = unique_reduced_census(w237, g237.ball(12))
@@ -52,6 +44,8 @@ def test_criterion_01_unique_expression_census(g237, w237):
         listed = {w237.word_str(w) for w in words}
         assert {"r", "s", "t", "rs"} <= listed
         assert elapsed < 10.0
+        # the same census by length equals the c0 language's element counts
+        assert verify.census_routes(part237, g237.ball(12)).ok
 
 
 def test_criterion_02_dihedral_data(w237, w2224, part2224):
@@ -66,33 +60,23 @@ def test_criterion_02_dihedral_data(w237, w2224, part2224):
         assert data2224.predicted_cell_count == 4
         assert len(part2224.labels) == 4
         for label in part2224.labels:
-            witness = shortest_accepted(part2224.languages[label], 12)
+            witness = next(enumerate_words(part2224.languages[label], 12), None)
             assert witness is not None and len(witness) <= 12
 
 
-def test_criterion_03_partition_algebra(g237, g2224, part237, part2224):
+def test_criterion_03_partition_algebra(part237, part2224):
     with criterion(3, "per-label languages disjoint and covering, both groups"):
-        for group, part in ((g237, part237), (g2224, part2224)):
+        for part in (part237, part2224):
             start = time.perf_counter()
-            labels = part.labels
-            for i, a in enumerate(labels):
-                for b in labels[i + 1:]:
-                    assert is_empty(intersect(part.languages[a], part.languages[b]))
-            total = None
-            for label in labels:
-                fsa = part.languages[label]
-                total = fsa if total is None else union(total, fsa)
-            assert are_equivalent(total, canonical_fsa(group))
+            assert partition_is_exact(part)
             assert time.perf_counter() - start < 120.0
 
 
-def test_criterion_04_oracle_equivalence(g237, w237, part237, g2224, w2224, part2224):
+def test_criterion_04_oracle_equivalence(g237, part237, g2224, part2224):
     with criterion(4, "automata labels match braid-closure oracle to length 10"):
         start = time.perf_counter()
-        for g, pres, part in ((g237, w237, part237), (g2224, w2224, part2224)):
-            data = part.data
-            for e in g.ball(10).elements:
-                assert part.classify(e) == oracle_classify(pres, e.word, data)
+        for g, part in ((g237, part237), (g2224, part2224)):
+            assert verify.oracle_classification(part, g.ball(10)).ok
         assert time.perf_counter() - start < 300.0
 
 
@@ -100,16 +84,8 @@ def test_criterion_05_kl_self_consistency(g237, classical237):
     with criterion(5, "defining identity on ball(10); classical recursion to length 8"):
         start = time.perf_counter()
         table = KLTable(g237, g237.ball(10))
-        table.fill()  # re-derives and re-checks the identity on every extremal pair
-        oracle = classical237
-        ball = table.ball
-        idxs = [i for i, e in enumerate(ball.elements) if e.length <= 8]
-        for wi in idxs:
-            for vi in idxs:
-                if table.leq_idx(vi, wi):
-                    want = oracle.kl_poly(ball.elements[vi].word,
-                                          ball.elements[wi].word)
-                    assert table.p_idx(vi, wi) == want
+        assert verify.kl_identity(table).ok
+        assert verify.kl_oracle(table, 8, classical237).ok
         assert time.perf_counter() - start < 600.0
 
 
@@ -141,32 +117,17 @@ def test_criterion_06_empirical_agreement_w2224(g2224, part2224):
         assert time.perf_counter() - start < 60.0
 
 
-def test_criterion_07_counting(g237, w237, g2224, w2224):
+def test_criterion_07_counting(g237, g2224):
     with criterion(7, "automaton counts equal brute-force censuses"):
-        for g, pres in ((g237, w237), (g2224, w2224)):
-            counts = count_words(canonical_fsa(g), 10)
-            brute = [0] * 11
-            for e in g.ball(10).elements:
-                brute[e.length] += len(braid_closure(pres, e.word))
-            assert counts == brute
-            assert element_counts(g, 12) == g.ball(12).counts
+        for g in (g237, g2224):
+            assert verify.word_counts(g, g.ball(10), 10).ok
+            assert verify.element_counts(g, g.ball(12)).ok
 
 
-def test_criterion_08_translation(g237, w237, part237):
+def test_criterion_08_translation(part237):
     with criterion(8, "translated one-sided specs: membership and coverage"):
         specs = omega_minimal(part237, 3, radius=12, k=K_W237)
-        U = u_t_fsa(part237, (1, 2))
-        ball10 = g237.ball(10)
-        for spec in specs:
-            w = spec.translator
-            members = set()
-            for u in g237.ball(10 + w.length).elements:
-                if U.accepts(u.word):
-                    prod = g237.multiply(w, u)
-                    if prod.length <= 10:
-                        members.add(prod.word)
-            for e in ball10.elements:
-                assert spec.language.accepts(e.word) == (e.word in members)
+        assert_translates_match_balls(part237, specs, 10)
         combined = None
         for spec in specs:
             combined = spec.language if combined is None else union(combined, spec.language)
@@ -197,23 +158,7 @@ def test_criterion_09_hecke_roundtrip(g237, kl237, part237):
                             recombined[tw] = tot
                 assert recombined == H.multiply(cb[x.word], cb[y.word])
         # a-function lower bounds never exceed the conjectured level value
-        data = part237.data
-        level_of_label = {f"c{i}": data.levels[i - 1] for i in range(1, data.m + 1)}
-        bounds: dict = {}
-        sample = [e for e in kl237.ball.elements if e.length <= 3]
-        for x in sample:
-            for y in sample:
-                for zw, coeff in H.h_constants(x, y, kl237).items():
-                    low = -coeff.min_exp()
-                    bounds[zw] = max(bounds.get(zw, 0), low)
-        violations = []
-        for zw, bound in bounds.items():
-            e = kl237.ball.elements[kl237.ball.index[zw]]
-            label = part237.classify(e)
-            cap = level_of_label.get(label)
-            if cap is not None and bound > cap:
-                violations.append((zw, bound, cap))
-        assert violations == []
+        assert verify.a_function(part237, kl237, 3).ok
 
 
 def test_criterion_10_renderer(g237, w237, part237):

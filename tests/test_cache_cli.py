@@ -302,6 +302,15 @@ def test_cli_negative_radius_is_exit_2(tmp_path, w237_config, capsys):
     assert not (tmp_path / "ws" / "w237" / "kl.r-1.tsv").exists()
 
 
+def test_cli_negative_oracle_length_is_exit_2(tmp_path, w237_config, capsys):
+    code = run(tmp_path, "verify", "kl", "--group", str(w237_config),
+               "--radius", "3", "--oracle-length", "-1")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "--oracle-length must be a nonnegative integer, got -1" in err
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"name": "w237", "generators": ["r", "s", "t"]}', "no 'angles' key"),
     ('{"name": "w237", "angles": [2, 3, 7]', "readable file or JSON"),
@@ -374,6 +383,40 @@ def test_cli_planted_disagreement_is_exit_1(tmp_path, w237_config, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "disagreement" in err
+
+
+@pytest.mark.parametrize("damage", [
+    lambda lines: lines[:-1],
+    lambda lines: lines + lines[5:6],
+    lambda lines: [],
+    lambda lines: lines + ["st\trt\t0\t0\t0"],  # an incomparable pair
+], ids=["last-dropped", "one-duplicated", "emptied", "incomparable-pair"])
+def test_cli_kl_cache_must_hold_every_pair_once(tmp_path, w237_config, capsys,
+                                               damage):
+    assert run(tmp_path, "kl", "--group", str(w237_config), "--radius", "3") == 0
+    kl_path = tmp_path / "ws" / "w237" / "kl.r3.tsv"
+    kept = damage(kl_path.read_text().splitlines())
+    kl_path.write_text("".join(line + "\n" for line in kept))
+    capsys.readouterr()
+    code = run(tmp_path, "verify", "kl", "--group", str(w237_config),
+               "--radius", "3", "--oracle-length", "2")
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "kl_cache: FAIL" in captured.out
+    assert captured.err == "verification disagreement: kl_cache\n"
+
+
+def test_cli_verify_all_passes(tmp_path, w237_config, capsys):
+    code = run(tmp_path, "verify", "all", "--group", str(w237_config),
+               "--radius", "4", "--oracle-length", "3")
+    assert code == 0
+    path = Path(capsys.readouterr().out.split()[1])
+    report = json.loads(path.read_text())
+    assert (report.pop("group"), report.pop("radius")) == ("w237", 4)
+    assert list(report) == ["oracle_classification", "census_routes",
+                            "partition_exact", "word_counts", "element_counts",
+                            "kl_identity", "kl_oracle", "a_function"]
+    assert all(check["pass"] is True for check in report.values())
 
 
 def test_cli_render_deterministic(tmp_path, w237_config, capsys):

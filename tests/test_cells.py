@@ -1,11 +1,11 @@
 import pytest
 
+from polycell import verify
 from polycell.cells import (
     LABEL_ID,
     LABEL_ZERO,
     descent_class_fsa,
     dihedral_data,
-    left_cell_language,
     omega_elements,
     omega_minimal,
     partition_is_exact,
@@ -21,11 +21,13 @@ from polycell.fsa import (
     intersect,
     is_empty,
     is_subset,
+    minimize,
+    reverse_fsa,
     union,
 )
 from polycell.oracle import braid_closure, oracle_classify
 from polycell.presentation import presentation_from_angles
-from tests.conftest import K_W237, K_W2224
+from tests.conftest import K_W237, K_W2224, assert_translates_match_balls
 
 
 def test_dihedral_data_w237(w237):
@@ -89,9 +91,8 @@ def test_partition_exact(part237, part2224):
     assert partition_is_exact(part2224)
 
 
-def test_partition_matches_oracle_on_ball(part2224, g2224, w2224):
-    for e in g2224.ball(7).elements:
-        assert part2224.classify(e) == oracle_classify(w2224, e.word, part2224.data)
+def test_partition_matches_oracle_on_ball(part2224, g2224):
+    assert verify.oracle_classification(part2224, g2224.ball(7)).ok
 
 
 def test_level_exclusivity(part237, g237):
@@ -168,7 +169,7 @@ def test_u_t_lower_level_subtracts_higher_cells(part237, g237):
 
 
 def test_omega_contains_identity(part237):
-    oms = omega_elements(part237, (1, 2), radius=10)
+    oms = omega_elements(part237, (1, 2), u_t_fsa(part237, (1, 2)), radius=10)
     assert oms[0].word == ()
     assert len(oms) >= 2
 
@@ -207,36 +208,21 @@ def test_specs_subset_of_their_cell(part2224, g2224):
 
 def test_left_cells_by_reversal(part237, g237, w237):
     specs = omega_minimal(part237, 3, radius=10, k=K_W237)
-    lang = left_cell_language(specs[0])
+    # right cells reflect to left cells by word reversal (inverse elements)
+    lang = minimize(reverse_fsa(specs[0].language))
     # reversed language consists of inverses: closed under braid moves
     for w in enumerate_words(lang, 9):
         for sibling in braid_closure(w237, w):
             assert lang.accepts(sibling)
 
 
-def _assert_translates_match_balls(part, specs, r):
-    # language membership for w * U^T against ball arithmetic on ball(r)
-    group = part.group
-    for sp in specs:
-        w = sp.translator
-        U = u_t_fsa(part, sp.pair)
-        members = set()
-        for u in group.ball(r + w.length).elements:
-            if U.accepts(u.word):
-                prod = group.multiply(w, u)
-                if prod.length <= r:
-                    members.add(prod.word)
-        for e in group.ball(r).elements:
-            assert sp.language.accepts(e.word) == (e.word in members)
-
-
 def test_brute_force_translate_membership(part237):
     specs = omega_minimal(part237, 3, radius=12, k=K_W237)
-    _assert_translates_match_balls(part237, specs[:4], 10)
+    assert_translates_match_balls(part237, specs[:4], 10)
 
 
 def test_brute_force_translate_membership_w2224(part2224):
     # every spec of the benchmark's onesided path: a translate built by
     # one-generator steps is w * U^T itself
     specs = omega_minimal(part2224, 2, radius=8, k=K_W2224)
-    _assert_translates_match_balls(part2224, specs, 6)
+    assert_translates_match_balls(part2224, specs, 6)

@@ -1,5 +1,6 @@
 import pytest
 
+from polycell import verify
 from polycell.kl import (
     KLTable,
     poly_add,
@@ -92,8 +93,9 @@ def test_r_poly_degree_and_constant(g237, kl237):
 def test_kl_poly_base_cases(g237, kl237):
     e = g237.identity
     w = g237.element((1, 2, 1, 2, 1))
-    assert kl237.kl_poly(w, w) == (1,)
-    assert kl237.kl_poly(e, w) == (1,)
+    wi = kl237.idx(w)
+    assert kl237.p_idx(wi, wi) == (1,)
+    assert kl237.p_idx(kl237.idx(e), wi) == (1,)
 
 
 def test_kl_poly_dihedral_always_one(g237, kl237):
@@ -138,14 +140,11 @@ def test_defining_identity_recheck(g237, kl237):
 
 
 def test_mu_conventions(g237, kl237):
-    e = g237.identity
-    s = g237.element((1,))
-    st = g237.element((1, 2))
-    assert kl237.mu(e, st) == 0          # even length difference
-    assert kl237.mu(s, st) == 1          # covering pair
-    assert kl237.mu(st, s) == 0          # wrong order
-    rt = g237.element((0, 2))
-    assert kl237.mu(st, rt) == 0         # incomparable
+    e, s, st, rt = (kl237.idx(g237.element(w)) for w in ((), (1,), (1, 2), (0, 2)))
+    assert kl237.mu_idx(e, st) == 0      # even length difference
+    assert kl237.mu_idx(s, st) == 1      # covering pair
+    assert kl237.mu_idx(st, s) == 0      # wrong order
+    assert kl237.mu_idx(st, rt) == 0      # incomparable
 
 
 def test_mu_covering_pairs_are_one(g237, kl237):
@@ -157,16 +156,13 @@ def test_mu_covering_pairs_are_one(g237, kl237):
 
 
 def test_bruhat_examples(g237, kl237):
-    e = g237.identity
-    r = g237.element((0,))
-    rsr = g237.element((0, 1, 0))
+    e, r, rsr, st, rt = (kl237.idx(g237.element(w))
+                         for w in ((), (0,), (0, 1, 0), (1, 2), (0, 2)))
     for w in (e, r, rsr):
-        assert kl237.bruhat_leq(e, w)
-    assert kl237.bruhat_leq(r, rsr)
-    st = g237.element((1, 2))
-    rt = g237.element((0, 2))
-    assert not kl237.bruhat_leq(st, rt)
-    assert not kl237.bruhat_leq(rt, st)
+        assert kl237.leq_idx(e, w)
+    assert kl237.leq_idx(r, rsr)
+    assert not kl237.leq_idx(st, rt)
+    assert not kl237.leq_idx(rt, st)
 
 
 def test_bruhat_matches_subexpression_search(g237, kl237, g2224):
@@ -180,7 +176,7 @@ def test_bruhat_matches_subexpression_search(g237, kl237, g2224):
                 subelems.add(g.nf(sub))
             for v in ball.elements:
                 want = v.word in subelems
-                assert table.bruhat_leq(v, w) == want
+                assert table.leq_idx(table.idx(v), table.idx(w)) == want
 
 
 @pytest.mark.parametrize("group, radius", [("g237", 8), ("g2224", 6)])
@@ -209,12 +205,9 @@ def test_p_idx_matches_classical_on_every_pair(request, group, radius):
     oracle = request.getfixturevalue("classical" + group[1:])
     ball = g.ball(radius)
     table = KLTable(g, ball)
-    kinds = set()
-    for w, e in enumerate(ball.elements):
-        for v in table.lower(w):
-            kinds.add(_is_extremal(ball, v, w))
-            assert table.p_idx(v, w) == oracle.kl_poly(ball.elements[v].word,
-                                                      e.word)
+    assert verify.kl_oracle(table, radius, oracle).ok
+    kinds = {_is_extremal(ball, v, w)
+             for w in range(len(ball)) for v in table.lower(w)}
     assert kinds == {False, True}
 
 

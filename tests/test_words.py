@@ -40,9 +40,6 @@ def test_descents(g237, w237):
     assert w_t.right == frozenset({1, 2})
     rs = g237.element(w237.parse_word("rs"))
     assert rs.right == frozenset({1})
-    assert g237.descents(rs, "right") == rs.right
-    with pytest.raises(ValueError):
-        g237.descents(rs, "up")
 
 
 def test_descent_iff_shorter(g237):
