@@ -29,10 +29,10 @@ ball of radius k + 1, whatever the length of w.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations
 from weakref import WeakKeyDictionary
 
-from .errors import BallTooSmall, KNotValidated, PatternNotReduced, ResourceLimit
+from .errors import BallTooSmall, KNotValidated, PatternNotReduced
 from .fsa import (
     FSA,
     are_equivalent,
@@ -43,7 +43,7 @@ from .fsa import (
     reverse_fsa,
     trim_fsa,
 )
-from .words import Element, ElementBall, PolygonGroup, Word
+from .words import Element, PolygonGroup, Word
 
 
 def canonical_fsa(group: PolygonGroup) -> FSA:
@@ -240,19 +240,6 @@ def left_translate(group: PolygonGroup, A: FSA, w: Element, k: int) -> FSA:
 # --- fellow-traveler constant ----------------------------------------------
 
 
-def reduced_expressions(ball: ElementBall, cap: int = 1_000_000) -> list[list[Word]]:
-    """Reduced expressions of every ball element, by index, from the Cayley
-    edges: Red(w) is the union of Red(ws).s over right descents s."""
-    red: list[list[Word]] = [[()]]
-    for i in range(1, len(ball)):
-        red.append([r + (s,) for s in sorted(ball.elements[i].right)
-                    for r in red[ball.right_mult[i][s]]])
-        if len(red[i]) > cap:
-            raise ResourceLimit(f"fellow-traveler validation: an element has "
-                                f"more than {cap} reduced expressions")
-    return red
-
-
 def fellow_traveler_constant(group: PolygonGroup, radius: int) -> int:
     """Largest synchronous difference |alpha_i^-1 beta_i|, the shorter word
     padded at the end, over (a) two reduced expressions of one element and
@@ -261,23 +248,40 @@ def fellow_traveler_constant(group: PolygonGroup, radius: int) -> int:
     A pair alpha.t, beta.t of one element has the differences of (alpha,
     beta), then e.  A pair (alpha, beta.t) of family (b) has the differences
     of (alpha, beta), then s, and alpha.s, beta.t reduce z = ws.  So only
-    (alpha, beta) with alpha.s, beta.t in Red(z) and s != t are walked, from
-    the floor 1.  Through e or through z, each difference and each
-    intermediate alpha_i^-1 beta_(i+1) has length at most |z| <= radius, so
-    the walk over ball indices never leaves the ball."""
+    (alpha, beta) with alpha.s, beta.t in Red(z) and s != t are needed, from
+    the floor 1.  alpha and beta range over Red(zs) and Red(zt)
+    independently, so their length-i prefixes are exactly the pairs of
+    length-i elements below zs and zt in the right weak order, and the
+    difference depends only on the pair of prefix elements (Epstein et al.,
+    Word Processing in Groups, 1992, ch. 2).  The walk therefore visits
+    pairs of elements, not of words: from (zs, zt), with difference st, it
+    steps down to (xa, yb) for right descents a of x and b of y, with
+    difference a.d.b, and visits each pair once.  Through e or through z,
+    each difference and each intermediate product has length at most |z| <=
+    radius, so the walk over ball indices never leaves the ball."""
     ball = group.ball(radius)
-    red = reduced_expressions(ball)
-    right_mult, left_mult, lengths = ball.right_mult, ball.left_mult, ball.lengths
+    elements, right_mult, left_mult = ball.elements, ball.right_mult, ball.left_mult
+    lengths = ball.lengths
     worst = min(radius, 1)
+    seen: set[tuple[int, int]] = set()
+    stack: list[tuple[int, int, int]] = []
     try:
-        for z, e in enumerate(ball.elements):
+        for z, e in enumerate(elements):
             for s, t in combinations(sorted(e.right), 2):
-                for alpha, beta in product(red[right_mult[z][s]], red[right_mult[z][t]]):
-                    d = 0
-                    for x, y in zip(alpha, beta):
-                        d = left_mult[right_mult[d][y]][x]
-                        if lengths[d] > worst:
-                            worst = lengths[d]
+                pair = (right_mult[z][s], right_mult[z][t])
+                seen.add(pair)
+                stack.append((*pair, right_mult[right_mult[0][s]][t]))
+        while stack:
+            x, y, d = stack.pop()
+            if lengths[d] > worst:
+                worst = lengths[d]
+            for a in elements[x].right:
+                xa = right_mult[x][a]
+                for b in elements[y].right:
+                    pair = (xa, right_mult[y][b])
+                    if pair not in seen:
+                        seen.add(pair)
+                        stack.append((*pair, left_mult[right_mult[d][b]][a]))
     except TypeError as exc:  # a None step: the length bound above broke
         raise BallTooSmall(f"fellow-traveler validation: a word difference "
                            f"left ball({radius})") from exc

@@ -14,7 +14,8 @@ across commands.  `meta.json` holds `choose_k`'s validated k, the measured
 constant an explicit k is checked against (kept apart, so an explicit k
 never poses as the validated one) and the KL stamps; a group-hash or
 version mismatch drops it whole, a file of the wrong shape is
-`CorruptCache`, and a KL table is reused only while its stamp matches.
+`CorruptCache`, and a KL table is reused only while its stamp, which
+holds the table's sha256, matches the radius and the file.
 Balls, automata and reports are rewritten on every run.  Each write goes
 through its own temp file and an atomic rename, so concurrent runs never
 read a torn file; two runs updating `meta.json` at once can lose one
@@ -33,7 +34,7 @@ from pathlib import Path
 from . import __version__
 from .errors import CorruptCache, UnknownGenerator
 from .fsa import FSA, to_text
-from .kl import KLTable
+from .kl import KLTable, poly_coeff
 from .presentation import CoxeterPresentation, config_dict
 from .words import ElementBall
 
@@ -113,10 +114,13 @@ class Workspace:
         self.write_meta(pres, meta)
 
     def is_fresh(self, pres, name: str, **params) -> bool:
-        meta = self.read_meta(pres)
-        have = meta.get("artifacts", {}).get(name)
+        """The artifact's stamp holds these params and the sha256 of the
+        file as it is now, so an edited or cut file is never fresh."""
+        have = self.read_meta(pres).get("artifacts", {}).get(name)
         path = self.group_dir(pres) / name
-        return have == params and path.exists()
+        if have is None or not path.exists():
+            return False
+        return have == {**params, "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
 
     def validated_k(self, pres) -> dict | None:
         return self.read_meta(pres).get("validated_k")
@@ -160,26 +164,26 @@ class Workspace:
     def write_kl(self, pres, table: KLTable) -> Path:
         table.fill()
         ball = table.ball
-        names = pres.names
-
-        def encode(word):
-            return "".join(names[s] for s in word) or "-"
-
+        names, lengths = pres.names, ball.lengths
+        codes = ["".join(names[s] for s in e.word) or "-" for e in ball.elements]
         lines = []
         for v in range(len(ball.elements)):  # ball order is (length, word)
             for w in table.upper(v):
                 r = table.r_idx(v, w)
                 p = table.p_idx(v, w)
+                n = lengths[w] - lengths[v]
                 lines.append("\t".join([
-                    encode(ball.elements[v].word),
-                    encode(ball.elements[w].word),
+                    codes[v],
+                    codes[w],
                     ",".join(str(c) for c in r) or "0",
                     ",".join(str(c) for c in p) or "0",
-                    str(table.mu_idx(v, w)),
+                    str(poly_coeff(p, (n - 1) // 2) if n % 2 else 0),
                 ]))
+        data = ("\n".join(lines) + "\n").encode()
         path = self.group_dir(pres) / self.kl_name(ball.radius)
-        _atomic_write(path, ("\n".join(lines) + "\n").encode())
-        self.stamp(pres, self.kl_name(ball.radius), radius=ball.radius)
+        _atomic_write(path, data)
+        self.stamp(pres, self.kl_name(ball.radius), radius=ball.radius,
+                   sha256=hashlib.sha256(data).hexdigest())
         return path
 
     def read_kl(self, pres, radius: int) -> list[tuple]:

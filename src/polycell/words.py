@@ -6,10 +6,22 @@ the reduced words (states double as right-descent detectors).  On top of
 that single primitive we build reduction, ShortLex normal forms (repeated
 extraction of the least left descent, with the deletion position located by
 running the word until the automaton dies), multiplication, and metric balls
-with full left/right Cayley edges.  A ball takes its right edges from its own
-breadth-first search, which already puts every upward product w.s into
-ShortLex form, and its left edges from those through inversion, s.w =
-(w^-1.s)^-1; building a ball calls no `nf`.
+with full left/right Cayley edges.
+
+A ball is built layer by layer from the Cayley graph alone, as in
+Brink-Howlett's automatic structure for Coxeter groups (Math. Ann. 296,
+1993), with no `nf` or `shortlex` call.  Layer L+1 comes from the up-moves
+(w, s) of layer L, and the canonical state of w.s gives its right descents.
+There are at most two, since the angle sum leaves no finite parabolic
+subgroup of rank 3: z with descents {s, t} is met once more, from z.t, which
+is found from z.s by 2(m(s, t) - 1) steps round its coset z<s, t> through
+the layers already built.  Prefixes of ShortLex words are ShortLex, so z's
+ShortLex word is the least of word(z.r) + (r,), and in a sorted layer the
+first up-move to meet z gives it.  Left edges follow from the lifting
+property: with x the last letter of z and y = z.x, a left descent s of z has
+s.z = (s.y).x when s is a left descent of y, and s.z = y otherwise; left
+descents come from one reversed canonical run per element, and the up edges
+are the reversed down edges.
 """
 
 from __future__ import annotations
@@ -192,48 +204,60 @@ class PolygonGroup:
     # --- balls --------------------------------------------------------------
 
     def ball(self, radius: int, cap: int = 2_000_000) -> ElementBall:
-        """Every element of length <= radius, with its Cayley edges: each
-        downward edge is the reverse of an upward one the search found."""
+        """Every element of length <= radius, with its Cayley edges, built
+        layer by layer from the up-moves of the layer below (see the module
+        docstring); no `nf` or `shortlex` call."""
         if radius in self._balls:
             return self._balls[radius]
-        layers: list[list[Word]] = [[()]]
-        up: list[tuple[Word, int, Word]] = []  # (w, s, shortlex(w.s)), |w.s| > |w|
-        size = 1
+        trans, rdesc, rank = self.transitions, self.state_rdesc, self.rank
+        words: list[Word] = [()]
+        states = [0]  # canonical state of each element
+        right_mult: list[list[int | None]] = [[None] * rank]
+        counts = [1]
+        lo = 0
         for _ in range(radius):
-            nxt: set[Word] = set()
-            for w in layers[-1]:
-                row = self.transitions[self.run(w)]
-                for s in range(self.rank):
-                    if row[s] is not None:
-                        z = self.shortlex(w + (s,))
-                        up.append((w, s, z))
-                        nxt.add(z)
-            size += len(nxt)
-            if size > cap:
+            hi = len(words)
+            # (z.t, t) -> z for each new z with descents {s, t}, found from z.s
+            second: dict[tuple[int, int], int] = {}
+            for i in range(lo, hi):
+                row = trans[states[i]]
+                for s in range(rank):
+                    q = row[s]
+                    if q is None:
+                        continue
+                    z = second.pop((i, s), None)
+                    if z is None:
+                        # the layer below is sorted, so the first candidate
+                        # word(z.s) + (s,) met is z's ShortLex word
+                        z = len(words)
+                        words.append(words[i] + (s,))
+                        states.append(q)
+                        right_mult.append([None] * rank)
+                        for t in rdesc[q] - {s}:
+                            second[self._other_down_edge(right_mult, i, s, t), t] = z
+                    right_mult[i][s] = z
+                    right_mult[z][s] = i
+            lo = hi
+            counts.append(len(words) - hi)
+            if len(words) > cap:
                 raise ResourceLimit(f"ball exceeds cap {cap}")
-            layers.append(sorted(nxt))
 
-        words: list[Word] = [w for layer in layers for w in layer]
-        index = {w: i for i, w in enumerate(words)}
-        elements = [
-            Element(w, self.left_descents(w), self.right_descents(w)) if w else self.identity
-            for w in words
-        ]
-        right_mult: list[list[int | None]] = [[None] * self.rank for _ in words]
-        for w, s, z in up:
-            i, j = index[w], index[z]
-            right_mult[i][s] = j
-            right_mult[j][s] = i
-        inv = [index[self.shortlex(w[::-1])] for w in words]
-        left_mult: list[list[int | None]] = [
-            [None if j is None else inv[j] for j in right_mult[inv[i]]]
-            for i in range(len(words))
-        ]
-        counts = [len(layer) for layer in layers]
+        ldesc = [rdesc[self.run(w[::-1])] for w in words]
+        left_mult: list[list[int | None]] = [[None] * rank for _ in words]
+        for z in range(1, len(words)):
+            x = words[z][-1]
+            y = right_mult[z][x]
+            for s in ldesc[z]:
+                # lifting property: s.z = (s.y).x if s.y < y, else s.z = y
+                d = right_mult[left_mult[y][s]][x] if s in ldesc[y] else y
+                left_mult[z][s] = d
+                left_mult[d][s] = z
+        elements = [Element(w, ldesc[i], rdesc[states[i]])
+                    for i, w in enumerate(words)]
         ball = ElementBall(
             radius=radius,
             elements=elements,
-            index=index,
+            index={w: i for i, w in enumerate(words)},
             right_mult=right_mult,
             left_mult=left_mult,
             counts=counts,
@@ -241,6 +265,16 @@ class PolygonGroup:
         )
         self._balls[radius] = ball
         return ball
+
+    def _other_down_edge(self, right_mult, i: int, s: int, t: int) -> int:
+        """z.t for z = i.s with right descents {s, t}: z.t = z.s.(t.s)^(m-1)
+        the other way round the 2m-cycle of the coset z<s, t>, whose first
+        m - 1 steps go down to its minimum and the rest up, all in the
+        layers already built."""
+        for _ in range(2 * int(self.presentation.m(s, t)) - 2):
+            i = right_mult[i][t]
+            s, t = t, s
+        return i
 
     def word_str(self, word) -> str:
         return self.presentation.word_str(word)

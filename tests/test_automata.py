@@ -11,13 +11,12 @@ from polycell.automata import (
     left_translate,
     nf_transition_fsa,
     red_x_mu,
-    reduced_expressions,
     right_descent_class_fsa,
     shortlex_fsa,
     validate_k,
 )
 from polycell.cells import _spec_candidates, dihedral_data, u_t_fsa
-from polycell.errors import PatternNotReduced, ResourceLimit
+from polycell.errors import PatternNotReduced
 from polycell.fsa import (
     FSA,
     are_equivalent,
@@ -400,24 +399,12 @@ def _brute_force_constant(group, radius):
     return worst
 
 
-def test_reduced_expressions_match_braid_closure(g237, g2224):
-    for group in (g237, g2224):
-        ball = group.ball(8)
-        red = reduced_expressions(ball)
-        for e, words in zip(ball.elements, red):
-            assert len(words) == len(set(words))
-            assert set(words) == braid_closure(group.presentation, e.word)
-
-
-def test_reduced_expressions_cap(g2224):
-    with pytest.raises(ResourceLimit):
-        reduced_expressions(g2224.ball(6), cap=2)
-
-
 def test_fellow_traveler_constant_matches_brute_force(g237, g2224):
     others = [PolygonGroup(presentation_from_angles(angles))
               for angles in ([3, 3, 4], [2, 3, "inf"], [2, 4, "inf", 3])]
-    for group, radius in ((g237, 8), (g2224, 6), *((g, 6) for g in others)):
+    pentagon = PolygonGroup(presentation_from_angles([2, 2, 2, 2, 2]))
+    for group, radius in ((g237, 8), (g2224, 6), *((g, 6) for g in others),
+                          (pentagon, 5)):
         for r in range(radius + 1):
             assert fellow_traveler_constant(group, r) == \
                 _brute_force_constant(group, r)
@@ -426,6 +413,20 @@ def test_fellow_traveler_constant_matches_brute_force(g237, g2224):
 def test_fellow_traveler_constants_at_radius_10(g237, g2224):
     assert fellow_traveler_constant(g237, 10) == K_W237
     assert fellow_traveler_constant(g2224, 10) == K_W2224
+
+
+def test_fellow_traveler_constant_grows_at_radius_21(g237, w237):
+    # no ball up to radius 20 sees it, but two reduced expressions of one
+    # element of length 21 fellow-travel only at distance 8
+    assert fellow_traveler_constant(g237, 20) == K_W237
+    assert fellow_traveler_constant(g237, 21) == 8
+    alpha = w237.parse_word("ststsrtstsrstsrtststs")
+    beta = w237.parse_word("tstsrtsrtstsrtsrtstst")
+    assert g237.is_reduced(alpha) and g237.is_reduced(beta)
+    assert g237.element(alpha) == g237.element(beta)
+    differences = [g237.element(alpha[:i][::-1] + beta[:i]).length
+                   for i in range(len(alpha) + 1)]
+    assert max(differences) == 8
 
 
 def test_right_descent_class_states(g237):

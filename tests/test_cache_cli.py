@@ -134,6 +134,16 @@ def test_cli_kl_cached(tmp_path, w237_config, capsys):
     assert kl_path.stat().st_ino == inode
 
 
+def test_cli_kl_recomputes_a_cut_table(tmp_path, w237_config, capsys):
+    assert run(tmp_path, "kl", "--group", str(w237_config), "--radius", "3") == 0
+    kl_path = Path(capsys.readouterr().out.split()[1])
+    original = kl_path.read_bytes()
+    kl_path.write_bytes(b"".join(original.splitlines(keepends=True)[:3]))
+    assert run(tmp_path, "kl", "--group", str(w237_config), "--radius", "3") == 0
+    assert capsys.readouterr().out == f"computed {kl_path}\n"
+    assert kl_path.read_bytes() == original
+
+
 def test_cli_fsa_build_stats_equiv(tmp_path, w237_config, capsys):
     assert run(tmp_path, "fsa", "build", "canonical",
                "--group", str(w237_config), "--k", "6") == 0

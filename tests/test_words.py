@@ -91,8 +91,9 @@ def _nf_ball(group, radius):
 
 
 @pytest.mark.parametrize("angles, radius", [
-    ([2, 3, 7], 12), ([2, 2, 2, 4], 9), ([3, 3, 4], 8), ([2, 3, "inf"], 8)],
-    ids=["w237-12", "w2224-9", "w334-8", "w23inf-8"])
+    ([2, 3, 7], 12), ([2, 2, 2, 4], 9), ([3, 3, 4], 8), ([2, 3, "inf"], 8),
+    ([2, 2, 2, 2, 2], 7), ([2, 4, "inf", 3], 7)],
+    ids=["w237-12", "w2224-9", "w334-8", "w23inf-8", "w22222-7", "w24inf3-7"])
 def test_ball_edges_match_normal_forms(angles, radius):
     import polycell
 
@@ -109,6 +110,19 @@ def test_ball_edges_match_normal_forms(angles, radius):
         for s in range(group.rank):
             j = ball.left_mult[i][s]
             assert (None if j is None else inv[j]) == ball.right_mult[inv[i]][s]
+
+
+def test_ball_calls_no_normal_form(monkeypatch):
+    import polycell
+
+    group = polycell.PolygonGroup(polycell.presentation_from_angles([2, 2, 2, 4]))
+
+    def refuse(word):
+        raise AssertionError("ball asked for a normal form")
+
+    monkeypatch.setattr(group, "shortlex", refuse)
+    monkeypatch.setattr(group, "nf", refuse)
+    assert group.ball(8).counts == [1, 4, 9, 18, 35, 66, 124, 234, 441]
 
 
 def test_ball_cap():
