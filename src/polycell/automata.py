@@ -288,11 +288,6 @@ def fellow_traveler_constant(group: PolygonGroup, radius: int) -> int:
     return worst
 
 
-def validate_k(group: PolygonGroup, k: int, radius: int) -> bool:
-    """Exhaustive fellow-traveler check of k on the ball of the radius."""
-    return fellow_traveler_constant(group, radius) <= k
-
-
 def choose_k(group: PolygonGroup, radius: int = 10, max_k: int = 64) -> int:
     """Smallest k at least the fellow-traveler constant of the ball for which
     every dihedral pattern language is stable against k+1."""

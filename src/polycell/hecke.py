@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import BallTooSmall
+from .field import _poly_mul_into
 from .kl import KLTable, Poly
 from .words import Element, PolygonGroup, Word
 
@@ -60,10 +61,7 @@ class Laurent:
         if self.is_zero or other.is_zero:
             return L_ZERO
         acc = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    acc[i + j] += a * b
+        _poly_mul_into(acc, self.coeffs, other.coeffs)
         return _make(self.offset + other.offset, acc)
 
     def shift(self, n: int) -> "Laurent":

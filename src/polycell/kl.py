@@ -10,15 +10,29 @@ and the upper ideals are its transpose.  A comparison is one bit test, an
 interval [v, w] is the set bits of down(w) & up(v), and lengths come from a
 flat list.
 
-Polynomials in q are dense integer coefficient tuples from degree 0.  The
-unknown P_{v,w} is read off the defining identity
+Polynomials in q are dense integer coefficient tuples from degree 0 at the
+interface.  The memo holds them packed (Kronecker substitution): p is kept
+as the Python int p(2^B), B = 64, one balanced base-2^B digit per
+coefficient, so adding two polynomials is one int addition, multiplying is
+one int multiplication, and q - 1 times r is (r << B) - r.  The unknown
+P_{v,w} is read off the defining identity
 
     q^(l(w)-l(v)) P_{v,w}(1/q) = sum over x in [v,w] of R_{v,x} P_{x,w}
 
 by descending induction on the interval: the degree bound keeps the low
 and high halves of the left side from colliding, so the top coefficients
 of the right side determine P and the rest of the identity is verified
-after the fact.  The right side is accumulated into one coefficient list.
+after the fact, as one int comparison.  The right side is accumulated into
+one int.  Its digits decode exactly while every true coefficient stays
+below 2^(B-1) in absolute value; with n = l(w) - l(v), every R_{v,x} has
+coefficient sum at most 3^n (R_{v,w} = q R_{vs,ws} + (q-1) R_{v,ws}), so
+each pair is checked against
+
+    (|[v, w]| + 2) 3^n pmax < 2^(B-1),
+
+pmax being the largest |coefficient| of any P stored so far, before its
+digits are read; a pair that fails raises ResourceLimit and nothing is
+stored.
 
 Only extremal pairs are summed: v <= w with D_L(w) in D_L(v) and D_R(w) in
 D_R(v).  Any other pair climbs to one, by
@@ -28,63 +42,53 @@ D_R(v).  Any other pair climbs to one, by
 
 (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 5; the lifting
 property keeps sv <= w), so the memo, and the re-check, hold extremal pairs
-only; F. du Cloux, Experiment. Math. 11 (2002), stores P the same way.
-W-graphs need only mu, and most of it is known without P: mu(v, w) is 0 for
-an even length difference, 1 for a difference of 1, and 0 on a pair that
-is not extremal with a difference of 3 or more (Kazhdan-Lusztig 1979,
-(2.3e): sw < w, sv > v and mu(v, w) != 0 force v = sw; likewise on the
-right).  The classical one-step recursion lives in oracle.py as an
-independent cross-check.
+only; F. du Cloux, Experiment. Math. 11 (2002), stores P the same way.  The
+end of x's climb depends only on (x, w), so it is kept for one w at a time
+across every v.  W-graphs need only mu, and most of it is known without P:
+mu(v, w) is 0 for an even length difference, 1 for a difference of 1, and
+0 on a pair that is not extremal with a difference of 3 or more
+(Kazhdan-Lusztig 1979, (2.3e): sw < w, sv > v and mu(v, w) != 0 force
+v = sw; likewise on the right).  An extremal pair has D(w) in D(v) on both
+sides, and the edge rule draws an edge of one side's W-graph only between
+different descent sets of that side, so each W-graph asks for mu on a far
+pair only when D(v) strictly contains D(w) on its side.  The classical
+one-step recursion lives in oracle.py as an independent cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .field import _poly_mul, _poly_mul_into
+from .errors import ResourceLimit
 from .words import Element, ElementBall, PolygonGroup
 
 Poly = tuple[int, ...]
 
-ZERO: Poly = ()
-ONE: Poly = (1,)
-Q_MINUS_1: Poly = (-1, 1)
-
-
-def poly_add(a: Poly, b: Poly) -> Poly:
-    out = [0] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
-    while out and out[-1] == 0:
-        out.pop()
-    return tuple(out)
-
-
-def poly_sub(a: Poly, b: Poly) -> Poly:
-    return poly_add(a, tuple(-c for c in b))
-
-
-def poly_mul(a: Poly, b: Poly) -> Poly:
-    return tuple(_poly_mul(a, b))
-
-
-def poly_shift(a: Poly, n: int) -> Poly:
-    return (0,) * n + a if a else ZERO
+_B = 64  # bits per packed coefficient
+_HALF = 1 << (_B - 1)
+_MASK = (1 << _B) - 1
 
 
 def poly_coeff(a: Poly, i: int) -> int:
     return a[i] if 0 <= i < len(a) else 0
 
 
-def poly_reverse(a: Poly, n: int) -> Poly:
-    """q^n * a(1/q) for deg(a) <= n."""
-    out = [0] * (n + 1)
-    for i, c in enumerate(a):
-        out[n - i] = c
-    while out and out[-1] == 0:
-        out.pop()
+def _pack(a: Poly) -> int:
+    """a(2^B)."""
+    out = 0
+    for c in reversed(a):
+        out = (out << _B) + c
+    return out
+
+
+def _unpack(x: int) -> Poly:
+    """The coefficients of the packed x, exact while each lies in
+    [-2^(B-1), 2^(B-1))."""
+    out = []
+    while x:
+        c = ((x + _HALF) & _MASK) - _HALF  # the balanced lowest digit
+        out.append(c)
+        x = (x - c) >> _B
     return tuple(out)
 
 
@@ -147,8 +151,13 @@ class KLTable:
         self._mu_far = [0] * len(band)
         for length in range(3, len(band)):
             self._mu_far[length] = self._mu_far[length - 2] | band[length - 3]
-        self._R: dict[tuple[int, int], Poly] = {}
-        self._P: dict[tuple[int, int], Poly] = {}
+        # packed R and P by pair; P on extremal pairs only
+        self._R: dict[tuple[int, int], int] = {}
+        self._P: dict[tuple[int, int], int] = {}
+        self._pmax = 1  # the largest |coefficient| of a stored P
+        # _top[x]: the extremal end of x's climb toward _top_w
+        self._top_w = -1
+        self._top: dict[int, int] = {}
 
     def idx(self, e: Element) -> int:
         return self.ball.index[e.word]
@@ -184,88 +193,97 @@ class KLTable:
             mask &= self._has_rdesc[s]
         return mask
 
-    def _step(self, v: int, w: int) -> int:
-        """sv for the least s in D_L(w) - D_L(v), else vs for the least s in
-        D_R(w) - D_R(v): a longer element of [v, w] with the same P; v itself
-        when (v, w) is extremal."""
-        d = self._ldesc[w] & ~self._ldesc[v]
-        if d:
-            return self.ball.left_mult[v][_lowest(d)]
-        d = self._rdesc[w] & ~self._rdesc[v]
-        if d:
-            return self.ball.right_mult[v][_lowest(d)]
-        return v
-
     def _climb(self, v: int, w: int) -> int:
-        """The extremal v' in [v, w] with P_{v,w} = P_{v',w}."""
-        while (u := self._step(v, w)) != v:
-            v = u
-        return v
+        """The extremal v' in [v, w] with P_{v,w} = P_{v',w}: step to sv for
+        the least s in D_L(w) - D_L(v), else to vs for the least s in
+        D_R(w) - D_R(v), a longer element of [v, w] with the same P, until
+        neither exists."""
+        ldw, rdw = self._ldesc[w], self._rdesc[w]
+        while True:
+            if d := ldw & ~self._ldesc[v]:
+                v = self.ball.left_mult[v][_lowest(d)]
+            elif d := rdw & ~self._rdesc[v]:
+                v = self.ball.right_mult[v][_lowest(d)]
+            else:
+                return v
 
     # --- R polynomials -----------------------------------------------------
 
     def r_idx(self, v: int, w: int) -> Poly:
+        if 3 ** (self._length[w] - self._length[v]) >= _HALF:
+            raise ResourceLimit(
+                f"KL polynomials: R on pair {(v, w)} may carry a coefficient "
+                f"past the packed digit's 2^{_B - 1}")
+        return _unpack(self._r(v, w))
+
+    def _r(self, v: int, w: int) -> int:
+        """Packed R_{v,w}."""
         if v == w:
-            return ONE
+            return 1
         if not self._leq[w] >> v & 1:
-            return ZERO
+            return 0
         key = (v, w)
         out = self._R.get(key)
         if out is None:
             s = _lowest(self._rdesc[w])
             ws = self._rmult(w, s)
             if self._rdesc[v] >> s & 1:
-                out = self.r_idx(self._rmult(v, s), ws)
+                out = self._r(self._rmult(v, s), ws)
             else:
-                vs = self._rmult(v, s)
-                out = poly_add(
-                    poly_shift(self.r_idx(vs, ws), 1),
-                    poly_mul(Q_MINUS_1, self.r_idx(v, ws)),
-                )
+                # q R_{vs,ws} + (q - 1) R_{v,ws}
+                r = self._r(v, ws)
+                out = ((self._r(self._rmult(v, s), ws) + r) << _B) - r
             self._R[key] = out
         return out
 
     # --- Kazhdan-Lusztig polynomials ----------------------------------------
 
     def p_idx(self, v: int, w: int) -> Poly:
+        return _unpack(self._p(v, w))
+
+    def _p(self, v: int, w: int) -> int:
+        """Packed P_{v,w}."""
         if not self._leq[w] >> v & 1:
-            return ZERO
+            return 0
         v = self._climb(v, w)
         if v == w:
-            return ONE
+            return 1
         key = (v, w)
         out = self._P.get(key)
         if out is None:
-            n = self._length[w] - self._length[v]
-            acc = [0] * (n + 1)
-            # longest x first, so one climb step from x lands on an x seen
-            # already: top[x] is the extremal end of x's climb.  Memo hits
-            # first, since R and P on a comparable pair are never zero.
-            R, P = self._R, self._P
-            top: dict[int, int] = {}
-            for x in reversed(_bits((self._leq[w] & self._geq[v]) ^ 1 << v)):
-                u = self._step(x, w)
-                t = top[x] = x if u == x else top[u]
-                r = R.get((v, x)) or self.r_idx(v, x)
-                p = ONE if t == w else P.get((t, w)) or self.p_idx(t, w)
-                if p == ONE:
-                    for i, c in enumerate(r):
-                        acc[i] += c
+            if self._top_w != w:
+                self._top_w, self._top = w, {}
+            top, R, P = self._top, self._R, self._P
+            interval = self._leq[w] & self._geq[v]
+            acc = 0
+            # t is the extremal end of x's climb.  Memo hits first, since R
+            # and P on a comparable pair are never zero.
+            for x in _bits(interval ^ 1 << v):
+                t = top.get(x)
+                if t is None:
+                    t = top[x] = self._climb(x, w)
+                r = R.get((v, x)) or self._r(v, x)
+                if t == w:
+                    acc += r
                 else:
-                    _poly_mul_into(acc, r, p)
-            while acc and acc[-1] == 0:
-                acc.pop()
-            rhs = tuple(acc)
+                    p = P.get((t, w)) or self._p(t, w)
+                    acc += r if p == 1 else r * p
+            n = self._length[w] - self._length[v]
+            if (interval.bit_count() + 2) * 3 ** n * self._pmax >= _HALF:
+                raise ResourceLimit(
+                    f"KL polynomials: P on pair {key} may carry a coefficient "
+                    f"past the packed digit's 2^{_B - 1}")
+            rhs = _unpack(acc)
             coeffs = [poly_coeff(rhs, n - i) for i in range((n - 1) // 2 + 1)]
             while coeffs and coeffs[-1] == 0:
                 coeffs.pop()
-            out = tuple(coeffs)
+            out = _pack(coeffs)
             # the identity must now hold on the nose
-            lhs = poly_reverse(out, n)
-            if poly_sub(lhs, poly_add(rhs, out)) != ZERO:
+            if _pack(coeffs[::-1]) << _B * (n + 1 - len(coeffs)) != out + acc:
                 raise ArithmeticError(
                     f"defining identity failed for pair {key}"
                 )
+            self._pmax = max([self._pmax, *map(abs, coeffs)])
             self._P[key] = out
         return out
 
@@ -275,16 +293,27 @@ class KLTable:
             return 0
         return poly_coeff(self.p_idx(v, w), (n - 1) // 2)
 
-    def mu_below(self, w: int) -> list[int]:
-        """Indices x < w with mu(x, w) != 0, ascending.  Covering pairs have
+    def mu_below(self, w: int, side: str | None = None) -> list[int]:
+        """Indices x < w with mu(x, w) != 0, ascending, except that with a
+        side, far x whose descent set on that side equals w's are left out:
+        they give no edge in that side's W-graph.  Covering pairs have
         mu = 1, so P is computed only on the extremal pairs with an odd
         length difference of 3 or more (see the module docstring)."""
         length = self._length[w]
         if length == 0:
             return []
-        far = [x for x in _bits(self._extremal(w) & self._mu_far[length])
-               if self.mu_idx(x, w)]
-        return far + _bits(self._leq[w] & self._band[length - 1])
+        far = self._extremal(w) & self._mu_far[length]
+        if side is not None:
+            desc, has = ((self._ldesc, self._has_ldesc) if side == "left"
+                         else (self._rdesc, self._has_rdesc))
+            # far x already has D(w) in D(x); keep those with one more s
+            strict = 0
+            for s in range(self.group.rank):
+                if not desc[w] >> s & 1:
+                    strict |= has[s]
+            far &= strict
+        return ([x for x in _bits(far) if self.mu_idx(x, w)]
+                + _bits(self._leq[w] & self._band[length - 1]))
 
     def fill(self) -> None:
         """Compute P on every extremal pair in the ball (useful before
@@ -292,7 +321,7 @@ class KLTable:
         for w in range(len(self._leq)):
             # longest v first, so every P_{x,w} that P_{v,w} sums is stored
             for v in reversed(_bits(self._extremal(w))):
-                self.p_idx(v, w)
+                self._p(v, w)
 
 
 # --- W-graphs and cells -------------------------------------------------------
@@ -311,7 +340,7 @@ def w_graph(ball: ElementBall, side: str, table: KLTable) -> WGraph:
     edges: dict[int, list[int]] = {i: [] for i in range(len(ball.elements))}
     desc = [e.left if side == "left" else e.right for e in ball.elements]
     for b in range(len(ball.elements)):
-        for a in table.mu_below(b):
+        for a in table.mu_below(b, side):
             if not desc[a] <= desc[b]:
                 edges[a].append(b)
             if not desc[b] <= desc[a]:

@@ -12,7 +12,7 @@ import time
 from contextlib import contextmanager
 
 from polycell import verify
-from polycell.automata import validate_k
+from polycell.automata import fellow_traveler_constant
 from polycell.cells import dihedral_data, omega_minimal, partition_is_exact
 from polycell.compare import empirical_vs_conjectural
 from polycell.fsa import count_words, difference, enumerate_words, is_subset, union
@@ -185,5 +185,5 @@ def test_criterion_10_renderer(g237, w237, part237):
 
 def test_fellow_traveler_constants_are_validated(g237, g2224):
     with criterion(0, "pinned fellow-traveler constants validate at radius 10"):
-        assert validate_k(g237, K_W237, 10)
-        assert validate_k(g2224, K_W2224, 10)
+        assert fellow_traveler_constant(g237, 10) <= K_W237
+        assert fellow_traveler_constant(g2224, 10) <= K_W2224

@@ -13,7 +13,6 @@ from polycell.automata import (
     red_x_mu,
     right_descent_class_fsa,
     shortlex_fsa,
-    validate_k,
 )
 from polycell.cells import _spec_candidates, dihedral_data, u_t_fsa
 from polycell.errors import PatternNotReduced
@@ -357,16 +356,17 @@ def _single_word_fsa(group, word):
 
 
 def test_validate_k(g237):
-    assert validate_k(g237, 10, 6)       # k >= radius is vacuously generous
-    assert not validate_k(g237, 0, 4)    # braid relation kills k = 0
-    assert not validate_k(g237, 1, 4)    # rt vs tr needs distance 2
-    assert validate_k(g237, K_W237, 8)
-    assert not validate_k(g237, K_W237 - 1, 8)
+    # k validates on a ball when fellow_traveler_constant(group, radius) <= k
+    assert fellow_traveler_constant(g237, 6) <= 10  # k >= radius is generous
+    assert fellow_traveler_constant(g237, 4) > 0    # braid relation kills k = 0
+    assert fellow_traveler_constant(g237, 4) > 1    # rt vs tr needs distance 2
+    assert fellow_traveler_constant(g237, 8) <= K_W237
+    assert fellow_traveler_constant(g237, 8) > K_W237 - 1
 
 
 def test_validated_constants(g237, g2224):
-    assert validate_k(g237, K_W237, 10)
-    assert validate_k(g2224, K_W2224, 8)
+    assert fellow_traveler_constant(g237, 10) <= K_W237
+    assert fellow_traveler_constant(g2224, 8) <= K_W2224
 
 
 def _brute_force_constant(group, radius):

@@ -1,11 +1,10 @@
 import pytest
 
 from polycell import verify
+from polycell.errors import ResourceLimit
+from polycell.field import _poly_mul_into
 from polycell.kl import (
     KLTable,
-    poly_add,
-    poly_mul,
-    poly_reverse,
     strongly_connected_components,
     two_sided_cells,
     w_graph,
@@ -133,10 +132,13 @@ def test_defining_identity_recheck(g237, kl237):
             if not kl237.leq_idx(vi, wi):
                 continue
             n = ball.elements[wi].length - ball.elements[vi].length
-            rhs = ()
+            rhs = [0] * (n + 1)
             for x in kl237.interval(vi, wi):
-                rhs = poly_add(rhs, poly_mul(kl237.r_idx(vi, x), kl237.p_idx(x, wi)))
-            assert poly_reverse(kl237.p_idx(vi, wi), n) == rhs
+                _poly_mul_into(rhs, kl237.r_idx(vi, x), kl237.p_idx(x, wi))
+            lhs = [0] * (n + 1)
+            for i, c in enumerate(kl237.p_idx(vi, wi)):
+                lhs[n - i] = c
+            assert lhs == rhs
 
 
 def test_mu_conventions(g237, kl237):
@@ -222,16 +224,30 @@ def test_fill_stores_extremal_pairs_only(request, group, radius):
         if v != w and _is_extremal(ball, v, w)}
 
 
+def _far_extremal_pair(ball, table):
+    return next((v, w) for w in range(len(ball)) for v in table.lower(w)
+                if ball.lengths[w] - ball.lengths[v] >= 3
+                and _is_extremal(ball, v, w))
+
+
 def test_defining_identity_recheck_rejects_a_bad_term(g237):
     ball = g237.ball(6)
     table = KLTable(g237, ball)
-    v, w = next((v, w) for w in range(len(ball)) for v in table.lower(w)
-                if ball.lengths[w] - ball.lengths[v] >= 3
-                and _is_extremal(ball, v, w))
-    r = table.r_idx(v, w)
-    table._R[v, w] = (r[0] + 1,) + r[1:]  # the x = w term of the sum
+    v, w = _far_extremal_pair(ball, table)
+    table.r_idx(v, w)
+    table._R[v, w] += 1  # the constant term of the x = w term of the sum
     with pytest.raises(ArithmeticError, match="defining identity failed"):
         table.p_idx(v, w)
+
+
+def test_coefficient_bound_stores_nothing_past_the_packed_digit(g237):
+    ball = g237.ball(6)
+    table = KLTable(g237, ball)
+    v, w = _far_extremal_pair(ball, table)
+    table._pmax = 1 << 64
+    with pytest.raises(ResourceLimit, match="KL polynomials"):
+        table.p_idx(v, w)
+    assert table._P == {}
 
 
 def test_nonzero_mu_off_extremal_pairs_is_a_cover(kl237):
@@ -259,6 +275,20 @@ def test_mu_only_w_graph_matches_full_scan(request, group, radius):
     for side in ("left", "right"):
         graph = w_graph(ball, side, KLTable(g, ball))
         assert graph.edges == _full_scan_w_graph(ball, side, scan)
+
+
+@pytest.mark.parametrize("group, radius", [("g237", 12), ("g2224", 7)])
+def test_side_filter_drops_only_far_pairs_with_equal_descents(request, group, radius):
+    g = request.getfixturevalue(group)
+    ball = g.ball(radius)
+    table = KLTable(g, ball)
+    for side in ("left", "right"):
+        desc = [e.left if side == "left" else e.right for e in ball.elements]
+        for w in range(len(ball)):
+            want = [x for x in table.mu_below(w)
+                    if ball.lengths[w] - ball.lengths[x] == 1
+                    or desc[x] != desc[w]]
+            assert table.mu_below(w, side) == want
 
 
 def test_w_graph_singleton(g237):
