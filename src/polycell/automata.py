@@ -97,7 +97,7 @@ def factor_fsa(group: PolygonGroup, pattern: Word) -> FSA:
     (canonical machine intersected with a failure-function matcher)."""
     pattern = tuple(pattern)
     if not group.is_reduced(pattern):
-        raise PatternNotReduced(group.word_str(pattern))
+        raise PatternNotReduced(group.presentation.word_str(pattern))
     base = canonical_fsa(group)
     if not pattern:
         return base

@@ -78,7 +78,8 @@ def _resolve_k(ws: Workspace, pres, group, k_arg: str, validation_radius: int = 
 
 
 def cmd_group_info(args) -> int:
-    pres, group, ws = _context(args)
+    pres = load_presentation(args.group)
+    group = PolygonGroup(pres)
     data = dihedral_data(pres)
     info = {
         "name": pres.label,
@@ -125,8 +126,8 @@ def cmd_cells(args) -> int:
     if args.mode == "compare" and not 0 <= args.trust_margin <= args.radius:
         raise BadArgument(f"--trust-margin must be between 0 and --radius "
                           f"{args.radius}, got {args.trust_margin}")
-    k = _resolve_k(ws, pres, group, args.k)
     if args.mode == "conjectural":
+        k = _resolve_k(ws, pres, group, args.k)
         part = build_partition(group, k)
         refs = {}
         for label in part.labels:
@@ -179,8 +180,9 @@ def cmd_cells(args) -> int:
         print(f"wrote {path}")
         return 0
     # compare
-    part = build_partition(group, k)
-    report = empirical_vs_conjectural(group, part, args.radius,
+    ball = group.ball(args.radius, cap=args.cap)
+    part = build_partition(group, _resolve_k(ws, pres, group, args.k))
+    report = empirical_vs_conjectural(part, KLTable(group, ball),
                                       trust_margin=args.trust_margin)
     path = ws.write_report(pres, f"compare.r{args.radius}.json", report.to_json())
     print(f"wrote {path} (agreement {report.agreement_ratio:.3f})")
@@ -189,43 +191,46 @@ def cmd_cells(args) -> int:
     return 0
 
 
-def _build_target(args, pres, group, ws, target: str) -> FSA:
-    k = _resolve_k(ws, pres, group, args.k)
+def _build_target(args, pres, group, ws, target: str, made: dict) -> FSA:
+    """`made` holds the command's k and partition: each is made at most
+    once, and only for a target that builds a pair machine."""
+    kind, colon, arg = target.partition(":")
     if target == "canonical":
         return canonical_fsa(group)
     if target == "shortlex":
         return shortlex_fsa(group)
-    if target.startswith("cell:"):
-        part = build_partition(group, k)
-        label = target.split(":", 1)[1]
-        if label not in part.languages:
-            raise BadArgument(f"unknown cell label {label!r} in {target!r}; "
-                              f"labels are {', '.join(part.labels)}")
-        return part.languages[label]
-    if target.startswith("pattern:"):
-        return red_x_mu(group, pres.parse_word(target.split(":", 1)[1]), k)
-    if target.startswith("factor:"):
-        return factor_fsa(group, pres.parse_word(target.split(":", 1)[1]))
-    if target.startswith("descent:"):
-        letters = target.split(":", 1)[1]
-        return descent_class_fsa(group, frozenset(pres.parse_word(letters)))
-    if target.startswith("ut:"):
-        part = build_partition(group, k)
-        pair = tuple(sorted(pres.parse_word(target.split(":", 1)[1])))
-        return u_t_fsa(part, pair)
-    raise BadArgument(f"{target!r} is neither a file nor an fsa target")
+    if kind == "factor":
+        return factor_fsa(group, pres.parse_word(arg))
+    if kind == "descent":
+        return descent_class_fsa(group, frozenset(pres.parse_word(arg)))
+    if not colon or kind not in ("cell", "pattern", "ut"):
+        raise BadArgument(f"{target!r} is neither a file nor an fsa target")
+    if "k" not in made:
+        made["k"] = _resolve_k(ws, pres, group, args.k)
+    if kind == "pattern":
+        return red_x_mu(group, pres.parse_word(arg), made["k"])
+    if "part" not in made:
+        made["part"] = build_partition(group, made["k"])
+    part = made["part"]
+    if kind == "ut":
+        return u_t_fsa(part, tuple(sorted(pres.parse_word(arg))))
+    if arg not in part.languages:
+        raise BadArgument(f"unknown cell label {arg!r} in {target!r}; "
+                          f"labels are {', '.join(part.labels)}")
+    return part.languages[arg]
 
 
 def cmd_fsa(args) -> int:
     pres, group, ws = _context(args)
+    made: dict = {}
     if args.action == "build":
-        fsa = _build_target(args, pres, group, ws, args.target)
+        fsa = _build_target(args, pres, group, ws, args.target, made)
         name = args.target.replace(":", "_")
         path = ws.write_fsa(pres, name, fsa)
         print(f"wrote {path} ({fsa.n_states} states)")
         return 0
     if args.action == "stats":
-        fsa = _load_or_build(args, pres, group, ws, args.target)
+        fsa = _load_or_build(args, pres, group, ws, args.target, made)
         counts = count_words(fsa if fsa.deterministic else determinize(fsa),
                              args.radius)
         print(json.dumps({
@@ -238,17 +243,17 @@ def cmd_fsa(args) -> int:
     if args.other is None:
         raise BadArgument(f"fsa equiv needs a second automaton after "
                           f"{args.target!r}: a file or a target")
-    a = _load_or_build(args, pres, group, ws, args.target)
-    b = _load_or_build(args, pres, group, ws, args.other)
+    a = _load_or_build(args, pres, group, ws, args.target, made)
+    b = _load_or_build(args, pres, group, ws, args.other, made)
     same = are_equivalent(a, b)
     print(f"equivalent: {same}")
     return 0
 
 
-def _load_or_build(args, pres, group, ws, ref: str) -> FSA:
+def _load_or_build(args, pres, group, ws, ref: str, made: dict) -> FSA:
     path = Path(ref)
     if not path.is_file():
-        return _build_target(args, pres, group, ws, ref)
+        return _build_target(args, pres, group, ws, ref, made)
     try:
         return from_text(path.read_text())
     except (OSError, ValueError) as exc:
@@ -293,9 +298,8 @@ def cmd_verify(args) -> int:
     if args.oracle_length < 0:
         raise BadArgument(f"--oracle-length must be a nonnegative integer, "
                           f"got {args.oracle_length}")
-    k = _resolve_k(ws, pres, group, args.k)
-    part = build_partition(group, k)
     ball = group.ball(args.radius, cap=args.cap)
+    part = build_partition(group, _resolve_k(ws, pres, group, args.k))
     checks = []
     if args.suite in ("oracles", "all"):
         checks += [
@@ -334,9 +338,9 @@ def cmd_render(args) -> int:
     from .render import PALETTE, realize_polygon, render_svg, scene_for_partition
 
     pres, group, ws = _context(args)
+    ball = group.ball(args.radius, cap=args.cap)
     k = _resolve_k(ws, pres, group, args.k)
     part = build_partition(group, k)
-    ball = group.ball(args.radius, cap=args.cap)
     realization = realize_polygon(pres)
     if args.coloring == "twosided":
         labels = [part.classify(e) for e in ball.elements]
@@ -381,32 +385,32 @@ def _parser() -> argparse.ArgumentParser:
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, radius_default=10):
+    options = {
+        "workspace": dict(default="workspace"),
+        "radius": dict(type=int, default=10),
+        "trust-margin": dict(type=int, default=4),
+        "k": dict(default="auto", help="fellow-traveler constant or 'auto'"),
+        "cap": dict(type=int, default=2_000_000, help="most elements of a ball"),
+    }
+
+    def command(p, func, names="", **defaults):
+        """--group and the named options: only those the command reads."""
         p.add_argument("--group", required=True, help="group config JSON file")
-        p.add_argument("--workspace", default="workspace")
-        p.add_argument("--radius", type=int, default=radius_default)
-        p.add_argument("--trust-margin", type=int, default=4)
-        p.add_argument("--k", default="auto", help="fellow-traveler constant or 'auto'")
-        p.add_argument("--cap", type=int, default=2_000_000)
+        for name in names.split():
+            p.add_argument(f"--{name}", **options[name])
+        p.set_defaults(func=func, **defaults)
 
     g = sub.add_parser("group", help="inspect a group configuration")
     gsub = g.add_subparsers(dest="action", required=True)
-    gi = gsub.add_parser("info")
-    common(gi)
-    gi.set_defaults(func=cmd_group_info)
-
-    b = sub.add_parser("ball", help="compute and cache a metric ball")
-    common(b)
-    b.set_defaults(func=cmd_ball)
-
-    klp = sub.add_parser("kl", help="compute and cache Kazhdan-Lusztig data")
-    common(klp)
-    klp.set_defaults(func=cmd_kl)
+    command(gsub.add_parser("info"), cmd_group_info)
+    command(sub.add_parser("ball", help="compute and cache a metric ball"),
+            cmd_ball, "workspace radius cap")
+    command(sub.add_parser("kl", help="compute and cache Kazhdan-Lusztig data"),
+            cmd_kl, "workspace radius cap")
 
     c = sub.add_parser("cells", help="cell partitions")
     c.add_argument("mode", choices=["empirical", "conjectural", "compare"])
-    common(c, radius_default=12)
-    c.set_defaults(func=cmd_cells)
+    command(c, cmd_cells, "workspace radius trust-margin k cap", radius=12)
 
     f = sub.add_parser("fsa", help="build, inspect, compare automata")
     f.add_argument("action", choices=["build", "stats", "equiv"])
@@ -414,26 +418,22 @@ def _parser() -> argparse.ArgumentParser:
                                   "pattern:<word> | factor:<word> | "
                                   "descent:<letters> | ut:<letters> | file path")
     f.add_argument("other", nargs="?", help="second automaton for equiv")
-    common(f)
-    f.set_defaults(func=cmd_fsa)
+    command(f, cmd_fsa, "workspace radius k")
 
     o = sub.add_parser("onesided", help="one-sided cell specs at a level")
+    command(o, cmd_onesided, "workspace radius k", radius=12)
     o.add_argument("--level", type=int, required=True)
-    common(o, radius_default=12)
-    o.set_defaults(func=cmd_onesided)
 
     v = sub.add_parser("verify", help="oracle verification suites")
     v.add_argument("suite", choices=["all", "oracles", "kl"])
-    common(v)
+    command(v, cmd_verify, "workspace radius k cap")
     v.add_argument("--oracle-length", type=int, default=8)
-    v.set_defaults(func=cmd_verify)
 
     r = sub.add_parser("render", help="tessellation SVG")
-    common(r, radius_default=8)
+    command(r, cmd_render, "workspace radius k cap", radius=8)
     r.add_argument("--coloring", default="twosided")
     r.add_argument("--out", required=True)
     r.add_argument("--size", type=int, default=800)
-    r.set_defaults(func=cmd_render)
     return top
 
 

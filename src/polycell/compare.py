@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from .cells import ConjecturalPartition, OneSidedCellSpec
 from .kl import KLTable, cells as scc_cells, two_sided_cells, w_graph
-from .words import PolygonGroup
 
 
 @dataclass
@@ -80,16 +79,14 @@ def _restricted_agreement(mine: dict[int, int], theirs: dict[int, str],
 
 
 def empirical_vs_conjectural(
-    group: PolygonGroup,
     part: ConjecturalPartition,
-    radius: int,
+    table: KLTable,
     trust_margin: int = 4,
     specs: list[OneSidedCellSpec] | None = None,
-    table: KLTable | None = None,
 ) -> ComparisonReport:
-    ball = group.ball(radius)
-    if table is None:
-        table = KLTable(group, ball)
+    """Compare on the ball of `table`: its radius is the report's."""
+    group, ball = part.group, table.ball
+    radius = ball.radius
     left = scc_cells(w_graph(ball, "left", table))
     right = scc_cells(w_graph(ball, "right", table))
     joined = two_sided_cells(left, right)

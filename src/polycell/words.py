@@ -208,6 +208,8 @@ class PolygonGroup:
         layer by layer from the up-moves of the layer below (see the module
         docstring); no `nf` or `shortlex` call."""
         if radius in self._balls:
+            if len(self._balls[radius].elements) > cap:
+                raise ResourceLimit(f"ball exceeds cap {cap}")
             return self._balls[radius]
         trans, rdesc, rank = self.transitions, self.state_rdesc, self.rank
         words: list[Word] = [()]
@@ -275,6 +277,3 @@ class PolygonGroup:
             i = right_mult[i][t]
             s, t = t, s
         return i
-
-    def word_str(self, word) -> str:
-        return self.presentation.word_str(word)

@@ -93,10 +93,8 @@ def test_criterion_06_empirical_agreement(g237, part237, kl237):
     with criterion(6, "empirical cells equal conjectural labels to length 8"):
         start = time.perf_counter()
         specs = omega_minimal(part237, 3, radius=12, k=K_W237)
-        report = empirical_vs_conjectural(
-            g237, part237, radius=12, trust_margin=4,
-            specs=specs, table=kl237,
-        )
+        report = empirical_vs_conjectural(part237, kl237, trust_margin=4,
+                                          specs=specs)
         assert report.partition_equal
         assert report.agreement_ratio == 1.0
         assert report.purity_ratio == 1.0
@@ -108,7 +106,7 @@ def test_criterion_06_empirical_agreement(g237, part237, kl237):
 def test_criterion_06_empirical_agreement_w2224(g2224, part2224):
     with criterion(6, "w2224 empirical cells equal conjectural labels to length 6"):
         start = time.perf_counter()
-        report = empirical_vs_conjectural(g2224, part2224, radius=10,
+        report = empirical_vs_conjectural(part2224, KLTable(g2224, g2224.ball(10)),
                                           trust_margin=4)
         assert (report.element_count, report.trusted_count) == (3325, 257)
         assert report.partition_equal

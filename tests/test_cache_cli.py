@@ -102,7 +102,7 @@ def test_concurrent_meta_writes_stay_whole(tmp_path, w237):
 
 
 def test_cli_group_info(tmp_path, w237_config, capsys):
-    assert run(tmp_path, "group", "info", "--group", str(w237_config)) == 0
+    assert main(["group", "info", "--group", str(w237_config)]) == 0
     info = json.loads(capsys.readouterr().out)
     assert info["dihedral_longest_words"] == ["rt", "rsr", "stststs"]
     assert info["levels"] == [2, 3, 7]
@@ -181,7 +181,7 @@ def test_cli_missing_k_validation_is_exit_2(tmp_path, w237_config, capsys):
 
 
 def test_cli_failed_k_reports_constant(tmp_path, w237_config, capsys):
-    code = run(tmp_path, "fsa", "build", "canonical",
+    code = run(tmp_path, "fsa", "build", "pattern:rt",
                "--group", str(w237_config), "--k", "5")
     assert code == 2
     err = capsys.readouterr().err
@@ -190,7 +190,7 @@ def test_cli_failed_k_reports_constant(tmp_path, w237_config, capsys):
 
 
 def test_cli_explicit_k_leaves_auto_k(tmp_path, w237_config, capsys):
-    assert run(tmp_path, "fsa", "build", "canonical",
+    assert run(tmp_path, "fsa", "build", "pattern:rt",
                "--group", str(w237_config), "--k", "9") == 0
     assert run(tmp_path, "cells", "conjectural", "--group", str(w237_config),
                "--radius", "4", "--k", "auto") == 0
@@ -200,7 +200,7 @@ def test_cli_explicit_k_leaves_auto_k(tmp_path, w237_config, capsys):
 
 def test_cli_explicit_k_reads_stored_constant(tmp_path, w237_config, capsys,
                                               monkeypatch):
-    assert run(tmp_path, "fsa", "build", "canonical",
+    assert run(tmp_path, "fsa", "build", "pattern:rt",
                "--group", str(w237_config), "--k", "9") == 0
     meta = json.loads((tmp_path / "ws" / "w237" / "meta.json").read_text())
     assert meta["fellow_traveler"] == {"constant": 6, "radius": 10}
@@ -210,10 +210,10 @@ def test_cli_explicit_k_reads_stored_constant(tmp_path, w237_config, capsys,
         raise AssertionError("fellow_traveler_constant recomputed")
 
     monkeypatch.setattr("polycell.cli.fellow_traveler_constant", recompute)
-    assert run(tmp_path, "fsa", "build", "canonical",
+    assert run(tmp_path, "fsa", "build", "pattern:rt",
                "--group", str(w237_config), "--k", "7") == 0
     capsys.readouterr()
-    assert run(tmp_path, "fsa", "build", "canonical",
+    assert run(tmp_path, "fsa", "build", "pattern:rt",
                "--group", str(w237_config), "--k", "5") == 2
     assert "fellow-traveler constant at radius 10 is 6" in capsys.readouterr().err
 
@@ -295,12 +295,68 @@ def test_cli_unknown_letter_is_exit_2(tmp_path, w237_config, capsys):
 
 @pytest.mark.parametrize("k", ["foo", "0", "-3", "2.5"])
 def test_cli_bad_k_is_exit_2(tmp_path, w237_config, capsys, k):
-    code = run(tmp_path, "fsa", "build", "canonical",
+    code = run(tmp_path, "fsa", "build", "pattern:rt",
                "--group", str(w237_config), "--k", k)
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("error: BadArgument: --k must be a positive integer")
+
+
+@pytest.mark.parametrize("argv", [
+    ["kl", "--k", "2"],
+    ["group", "info", "--radius", "3"],
+    ["onesided", "--level", "2", "--cap", "10"],
+    ["render", "--out", "out.svg", "--trust-margin", "2"],
+    ["fsa", "build", "canonical", "--cap", "10"],
+], ids=["kl-k", "group-info-radius", "onesided-cap", "render-trust-margin", "fsa-cap"])
+def test_cli_rejects_an_option_the_command_does_not_read(tmp_path, w237_config, capsys,
+                                                         monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)  # so an accepted option writes no workspace here
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--group", str(w237_config)])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["cells", "empirical", "--radius", "4"],
+    ["fsa", "build", "canonical"],
+], ids=["cells-empirical", "fsa-canonical"])
+def test_cli_k_is_resolved_only_for_pair_machines(tmp_path, w237_config, capsys,
+                                                  monkeypatch, argv):
+    def resolve(*args):
+        raise AssertionError("k resolved for a command without pair machines")
+
+    monkeypatch.setattr("polycell.cli.choose_k", resolve)
+    monkeypatch.setattr("polycell.cli.fellow_traveler_constant", resolve)
+    assert run(tmp_path, *argv, "--group", str(w237_config), "--k", "2") == 0
+
+
+def test_cli_fsa_equiv_builds_the_partition_once(tmp_path, w237_config, capsys,
+                                                 monkeypatch):
+    from polycell import cli
+
+    built = []
+    build = cli.build_partition
+    monkeypatch.setattr(cli, "build_partition",
+                        lambda *args: built.append(args) or build(*args))
+    assert run(tmp_path, "fsa", "equiv", "cell:c0", "cell:c1",
+               "--group", str(w237_config), "--k", "6") == 0
+    assert "equivalent: False" in capsys.readouterr().out
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("argv, report", [
+    (["cells", "compare", "--radius", "8"], "compare.r8.json"),
+    (["verify", "oracles", "--radius", "10"], "verify.oracles.r10.json"),
+], ids=["cells-compare", "verify-oracles"])
+def test_cli_cap_bounds_the_ball_is_exit_2(tmp_path, w237_config, capsys, argv,
+                                           report):
+    assert run(tmp_path, *argv, "--group", str(w237_config), "--cap", "10") == 2
+    err = capsys.readouterr().err
+    assert err == "error: ResourceLimit: ball exceeds cap 10\n"
+    assert not (tmp_path / "ws" / "w237" / "reports" / report).exists()
 
 
 def test_cli_negative_radius_is_exit_2(tmp_path, w237_config, capsys):
@@ -328,7 +384,7 @@ def test_cli_negative_oracle_length_is_exit_2(tmp_path, w237_config, capsys):
 def test_cli_bad_config_is_exit_2(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"
     path.write_text(text)
-    assert run(tmp_path, "group", "info", "--group", str(path)) == 2
+    assert main(["group", "info", "--group", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert message in err

@@ -4,6 +4,7 @@ import pytest
 
 from polycell.compare import empirical_vs_conjectural
 from polycell.errors import ResourceLimit
+from polycell.kl import KLTable
 from polycell.oracle import (
     ClassicalKL,
     braid_closure,
@@ -86,7 +87,8 @@ def test_classical_kl_trivial_cases(w237, g237, kl237):
 
 
 def test_comparison_report_shape(g237, part237, kl237):
-    report = empirical_vs_conjectural(g237, part237, radius=8, trust_margin=4)
+    report = empirical_vs_conjectural(part237, KLTable(g237, g237.ball(8)),
+                                      trust_margin=4)
     assert report.group == "w237"
     assert report.trusted_count == sum(g237.ball(4).counts)
     assert 0.0 <= report.agreement_ratio <= 1.0
@@ -97,6 +99,6 @@ def test_comparison_report_shape(g237, part237, kl237):
 
 
 def test_comparison_report_deterministic(g237, part237):
-    a = empirical_vs_conjectural(g237, part237, radius=6, trust_margin=3)
-    b = empirical_vs_conjectural(g237, part237, radius=6, trust_margin=3)
+    a = empirical_vs_conjectural(part237, KLTable(g237, g237.ball(6)), trust_margin=3)
+    b = empirical_vs_conjectural(part237, KLTable(g237, g237.ball(6)), trust_margin=3)
     assert a.to_json() == b.to_json()

@@ -134,6 +134,12 @@ def test_ball_cap():
         g.ball(8, cap=10)
 
 
+def test_ball_cap_holds_for_a_cached_ball(g237):
+    g237.ball(8)
+    with pytest.raises(ResourceLimit):
+        g237.ball(8, cap=10)
+
+
 def test_elements_sorted_by_length_then_word(g2224):
     ball = g2224.ball(6)
     keys = [(e.length, e.word) for e in ball.elements]
