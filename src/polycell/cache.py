@@ -15,7 +15,12 @@ constant an explicit k is checked against (kept apart, so an explicit k
 never poses as the validated one) and the KL stamps; a group-hash or
 version mismatch drops it whole, a file of the wrong shape is
 `CorruptCache`, and a KL table is reused only while its stamp, which
-holds the table's sha256, matches the radius and the file.
+holds the table's sha256, matches the radius and the file; an artifact
+path that is not a file is `CorruptCache` too.  A KL table is written
+straight from the packed memo through the public `KLTable.records()`,
+which decodes each distinct polynomial once; `write_kl` formats each
+distinct polynomial once, and `read_kl` parses each distinct word and
+coefficient field once.
 Balls, automata and reports are rewritten on every run.  Each write goes
 through its own temp file and an atomic rename, so concurrent runs never
 read a torn file; two runs updating `meta.json` at once can lose one
@@ -24,6 +29,7 @@ update, which costs a recomputation, not an answer.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -34,7 +40,7 @@ from pathlib import Path
 from . import __version__
 from .errors import CorruptCache, UnknownGenerator
 from .fsa import FSA, to_text
-from .kl import KLTable, poly_coeff
+from .kl import KLTable
 from .presentation import CoxeterPresentation, config_dict
 from .words import ElementBall
 
@@ -49,7 +55,14 @@ def group_hash(pres: CoxeterPresentation) -> str:
     return hashlib.sha256(blob).hexdigest()[:16]
 
 
+def _require_file(path: Path) -> None:
+    """An artifact path that exists must be a regular file."""
+    if path.exists() and not path.is_file():
+        raise CorruptCache(f"{path}: not a file")
+
+
 def _atomic_write(path: Path, data: bytes) -> None:
+    _require_file(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(prefix=path.name + ".", suffix=".tmp",
                                dir=path.parent)
@@ -116,8 +129,9 @@ class Workspace:
     def is_fresh(self, pres, name: str, **params) -> bool:
         """The artifact's stamp holds these params and the sha256 of the
         file as it is now, so an edited or cut file is never fresh."""
-        have = self.read_meta(pres).get("artifacts", {}).get(name)
         path = self.group_dir(pres) / name
+        _require_file(path)
+        have = self.read_meta(pres).get("artifacts", {}).get(name)
         if have is None or not path.exists():
             return False
         return have == {**params, "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
@@ -162,25 +176,14 @@ class Workspace:
         return f"kl.r{radius}.tsv"
 
     def write_kl(self, pres, table: KLTable) -> Path:
-        table.fill()
         ball = table.ball
-        names, lengths = pres.names, ball.lengths
-        codes = ["".join(names[s] for s in e.word) or "-" for e in ball.elements]
-        lines = []
-        for v in range(len(ball.elements)):  # ball order is (length, word)
-            for w in table.upper(v):
-                r = table.r_idx(v, w)
-                p = table.p_idx(v, w)
-                n = lengths[w] - lengths[v]
-                lines.append("\t".join([
-                    codes[v],
-                    codes[w],
-                    ",".join(str(c) for c in r) or "0",
-                    ",".join(str(c) for c in p) or "0",
-                    str(poly_coeff(p, (n - 1) // 2) if n % 2 else 0),
-                ]))
-        data = ("\n".join(lines) + "\n").encode()
         path = self.group_dir(pres) / self.kl_name(ball.radius)
+        names = pres.names
+        codes = ["".join(names[s] for s in e.word) or "-" for e in ball.elements]
+        text = functools.cache(lambda poly: ",".join(map(str, poly)) or "0")
+        data = "".join(
+            f"{codes[v]}\t{codes[w]}\t{text(r)}\t{text(p)}\t{mu}\n"
+            for v, w, r, p, mu in table.records()).encode()
         _atomic_write(path, data)
         self.stamp(pres, self.kl_name(ball.radius), radius=ball.radius,
                    sha256=hashlib.sha256(data).hexdigest())
@@ -188,19 +191,15 @@ class Workspace:
 
     def read_kl(self, pres, radius: int) -> list[tuple]:
         path = self.group_dir(pres) / self.kl_name(radius)
+        word = functools.cache(lambda code: pres.parse_word("" if code == "-" else code))
+        poly = functools.cache(lambda field: tuple(map(int, field.split(","))))
         out = []
         try:
             for line in path.read_text().splitlines():
                 v, w, r, p, mu = line.split("\t")
-                out.append((
-                    pres.parse_word("" if v == "-" else v),
-                    pres.parse_word("" if w == "-" else w),
-                    tuple(int(c) for c in r.split(",")),
-                    tuple(int(c) for c in p.split(",")),
-                    int(mu),
-                ))
-        except (ValueError, UnknownGenerator) as exc:
-            raise CorruptCache(str(path)) from exc
+                out.append((word(v), word(w), poly(r), poly(p), int(mu)))
+        except (OSError, ValueError, UnknownGenerator) as exc:
+            raise CorruptCache(f"{path}: {exc}") from exc
         return out
 
     # --- automata ---------------------------------------------------------------

@@ -57,6 +57,8 @@ one-step recursion lives in oracle.py as an independent cross-check.
 
 from __future__ import annotations
 
+import functools
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import ResourceLimit
@@ -322,6 +324,28 @@ class KLTable:
             # longest v first, so every P_{x,w} that P_{v,w} sums is stored
             for v in reversed(_bits(self._extremal(w))):
                 self._p(v, w)
+
+    def records(self) -> Iterator[tuple[int, int, Poly, Poly, int]]:
+        """(v, w, R_{v,w}, P_{v,w}, mu(v, w)) for every Bruhat pair of the
+        ball, v ascending, then w ascending over upper(v).  A table holds
+        few distinct polynomials, so each distinct packed value is decoded
+        once and yielded as the same tuple.  Every length difference in
+        the ball is at most its radius, so one check of 3^radius stands for
+        r_idx's check on every pair."""
+        self.fill()
+        radius = self.ball.radius
+        if 3 ** radius >= _HALF:
+            raise ResourceLimit(
+                f"KL polynomials: R on ball({radius}) may carry a coefficient "
+                f"past the packed digit's 2^{_B - 1}")
+        decode = functools.cache(_unpack)
+        lengths = self._length
+        for v, above in enumerate(self._geq):
+            for w in _bits(above):
+                p = decode(self._p(v, w))
+                n = lengths[w] - lengths[v]
+                yield (v, w, decode(self._r(v, w)), p,
+                       poly_coeff(p, (n - 1) // 2) if n % 2 else 0)
 
 
 # --- W-graphs and cells -------------------------------------------------------

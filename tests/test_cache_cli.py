@@ -6,7 +6,7 @@ import pytest
 
 from polycell.cache import Workspace, group_hash
 from polycell.cli import main
-from polycell.errors import CorruptCache
+from polycell.errors import CorruptCache, ResourceLimit
 from polycell.fsa import from_text
 from polycell.kl import KLTable
 
@@ -49,6 +49,58 @@ def test_kl_roundtrip(tmp_path, w237, g237):
         assert table.mu_idx(vi, wi) == mu
 
 
+def _per_row_kl_bytes(pres, table):
+    # the per-row encoder `write_kl` replaced: every pair through r_idx,
+    # p_idx and mu_idx, each polynomial formatted where it occurs
+    table.fill()
+    names = pres.names
+    codes = ["".join(names[s] for s in e.word) or "-" for e in table.ball.elements]
+    lines = []
+    for v in range(len(table.ball.elements)):
+        for w in table.upper(v):
+            lines.append("\t".join([
+                codes[v],
+                codes[w],
+                ",".join(str(c) for c in table.r_idx(v, w)) or "0",
+                ",".join(str(c) for c in table.p_idx(v, w)) or "0",
+                str(table.mu_idx(v, w)),
+            ]))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("group, radius", [("w237", 8), ("w2224", 6)])
+def test_kl_table_bytes_match_per_row_encoder(tmp_path, request, group, radius):
+    pres = request.getfixturevalue(group)
+    g = request.getfixturevalue("g" + group[1:])
+    path = Workspace(tmp_path / "ws").write_kl(pres, KLTable(g, g.ball(radius)))
+    assert path.read_bytes() == _per_row_kl_bytes(pres, KLTable(g, g.ball(radius)))
+
+
+def test_records_hold_each_bruhat_pair_once_in_file_order(g2224):
+    table = KLTable(g2224, g2224.ball(5))
+    records = list(table.records())
+    n = len(table.ball)
+    assert [(v, w) for v, w, *_ in records] == [
+        (v, w) for v in range(n) for w in table.upper(v)]
+    assert len(records) == sum(len(table.lower(w)) for w in range(n))
+    for v, w, r, p, mu in records:
+        assert (r, p, mu) == (table.r_idx(v, w), table.p_idx(v, w), table.mu_idx(v, w))
+
+
+def test_kl_table_past_the_r_bound_writes_nothing(tmp_path, w237, g237, monkeypatch):
+    ws = Workspace(tmp_path / "ws")
+    table = KLTable(g237, g237.ball(4))
+    table.fill()  # with P stored, only the R bound can trip
+    monkeypatch.setattr("polycell.kl._HALF", 3 ** 4)
+    with pytest.raises(ResourceLimit, match="R on ball"):
+        ws.write_kl(w237, table)
+    assert not (ws.group_dir(w237) / ws.kl_name(4)).exists()
+    assert ws.kl_name(4) not in ws.read_meta(w237)["artifacts"]
+    monkeypatch.setattr("polycell.kl._HALF", 3 ** 4 + 1)
+    ws.write_kl(w237, table)  # radius 4 fits a digit of 3^4 + 1
+    assert ws.is_fresh(w237, ws.kl_name(4), radius=4)
+
+
 def test_fsa_roundtrip_bit_exact(tmp_path, w237, g237):
     from polycell.automata import canonical_fsa
 
@@ -76,6 +128,16 @@ def test_corrupt_meta_raises(tmp_path, w237):
     path.write_text("{not json")
     with pytest.raises(CorruptCache):
         ws.read_meta(w237)
+
+
+def test_write_kl_onto_a_directory_raises(tmp_path, w237, g237):
+    ws = Workspace(tmp_path / "ws")
+    path = ws.group_dir(w237) / ws.kl_name(2)
+    path.mkdir(parents=True)
+    with pytest.raises(CorruptCache, match="not a file"):
+        ws.write_kl(w237, KLTable(g237, g237.ball(2)))
+    assert path.is_dir()
+    assert list(path.parent.iterdir()) == [path]  # no temp file left
 
 
 def _store_k_repeatedly(root, w237, k):
@@ -142,6 +204,23 @@ def test_cli_kl_recomputes_a_cut_table(tmp_path, w237_config, capsys):
     assert run(tmp_path, "kl", "--group", str(w237_config), "--radius", "3") == 0
     assert capsys.readouterr().out == f"computed {kl_path}\n"
     assert kl_path.read_bytes() == original
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("kl.r3.tsv", ("kl", "--radius", "3")),
+    ("kl.r3.tsv", ("verify", "kl", "--radius", "3", "--oracle-length", "2")),
+    ("ball.r3.tsv", ("ball", "--radius", "3")),
+], ids=["kl", "verify-kl", "ball"])
+def test_cli_artifact_path_is_a_directory_is_exit_2(tmp_path, w237_config, capsys,
+                                                    name, argv):
+    path = tmp_path / "ws" / "w237" / name
+    path.mkdir(parents=True)
+    assert run(tmp_path, *argv, "--group", str(w237_config)) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: CorruptCache: ")
+    assert name in err
+    assert path.is_dir()
 
 
 def test_cli_fsa_build_stats_equiv(tmp_path, w237_config, capsys):

@@ -1,8 +1,9 @@
 """Main-path engines stay independent of the brute-force oracles: only
 `verify.py` may import `polycell.oracle`, to run the verification checks,
-and the command line loads it only for `verify`.  The benchmark's tracer
-finds every layer function it wraps.  Only `render` loads numpy, so the
-other commands start without it."""
+and the command line loads it only for `verify`.  The workspace reads KL
+data only through public `KLTable` methods.  The benchmark's tracer finds
+every layer function it wraps.  Only `render` loads numpy, so the other
+commands start without it."""
 
 import ast
 import importlib
@@ -38,6 +39,22 @@ def test_only_verify_imports_oracle():
         if path.name not in ("verify.py", "oracle.py")
         and _imports_oracle(ast.parse(path.read_text()))
     ]
+    assert offenders == []
+
+
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.endswith("__")
+
+
+def test_cache_reads_kl_only_through_public_names():
+    tree = ast.parse((PACKAGE / "cache.py").read_text())
+    offenders = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "kl":
+            offenders += [alias.name for alias in node.names if _private(alias.name)]
+        elif (isinstance(node, ast.Attribute) and _private(node.attr)
+              and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
+            offenders.append(f"{ast.unparse(node.value)}.{node.attr}")
     assert offenders == []
 
 
