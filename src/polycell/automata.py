@@ -45,6 +45,8 @@ from .fsa import (
 )
 from .words import Element, PolygonGroup, Word
 
+MAX_K = 64  # the largest k choose_k tries
+
 
 def canonical_fsa(group: PolygonGroup) -> FSA:
     """DFA for all reduced words; every state accepting."""
@@ -288,7 +290,7 @@ def fellow_traveler_constant(group: PolygonGroup, radius: int) -> int:
     return worst
 
 
-def choose_k(group: PolygonGroup, radius: int = 10, max_k: int = 64) -> int:
+def choose_k(group: PolygonGroup, radius: int = 10) -> int:
     """Smallest k at least the fellow-traveler constant of the ball for which
     every dihedral pattern language is stable against k+1."""
     from .cells import dihedral_data
@@ -296,10 +298,10 @@ def choose_k(group: PolygonGroup, radius: int = 10, max_k: int = 64) -> int:
     data = dihedral_data(group.presentation)
     patterns = [entry.longest_word for entry in data.entries]
     constant = fellow_traveler_constant(group, radius)
-    for k in range(max(1, constant), max_k + 1):
+    for k in range(max(1, constant), MAX_K + 1):
         if all(are_equivalent(red_x_mu(group, p, k), red_x_mu(group, p, k + 1))
                for p in patterns):
             return k
     raise KNotValidated(
-        f"no k <= {max_k} leaves the pattern languages stable; "
+        f"no k <= {MAX_K} leaves the pattern languages stable; "
         f"fellow-traveler constant at radius {radius} is {constant}")

@@ -32,9 +32,11 @@ from .cells import (
 from .compare import empirical_vs_conjectural
 from .errors import BadArgument, KNotValidated, PolycellError, VerificationDisagreement
 from .fsa import FSA, are_equivalent, count_words, determinize, from_text, intersect
-from .kl import KLTable
+from .kl import KLTable, empirical_cells
 from .presentation import load_presentation
 from .words import PolygonGroup
+
+VALIDATION_RADIUS = 10  # the ball a k is validated on
 
 
 def _context(args):
@@ -44,13 +46,13 @@ def _context(args):
     return pres, PolygonGroup(pres), Workspace(args.workspace)
 
 
-def _resolve_k(ws: Workspace, pres, group, k_arg: str, validation_radius: int = 10) -> int:
+def _resolve_k(ws: Workspace, pres, group, k_arg: str) -> int:
     cached = ws.validated_k(pres)
     if k_arg == "auto":
-        if cached and cached["radius"] >= validation_radius:
+        if cached and cached["radius"] >= VALIDATION_RADIUS:
             return cached["k"]
-        k = choose_k(group, radius=validation_radius)
-        ws.store_validated_k(pres, k, validation_radius)
+        k = choose_k(group, radius=VALIDATION_RADIUS)
+        ws.store_validated_k(pres, k, VALIDATION_RADIUS)
         return k
     try:
         k = int(k_arg)
@@ -58,18 +60,18 @@ def _resolve_k(ws: Workspace, pres, group, k_arg: str, validation_radius: int = 
         k = 0
     if k < 1:
         raise BadArgument(f"--k must be a positive integer or 'auto', got {k_arg!r}")
-    if cached and cached["k"] <= k and cached["radius"] >= validation_radius:
+    if cached and cached["k"] <= k and cached["radius"] >= VALIDATION_RADIUS:
         return k
     # only choose_k's answer is stored as validated_k: a stored explicit k
     # would become what --k auto returns
-    constant = ws.fellow_traveler(pres, validation_radius)
+    constant = ws.fellow_traveler(pres, VALIDATION_RADIUS)
     if constant is None:
-        constant = fellow_traveler_constant(group, validation_radius)
-        ws.store_fellow_traveler(pres, constant, validation_radius)
+        constant = fellow_traveler_constant(group, VALIDATION_RADIUS)
+        ws.store_fellow_traveler(pres, constant, VALIDATION_RADIUS)
     if constant > k:
         raise KNotValidated(
             f"k={k} fails fellow-traveler validation; fellow-traveler constant "
-            f"at radius {validation_radius} is {constant}"
+            f"at radius {VALIDATION_RADIUS} is {constant}"
         )
     return k
 
@@ -157,22 +159,17 @@ def cmd_cells(args) -> int:
         print(f"wrote {path}")
         return 0
     if args.mode == "empirical":
-        from .kl import cells as scc_cells, two_sided_cells, w_graph
-
         ball = group.ball(args.radius, cap=args.cap)
-        table = KLTable(group, ball)
-        left = scc_cells(w_graph(ball, "left", table))
-        right = scc_cells(w_graph(ball, "right", table))
-        joined = two_sided_cells(left, right)
+        left, right, two_sided = empirical_cells(KLTable(group, ball))
         report = {
             "group": pres.label,
             "radius": args.radius,
             "left_cells": len(left),
             "right_cells": len(right),
-            "two_sided_cells": len(joined),
+            "two_sided_cells": len(two_sided),
             "cells": [
                 [pres.word_str(ball.elements[i].word) for i in comp]
-                for comp in joined
+                for comp in two_sided
             ],
         }
         path = ws.write_report(pres, f"empirical.r{args.radius}.json",
@@ -334,6 +331,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
+    if args.size < 1:
+        raise BadArgument(f"--size must be a positive integer, got {args.size}")
     # render needs numpy; loaded here so that no other command pays for it
     from .render import PALETTE, realize_polygon, render_svg, scene_for_partition
 

@@ -1,21 +1,22 @@
 """Alignment of truncated empirical cells with the conjectural partition.
 
-Empirical cells come from strongly connected components of W-graphs built
-over a finite ball, so elements near the boundary may sit in fragments of
-their true cell.  The comparison therefore fixes a trust margin: only
-elements of length <= radius - margin are judged, and for those the
-restricted empirical two-sided partition is required to coincide with the
-restriction of the conjectural label partition.  Right cells are compared
-against the one-sided specs the same way.
+Empirical cells are `kl.empirical_cells` of a table over a finite ball:
+two-sided cells are the strongly connected components under <=_LR, of the
+left and right W-graphs' edges together.  Elements near the boundary may
+sit in fragments of their true cell, so the comparison fixes a trust
+margin: only elements of length <= radius - margin are judged, and for
+those the restricted empirical two-sided partition is required to coincide
+with the restriction of the conjectural label partition.  Right cells are
+compared against the one-sided specs the same way.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .cells import ConjecturalPartition, OneSidedCellSpec
-from .kl import KLTable, cells as scc_cells, two_sided_cells, w_graph
+from .kl import KLTable, empirical_cells
 
 
 @dataclass
@@ -34,21 +35,7 @@ class ComparisonReport:
     right_cell_agreement: dict
 
     def to_json(self) -> str:
-        payload = {
-            "group": self.group,
-            "radius": self.radius,
-            "trust_margin": self.trust_margin,
-            "k": self.k,
-            "element_count": self.element_count,
-            "trusted_count": self.trusted_count,
-            "agreement_ratio": self.agreement_ratio,
-            "partition_equal": self.partition_equal,
-            "purity_ratio": self.purity_ratio,
-            "disagreements": self.disagreements,
-            "boundary_flagged": self.boundary_flagged,
-            "right_cell_agreement": self.right_cell_agreement,
-        }
-        return json.dumps(payload, indent=2) + "\n"
+        return json.dumps(asdict(self), indent=2) + "\n"
 
 
 def _partition_map(parts: list[list[int]]) -> dict[int, int]:
@@ -87,10 +74,8 @@ def empirical_vs_conjectural(
     """Compare on the ball of `table`: its radius is the report's."""
     group, ball = part.group, table.ball
     radius = ball.radius
-    left = scc_cells(w_graph(ball, "left", table))
-    right = scc_cells(w_graph(ball, "right", table))
-    joined = two_sided_cells(left, right)
-    emp = _partition_map(joined)
+    _, right, two_sided = empirical_cells(table)
+    emp = _partition_map(two_sided)
     emp_right = _partition_map(right)
 
     conj = {i: part.classify(e) for i, e in enumerate(ball.elements)}

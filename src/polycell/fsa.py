@@ -102,7 +102,8 @@ def _check_alphabet(a: FSA, b: FSA) -> None:
         raise AlphabetMismatch(f"{a.alphabet} vs {b.alphabet}")
 
 
-def determinize(fsa: FSA, cap: int = STATE_CAP) -> FSA:
+def determinize(fsa: FSA) -> FSA:
+    """Subset construction of the states reachable from the initial one."""
     start = _eps_closure(fsa, {fsa.initial})
     ids: dict[frozenset[int], int] = {start: 0}
     order = [start]
@@ -124,13 +125,14 @@ def determinize(fsa: FSA, cap: int = STATE_CAP) -> FSA:
             j = ids.get(key)
             if j is None:
                 j = len(order)
-                if j >= cap:
-                    raise StateBlowup(f"determinization exceeds {cap} states")
+                if j >= STATE_CAP:
+                    raise StateBlowup(
+                        f"determinization exceeds {STATE_CAP} states")
                 ids[key] = j
                 order.append(key)
             delta[(i, s)] = j
         i += 1
-    return trim_fsa(make_dfa(fsa.alphabet, len(order), 0, accepting, delta))
+    return make_dfa(fsa.alphabet, len(order), 0, accepting, delta)
 
 
 def trim_fsa(fsa: FSA) -> FSA:
@@ -190,11 +192,13 @@ def trim_fsa(fsa: FSA) -> FSA:
     )
 
 
-def minimize(fsa: FSA, cap: int = STATE_CAP) -> FSA:
-    """Unique minimal DFA via partition refinement (dead state implicit)."""
+def minimize(fsa: FSA) -> FSA:
+    """Unique minimal DFA via partition refinement (dead state implicit).
+    No trim is needed: refinement puts every state with an empty future in
+    the dead class, and the numbering reaches only states from the initial
+    one, skipping that class."""
     if not fsa.deterministic or fsa.eps:
-        fsa = determinize(fsa, cap)
-    fsa = trim_fsa(fsa)
+        fsa = determinize(fsa)
     if fsa.n_states == 0 or not fsa.accepting:
         return empty_language(fsa.alphabet)
     n = fsa.n_states

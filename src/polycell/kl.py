@@ -53,6 +53,12 @@ sides, and the edge rule draws an edge of one side's W-graph only between
 different descent sets of that side, so each W-graph asks for mu on a far
 pair only when D(v) strictly contains D(w) on its side.  The classical
 one-step recursion lives in oracle.py as an independent cross-check.
+
+Cells are strongly connected components (Kazhdan-Lusztig 1979, section 1):
+left cells of the left W-graph, right cells of the right one, and
+two-sided cells of both graphs' edges together, the SCCs under <=_LR, the
+preorder generated by <=_L and <=_R.  Every edge over a ball is exact, so
+each cell found there lies inside one cell of the group.
 """
 
 from __future__ import annotations
@@ -353,28 +359,30 @@ class KLTable:
 
 @dataclass
 class WGraph:
-    side: str
     n: int
     edges: dict[int, list[int]]
 
 
-def w_graph(ball: ElementBall, side: str, table: KLTable) -> WGraph:
+def w_graph(table: KLTable, side: str) -> WGraph:
+    """Edges a -> b between mu-linked elements whose descent sets on `side`
+    have D(a) not inside D(b)."""
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    edges: dict[int, list[int]] = {i: [] for i in range(len(ball.elements))}
-    desc = [e.left if side == "left" else e.right for e in ball.elements]
-    for b in range(len(ball.elements)):
+    desc = table._ldesc if side == "left" else table._rdesc
+    n = len(desc)
+    edges: dict[int, list[int]] = {i: [] for i in range(n)}
+    for b in range(n):
         for a in table.mu_below(b, side):
-            if not desc[a] <= desc[b]:
+            if desc[a] & ~desc[b]:
                 edges[a].append(b)
-            if not desc[b] <= desc[a]:
+            if desc[b] & ~desc[a]:
                 edges[b].append(a)
-    return WGraph(side=side, n=len(ball.elements), edges=edges)
+    return WGraph(n=n, edges=edges)
 
 
 def strongly_connected_components(n: int, edges: dict[int, list[int]]) -> list[list[int]]:
-    """Iterative Tarjan; components listed with sorted members, sorted by
-    smallest member."""
+    """Iterative Tarjan over vertices 0..n-1, each a key of edges; components
+    listed with sorted members, sorted by smallest member."""
     index = [-1] * n
     low = [0] * n
     on_stack = [False] * n
@@ -393,8 +401,9 @@ def strongly_connected_components(n: int, edges: dict[int, list[int]]) -> list[l
                 stack.append(v)
                 on_stack[v] = True
             advanced = False
-            for i in range(pi, len(edges.get(v, ()))):
-                w = edges[v][i]
+            out = edges[v]
+            for i in range(pi, len(out)):
+                w = out[i]
                 if index[w] == -1:
                     work[-1] = (v, i + 1)
                     work.append((w, 0))
@@ -420,31 +429,15 @@ def strongly_connected_components(n: int, edges: dict[int, list[int]]) -> list[l
     return sorted(comps, key=lambda c: c[0])
 
 
-def cells(graph: WGraph) -> list[list[int]]:
-    return strongly_connected_components(graph.n, graph.edges)
-
-
-def two_sided_cells(left: list[list[int]], right: list[list[int]]) -> list[list[int]]:
-    """Join of the two partitions by union-find."""
-    n = sum(len(c) for c in left)
-    parent = list(range(n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def unite(a: int, b: int) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for part in (left, right):
-        for comp in part:
-            for x in comp[1:]:
-                unite(comp[0], x)
-    groups: dict[int, list[int]] = {}
-    for x in range(n):
-        groups.setdefault(find(x), []).append(x)
-    return sorted((sorted(g) for g in groups.values()), key=lambda c: c[0])
+def empirical_cells(table: KLTable) -> tuple[list[list[int]], list[list[int]],
+                                             list[list[int]]]:
+    """(left, right, two-sided) cells of the table's ball: the strongly
+    connected components of the left W-graph, of the right one, and of both
+    graphs' edges together, since <=_LR is the preorder generated by <=_L
+    and <=_R."""
+    left, right = w_graph(table, "left"), w_graph(table, "right")
+    n = left.n
+    both = {v: left.edges[v] + right.edges[v] for v in range(n)}
+    return (strongly_connected_components(n, left.edges),
+            strongly_connected_components(n, right.edges),
+            strongly_connected_components(n, both))

@@ -22,6 +22,7 @@ from .presentation import INFINITY, CoxeterPresentation
 from .words import ElementBall
 
 J = np.diag([1.0, 1.0, -1.0])
+_CUTOFF = 0.9995  # disk radius that tile vertices are clipped to
 
 PALETTE = {
     "cid": "#ffffff",
@@ -120,7 +121,7 @@ def _triangle_vertices(angles: list[float]) -> list[np.ndarray]:
     return v[-shift:] + v[:-shift] if shift else v
 
 
-def _fan_vertices(angles: list[float], max_iter: int = 200) -> list[np.ndarray]:
+def _fan_vertices(angles: list[float]) -> list[np.ndarray]:
     """n >= 4: vertices on rays at equal central angles, radii solved by a
     damped Newton iteration so interior angles hit their targets."""
     n = len(angles)
@@ -148,7 +149,7 @@ def _fan_vertices(angles: list[float], max_iter: int = 200) -> list[np.ndarray]:
 
     rho = np.full(len(free), 1.0)
     lam = 1.0
-    for _ in range(max_iter):
+    for _ in range(200):
         r = residual(rho)
         if np.max(np.abs(r)) < 1e-13:
             return build(rho)
@@ -244,7 +245,6 @@ class Scene:
     coloring: list[str]               # color key per tile
     palette: dict[str, str]
     size: int = 800
-    cutoff: float = 0.9995
 
 
 def color_for(palette: dict[str, str], key: str) -> str:
@@ -262,11 +262,12 @@ def _project(v: np.ndarray) -> tuple[float, float]:
     return v[0] / (1.0 + v[2]), v[1] / (1.0 + v[2])
 
 
-def _clip(p: tuple[float, float], cutoff: float) -> tuple[float, float]:
+def _clip(p: tuple[float, float]) -> tuple[float, float]:
+    """p pulled inside the radius _CUTOFF."""
     r = math.hypot(*p)
-    if r <= cutoff:
+    if r <= _CUTOFF:
         return p
-    return p[0] * cutoff / r, p[1] * cutoff / r
+    return p[0] * _CUTOFF / r, p[1] * _CUTOFF / r
 
 
 def _arc_path(points: list[tuple[float, float]], size: int) -> str:
@@ -313,7 +314,7 @@ def render_svg(scene: Scene) -> bytes:
     for mat, key in zip(scene.tiles, scene.coloring):
         pts = []
         for v in scene.realization.vertices:
-            pts.append(_clip(_project(mat @ v), scene.cutoff))
+            pts.append(_clip(_project(mat @ v)))
         path = _arc_path(pts, size)
         fill = color_for(scene.palette, key)
         lines.append(

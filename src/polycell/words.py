@@ -70,10 +70,10 @@ class ElementBall:
 class PolygonGroup:
     """Word-problem engine for one polygon presentation."""
 
-    def __init__(self, presentation: CoxeterPresentation, root_cap: int = 100000):
+    def __init__(self, presentation: CoxeterPresentation):
         self.presentation = presentation
         self.rank = presentation.rank
-        self.table: SmallRootTable = compute_small_roots(presentation, cap=root_cap)
+        self.table: SmallRootTable = compute_small_roots(presentation)
         self._build_transitions()
         self.identity = Element((), frozenset(), frozenset())
         self._balls: dict[int, ElementBall] = {}

@@ -353,6 +353,16 @@ def test_cli_non_integer_coloring_level_is_exit_2(tmp_path, w237_config, capsys)
     _assert_bad_argument(code, capsys, "needs an integer level, got 'onesided:x'")
 
 
+@pytest.mark.parametrize("size", ["-5", "0"])
+def test_cli_render_size_below_1_is_exit_2(tmp_path, w237_config, capsys, size):
+    out = tmp_path / "out.svg"
+    code = run(tmp_path, "render", "--size", size, "--out", str(out),
+               "--group", str(w237_config), "--radius", "2")
+    _assert_bad_argument(code, capsys, f"--size must be a positive integer, got {size}")
+    assert not out.exists()
+    assert not (tmp_path / "ws").exists()
+
+
 @pytest.mark.parametrize("margin", ["-3", "9"])
 def test_cli_trust_margin_outside_radius_is_exit_2(tmp_path, w237_config, capsys,
                                                    margin):

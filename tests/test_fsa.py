@@ -24,6 +24,7 @@ from polycell.fsa import (
     reverse_fsa,
     symmetric_difference,
     to_text,
+    trim_fsa,
     union,
 )
 
@@ -154,6 +155,17 @@ def test_minimize_drops_unreachable():
     a = make_dfa(AB, 3, 0, {1}, delta)
     m = minimize(a)
     assert m.n_states == 2
+
+
+def test_minimize_needs_no_trim():
+    # state 2 is unreachable and state 3 dead: no accepting state lies ahead
+    delta = {(0, 0): 1, (0, 1): 3, (1, 1): 0, (2, 0): 1, (3, 0): 3}
+    a = make_dfa(AB, 4, 0, {1}, delta)
+    assert to_text(minimize(a)) == to_text(minimize(trim_fsa(a)))
+    assert minimize(a).n_states == 2
+    # the accepting state is unreachable, so the initial one has no future
+    b = make_dfa(AB, 3, 0, {2}, {(0, 0): 1, (1, 1): 0, (2, 0): 2})
+    assert to_text(minimize(b)) == to_text(empty_language(AB))
 
 
 def test_reverse_language():

@@ -5,8 +5,8 @@ from polycell.errors import ResourceLimit
 from polycell.field import _poly_mul_into
 from polycell.kl import (
     KLTable,
+    empirical_cells,
     strongly_connected_components,
-    two_sided_cells,
     w_graph,
 )
 
@@ -273,7 +273,7 @@ def test_mu_only_w_graph_matches_full_scan(request, group, radius):
     ball = g.ball(radius)
     scan = request.getfixturevalue("kl237") if group == "g237" else KLTable(g, ball)
     for side in ("left", "right"):
-        graph = w_graph(ball, side, KLTable(g, ball))
+        graph = w_graph(KLTable(g, ball), side)
         assert graph.edges == _full_scan_w_graph(ball, side, scan)
 
 
@@ -294,7 +294,7 @@ def test_side_filter_drops_only_far_pairs_with_equal_descents(request, group, ra
 def test_w_graph_singleton(g237):
     ball = g237.ball(0)
     table = KLTable(g237, ball)
-    graph = w_graph(ball, "left", table)
+    graph = w_graph(table, "left")
     assert graph.edges == {0: []}
 
 
@@ -302,11 +302,11 @@ def test_w_graph_dihedral_edge_directions(g237, kl237):
     ball = kl237.ball
     s = ball.index[(1,)]
     st = ball.index[(1, 2)]
-    gl = w_graph(ball, "left", kl237)
+    gl = w_graph(kl237, "left")
     # descents: L(s) = {s}, L(st) = {s}; mu = 1, containment both ways fails
     # only where the descent sets are not nested
     assert (st in gl.edges[s]) == (not ball.elements[s].left <= ball.elements[st].left)
-    gr = w_graph(ball, "right", kl237)
+    gr = w_graph(kl237, "right")
     assert (st in gr.edges[s]) == (not ball.elements[s].right <= ball.elements[st].right)
 
 
@@ -325,15 +325,58 @@ def test_scc_invariant_under_relabeling():
     assert as_sets(other) == {frozenset(perm[v] for v in c) for c in base}
 
 
-def test_two_sided_join_properties():
-    singles = [[0], [1], [2], [3]]
-    assert two_sided_cells(singles, singles) == singles
-    left = [[0, 1], [2], [3]]
-    right = [[0], [1, 2], [3]]
-    joined = two_sided_cells(left, right)
-    assert joined == [[0, 1, 2], [3]]
-    assert two_sided_cells(right, left) == joined
-    # both inputs refine the join
+def _join(left, right):
+    """The join of two partitions by union-find: the classes of the
+    equivalence generated by lying in one left or one right cell, which can
+    be finer than the cells under <=_LR."""
+    n = sum(len(c) for c in left)
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
     for part in (left, right):
         for comp in part:
-            assert any(set(comp) <= set(j) for j in joined)
+            for x in comp[1:]:
+                ra, rb = find(comp[0]), find(x)
+                if ra != rb:
+                    parent[max(ra, rb)] = min(ra, rb)
+    groups = {}
+    for x in range(n):
+        groups.setdefault(find(x), []).append(x)
+    return sorted((sorted(g) for g in groups.values()), key=lambda c: c[0])
+
+
+def _refines(fine, coarse):
+    return all(any(set(comp) <= set(c) for c in coarse) for comp in fine)
+
+
+@pytest.mark.parametrize("group, radius", [("g237", 12), ("g2224", 8)])
+def test_two_sided_cells_equal_the_join_where_it_is_closed(request, group, radius):
+    g = request.getfixturevalue(group)
+    left, right, two_sided = empirical_cells(KLTable(g, g.ball(radius)))
+    assert two_sided == _join(left, right)
+    # every left cell and every right cell lies inside one two-sided cell
+    assert _refines(left, two_sided) and _refines(right, two_sided)
+
+
+def test_two_sided_cells_are_sccs_under_lr(g237):
+    """At w237 ball(16), <=_LR puts a c2 fragment starting at length 15 in
+    the cell of rsr, which the join of left and right cells keeps apart."""
+    ball = g237.ball(16)
+    left, right, two_sided = empirical_cells(KLTable(g237, ball))
+    joined = _join(left, right)
+    assert (len(two_sided), len(joined)) == (10, 11)
+    assert _refines(left, two_sided) and _refines(right, two_sided)
+    assert _refines(joined, two_sided)
+    parse = g237.presentation.parse_word
+    fragment = {ball.index[parse(w)] for w in (
+        "rtstsrtsrtstsrt", "rtstsrtsrtstsrts", "srtstsrtsrtstsrt")}
+    rsr = ball.index[parse("rsr")]
+    cell = next(set(c) for c in two_sided if rsr in c)
+    assert fragment < cell and len(cell) == 277 + 3
+    assert fragment in [set(c) for c in joined]
+    assert len(next(c for c in joined if rsr in c)) == 277

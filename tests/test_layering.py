@@ -1,9 +1,9 @@
 """Main-path engines stay independent of the brute-force oracles: only
 `verify.py` may import `polycell.oracle`, to run the verification checks,
 and the command line loads it only for `verify`.  The workspace reads KL
-data only through public `KLTable` methods.  The benchmark's tracer finds
-every layer function it wraps.  Only `render` loads numpy, so the other
-commands start without it."""
+data only through public `KLTable` methods, and every cell comes from
+`kl.empirical_cells`.  The benchmark's tracer finds every layer function it
+wraps.  Only `render` loads numpy, so the other commands start without it."""
 
 import ast
 import importlib
@@ -55,6 +55,23 @@ def test_cache_reads_kl_only_through_public_names():
         elif (isinstance(node, ast.Attribute) and _private(node.attr)
               and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
             offenders.append(f"{ast.unparse(node.value)}.{node.attr}")
+    assert offenders == []
+
+
+def test_only_kl_builds_cells():
+    """W-graphs and their strongly connected components are built in kl.py
+    alone; every other module takes its cells from `empirical_cells`."""
+    names = {"w_graph", "strongly_connected_components"}
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "kl.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            found = (node.id if isinstance(node, ast.Name)
+                     else node.attr if isinstance(node, ast.Attribute)
+                     else node.name if isinstance(node, ast.alias) else None)
+            if found in names:
+                offenders.append(f"{path.name}: {found}")
     assert offenders == []
 
 
