@@ -17,7 +17,9 @@ built and the machine is already the projection to alpha from which
 pattern saturation (red_x_mu) and left translation follow.  Once one word
 has finished, the difference is the element the other word still has to
 spell; both words are reduced, so the machine takes only pad moves that
-shorten the difference.
+shorten the difference.  Each state records its moves as it is interned,
+and one backward pass from the accepting states then keeps only the states
+on an accepting run, so the machine comes out trimmed.
 
 The offset is only ever the identity (saturation) or a generator (one step
 of translation).  Left translation by a longer w composes one-generator
@@ -37,6 +39,7 @@ from .fsa import (
     FSA,
     are_equivalent,
     count_words,
+    empty_language,
     intersect,
     make_dfa,
     minimize,
@@ -141,14 +144,23 @@ def equal_endpoint_pairs(group: PolygonGroup, B: FSA, offset: Element,
     reduced.  Pad moves that do not shorten the difference are therefore
     never on an accepting run and are not taken; only moves of both words
     need the radius test.  A B accepting a non-reduced word would lose the
-    pairs that pad through it."""
+    pairs that pad through it.
+
+    The machine is trimmed as it is built: every interned state is reached
+    from the start, and a backward pass over the recorded predecessors from
+    the accepting states marks the live ones, which keep their order of
+    interning."""
     radius = k + offset.length
     # the intermediate d*y may overshoot by one before x pulls it back
     ball = group.ball(radius + 1)
     right_mult, left_mult, lengths = ball.right_mult, ball.left_mult, ball.lengths
-    canon = group.transitions
     b_delta, b_acc = B.transitions, B.accepting
     gens = range(group.rank)
+    # each side's (letter, target) moves, listed once per state
+    canon = [[(x, t) for x, t in enumerate(row) if t is not None]
+             for row in group.transitions]
+    b_moves = [[(y, t[0]) for y in gens if (t := b_delta.get((q, y)))]
+               for q in range(B.n_states)]
     # state = (canonical state, B state, difference index, mode); mode 0 =
     # both words running, 1 = beta finished (so its B state accepts), 2 =
     # alpha finished.  Every canonical state accepts, and ball index 0 is
@@ -156,56 +168,82 @@ def equal_endpoint_pairs(group: PolygonGroup, B: FSA, offset: Element,
     start = (0, B.initial, ball.index[offset.word], 0)
     ids = {start: 0}
     order = [start]
-    # target lists; trim_fsa hands them back as tuples
-    transitions: dict[tuple[int, int], list[int]] = {}
-    eps: dict[int, list[int]] = {}
-    accepting: set[int] = set()
+    # each state's moves, (letter or -1 = epsilon, target key)
+    moves_of: list[list[tuple[int, tuple]]] = []
+    preds: list[list[int]] = [[]]
+    accepting: list[int] = []
     i = 0
     while i < len(order):
         qa, qb, d, mode = order[i]
         qb_acc = qb in b_acc
         if d == 0 and qb_acc:
-            accepting.add(i)
-        moves: list[tuple[int | None, tuple]] = []  # letter None = epsilon
+            accepting.append(i)
+        ld = lengths[d]
+        dy = right_mult[d]  # d * y, by y
+        moves: list[tuple[int, tuple]] = []
         if mode != 2:
-            for x in gens:
-                ta = canon[qa][x]
-                if ta is None:
-                    continue
-                if mode == 0:
-                    for y in gens:
-                        tb = b_delta.get((qb, y))
-                        if tb is None:
-                            continue
-                        nd = left_mult[right_mult[d][y]][x]
-                        if nd is not None and lengths[nd] <= radius:
-                            moves.append((x, (ta, tb[0], nd, 0)))
-                if qb_acc:
-                    nd = left_mult[d][x]
-                    if lengths[nd] < lengths[d]:
+            both = b_moves[qb] if mode == 0 else ()
+            pad = left_mult[d] if qb_acc else None
+            for x, ta in canon[qa]:
+                for y, tb in both:
+                    nd = left_mult[dy[y]][x]
+                    if nd is not None and lengths[nd] <= radius:
+                        moves.append((x, (ta, tb, nd, 0)))
+                if pad is not None:
+                    nd = pad[x]
+                    if lengths[nd] < ld:
                         moves.append((x, (ta, qb, nd, 1)))
         if mode != 1:
-            for y in gens:
-                tb = b_delta.get((qb, y))
-                if tb is None:
-                    continue
-                nd = right_mult[d][y]
-                if lengths[nd] < lengths[d]:
-                    moves.append((None, (qa, tb[0], nd, 2)))
-        for x, key in moves:
+            for y, tb in b_moves[qb]:
+                nd = dy[y]
+                if lengths[nd] < ld:
+                    moves.append((-1, (qa, tb, nd, 2)))
+        for _, key in moves:
             j = ids.get(key)
             if j is None:
-                j = len(order)
-                ids[key] = j
+                ids[key] = len(order)
                 order.append(key)
-            if x is None:
-                eps.setdefault(i, []).append(j)
+                preds.append([i])
             else:
-                transitions.setdefault((i, x), []).append(j)
+                preds[j].append(i)
+        moves_of.append(moves)
         i += 1
-    out = FSA(group.presentation.names, len(order), 0, frozenset(accepting),
-              transitions, eps=eps)
-    return trim_fsa(out)
+    # trim: every state is reachable, so the live ones are those from which
+    # an accepting state is reached; one backward pass marks them
+    live = [False] * len(order)
+    for q in accepting:
+        live[q] = True
+    stack = list(accepting)
+    while stack:
+        for p in preds[stack.pop()]:
+            if not live[p]:
+                live[p] = True
+                stack.append(p)
+    names = group.presentation.names
+    if not live[0]:
+        return empty_language(names)
+    remap = [0] * len(order)
+    n = 0
+    for q, alive in enumerate(live):
+        if alive:
+            remap[q] = n
+            n += 1
+    transitions: dict[tuple[int, int], list[int]] = {}
+    eps: dict[int, list[int]] = {}
+    for q, moves in enumerate(moves_of):
+        if not live[q]:
+            continue
+        rq = remap[q]
+        for x, key in moves:
+            j = ids[key]
+            if live[j]:
+                if x < 0:
+                    eps.setdefault(rq, []).append(remap[j])
+                else:
+                    transitions.setdefault((rq, x), []).append(remap[j])
+    return FSA(names, n, 0, frozenset(remap[q] for q in accepting),
+               {key: tuple(ts) for key, ts in transitions.items()},
+               eps={q: tuple(ts) for q, ts in eps.items()})
 
 
 # pattern machines by group, then by (pattern, k): choose_k and

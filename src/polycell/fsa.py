@@ -137,55 +137,59 @@ def determinize(fsa: FSA) -> FSA:
 
 def trim_fsa(fsa: FSA) -> FSA:
     """Drop states not on an accepting path; preserves determinism."""
-    fwd: dict[int, list[int]] = {}
-    back: dict[int, list[int]] = {}
-    for q, s, t in fsa.edges():
-        fwd.setdefault(q, []).append(t)
-        back.setdefault(t, []).append(q)
-    for q, ts in fsa.eps.items():
-        for t in ts:
-            fwd.setdefault(q, []).append(t)
-            back.setdefault(t, []).append(q)
-    reach = {fsa.initial}
+    n = fsa.n_states
+    fwd: list[list[int]] = [[] for _ in range(n)]
+    back: list[list[int]] = [[] for _ in range(n)]
+    for (q, _), targets in fsa.transitions.items():
+        fwd[q].extend(targets)
+        for t in targets:
+            back[t].append(q)
+    for q, targets in fsa.eps.items():
+        fwd[q].extend(targets)
+        for t in targets:
+            back[t].append(q)
+    reach = [False] * n
+    reach[fsa.initial] = True
     stack = [fsa.initial]
     while stack:
-        q = stack.pop()
-        for t in fwd.get(q, ()):
-            if t not in reach:
-                reach.add(t)
+        for t in fwd[stack.pop()]:
+            if not reach[t]:
+                reach[t] = True
                 stack.append(t)
-    co = set(fsa.accepting)
-    stack = list(co)
+    co = [False] * n
+    stack = list(fsa.accepting)
+    for q in stack:
+        co[q] = True
     while stack:
-        q = stack.pop()
-        for t in back.get(q, ()):
-            if t not in co:
-                co.add(t)
+        for t in back[stack.pop()]:
+            if not co[t]:
+                co[t] = True
                 stack.append(t)
-    live = reach & co
-    if fsa.initial not in live:
+    if not (reach[fsa.initial] and co[fsa.initial]):
         return empty_language(fsa.alphabet)
-    remap = {}
-    for q in range(fsa.n_states):
-        if q in live:
-            remap[q] = len(remap)
+    remap = [-1] * n
+    kept = 0
+    for q in range(n):
+        if reach[q] and co[q]:
+            remap[q] = kept
+            kept += 1
     transitions = {}
     for (q, s), targets in fsa.transitions.items():
-        if q in live:
-            kept = tuple(remap[t] for t in targets if t in live)
-            if kept:
-                transitions[(remap[q], s)] = kept
+        if remap[q] >= 0:
+            ts = tuple(remap[t] for t in targets if remap[t] >= 0)
+            if ts:
+                transitions[(remap[q], s)] = ts
     eps = {}
     for q, targets in fsa.eps.items():
-        if q in live:
-            kept = tuple(remap[t] for t in targets if t in live)
-            if kept:
-                eps[remap[q]] = kept
+        if remap[q] >= 0:
+            ts = tuple(remap[t] for t in targets if remap[t] >= 0)
+            if ts:
+                eps[remap[q]] = ts
     return FSA(
         alphabet=fsa.alphabet,
-        n_states=len(remap),
+        n_states=kept,
         initial=remap[fsa.initial],
-        accepting=frozenset(remap[q] for q in fsa.accepting if q in live),
+        accepting=frozenset(remap[q] for q in fsa.accepting if remap[q] >= 0),
         transitions=transitions,
         eps=eps,
         deterministic=fsa.deterministic,
@@ -193,38 +197,39 @@ def trim_fsa(fsa: FSA) -> FSA:
 
 
 def minimize(fsa: FSA) -> FSA:
-    """Unique minimal DFA via partition refinement (dead state implicit).
-    No trim is needed: refinement puts every state with an empty future in
-    the dead class, and the numbering reaches only states from the initial
-    one, skipping that class."""
+    """Unique minimal DFA via Moore partition refinement (dead state
+    implicit).  Each state's successor row, the dead sink filling missing
+    moves, is built once; a round splits classes by (class, classes of the
+    row) and never merges them, so refinement stops at the first round that
+    adds no class.  No trim is needed: refinement puts every state with an
+    empty future in the dead class, and the numbering reaches only states
+    from the initial one, skipping that class."""
+    from operator import itemgetter
+
     if not fsa.deterministic or fsa.eps:
         fsa = determinize(fsa)
     if fsa.n_states == 0 or not fsa.accepting:
         return empty_language(fsa.alphabet)
     n = fsa.n_states
-    dead = n  # implicit non-accepting sink
+    dead = n  # non-accepting sink, its own successor on every symbol
     nsym = len(fsa.alphabet)
-
-    def target(q: int, s: int) -> int:
-        if q == dead:
-            return dead
-        t = fsa.transitions.get((q, s))
-        return t[0] if t else dead
+    rows = [[dead] * nsym for _ in range(n + 1)]
+    for (q, s), ts in fsa.transitions.items():
+        if ts:
+            rows[q][s] = ts[0]
+    # a state's signature in a class list: its class, then its row's
+    signature = [itemgetter(q, *row) for q, row in enumerate(rows)]
 
     cls = [0] * (n + 1)
     for q in fsa.accepting:
         cls[q] = 1
+    count = 2  # the dead sink never accepts
     while True:
-        sig: dict[tuple, int] = {}
-        new_cls = [0] * (n + 1)
-        for q in range(n + 1):
-            key = (cls[q],) + tuple(cls[target(q, s)] for s in range(nsym))
-            if key not in sig:
-                sig[key] = len(sig)
-            new_cls[q] = sig[key]
-        if new_cls == cls:
+        sig: dict = {}
+        cls = [sig.setdefault(key(cls), len(sig)) for key in signature]
+        if len(sig) == count:
             break
-        cls = new_cls
+        count = len(sig)
 
     dead_cls = cls[dead]
     # canonical numbering: BFS from the initial class in symbol order
@@ -237,14 +242,14 @@ def minimize(fsa: FSA) -> FSA:
         rep = order[i]
         if rep in fsa.accepting:
             accepting.add(i)
-        for s in range(nsym):
-            t = target(rep, s)
-            if cls[t] == dead_cls:
+        for s, t in enumerate(rows[rep]):
+            c = cls[t]
+            if c == dead_cls:
                 continue
-            j = renum.get(cls[t])
+            j = renum.get(c)
             if j is None:
                 j = len(renum)
-                renum[cls[t]] = j
+                renum[c] = j
                 order.append(t)
             delta[(i, s)] = j
         i += 1
@@ -336,8 +341,26 @@ def symmetric_difference(a: FSA, b: FSA) -> FSA:
 
 
 def is_empty(fsa: FSA) -> bool:
-    t = trim_fsa(fsa)
-    return not t.accepting
+    """Whether no word is accepted: a walk from the initial state that stops
+    at the first accepting state it reaches."""
+    delta, eps, acc = fsa.transitions, fsa.eps, fsa.accepting
+    syms = range(len(fsa.alphabet))
+    seen = {fsa.initial}
+    stack = [fsa.initial]
+    while stack:
+        q = stack.pop()
+        if q in acc:
+            return False
+        for s in syms:
+            for t in delta.get((q, s), ()):
+                if t not in seen:
+                    seen.add(t)
+                    stack.append(t)
+        for t in eps.get(q, ()):
+            if t not in seen:
+                seen.add(t)
+                stack.append(t)
+    return True
 
 
 def _no_pair(a: FSA, b: FSA, bad) -> bool:

@@ -2,7 +2,7 @@ import itertools
 
 import pytest
 
-from polycell import PolygonGroup, presentation_from_angles, verify
+from polycell import PolygonGroup, automata, presentation_from_angles, verify
 from polycell.automata import (
     canonical_fsa,
     equal_endpoint_pairs,
@@ -277,6 +277,32 @@ def test_pair_machine_matches_padded_projection(part237, part2224):
             want = minimize(project_first(padded_equal_endpoint_pairs(
                 group, base, ut, k, offset=w, diff_radius=k + w.length), names))
             assert to_text(cand.language) == to_text(want)
+
+
+def test_pair_machines_are_trim_stable(part237, part2224, monkeypatch):
+    # equal_endpoint_pairs trims as it builds, so trimming again changes
+    # nothing: it keeps no state off an accepting path.  The red_x_mu
+    # machines and every one-generator step of _spec_candidates on the
+    # bundled paths; their languages are checked against the padded
+    # projection above.
+    built = []
+
+    def record(*args):
+        built.append(equal_endpoint_pairs(*args))
+        return built[-1]
+
+    monkeypatch.setattr(automata, "equal_endpoint_pairs", record)
+    for part, k, level, radius in ((part2224, K_W2224, 2, 8),
+                                   (part237, K_W237, 3, 10)):
+        group = part.group
+        for entry in dihedral_data(group.presentation).entries:
+            record(group, factor_fsa(group, entry.longest_word),
+                   group.identity, k)
+        n_patterns = len(built)
+        _spec_candidates(part, level, radius, k)
+        assert len(built) > n_patterns
+    for p in built:
+        assert trim_fsa(p) == p
 
 
 def test_red_x_mu_examples(g237, w237):

@@ -250,3 +250,134 @@ def test_symmetric_difference_detects_equality(a, b):
     # so only assert the safe direction when languages differ on a short word
     if not same_by_words:
         assert not eq
+
+
+# Partial DFAs: a missing move goes to the implicit dead state, and states
+# may be unreachable or have an empty future.
+partial_dfas = st.integers(min_value=1, max_value=6).flatmap(lambda n: st.builds(
+    lambda acc, targets: make_dfa(
+        AB, n, 0, acc,
+        {(q, s): t for (q, s), t in zip(itertools.product(range(n), range(2)),
+                                        targets) if t is not None},
+    ),
+    acc=st.sets(st.integers(min_value=0, max_value=n - 1)),
+    targets=st.lists(st.none() | st.integers(min_value=0, max_value=n - 1),
+                     min_size=2 * n, max_size=2 * n),
+))
+
+# NFAs with several targets per move and epsilon moves, any initial state.
+random_nfas = st.integers(min_value=1, max_value=6).flatmap(lambda n: st.builds(
+    lambda initial, acc, edges, eps: FSA(
+        AB, n, initial, frozenset(acc),
+        {key: tuple(sorted(t for q, s, t in edges if (q, s) == key))
+         for key in sorted({(q, s) for q, s, _ in edges})},
+        eps={q: tuple(sorted(t for p, t in eps if p == q))
+             for q in sorted({p for p, _ in eps})},
+    ),
+    initial=st.integers(min_value=0, max_value=n - 1),
+    acc=st.sets(st.integers(min_value=0, max_value=n - 1)),
+    edges=st.sets(st.tuples(st.integers(min_value=0, max_value=n - 1),
+                            st.integers(min_value=0, max_value=1),
+                            st.integers(min_value=0, max_value=n - 1)),
+                  max_size=3 * n),
+    eps=st.sets(st.tuples(st.integers(min_value=0, max_value=n - 1),
+                          st.integers(min_value=0, max_value=n - 1)),
+                max_size=n),
+))
+
+
+def myhill_nerode_states(a: FSA) -> int:
+    """States of the minimal DFA of the deterministic a with the dead state
+    implicit, by table filling over the completed machine: the classes of
+    the reachable states with a nonempty future, and one state for the empty
+    language."""
+    dead = a.n_states
+
+    def step(q, s):
+        t = a.transitions.get((q, s)) if q != dead else None
+        return t[0] if t else dead
+
+    reach = {a.initial}
+    stack = [a.initial]
+    while stack:
+        q = stack.pop()
+        for s in range(len(a.alphabet)):
+            t = step(q, s)
+            if t not in reach:
+                reach.add(t)
+                stack.append(t)
+    states = sorted(reach | {dead})
+    marked = {(p, q) for p in states for q in states
+              if (p in a.accepting) != (q in a.accepting)}
+    changed = True
+    while changed:
+        changed = False
+        for p in states:
+            for q in states:
+                if (p, q) not in marked and any(
+                        (step(p, s), step(q, s)) in marked
+                        for s in range(len(a.alphabet))):
+                    marked.add((p, q))
+                    changed = True
+    live = [q for q in sorted(reach) if (q, dead) in marked]
+    classes = [q for i, q in enumerate(live)
+               if all((p, q) in marked for p in live[:i])]
+    return max(1, len(classes))
+
+
+def set_trim_reference(a: FSA) -> FSA:
+    """trim_fsa by sets: the states reachable from the initial one and
+    co-reachable from an accepting one, renumbered in order."""
+    succ = {(q, t) for q, _, t in a.edges()}
+    succ |= {(q, t) for q, ts in a.eps.items() for t in ts}
+
+    def closure(seeds, pairs):
+        out = set(seeds)
+        while True:
+            more = {t for q, t in pairs if q in out} - out
+            if not more:
+                return out
+            out |= more
+
+    live = closure({a.initial}, succ) & closure(a.accepting,
+                                               {(t, q) for q, t in succ})
+    if a.initial not in live:
+        return empty_language(a.alphabet)
+    remap = {q: i for i, q in enumerate(sorted(live))}
+
+    def kept(targets):
+        return tuple(remap[t] for t in targets if t in live)
+
+    return FSA(
+        alphabet=a.alphabet,
+        n_states=len(live),
+        initial=remap[a.initial],
+        accepting=frozenset(remap[q] for q in a.accepting & live),
+        transitions={(remap[q], s): kept(ts)
+                     for (q, s), ts in a.transitions.items()
+                     if q in live and kept(ts)},
+        eps={remap[q]: kept(ts) for q, ts in a.eps.items()
+             if q in live and kept(ts)},
+        deterministic=a.deterministic,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=partial_dfas)
+def test_minimize_partial_dfas_against_table_filling(a):
+    m = minimize(a)
+    assert m.n_states == myhill_nerode_states(a)
+    assert to_text(m) == to_text(minimize(trim_fsa(a)))
+    assert are_equivalent(m, a)
+    for w in _words(5):
+        assert m.accepts(w) == a.accepts(w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=random_nfas)
+def test_trim_and_emptiness_against_set_reference(a):
+    t = trim_fsa(a)
+    assert t == set_trim_reference(a)
+    assert is_empty(a) == (not t.accepting)
+    assert is_empty(a) == (not any(a.accepts(w) for w in _words(a.n_states)))
+    assert minimize(a).n_states == myhill_nerode_states(determinize(a))
