@@ -118,12 +118,6 @@ class ConjecturalPartition:
                     return level_label(i)
         return LABEL_ZERO
 
-    def classify_by_language(self, e: Element) -> str:
-        for label in self.labels:
-            if self.languages[label].accepts(e.word):
-                return label
-        raise AssertionError(f"partition does not cover {e.word}")
-
 
 def build_partition(group: PolygonGroup, k: int) -> ConjecturalPartition:
     data = dihedral_data(group.presentation)

@@ -13,6 +13,7 @@ compared against the one-sided specs the same way.
 from __future__ import annotations
 
 import json
+from collections.abc import Hashable
 from dataclasses import asdict, dataclass
 
 from .cells import ConjecturalPartition, OneSidedCellSpec
@@ -46,7 +47,7 @@ def _partition_map(parts: list[list[int]]) -> dict[int, int]:
     return out
 
 
-def _restricted_agreement(mine: dict[int, int], theirs: dict[int, str],
+def _restricted_agreement(mine: dict[int, int], theirs: dict[int, Hashable],
                           trusted: list[int]):
     """Per-element check that the two partitions restricted to the trusted
     set induce the same class."""
@@ -127,8 +128,9 @@ def empirical_vs_conjectural(
 
 
 def _right_cell_comparison(group, ball, emp_right, specs, trusted, conj):
-    """Within the trusted region, elements of one spec language should form
-    a union-free match with empirical right cells of their level."""
+    """Within the trusted region, the elements a spec language covers should
+    fall into empirical right cells exactly as into specs: two partitions of
+    the covered set agree on every pair when each element's classes agree."""
     word = group.presentation.word_str
     level_labels = {f"c{spec.level}" for spec in specs}
     spec_of: dict[int, int] = {}
@@ -139,21 +141,20 @@ def _right_cell_comparison(group, ball, emp_right, specs, trusted, conj):
             if spec.language.accepts(ball.elements[i].word):
                 spec_of[i] = si
                 break
-    pairs_checked = 0
-    pairs_wrong = []
-    idxs = sorted(spec_of)
-    for a_pos, i in enumerate(idxs):
-        for j in idxs[a_pos + 1:]:
-            pairs_checked += 1
-            same_spec = spec_of[i] == spec_of[j]
-            same_emp = emp_right[i] == emp_right[j]
-            if same_spec != same_emp:
-                pairs_wrong.append(
-                    [word(ball.elements[i].word), word(ball.elements[j].word)]
-                )
+    _, disagree, emp_classes = _restricted_agreement(emp_right, spec_of,
+                                                     sorted(spec_of))
     return {
         "checked": True,
         "covered_elements": len(spec_of),
-        "pairs_checked": pairs_checked,
-        "pairs_inconsistent": pairs_wrong,
+        "disagreements": [
+            {
+                "element": word(ball.elements[i].word),
+                "translator": word(specs[spec_of[i]].translator.word),
+                "empirical_cell": sorted(
+                    word(ball.elements[j].word)
+                    for j in emp_classes[emp_right[i]]
+                ),
+            }
+            for i in disagree
+        ],
     }

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from . import automata
 from .cells import ConjecturalPartition
 from .fsa import count_words, intersect
-from .hecke import HeckeAlgebra
+from .hecke import a_lower_bounds
 from .kl import KLTable
 from .oracle import ClassicalKL, braid_closure, oracle_classify, unique_reduced_census
 from .words import ElementBall, PolygonGroup
@@ -96,11 +96,10 @@ def a_function(part: ConjecturalPartition, table: KLTable, sample_length: int) -
     the level value of an element's conjectured label."""
     data = part.data
     level_of_label = {f"c{i}": order for i, order in enumerate(data.levels, start=1)}
-    bounds = HeckeAlgebra(table.group).a_lower_bounds(sample_length, table)
-    ball = table.ball
+    bounds = a_lower_bounds(table, sample_length)
     bad = 0
-    for z_word, bound in bounds.items():
-        cap = level_of_label.get(part.classify(ball.elements[ball.index[z_word]]))
+    for z, bound in bounds.items():
+        cap = level_of_label.get(part.classify(table.ball.elements[z]))
         if cap is not None and bound > cap:
             bad += 1
     return Check("a_function", not bad,

@@ -59,6 +59,14 @@ def test_longest_words_are_shortlex_least(w2224):
         assert len(e.longest_word) == e.order
 
 
+def _classify_by_language(part, e):
+    """The label whose language accepts e's normal word."""
+    for label in part.labels:
+        if part.languages[label].accepts(e.word):
+            return label
+    raise AssertionError(f"partition does not cover {e.word}")
+
+
 def test_classify_examples(part237, g237, w237):
     cases = {
         "": LABEL_ID,
@@ -74,7 +82,7 @@ def test_classify_examples(part237, g237, w237):
     for txt, want in cases.items():
         e = g237.element(w237.parse_word(txt))
         assert part237.classify(e) == want
-        assert part237.classify_by_language(e) == want
+        assert _classify_by_language(part237, e) == want
 
 
 def test_srt_has_two_expressions_hence_c1(part237, g237, w237):

@@ -1,116 +1,130 @@
+from collections import Counter
+
 import pytest
 
-from polycell.errors import BallTooSmall
-from polycell.hecke import (
-    HeckeAlgebra,
-    L_ONE,
-    L_Q,
-    L_Q_MINUS_1,
-    L_ZERO,
-    Laurent,
-    laurent_of_int_poly,
-)
+from polycell import hecke
+from polycell.errors import BallTooSmall, ResourceLimit
+from polycell.hecke import a_lower_bounds, c_basis, h_constants, multiply
+from polycell.kl import _B, KLTable
+
+Q = 1 << _B  # the packed polynomial q
 
 
-def test_laurent_arithmetic():
-    v = Laurent(1, (1,))
-    vinv = Laurent(-1, (1,))
-    assert v * vinv == L_ONE
-    assert (v + vinv).coeffs == (1, 0, 1)
-    assert v - v == L_ZERO
-    assert L_Q == Laurent(2, (1,))
-    assert (L_Q_MINUS_1 + L_ONE) == L_Q
+def _word_route(group, x, y):
+    """T_x T_y over normal words, the reference: T_w T_s is T_ws when ws is
+    longer, and q T_ws + (q - 1) T_w otherwise, with ws from group.element."""
+    out = {x.word: 1}
+    for s in y.word:
+        step: dict = {}
+        for w, c in out.items():
+            ws = group.element(w + (s,)).word
+            if len(ws) > len(w):
+                step[ws] = step.get(ws, 0) + c
+            else:
+                step[ws] = step.get(ws, 0) + c * Q
+                step[w] = step.get(w, 0) + c * Q - c
+        out = step
+    return {w: c for w, c in out.items() if c}
 
 
-def test_laurent_of_int_poly_substitutions():
-    p = (1, 2)  # 1 + 2q
-    assert laurent_of_int_poly(p, scale=2) == Laurent(0, (1, 0, 2))
-    assert laurent_of_int_poly(p, scale=-2) == Laurent(-2, (2, 0, 1))
-    assert laurent_of_int_poly(p, scale=-2, offset=3) == Laurent(1, (2, 0, 1))
-    assert laurent_of_int_poly((), scale=2) == L_ZERO
+def test_quadratic_relation(g237, kl237):
+    s = kl237.idx(g237.element((1,)))
+    assert multiply(kl237, {s: 1}, {s: 1}) == {0: Q, s: Q - 1}
 
 
-def test_quadratic_relation(g237):
-    H = HeckeAlgebra(g237)
-    s = g237.element((1,))
-    out = H.multiply({s.word: L_ONE}, {s.word: L_ONE})
-    assert out == {(): L_Q, (1,): L_Q_MINUS_1}
+def test_unit_and_length_additive_products(g237, kl237):
+    w = kl237.idx(g237.element((0, 1, 2)))
+    assert multiply(kl237, {w: 1}, {0: 1}) == {w: 1}
+    r, s = (kl237.idx(g237.element((i,))) for i in (0, 1))
+    assert multiply(kl237, {r: 1}, {s: 1}) == {kl237.idx(g237.element((0, 1))): 1}
 
 
-def test_unit_and_length_additive_products(g237):
-    H = HeckeAlgebra(g237)
-    w = g237.element((0, 1, 2))
-    assert H.multiply({w.word: L_ONE}, {(): L_ONE}) == {w.word: L_ONE}
-    r, s = g237.element((0,)), g237.element((1,))
-    assert H.multiply({r.word: L_ONE}, {s.word: L_ONE}) == {(0, 1): L_ONE}
+@pytest.mark.parametrize("name", ["g237", "g2224"])
+def test_t_products_match_word_route(name, request):
+    group = request.getfixturevalue(name)
+    table = KLTable(group, group.ball(6))
+    elements = table.ball.elements
+    sample = [e for e in elements if e.length <= 3]
+    for x in sample:
+        for y in sample:
+            got = multiply(table, {table.idx(x): 1}, {table.idx(y): 1})
+            assert {elements[z].word: c for z, c in got.items()} == \
+                _word_route(group, x, y)
 
 
 def test_c_basis_small(g237, kl237):
-    H = HeckeAlgebra(g237)
-    assert H.c_basis(g237.identity, kl237) == {(): L_ONE}
-    s = g237.element((1,))
-    cs = H.c_basis(s, kl237)
-    assert cs == {(): Laurent(1, (-1,)), (1,): Laurent(-1, (1,))}
+    assert c_basis(kl237, 0) == {0: 1}
+    s = kl237.idx(g237.element((1,)))
+    assert c_basis(kl237, s) == {0: -Q, s: 1}  # C_s = T_s - q
 
 
 def test_c_basis_leading_coefficient(g237, kl237):
-    H = HeckeAlgebra(g237)
     for txt in ((0,), (0, 1), (1, 2, 1), (0, 1, 0)):
-        w = g237.element(txt)
-        cw = H.c_basis(w, kl237)
-        assert cw[w.word] == Laurent(-w.length, (1,))
+        w = kl237.idx(g237.element(txt))
+        assert c_basis(kl237, w)[w] == 1
 
 
 def test_h_constants_examples(g237, kl237):
-    H = HeckeAlgebra(g237)
-    s = g237.element((1,))
-    h = H.h_constants(s, s, kl237)
-    assert h == {(1,): Laurent(-1, (-1, 0, -1))}  # -(v + 1/v)
+    s = kl237.idx(g237.element((1,)))
+    # C_s C_s = -(1 + q) C_s, so h_{s,s,s} = -(v + 1/v)
+    assert h_constants(kl237, s, s) == {s: -(1 + Q)}
     # identity acts as the unit
-    y = g237.element((0, 1))
-    h_ey = H.h_constants(g237.identity, y, kl237)
-    assert h_ey == {y.word: L_ONE}
+    y = kl237.idx(g237.element((0, 1)))
+    assert h_constants(kl237, 0, y) == {y: 1}
 
 
 def test_h_constants_roundtrip_dihedral(g237, kl237):
-    H = HeckeAlgebra(g237)
-    pairs = [(1,), (2,), (1, 2), (2, 1), (1, 2, 1)]
-    for xw in pairs:
-        for yw in pairs:
-            x, y = g237.element(xw), g237.element(yw)
-            h = H.h_constants(x, y, kl237)
+    pairs = [kl237.idx(g237.element(w))
+             for w in ((1,), (2,), (1, 2), (2, 1), (1, 2, 1))]
+    for x in pairs:
+        for y in pairs:
             recombined: dict = {}
-            for zw, coeff in h.items():
-                z = g237.element(zw)
-                for tw, c in H.c_basis(z, kl237).items():
-                    cur = recombined.get(tw, L_ZERO)
-                    tot = cur + c * coeff
-                    if tot == L_ZERO:
-                        recombined.pop(tw, None)
-                    else:
-                        recombined[tw] = tot
-            direct = H.multiply(H.c_basis(x, kl237), H.c_basis(y, kl237))
-            assert recombined == direct
+            for z, h in h_constants(kl237, x, y).items():
+                for t, c in c_basis(kl237, z).items():
+                    recombined[t] = recombined.get(t, 0) + h * c
+            assert {t: c for t, c in recombined.items() if c} == \
+                multiply(kl237, c_basis(kl237, x), c_basis(kl237, y))
 
 
 def test_ball_too_small(g237):
-    from polycell.kl import KLTable
-
     table = KLTable(g237, g237.ball(2))
-    H = HeckeAlgebra(g237)
-    w = g237.element((0, 1))
+    w = table.idx(g237.element((0, 1)))
     with pytest.raises(BallTooSmall):
-        H.h_constants(w, w, table)
+        h_constants(table, w, w)
     with pytest.raises(BallTooSmall):
-        H.a_lower_bounds(2, table)
+        a_lower_bounds(table, 2)
+    with pytest.raises(BallTooSmall):
+        multiply(table, {w: 1}, {w: 1})
 
 
 def test_a_lower_bound(g237, kl237):
-    H = HeckeAlgebra(g237)
-    b1 = H.a_lower_bounds(1, kl237)
-    assert b1[()] == 0
-    s = (1,)
+    b1 = a_lower_bounds(kl237, 1)
+    assert b1[0] == 0
+    s = kl237.idx(g237.element((1,)))
     assert b1[s] >= 1
     # monotone in the sample radius
-    b2 = H.a_lower_bounds(2, kl237)
+    b2 = a_lower_bounds(kl237, 2)
     assert b2[s] >= b1[s]
+
+
+def test_a_lower_bound_histograms(kl237, g2224):
+    hist237 = Counter(a_lower_bounds(kl237, 3).values())
+    assert hist237 == {0: 17, 1: 29, 2: 6, 3: 1}
+    hist2224 = Counter(a_lower_bounds(KLTable(g2224, g2224.ball(8)), 3).values())
+    assert hist2224 == {0: 125, 1: 108, 2: 24}
+
+
+def test_uncertified_digits_raise(g237, kl237, monkeypatch):
+    s = kl237.idx(g237.element((1,)))
+    cs = c_basis(kl237, s)
+    monkeypatch.setattr(hecke, "_HALF", 2)  # certify L1 norms below 2 only
+    # C_s C_s = (q + q^2) - (1 + q) T_s fails in the product
+    with pytest.raises(ResourceLimit):
+        multiply(kl237, cs, cs)
+    with pytest.raises(ResourceLimit):
+        h_constants(kl237, s, s)
+    # C_e C_s = C_s passes, but stripping 1 * C_s from it leaves a zero
+    # T_e coefficient whose majorant is 2
+    assert multiply(kl237, c_basis(kl237, 0), cs) == cs
+    with pytest.raises(ResourceLimit):
+        h_constants(kl237, 0, s)

@@ -75,6 +75,27 @@ def test_only_kl_builds_cells():
     assert offenders == []
 
 
+def test_hecke_stays_on_the_kl_table():
+    """Hecke arithmetic runs on the KL table's ball indices and packed
+    integers: no field arithmetic and no call into the word engine."""
+    offenders = []
+    for node in ast.walk(ast.parse((PACKAGE / "hecke.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "field":
+            offenders.append(f"from {node.module} import")
+        elif isinstance(node, ast.ImportFrom) and node.module in ("", "polycell"):
+            offenders += [alias.name for alias in node.names if alias.name == "field"]
+        elif isinstance(node, ast.Import):
+            offenders += [alias.name for alias in node.names
+                          if alias.name.split(".")[-1] == "field"]
+        elif isinstance(node, ast.Call):
+            func = node.func
+            name = (func.attr if isinstance(func, ast.Attribute)
+                    else func.id if isinstance(func, ast.Name) else None)
+            if name in ("nf", "element", "is_reduced"):
+                offenders.append(f"{ast.unparse(func)}()")
+    assert offenders == []
+
+
 def test_benchmark_tracer_hooks_resolve():
     """Every name the benchmark tracer wraps must exist, or `--trace 1`
     fails with a KeyError; this is the lookup `tracer._wrap_path` makes."""

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
+from polycell.cells import omega_minimal
 from polycell.compare import empirical_vs_conjectural
 from polycell.errors import ResourceLimit
 from polycell.kl import KLTable
@@ -14,6 +16,7 @@ from polycell.oracle import (
     reduce_by_rewriting,
     unique_reduced_census,
 )
+from tests.conftest import K_W237
 
 
 def test_braid_closure_examples(w237):
@@ -96,6 +99,23 @@ def test_comparison_report_shape(g237, part237, kl237):
     assert list(payload)[:4] == ["group", "radius", "trust_margin", "k"]
     # identity forms its own empirical and conjectural cell
     assert payload["disagreements"] == [] or payload["disagreements"][0]["element"] != ""
+
+
+def test_right_cell_disagreements_per_element(g237, part237):
+    table = KLTable(g237, g237.ball(10))
+    specs = omega_minimal(part237, 1, radius=10, k=K_W237)
+    right = empirical_vs_conjectural(part237, table, trust_margin=4,
+                                     specs=specs).right_cell_agreement
+    assert right == {"checked": True, "covered_elements": 17, "disagreements": []}
+    # one spec for the whole level merges the right cells: every covered
+    # element then disagrees, and names its own empirical right cell
+    merged = [dataclasses.replace(specs[0], language=part237.languages["c1"])]
+    right = empirical_vs_conjectural(part237, table, trust_margin=4,
+                                     specs=merged).right_cell_agreement
+    assert len(right["disagreements"]) == right["covered_elements"] == 17
+    first = right["disagreements"][0]
+    assert first["element"] == "rt" and first["translator"] == ""
+    assert first["empirical_cell"] == ["rt", "rts", "rtst", "rtsts", "rtstsr", "rtstst"]
 
 
 def test_comparison_report_deterministic(g237, part237):
