@@ -22,11 +22,12 @@ and one backward pass from the accepting states then keeps only the states
 on an accepting run, so the machine comes out trimmed.
 
 The offset is only ever the identity (saturation) or a generator (one step
-of translation).  Left translation by a longer w composes one-generator
-steps, w * X = s1 * (s2 * (... * X)) along the ShortLex word of w, as the
-composite multipliers of an automatic structure are built (Epstein et al.,
-Word Processing in Groups, 1992, 2.3): each step's differences stay in a
-ball of radius k + 1, whatever the length of w.
+of left translation); a longer translator is a chain of one-generator
+steps, w * X = s1 * (s2 * (... * X)), as the composite multipliers of an
+automatic structure are built (Epstein et al., Word Processing in Groups,
+1992, 2.3), so each step's differences stay in a ball of radius k + 1,
+whatever the length of w.  `cells._spec_candidates` composes those steps;
+nothing here rewrites a word through normal forms.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .errors import BallTooSmall, KNotValidated, PatternNotReduced
 from .fsa import (
     FSA,
     are_equivalent,
-    count_words,
     empty_language,
     intersect,
     make_dfa,
@@ -46,7 +46,7 @@ from .fsa import (
     reverse_fsa,
     trim_fsa,
 )
-from .words import Element, PolygonGroup, Word
+from .words import PolygonGroup, Word
 
 MAX_K = 64  # the largest k choose_k tries
 
@@ -93,10 +93,6 @@ def shortlex_fsa(group: PolygonGroup) -> FSA:
     return minimize(reverse_fsa(nf_transition_fsa(group)))
 
 
-def element_counts(group: PolygonGroup, max_len: int) -> list[int]:
-    return count_words(nf_transition_fsa(group), max_len)
-
-
 def factor_fsa(group: PolygonGroup, pattern: Word) -> FSA:
     """Reduced words containing the pattern as a consecutive factor
     (canonical machine intersected with a failure-function matcher)."""
@@ -127,12 +123,13 @@ def factor_fsa(group: PolygonGroup, pattern: Word) -> FSA:
     return intersect(base, matcher)
 
 
-def equal_endpoint_pairs(group: PolygonGroup, B: FSA, offset: Element,
+def equal_endpoint_pairs(group: PolygonGroup, B: FSA, offset: Word,
                          k: int) -> FSA:
     """Trimmed NFA over the generators accepting every reduced alpha that
     pairs with some beta in L(B) with endpoint(alpha) = offset *
     endpoint(beta) and every synchronous word difference alpha_i^-1 *
-    offset * beta_i of length <= k + |offset|.  The shorter word pads at
+    offset * beta_i of length <= k + |offset|, where the offset is the
+    identity () or one generator (s,).  The shorter word pads at
     the end: a step of alpha alone reads its letter, a step of beta alone
     is an epsilon move.  B must be deterministic, and L(B) must hold
     reduced words only.
@@ -150,7 +147,7 @@ def equal_endpoint_pairs(group: PolygonGroup, B: FSA, offset: Element,
     from the start, and a backward pass over the recorded predecessors from
     the accepting states marks the live ones, which keep their order of
     interning."""
-    radius = k + offset.length
+    radius = k + len(offset)
     # the intermediate d*y may overshoot by one before x pulls it back
     ball = group.ball(radius + 1)
     right_mult, left_mult, lengths = ball.right_mult, ball.left_mult, ball.lengths
@@ -165,7 +162,7 @@ def equal_endpoint_pairs(group: PolygonGroup, B: FSA, offset: Element,
     # both words running, 1 = beta finished (so its B state accepts), 2 =
     # alpha finished.  Every canonical state accepts, and ball index 0 is
     # the identity.  The step that enters mode 1 or 2 is a pad move too.
-    start = (0, B.initial, ball.index[offset.word], 0)
+    start = (0, B.initial, ball.index[offset], 0)
     ids = {start: 0}
     order = [start]
     # each state's moves, (letter or -1 = epsilon, target key)
@@ -259,22 +256,15 @@ def red_x_mu(group: PolygonGroup, pattern: Word, k: int) -> FSA:
     key = (tuple(pattern), k)
     if key not in memo:
         memo[key] = minimize(equal_endpoint_pairs(
-            group, factor_fsa(group, pattern), group.identity, k))
+            group, factor_fsa(group, pattern), (), k))
     return memo[key]
 
 
-def left_translate(group: PolygonGroup, A: FSA, w: Element, k: int) -> FSA:
-    """Minimal DFA for Red(w * X) where X is the element set of A, which
-    must accept reduced words only.  The letters of w act one at a time,
-    last first, each by a pair machine whose offset is that generator, so
-    every word difference lives in a ball of radius k + 1; each step's
-    output is again a minimal Red language.  The identity saturates A by
-    one pair machine with the identity offset (radius k)."""
-    if not w.word:
-        return minimize(equal_endpoint_pairs(group, A, w, k))
-    for s in reversed(w.word):
-        A = minimize(equal_endpoint_pairs(group, A, group.element((s,)), k))
-    return A
+def left_translate(group: PolygonGroup, A: FSA, s: int, k: int) -> FSA:
+    """Minimal DFA for Red(s * X), X the element set of A, which must accept
+    reduced words only: one pair machine whose offset is the generator s,
+    so every word difference lives in a ball of radius k + 1."""
+    return minimize(equal_endpoint_pairs(group, A, (s,), k))
 
 
 # --- fellow-traveler constant ----------------------------------------------

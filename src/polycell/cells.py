@@ -11,25 +11,29 @@ cover of Red(W) are all exact automaton computations.
 
 One-sided data: the descent class W^T (left descents exactly T) is regular
 by reversing a right-descent re-selection of the canonical machine; U^T
-subtracts the higher cells; translators w^-1 w_T act by left translation,
-and the minimal ones tile the two-sided cell.
+subtracts the higher cells; the translators w^-1 w_T are read off its
+automaton, each is one left-translation step from its one-letter suffix,
+and the containment-maximal ones tile the two-sided cell.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import reduce
 
 from .automata import (
     canonical_fsa,
     left_translate,
     red_x_mu,
     right_descent_class_fsa,
+    shortlex_fsa,
 )
 from .errors import BadArgument, InvalidDescentClass, NoFiniteVertex
 from .fsa import (
     FSA,
     are_equivalent,
     difference,
+    enumerate_words,
     epsilon_language,
     intersect,
     is_empty,
@@ -203,51 +207,47 @@ def u_t_fsa(part: ConjecturalPartition, pair: tuple[int, int]) -> FSA:
 
 
 def omega_elements(part: ConjecturalPartition, pair: tuple[int, int], ut: FSA,
-                   radius: int) -> list[Element]:
-    """Translators w^-1 w_T for w in U^T (the language `ut`, built by
-    `u_t_fsa`) within the ball, deduplicated and sorted by (length, word)."""
-    group = part.group
-    entry = _dihedral_entry(part, pair)
-    w_t = group.element(entry.longest_word)
-    ball = group.ball(radius)
-    seen: dict[Word, Element] = {}
-    for e in ball.elements:
-        if ut.accepts(e.word):
-            omega = group.multiply(group.inverse(e), w_t)
-            seen.setdefault(omega.word, omega)
-    return sorted(seen.values(), key=lambda e: (e.length, e.word))
+                   radius: int) -> list[Word]:
+    """ShortLex words of the translators w^-1 w_T, w in U^T (the language
+    `ut`) and |w| <= radius, by (length, word).  Each such w is w_T . v
+    with lengths adding (T is a set of left descents of w), so the
+    translators v^-1 are the reversals of the words `ut` accepts after
+    w_T's word."""
+    w_t = _dihedral_entry(part, pair).longest_word
+    after_w_t = replace(ut, initial=reduce(ut.step, w_t, ut.initial))
+    translators = intersect(reverse_fsa(after_w_t), shortlex_fsa(part.group))
+    return list(enumerate_words(translators, radius - len(w_t)))
 
 
 @dataclass(frozen=True)
 class OneSidedCellSpec:
     level: int
     pair: tuple[int, int]
-    translator: Element
+    translator: Word            # ShortLex word
     language: FSA
 
 
 def _spec_candidates(part: ConjecturalPartition, i: int, radius: int,
                      k: int) -> list[OneSidedCellSpec]:
     """One spec per translator omega of each pair at the level, with the
-    language Red(omega * U^T).  The language of omega = s.v is one
-    left_translate step by the generator s from that of v, its
-    one-letter-shorter suffix, which is kept (translated first if it is not
-    itself a translator); the identity's language is U^T itself."""
+    language Red(omega * U^T); the one place translation is composed.
+    Translators are suffix-closed: for w = w_T . v in U^T, a prefix
+    w_T . v' has left descents T (no element has three) and no higher
+    pattern (w would share it), so it is in U^T with translator v'^-1, a
+    suffix of v^-1.  Suffixes of ShortLex words are ShortLex, so omega =
+    s.v comes after v, and its language is one left_translate step by s
+    from v's; the identity's language is U^T."""
     group = part.group
     out = []
     for entry in part.data.pairs_at_level(i):
         translated = {(): u_t_fsa(part, entry.pair)}
-
-        def translate(word: Word) -> FSA:
-            if word not in translated:
-                translated[word] = left_translate(
-                    group, translate(word[1:]), group.element(word[:1]), k)
-            return translated[word]
-
         for omega in omega_elements(part, entry.pair, translated[()], radius):
+            if omega:
+                translated[omega] = left_translate(
+                    group, translated[omega[1:]], omega[0], k)
             out.append(OneSidedCellSpec(
                 level=i, pair=entry.pair, translator=omega,
-                language=translate(omega.word),
+                language=translated[omega],
             ))
     return out
 
@@ -258,9 +258,15 @@ def omega_minimal(part: ConjecturalPartition, i: int, radius: int,
     maximal, shortest translator first; ties broken by ShortLex, duplicate
     languages collapsed."""
     cands = _spec_candidates(part, i, radius, k)
-    cands.sort(key=lambda c: (c.translator.length, c.translator.word, c.pair))
+    cands.sort(key=lambda c: (len(c.translator), c.translator, c.pair))
     kept: list[OneSidedCellSpec] = []
     for cand in cands:
         if not any(is_subset(cand.language, other.language) for other in kept):
             kept.append(cand)
     return kept
+
+
+def spec_index(specs: list[OneSidedCellSpec], word: Word) -> int | None:
+    """Index of the first spec whose language accepts the word, if any."""
+    return next((si for si, spec in enumerate(specs)
+                 if spec.language.accepts(word)), None)

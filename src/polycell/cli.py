@@ -1,7 +1,7 @@
 """Command-line pipelines over a persistent workspace.
 
 Exit codes: 0 success, 1 a verification found a disagreement, 2 usage,
-resource, or cache-integrity errors.
+resource, cache-integrity or file-system errors.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .cells import (
     dihedral_data,
     omega_minimal,
     partition_is_exact,
+    spec_index,
     u_t_fsa,
 )
 from .compare import empirical_vs_conjectural
@@ -264,7 +265,7 @@ def cmd_onesided(args) -> int:
     specs = omega_minimal(part, args.level, args.radius, k)
     entries = []
     for spec in specs:
-        word = pres.word_str(spec.translator.word) or "e"
+        word = pres.word_str(spec.translator) or "e"
         name = f"onesided_l{spec.level}_{word}"
         path = ws.write_fsa(pres, name, spec.language)
         entries.append({
@@ -351,14 +352,8 @@ def cmd_render(args) -> int:
             raise BadArgument(f"--coloring onesided:<level> needs an integer "
                               f"level, got {args.coloring!r}") from None
         specs = omega_minimal(part, level, args.radius, k)
-        labels = []
-        for e in ball.elements:
-            key = "bg"
-            for si, spec in enumerate(specs):
-                if spec.language.accepts(e.word):
-                    key = f"spec{si}"
-                    break
-            labels.append(key)
+        found = [spec_index(specs, e.word) for e in ball.elements]
+        labels = ["bg" if si is None else f"spec{si}" for si in found]
         palette = {"bg": "#eeeeee"}
     else:
         raise PolycellError(f"unknown coloring {args.coloring!r}")
@@ -443,7 +438,7 @@ def main(argv=None) -> int:
     except VerificationDisagreement as exc:
         print(f"verification disagreement: {exc}", file=sys.stderr)
         return 1
-    except PolycellError as exc:
+    except (PolycellError, OSError) as exc:
         print(f"error: {exc.__class__.__name__}: {exc}", file=sys.stderr)
         return 2
 

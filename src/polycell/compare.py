@@ -16,7 +16,7 @@ import json
 from collections.abc import Hashable
 from dataclasses import asdict, dataclass
 
-from .cells import ConjecturalPartition, OneSidedCellSpec
+from .cells import ConjecturalPartition, OneSidedCellSpec, spec_index
 from .kl import KLTable, empirical_cells
 
 
@@ -133,14 +133,8 @@ def _right_cell_comparison(group, ball, emp_right, specs, trusted, conj):
     the covered set agree on every pair when each element's classes agree."""
     word = group.presentation.word_str
     level_labels = {f"c{spec.level}" for spec in specs}
-    spec_of: dict[int, int] = {}
-    for i in trusted:
-        if conj[i] not in level_labels:
-            continue
-        for si, spec in enumerate(specs):
-            if spec.language.accepts(ball.elements[i].word):
-                spec_of[i] = si
-                break
+    spec_of = {i: si for i in trusted if conj[i] in level_labels
+               and (si := spec_index(specs, ball.elements[i].word)) is not None}
     _, disagree, emp_classes = _restricted_agreement(emp_right, spec_of,
                                                      sorted(spec_of))
     return {
@@ -149,7 +143,7 @@ def _right_cell_comparison(group, ball, emp_right, specs, trusted, conj):
         "disagreements": [
             {
                 "element": word(ball.elements[i].word),
-                "translator": word(specs[spec_of[i]].translator.word),
+                "translator": word(specs[spec_of[i]].translator),
                 "empirical_cell": sorted(
                     word(ball.elements[j].word)
                     for j in emp_classes[emp_right[i]]

@@ -464,17 +464,23 @@ def from_text(text: str) -> FSA:
     ai = head.index("alphabet")
     ii = head.index("initial")
     alphabet = tuple(head[ai + 1:ii])
-    initial = int(head[ii + 1])
+
+    def state(field: str) -> int:
+        if not 0 <= (q := int(field)) < n_states:
+            raise ValueError(f"state {q} is out of range for {n_states} states")
+        return q
+
+    initial = state(head[ii + 1])
     sym_idx = {sym: i for i, sym in enumerate(alphabet)}
     transitions: dict[tuple[int, int], list[int]] = {}
     accepting: frozenset[int] | None = None
     for parts in lines[1:]:
         if parts[0] == "accept":
-            accepting = frozenset(int(x) for x in parts[1:])
+            accepting = frozenset(map(state, parts[1:]))
             continue
         if len(parts) != 3:
             raise ValueError(f"bad transition line: {' '.join(parts)!r}")
-        q, sym, t = int(parts[0]), parts[1], int(parts[2])
+        q, sym, t = state(parts[0]), parts[1], state(parts[2])
         if sym not in sym_idx:
             raise ValueError(f"letter {sym!r} is not in the alphabet {alphabet}")
         transitions.setdefault((q, sym_idx[sym]), []).append(t)

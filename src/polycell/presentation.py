@@ -69,7 +69,30 @@ class CoxeterPresentation:
                                    f"generators are {', '.join(self.names)}") from None
 
 
+def _checked_names(angles, names, label) -> tuple[str, ...]:
+    """The generator names, `a`, `b`, ... by default, after checking the
+    config's shape.  The label names the group's workspace directory; words
+    are parsed one character per generator, automaton files split the
+    alphabet on spaces, and '-' stands for the identity in the TSVs."""
+    if not isinstance(angles, (list, tuple)):
+        raise BadConfig(f"angles must be a list, got {angles!r}")
+    if (not isinstance(label, str) or label in ("", ".", "..")
+            or "/" in label or "\\" in label):
+        raise BadConfig(f"group name must be a non-empty string usable as a "
+                        f"directory name, got {label!r}")
+    if names is None:
+        names = list(_DEFAULT_NAMES[:len(angles)])
+    if not (isinstance(names, (list, tuple)) and len(names) == len(angles)
+            and all(isinstance(x, str) and len(x) == 1 and not x.isspace()
+                    and x != "-" for x in names)
+            and len(set(names)) == len(names)):
+        raise BadConfig(f"generator names must be {len(angles)} distinct single "
+                        f"characters, none a space or '-', got {names!r}")
+    return tuple(names)
+
+
 def presentation_from_angles(angles, names=None, label="group") -> CoxeterPresentation:
+    names = _checked_names(angles, names, label)
     n = len(angles)
     if n < 3:
         raise TooFewSides(f"need at least 3 sides, got {n}")
@@ -86,12 +109,6 @@ def presentation_from_angles(angles, names=None, label="group") -> CoxeterPresen
         raise NonHyperbolic(
             f"angle sum {angle_sum}*pi is not less than {(n - 2)}*pi"
         )
-    if names is None:
-        names = tuple(_DEFAULT_NAMES[:n])
-    else:
-        names = tuple(names)
-        if len(names) != n or len(set(names)) != n:
-            raise BadDenominator("generator names must be distinct, one per side")
     matrix = [[INFINITY] * n for _ in range(n)]
     for i in range(n):
         matrix[i][i] = 1.0

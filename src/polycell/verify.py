@@ -63,7 +63,8 @@ def word_counts(group: PolygonGroup, ball: ElementBall, length: int) -> Check:
 def element_counts(group: PolygonGroup, ball: ElementBall) -> Check:
     """Element counts from the ShortLex machine against the ball's layers."""
     return Check("element_counts",
-                 automata.element_counts(group, ball.radius) == ball.counts)
+                 count_words(automata.nf_transition_fsa(group), ball.radius)
+                 == ball.counts)
 
 
 def kl_identity(table: KLTable) -> Check:

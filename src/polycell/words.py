@@ -129,11 +129,6 @@ class PolygonGroup:
     def is_reduced(self, word) -> bool:
         return self.run(word) is not None
 
-    def right_descents(self, reduced: Word) -> frozenset[int]:
-        state = self.run(reduced)
-        assert state is not None
-        return self.state_rdesc[state]
-
     def left_descents(self, reduced: Word) -> frozenset[int]:
         state = self.run(reduced[::-1])
         assert state is not None
@@ -191,15 +186,10 @@ class PolygonGroup:
 
     def element(self, word) -> Element:
         w = self.nf(word)
-        if not w:
-            return self.identity
-        return Element(w, self.left_descents(w), self.right_descents(w))
+        return Element(w, self.left_descents(w), self.state_rdesc[self.run(w)])
 
     def multiply(self, a: Element, b: Element) -> Element:
         return self.element(a.word + b.word)
-
-    def inverse(self, a: Element) -> Element:
-        return self.element(a.word[::-1])
 
     # --- balls --------------------------------------------------------------
 

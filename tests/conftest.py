@@ -12,7 +12,7 @@ def assert_translates_match_balls(part, specs, r):
     # language membership for w * U^T against ball arithmetic on ball(r)
     group = part.group
     for sp in specs:
-        w = sp.translator
+        w = group.element(sp.translator)
         U = u_t_fsa(part, sp.pair)
         members = set()
         for u in group.ball(r + w.length).elements:

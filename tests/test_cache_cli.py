@@ -313,13 +313,23 @@ BAD_LETTER_FSA = "states 1 alphabet r initial 0\n0 s 0\naccept 0\n"
     (["stats", "{file}"], "", "{file} is not a readable automaton file: empty"),
     (["stats", "{file}"], BAD_LETTER_FSA, "{file} is not a readable automaton file: "
                                           "letter 's' is not in the alphabet"),
+    (["stats", "{file}"], "states 1 alphabet r initial 0\n0 r 5\naccept 0\n",
+     "{file} is not a readable automaton file: state 5 is out of range for 1 states"),
+    (["stats", "{file}"], "states 1 alphabet r initial 3\naccept 0\n",
+     "{file} is not a readable automaton file: state 3 is out of range for 1 states"),
+    (["stats", "{file}"], "states -2 alphabet r initial 0\naccept 0\n",
+     "{file} is not a readable automaton file: state 0 is out of range for -2 states"),
+    (["equiv", "{file}", "canonical"], "states 1 alphabet r initial 0\naccept 7\n",
+     "{file} is not a readable automaton file: state 7 is out of range for 1 states"),
     (["stats", "{dir}"], None, "'{dir}' is neither a file nor an fsa target"),
     (["equiv", "canonical"], None, "needs a second automaton after 'canonical'"),
     (["build", "cell:c9"], None,
      "unknown cell label 'c9' in 'cell:c9'; labels are cid, c0, c1, c2, c3"),
     (["build", "ut:r"], None, "'r' is not a pair of generators at a finite vertex; "
                               "the pairs are rt, rs, st"),
-], ids=["malformed", "empty", "bad-letter", "directory", "equiv-one-operand",
+], ids=["malformed", "empty", "bad-letter", "target-out-of-range",
+        "initial-out-of-range", "negative-states", "accept-out-of-range",
+        "directory", "equiv-one-operand",
         "unknown-cell", "ut-not-a-pair"])
 def test_cli_fsa_bad_input_is_exit_2(tmp_path, w237_config, capsys, argv, text,
                                      message):
@@ -448,6 +458,30 @@ def test_cli_cap_bounds_the_ball_is_exit_2(tmp_path, w237_config, capsys, argv,
     assert not (tmp_path / "ws" / "w237" / "reports" / report).exists()
 
 
+def test_cli_render_out_is_a_directory_is_exit_2(tmp_path, w237_config, capsys):
+    out = tmp_path / "folder"
+    out.mkdir()
+    code = run(tmp_path, "render", "--out", str(out), "--group", str(w237_config),
+               "--radius", "2", "--k", "6", "--size", "50")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: IsADirectoryError: ")
+    assert str(out) in err
+
+
+def test_cli_workspace_is_a_file_is_exit_2(tmp_path, w237_config, capsys):
+    ws = tmp_path / "ws"
+    ws.write_text("not a directory\n")
+    code = run(tmp_path, "ball", "--group", str(w237_config), "--radius", "2")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: ")
+    assert str(ws) in err
+    assert ws.read_text() == "not a directory\n"
+
+
 def test_cli_negative_radius_is_exit_2(tmp_path, w237_config, capsys):
     code = run(tmp_path, "kl", "--group", str(w237_config), "--radius", "-1")
     assert code == 2
@@ -466,9 +500,31 @@ def test_cli_negative_oracle_length_is_exit_2(tmp_path, w237_config, capsys):
     assert "--oracle-length must be a nonnegative integer, got -1" in err
 
 
+BAD_NAME = "group name must be a non-empty string usable as a directory name"
+BAD_GENERATORS = "generator names must be 3 distinct single characters"
+
+
 @pytest.mark.parametrize("text, message", [
     ('{"name": "w237", "generators": ["r", "s", "t"]}', "no 'angles' key"),
     ('{"name": "w237", "angles": [2, 3, 7]', "readable file or JSON"),
+    ('{"name": "w237", "angles": 5}', "angles must be a list, got 5"),
+    ('{"name": 5, "angles": [2, 3, 7]}', BAD_NAME + ", got 5"),
+    ('{"name": "", "angles": [2, 3, 7]}', BAD_NAME + ", got ''"),
+    ('{"name": ".", "angles": [2, 3, 7]}', BAD_NAME + ", got '.'"),
+    ('{"name": "../../x", "angles": [2, 3, 7]}', BAD_NAME + ", got '../../x'"),
+    ('{"name": "w237", "angles": [2, 3, 7], "generators": 5}', BAD_GENERATORS),
+    ('{"name": "w237", "angles": [2, 3, 7], "generators": ["r", "s", 7]}',
+     BAD_GENERATORS),
+    ('{"name": "w237", "angles": [2, 3, 7], "generators": ["r", "s", "r"]}',
+     BAD_GENERATORS),
+    ('{"name": "w237", "angles": [2, 3, 7], "generators": ["r", "s", "tt"]}',
+     BAD_GENERATORS),
+    ('{"name": "w237", "angles": [2, 3, 7], "generators": ["r", "s", " "]}',
+     BAD_GENERATORS),
+    ('{"name": "w237", "angles": [2, 3, 7], "generators": ["r", "s", "-"]}',
+     BAD_GENERATORS),
+    (json.dumps({"name": "big", "angles": [3] * 27}),
+     "generator names must be 27 distinct single characters"),
 ])
 def test_cli_bad_config_is_exit_2(tmp_path, capsys, text, message):
     path = tmp_path / "bad.json"
@@ -476,6 +532,7 @@ def test_cli_bad_config_is_exit_2(tmp_path, capsys, text, message):
     assert main(["group", "info", "--group", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
+    assert err.startswith("error: BadConfig: ")
     assert message in err
 
 

@@ -178,13 +178,37 @@ def test_u_t_lower_level_subtracts_higher_cells(part237, g237):
 
 def test_omega_contains_identity(part237):
     oms = omega_elements(part237, (1, 2), u_t_fsa(part237, (1, 2)), radius=10)
-    assert oms[0].word == ()
+    assert oms[0] == ()
     assert len(oms) >= 2
+
+
+def _ball_scan_translators(part, pair, ut, radius):
+    """The translators the slow way: w^-1 w_T through normal forms for every
+    w of U^T in ball(radius), deduplicated and sorted by (length, word)."""
+    group = part.group
+    w_t = group.element(next(e.longest_word for e in part.data.entries
+                             if e.pair == pair))
+    found = {group.element(e.word[::-1] + w_t.word).word
+             for e in group.ball(radius).elements if ut.accepts(e.word)}
+    return sorted(found, key=lambda w: (len(w), w))
+
+
+def test_translators_match_ball_scan(part237, part2224):
+    # every pair of every level, at two radii and at one radius below |w_T|
+    for part, radii in ((part237, (10, 12)), (part2224, (6, 8))):
+        for entry in part.data.entries:
+            ut = u_t_fsa(part, entry.pair)
+            for radius in (len(entry.longest_word) - 1, *radii):
+                got = omega_elements(part, entry.pair, ut, radius)
+                assert got == _ball_scan_translators(part, entry.pair, ut, radius)
+                assert (got == []) == (radius < len(entry.longest_word))
+                # suffix-closed: _spec_candidates translates each from its suffix
+                assert all(w[1:] in got for w in got if w)
 
 
 def test_omega_minimal_top_level(part237, g237, w237):
     specs = omega_minimal(part237, 3, radius=12, k=K_W237)
-    translators = [w237.word_str(sp.translator.word) for sp in specs]
+    translators = [w237.word_str(sp.translator) for sp in specs]
     assert translators[0] == ""  # identity translator survives
     # pairwise disjoint languages after minimal filtering
     for i, a in enumerate(specs):
@@ -204,7 +228,7 @@ def test_omega_minimal_top_level(part237, g237, w237):
 def test_identity_spec_language_is_ut(part237):
     specs = omega_minimal(part237, 3, radius=10, k=K_W237)
     first = specs[0]
-    assert first.translator.word == ()
+    assert first.translator == ()
     assert are_equivalent(first.language, u_t_fsa(part237, first.pair))
 
 

@@ -217,6 +217,12 @@ def test_from_text_rejects_garbage():
         from_text("")
     with pytest.raises(ValueError):
         from_text("states 1 alphabet a initial 0\n0 b 0\naccept 0\n")
+    for bad in ("states 1 alphabet a initial 0\n0 a 5\naccept 0\n",
+                "states 1 alphabet a initial 3\naccept 0\n",
+                "states -2 alphabet a initial 0\naccept 0\n",
+                "states 1 alphabet a initial 0\naccept 7\n"):
+        with pytest.raises(ValueError):
+            from_text(bad)
 
 
 random_dfas = st.builds(

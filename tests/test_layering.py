@@ -2,8 +2,10 @@
 `verify.py` may import `polycell.oracle`, to run the verification checks,
 and the command line loads it only for `verify`.  The workspace reads KL
 data only through public `KLTable` methods, and every cell comes from
-`kl.empirical_cells`.  The benchmark's tracer finds every layer function it
-wraps.  Only `render` loads numpy, so the other commands start without it."""
+`kl.empirical_cells`.  Outside the word engine and the oracles no module
+rewrites words through normal forms.  The benchmark's tracer finds every
+layer function it wraps.  Only `render` loads numpy, so the other commands
+start without it."""
 
 import ast
 import importlib
@@ -75,11 +77,35 @@ def test_only_kl_builds_cells():
     assert offenders == []
 
 
+# the word engine's rewriting methods: normal forms and products of words
+WORD_REWRITING = {"nf", "element", "multiply", "inverse", "shortlex", "reduce_word"}
+
+
+def _method_calls(path: Path, names: set[str]) -> list[str]:
+    """Calls `x.name(...)` in a module: the word engine is reached only
+    through `PolygonGroup` methods."""
+    return [f"{path.name}: {ast.unparse(node.func)}()"
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in names]
+
+
+def test_main_path_rewrites_no_words():
+    """Outside the word engine and the oracles, words move through ball
+    indices and automata, never through normal forms."""
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name not in ("words.py", "oracle.py"):
+            offenders += _method_calls(path, WORD_REWRITING)
+    assert offenders == []
+
+
 def test_hecke_stays_on_the_kl_table():
     """Hecke arithmetic runs on the KL table's ball indices and packed
     integers: no field arithmetic and no call into the word engine."""
-    offenders = []
-    for node in ast.walk(ast.parse((PACKAGE / "hecke.py").read_text())):
+    path = PACKAGE / "hecke.py"
+    offenders = _method_calls(path, WORD_REWRITING | {"is_reduced"})
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "field":
             offenders.append(f"from {node.module} import")
         elif isinstance(node, ast.ImportFrom) and node.module in ("", "polycell"):
@@ -87,12 +113,9 @@ def test_hecke_stays_on_the_kl_table():
         elif isinstance(node, ast.Import):
             offenders += [alias.name for alias in node.names
                           if alias.name.split(".")[-1] == "field"]
-        elif isinstance(node, ast.Call):
-            func = node.func
-            name = (func.attr if isinstance(func, ast.Attribute)
-                    else func.id if isinstance(func, ast.Name) else None)
-            if name in ("nf", "element", "is_reduced"):
-                offenders.append(f"{ast.unparse(func)}()")
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id in ("nf", "element", "is_reduced")):
+            offenders.append(f"{node.func.id}()")
     assert offenders == []
 
 
