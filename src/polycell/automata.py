@@ -17,9 +17,9 @@ built and the machine is already the projection to alpha from which
 pattern saturation (red_x_mu) and left translation follow.  Once one word
 has finished, the difference is the element the other word still has to
 spell; both words are reduced, so the machine takes only pad moves that
-shorten the difference.  Each state records its moves as it is interned,
-and one backward pass from the accepting states then keeps only the states
-on an accepting run, so the machine comes out trimmed.
+shorten the difference.  Like every machine of the toolkit it is one
+`expand` function handed to `fsa.explore`, which keeps only the states on
+an accepting run and raises StateBlowup past `fsa.STATE_CAP` states.
 
 The offset is only ever the identity (saturation) or a generator (one step
 of left translation); a longer translator is a chain of one-generator
@@ -39,12 +39,11 @@ from .errors import BallTooSmall, KNotValidated, PatternNotReduced
 from .fsa import (
     FSA,
     are_equivalent,
-    empty_language,
+    explore,
     intersect,
     make_dfa,
     minimize,
     reverse_fsa,
-    trim_fsa,
 )
 from .words import PolygonGroup, Word
 
@@ -78,14 +77,12 @@ def nf_transition_fsa(group: PolygonGroup) -> FSA:
     """DFA whose accepted words are the reversed ShortLex normal forms: keep
     a canonical edge only when its letter is the least right descent of the
     target state.  Path counts by length equal element counts by length."""
-    base = canonical_fsa(group)
-    delta = {}
-    for (q, s), (t,) in base.transitions.items():
-        if s == min(group.state_rdesc[t]):
-            delta[(q, s)] = t
-    out = make_dfa(base.alphabet, base.n_states, base.initial,
-                   range(base.n_states), delta)
-    return trim_fsa(out)
+    rdesc = group.state_rdesc
+    least_edges = [[(s, t) for s, t in enumerate(row)
+                    if t is not None and s == min(rdesc[t])]
+                   for row in group.transitions]
+    return explore(group.presentation.names, 0,
+                   lambda q: (True, least_edges[q]), deterministic=True)
 
 
 def shortlex_fsa(group: PolygonGroup) -> FSA:
@@ -143,10 +140,9 @@ def equal_endpoint_pairs(group: PolygonGroup, B: FSA, offset: Word,
     need the radius test.  A B accepting a non-reduced word would lose the
     pairs that pad through it.
 
-    The machine is trimmed as it is built: every interned state is reached
-    from the start, and a backward pass over the recorded predecessors from
-    the accepting states marks the live ones, which keep their order of
-    interning."""
+    `fsa.explore` builds the machine: it keeps the states on an accepting
+    run, in their order of discovery, and raises StateBlowup past
+    `fsa.STATE_CAP` interned states."""
     radius = k + len(offset)
     # the intermediate d*y may overshoot by one before x pulls it back
     ball = group.ball(radius + 1)
@@ -162,22 +158,13 @@ def equal_endpoint_pairs(group: PolygonGroup, B: FSA, offset: Word,
     # both words running, 1 = beta finished (so its B state accepts), 2 =
     # alpha finished.  Every canonical state accepts, and ball index 0 is
     # the identity.  The step that enters mode 1 or 2 is a pad move too.
-    start = (0, B.initial, ball.index[offset], 0)
-    ids = {start: 0}
-    order = [start]
-    # each state's moves, (letter or -1 = epsilon, target key)
-    moves_of: list[list[tuple[int, tuple]]] = []
-    preds: list[list[int]] = [[]]
-    accepting: list[int] = []
-    i = 0
-    while i < len(order):
-        qa, qb, d, mode = order[i]
+
+    def expand(state):
+        qa, qb, d, mode = state
         qb_acc = qb in b_acc
-        if d == 0 and qb_acc:
-            accepting.append(i)
         ld = lengths[d]
         dy = right_mult[d]  # d * y, by y
-        moves: list[tuple[int, tuple]] = []
+        moves = []
         if mode != 2:
             both = b_moves[qb] if mode == 0 else ()
             pad = left_mult[d] if qb_acc else None
@@ -195,52 +182,10 @@ def equal_endpoint_pairs(group: PolygonGroup, B: FSA, offset: Word,
                 nd = dy[y]
                 if lengths[nd] < ld:
                     moves.append((-1, (qa, tb, nd, 2)))
-        for _, key in moves:
-            j = ids.get(key)
-            if j is None:
-                ids[key] = len(order)
-                order.append(key)
-                preds.append([i])
-            else:
-                preds[j].append(i)
-        moves_of.append(moves)
-        i += 1
-    # trim: every state is reachable, so the live ones are those from which
-    # an accepting state is reached; one backward pass marks them
-    live = [False] * len(order)
-    for q in accepting:
-        live[q] = True
-    stack = list(accepting)
-    while stack:
-        for p in preds[stack.pop()]:
-            if not live[p]:
-                live[p] = True
-                stack.append(p)
-    names = group.presentation.names
-    if not live[0]:
-        return empty_language(names)
-    remap = [0] * len(order)
-    n = 0
-    for q, alive in enumerate(live):
-        if alive:
-            remap[q] = n
-            n += 1
-    transitions: dict[tuple[int, int], list[int]] = {}
-    eps: dict[int, list[int]] = {}
-    for q, moves in enumerate(moves_of):
-        if not live[q]:
-            continue
-        rq = remap[q]
-        for x, key in moves:
-            j = ids[key]
-            if live[j]:
-                if x < 0:
-                    eps.setdefault(rq, []).append(remap[j])
-                else:
-                    transitions.setdefault((rq, x), []).append(remap[j])
-    return FSA(names, n, 0, frozenset(remap[q] for q in accepting),
-               {key: tuple(ts) for key, ts in transitions.items()},
-               eps={q: tuple(ts) for q, ts in eps.items()})
+        return d == 0 and qb_acc, moves
+
+    return explore(group.presentation.names,
+                   (0, B.initial, ball.index[offset], 0), expand)
 
 
 # pattern machines by group, then by (pattern, k): choose_k and

@@ -263,10 +263,13 @@ def cmd_onesided(args) -> int:
     k = _resolve_k(ws, pres, group, args.k)
     part = build_partition(group, k)
     specs = omega_minimal(part, args.level, args.radius, k)
+    # one translator word may serve several pairs of a level
+    several = len(part.data.pairs_at_level(args.level)) > 1
     entries = []
     for spec in specs:
         word = pres.word_str(spec.translator) or "e"
-        name = f"onesided_l{spec.level}_{word}"
+        pair = pres.word_str(spec.pair) + "_" if several else ""
+        name = f"onesided_l{spec.level}_{pair}{word}"
         path = ws.write_fsa(pres, name, spec.language)
         entries.append({
             "level": spec.level,
@@ -309,13 +312,15 @@ def cmd_verify(args) -> int:
         ]
     if args.suite in ("kl", "all"):
         table = KLTable(group, ball)
-        checks += [
-            verify.kl_identity(table),
-            verify.kl_oracle(table, args.oracle_length),
-            verify.a_function(part, table, min(3, args.radius // 2)),
-        ]
-        if (ws.group_dir(pres) / ws.kl_name(args.radius)).exists():
-            checks.append(verify.kl_cache(table, ws.read_kl(pres, args.radius)))
+        checks.append(verify.kl_identity(table))
+        # the other checks read P, which a failed identity leaves unsound
+        if checks[-1].ok:
+            checks += [
+                verify.kl_oracle(table, args.oracle_length),
+                verify.a_function(part, table, min(3, args.radius // 2)),
+            ]
+            if (ws.group_dir(pres) / ws.kl_name(args.radius)).exists():
+                checks.append(verify.kl_cache(table, ws.read_kl(pres, args.radius)))
 
     results = {"group": pres.label, "radius": args.radius,
                **{c.name: {"pass": c.ok, "detail": c.detail} for c in checks}}

@@ -69,5 +69,5 @@ class SolverDiverged(PolycellError):
     pass
 
 
-class VerificationDisagreement(PolycellError):
-    pass
+class VerificationDisagreement(PolycellError, ArithmeticError):
+    """A check found two routes that disagree; the command line exits 1."""

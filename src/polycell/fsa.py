@@ -6,6 +6,12 @@ engine words feed straight in.  Transitions map (state, symbol) to a tuple
 of targets; deterministic machines keep singleton tuples.  Epsilon moves
 are stored separately and only appear in intermediate products (pair
 machines, reversal); stored machines are epsilon-free.
+
+One function, `explore`, makes every machine that is searched out from a
+start state: subset construction, products and the pair machines of
+`automata`.  It interns states as it meets them, keeps only those on an
+accepting run (Epstein et al., Word Processing in Groups, 1992, ch. 2),
+and caps every machine at STATE_CAP states.
 """
 
 from __future__ import annotations
@@ -102,98 +108,95 @@ def _check_alphabet(a: FSA, b: FSA) -> None:
         raise AlphabetMismatch(f"{a.alphabet} vs {b.alphabet}")
 
 
-def determinize(fsa: FSA) -> FSA:
-    """Subset construction of the states reachable from the initial one."""
-    start = _eps_closure(fsa, {fsa.initial})
-    ids: dict[frozenset[int], int] = {start: 0}
+def explore(alphabet, start, expand, deterministic: bool = False) -> FSA:
+    """The machine of the states reached from `start`, trimmed to those on
+    an accepting run.  expand(key) returns whether the state accepts and
+    its moves (symbol, key), symbol -1 an epsilon move.  States are
+    interned in order of discovery, each recording its predecessors; one
+    backward pass from the accepting states marks the live ones, which
+    keep that order.  A machine past STATE_CAP interned states raises
+    StateBlowup naming the function that made `expand`."""
+    ids = {start: 0}
     order = [start]
-    delta: dict[tuple[int, int], int] = {}
-    accepting = set()
-    nsym = len(fsa.alphabet)
+    rows = []  # each state's moves, as expand gave them
+    preds: list[list[int]] = [[]]
+    accepting: list[int] = []
     i = 0
     while i < len(order):
-        cur = order[i]
-        if cur & fsa.accepting:
-            accepting.add(i)
-        for s in range(nsym):
-            nxt = set()
-            for q in cur:
-                nxt.update(fsa.transitions.get((q, s), ()))
-            if not nxt:
-                continue
-            key = _eps_closure(fsa, nxt)
+        accepts, moves = expand(order[i])
+        if accepts:
+            accepting.append(i)
+        for _, key in moves:
             j = ids.get(key)
             if j is None:
-                j = len(order)
-                if j >= STATE_CAP:
-                    raise StateBlowup(
-                        f"determinization exceeds {STATE_CAP} states")
-                ids[key] = j
+                if len(order) >= STATE_CAP:
+                    stage = expand.__qualname__.partition(".")[0]
+                    raise StateBlowup(f"{stage} exceeds {STATE_CAP} states")
+                ids[key] = len(order)
                 order.append(key)
-            delta[(i, s)] = j
+                preds.append([i])
+            else:
+                preds[j].append(i)
+        rows.append(moves)
         i += 1
-    return make_dfa(fsa.alphabet, len(order), 0, accepting, delta)
-
-
-def trim_fsa(fsa: FSA) -> FSA:
-    """Drop states not on an accepting path; preserves determinism."""
-    n = fsa.n_states
-    fwd: list[list[int]] = [[] for _ in range(n)]
-    back: list[list[int]] = [[] for _ in range(n)]
-    for (q, _), targets in fsa.transitions.items():
-        fwd[q].extend(targets)
-        for t in targets:
-            back[t].append(q)
-    for q, targets in fsa.eps.items():
-        fwd[q].extend(targets)
-        for t in targets:
-            back[t].append(q)
-    reach = [False] * n
-    reach[fsa.initial] = True
-    stack = [fsa.initial]
+    live = [False] * len(order)
+    for q in accepting:
+        live[q] = True
+    stack = list(accepting)
     while stack:
-        for t in fwd[stack.pop()]:
-            if not reach[t]:
-                reach[t] = True
-                stack.append(t)
-    co = [False] * n
-    stack = list(fsa.accepting)
-    for q in stack:
-        co[q] = True
-    while stack:
-        for t in back[stack.pop()]:
-            if not co[t]:
-                co[t] = True
-                stack.append(t)
-    if not (reach[fsa.initial] and co[fsa.initial]):
-        return empty_language(fsa.alphabet)
-    remap = [-1] * n
-    kept = 0
-    for q in range(n):
-        if reach[q] and co[q]:
-            remap[q] = kept
-            kept += 1
-    transitions = {}
-    for (q, s), targets in fsa.transitions.items():
-        if remap[q] >= 0:
-            ts = tuple(remap[t] for t in targets if remap[t] >= 0)
-            if ts:
-                transitions[(remap[q], s)] = ts
-    eps = {}
-    for q, targets in fsa.eps.items():
-        if remap[q] >= 0:
-            ts = tuple(remap[t] for t in targets if remap[t] >= 0)
-            if ts:
-                eps[remap[q]] = ts
+        for p in preds[stack.pop()]:
+            if not live[p]:
+                live[p] = True
+                stack.append(p)
+    if not live[0]:
+        return empty_language(alphabet)
+    remap = [-1] * len(order)
+    n = 0
+    for q, alive in enumerate(live):
+        if alive:
+            remap[q] = n
+            n += 1
+    transitions: dict[tuple[int, int], list[int]] = {}
+    eps: dict[int, list[int]] = {}
+    for q, moves in enumerate(rows):
+        if live[q]:
+            rq = remap[q]
+            for s, key in moves:
+                j = ids[key]
+                if live[j]:
+                    if s < 0:
+                        eps.setdefault(rq, []).append(remap[j])
+                    else:
+                        transitions.setdefault((rq, s), []).append(remap[j])
     return FSA(
-        alphabet=fsa.alphabet,
-        n_states=kept,
-        initial=remap[fsa.initial],
-        accepting=frozenset(remap[q] for q in fsa.accepting if remap[q] >= 0),
-        transitions=transitions,
-        eps=eps,
-        deterministic=fsa.deterministic,
+        alphabet=tuple(alphabet),
+        n_states=n,
+        initial=0,
+        accepting=frozenset(remap[q] for q in accepting),
+        transitions={k: tuple(ts) for k, ts in transitions.items()},
+        eps={q: tuple(ts) for q, ts in eps.items()},
+        deterministic=deterministic,
     )
+
+
+def determinize(fsa: FSA) -> FSA:
+    """Subset construction of the states reachable from the initial one,
+    trimmed."""
+    delta, acc = fsa.transitions, fsa.accepting
+    syms = range(len(fsa.alphabet))
+
+    def expand(cur):
+        moves = []
+        for s in syms:
+            nxt = set()
+            for q in cur:
+                nxt.update(delta.get((q, s), ()))
+            if nxt:
+                moves.append((s, _eps_closure(fsa, nxt)))
+        return not acc.isdisjoint(cur), moves
+
+    return explore(fsa.alphabet, _eps_closure(fsa, {fsa.initial}), expand,
+                   deterministic=True)
 
 
 def minimize(fsa: FSA) -> FSA:
@@ -291,37 +294,24 @@ def _dfa_operands(a: FSA, b: FSA) -> tuple[FSA, FSA, tuple]:
 
 
 def _product(a: FSA, b: FSA, keep) -> FSA:
-    """Pairing on completed DFAs; keep(in_a, in_b) decides acceptance.
-    None marks the implicit dead side."""
+    """Pairing on completed DFAs, trimmed; keep(in_a, in_b) decides
+    acceptance.  None marks the implicit dead side."""
     a, b, start = _dfa_operands(a, b)
-    nsym = len(a.alphabet)
-    ids = {start: 0}
-    order = [start]
-    delta = {}
-    accepting = set()
-    i = 0
-    while i < len(order):
-        qa, qb = order[i]
-        if keep(qa in a.accepting if qa is not None else False,
-                qb in b.accepting if qb is not None else False):
-            accepting.add(i)
-        for s in range(nsym):
-            ta = a.step(qa, s) if qa is not None else None
-            tb = b.step(qb, s) if qb is not None else None
-            if ta is None and tb is None:
-                continue
-            key = (ta, tb)
-            j = ids.get(key)
-            if j is None:
-                j = len(order)
-                if j >= STATE_CAP:
-                    raise StateBlowup("product exceeds state cap")
-                ids[key] = j
-                order.append(key)
-            delta[(i, s)] = j
-        i += 1
-    out = make_dfa(a.alphabet, len(order), 0, accepting, delta)
-    return trim_fsa(out)
+    a_delta, a_acc = a.transitions, a.accepting
+    b_delta, b_acc = b.transitions, b.accepting
+    syms = range(len(a.alphabet))
+
+    def expand(pair):
+        qa, qb = pair
+        moves = []
+        for s in syms:
+            ta = a_delta.get((qa, s))
+            tb = b_delta.get((qb, s))
+            if ta or tb:
+                moves.append((s, (ta[0] if ta else None, tb[0] if tb else None)))
+        return keep(qa in a_acc, qb in b_acc), moves
+
+    return explore(a.alphabet, start, expand, deterministic=True)
 
 
 def intersect(a: FSA, b: FSA) -> FSA:

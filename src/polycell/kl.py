@@ -67,8 +67,8 @@ import functools
 from collections.abc import Iterator
 from dataclasses import dataclass
 
-from .errors import ResourceLimit
-from .words import Element, ElementBall, PolygonGroup
+from .errors import ResourceLimit, VerificationDisagreement
+from .words import ElementBall, PolygonGroup
 
 Poly = tuple[int, ...]
 
@@ -167,9 +167,6 @@ class KLTable:
         self._top_w = -1
         self._top: dict[int, int] = {}
 
-    def idx(self, e: Element) -> int:
-        return self.ball.index[e.word]
-
     def _rmult(self, i: int, s: int) -> int:
         j = self.ball.right_mult[i][s]
         assert j is not None
@@ -183,14 +180,6 @@ class KLTable:
     def lower(self, w: int) -> list[int]:
         """Indices x <= w, ascending."""
         return _bits(self._leq[w])
-
-    def upper(self, v: int) -> list[int]:
-        """Indices x >= v inside the ball, ascending."""
-        return _bits(self._geq[v])
-
-    def interval(self, v: int, w: int) -> list[int]:
-        """Indices of the Bruhat interval [v, w], ascending."""
-        return _bits(self._leq[w] & self._geq[v])
 
     def _extremal(self, w: int) -> int:
         """Bitset of the x <= w with D_L(w) in D_L(x) and D_R(w) in D_R(x)."""
@@ -288,9 +277,8 @@ class KLTable:
             out = _pack(coeffs)
             # the identity must now hold on the nose
             if _pack(coeffs[::-1]) << _B * (n + 1 - len(coeffs)) != out + acc:
-                raise ArithmeticError(
-                    f"defining identity failed for pair {key}"
-                )
+                raise VerificationDisagreement(
+                    f"defining identity failed for pair {key}")
             self._pmax = max([self._pmax, *map(abs, coeffs)])
             self._P[key] = out
         return out
@@ -333,7 +321,7 @@ class KLTable:
 
     def records(self) -> Iterator[tuple[int, int, Poly, Poly, int]]:
         """(v, w, R_{v,w}, P_{v,w}, mu(v, w)) for every Bruhat pair of the
-        ball, v ascending, then w ascending over upper(v).  A table holds
+        ball, v ascending, then w ascending over the x >= v.  A table holds
         few distinct polynomials, so each distinct packed value is decoded
         once and yielded as the same tuple.  Every length difference in
         the ball is at most its radius, so one check of 3^radius stands for

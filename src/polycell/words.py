@@ -75,7 +75,6 @@ class PolygonGroup:
         self.rank = presentation.rank
         self.table: SmallRootTable = compute_small_roots(presentation)
         self._build_transitions()
-        self.identity = Element((), frozenset(), frozenset())
         self._balls: dict[int, ElementBall] = {}
 
     # canonical automaton: states are the reachable sets of small inversions

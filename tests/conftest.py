@@ -2,6 +2,7 @@ import pytest
 
 from polycell import PolygonGroup, presentation_from_angles
 from polycell.cells import build_partition, u_t_fsa
+from polycell.fsa import FSA, empty_language
 
 # fellow-traveler constants; test_automata re-validates both exhaustively
 K_W237 = 6
@@ -22,6 +23,45 @@ def assert_translates_match_balls(part, specs, r):
                     members.add(prod.word)
         for e in group.ball(r).elements:
             assert sp.language.accepts(e.word) == (e.word in members)
+
+
+def set_trim_reference(a: FSA) -> FSA:
+    """The trim by sets: the states reachable from the initial one and
+    co-reachable from an accepting one, renumbered in order."""
+    succ = {(q, t) for q, _, t in a.edges()}
+    succ |= {(q, t) for q, ts in a.eps.items() for t in ts}
+
+    def closure(seeds, pairs):
+        step: dict = {}
+        for q, t in pairs:
+            step.setdefault(q, set()).add(t)
+        out = frontier = set(seeds)
+        while frontier:
+            frontier = set().union(*(step.get(q, ()) for q in frontier)) - out
+            out = out | frontier
+        return out
+
+    live = closure({a.initial}, succ) & closure(a.accepting,
+                                               {(t, q) for q, t in succ})
+    if a.initial not in live:
+        return empty_language(a.alphabet)
+    remap = {q: i for i, q in enumerate(sorted(live))}
+
+    def kept(targets):
+        return tuple(remap[t] for t in targets if t in live)
+
+    return FSA(
+        alphabet=a.alphabet,
+        n_states=len(live),
+        initial=remap[a.initial],
+        accepting=frozenset(remap[q] for q in a.accepting & live),
+        transitions={(remap[q], s): kept(ts)
+                     for (q, s), ts in a.transitions.items()
+                     if q in live and kept(ts)},
+        eps={remap[q]: kept(ts) for q, ts in a.eps.items()
+             if q in live and kept(ts)},
+        deterministic=a.deterministic,
+    )
 
 
 @pytest.fixture(scope="session")

@@ -15,7 +15,7 @@ from polycell.automata import (
     shortlex_fsa,
 )
 from polycell.cells import _spec_candidates, dihedral_data, u_t_fsa
-from polycell.errors import PatternNotReduced
+from polycell.errors import PatternNotReduced, StateBlowup
 from polycell.fsa import (
     FSA,
     are_equivalent,
@@ -27,10 +27,9 @@ from polycell.fsa import (
     is_subset,
     minimize,
     to_text,
-    trim_fsa,
 )
 from polycell.oracle import braid_closure
-from tests.conftest import K_W237, K_W2224
+from tests.conftest import K_W237, K_W2224, set_trim_reference
 
 
 def test_canonical_rejects_non_reduced(g237):
@@ -130,7 +129,7 @@ def padded_equal_endpoint_pairs(
     length <= diff_radius (default k).  The shorter word pads at the end;
     (pad, pad) never occurs."""
     if offset is None:
-        offset = group.identity
+        offset = group.element(())
     radius = k if diff_radius is None else diff_radius
     # the intermediate d*y may overshoot by one before x pulls it back
     ball = group.ball(radius + 1)
@@ -220,7 +219,7 @@ def padded_equal_endpoint_pairs(
     det = all(len(v) == 1 for v in transitions.values())
     out = FSA(alphabet, len(order), 0, frozenset(accepting), transitions,
               deterministic=det)
-    return trim_fsa(out)
+    return set_trim_reference(out)
 
 
 def project_first(pairs, names):
@@ -301,7 +300,17 @@ def test_pair_machines_are_trim_stable(part237, part2224, monkeypatch):
         _spec_candidates(part, level, radius, k)
         assert len(built) > n_patterns
     for p in built:
-        assert trim_fsa(p) == p
+        assert set_trim_reference(p) == p
+
+
+def test_pair_machines_stop_at_the_state_cap(g237, w237, monkeypatch):
+    # the cap counts interned states, live or not, like every other
+    # machine's; the rt machine interns more than ten
+    B = factor_fsa(g237, w237.parse_word("rt"))
+    assert equal_endpoint_pairs(g237, B, (), K_W237).n_states > 10
+    monkeypatch.setattr("polycell.fsa.STATE_CAP", 10)
+    with pytest.raises(StateBlowup, match="equal_endpoint_pairs exceeds 10 states"):
+        equal_endpoint_pairs(g237, B, (), K_W237)
 
 
 def test_red_x_mu_examples(g237, w237):
@@ -395,7 +404,7 @@ def _brute_force_constant(group, radius):
     synchronous difference, over braid closures as reduced expressions."""
 
     def prefix_differences(alpha, beta):
-        d = group.identity
+        d = group.element(())
         worst = 0
         for i in range(max(len(alpha), len(beta))):
             left = (alpha[i],) if i < len(alpha) else ()

@@ -8,7 +8,7 @@ from polycell.cache import Workspace, group_hash
 from polycell.cli import main
 from polycell.errors import CorruptCache, ResourceLimit
 from polycell.fsa import from_text
-from polycell.kl import KLTable
+from polycell.kl import KLTable, empirical_cells
 
 
 @pytest.fixture()
@@ -56,8 +56,9 @@ def _per_row_kl_bytes(pres, table):
     names = pres.names
     codes = ["".join(names[s] for s in e.word) or "-" for e in table.ball.elements]
     lines = []
-    for v in range(len(table.ball.elements)):
-        for w in table.upper(v):
+    n = len(table.ball.elements)
+    for v in range(n):
+        for w in (x for x in range(n) if table.leq_idx(v, x)):
             lines.append("\t".join([
                 codes[v],
                 codes[w],
@@ -81,7 +82,7 @@ def test_records_hold_each_bruhat_pair_once_in_file_order(g2224):
     records = list(table.records())
     n = len(table.ball)
     assert [(v, w) for v, w, *_ in records] == [
-        (v, w) for v in range(n) for w in table.upper(v)]
+        (v, w) for v in range(n) for w in range(n) if table.leq_idx(v, w)]
     assert len(records) == sum(len(table.lower(w)) for w in range(n))
     for v, w, r, p, mu in records:
         assert (r, p, mu) == (table.r_idx(v, w), table.p_idx(v, w), table.mu_idx(v, w))
@@ -456,6 +457,68 @@ def test_cli_cap_bounds_the_ball_is_exit_2(tmp_path, w237_config, capsys, argv,
     err = capsys.readouterr().err
     assert err == "error: ResourceLimit: ball exceeds cap 10\n"
     assert not (tmp_path / "ws" / "w237" / "reports" / report).exists()
+
+
+def _poison_one_r(monkeypatch, group, radius):
+    """Every KLTable made from here on carries one R entry off by one: on a
+    pair whose P `cells compare` at this radius computes, so the defining
+    identity re-check of the first P that sums it fails."""
+    table = KLTable(group, group.ball(radius))
+    empirical_cells(table)
+    key = min(table._P)
+    init = KLTable.__init__
+
+    def poisoned(self, *args):
+        init(self, *args)
+        self._R[key] = self._r(*key) + 1
+
+    monkeypatch.setattr(KLTable, "__init__", poisoned)
+
+
+@pytest.mark.parametrize("argv", [
+    ("kl",),
+    ("cells", "compare", "--k", "6"),
+], ids=["kl", "cells-compare"])
+def test_cli_failed_identity_is_one_disagreement_line(tmp_path, w237_config, g237,
+                                                      capsys, monkeypatch, argv):
+    _poison_one_r(monkeypatch, g237, 8)
+    assert run(tmp_path, *argv, "--group", str(w237_config), "--radius", "8") == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("verification disagreement: defining identity failed "
+                          "for pair ")
+    assert not list((tmp_path / "ws" / "w237").glob("kl.*"))
+
+
+def test_cli_verify_kl_reports_a_failed_identity(tmp_path, w237_config, g237, capsys,
+                                                 monkeypatch):
+    _poison_one_r(monkeypatch, g237, 8)
+    assert run(tmp_path, "verify", "kl", "--group", str(w237_config),
+               "--radius", "8", "--k", "6") == 1
+    out, err = capsys.readouterr()
+    assert "  kl_identity: FAIL (defining identity failed for pair " in out
+    assert err == "verification disagreement: kl_identity\n"
+    report = tmp_path / "ws" / "w237" / "reports" / "verify.kl.r8.json"
+    assert json.loads(report.read_text())["kl_identity"]["pass"] is False
+
+
+def test_cli_onesided_names_each_pair_its_own_file(tmp_path, capsys):
+    # w2224 level 1 has three pairs, and each keeps a spec translated by e
+    config = tmp_path / "w2224.json"
+    config.write_text(json.dumps({"name": "w2224", "angles": [2, 2, 2, 4]}))
+    assert run(tmp_path, "onesided", "--group", str(config), "--level", "1",
+               "--radius", "8", "--k", "4") == 0
+    capsys.readouterr()
+    report = tmp_path / "ws" / "w2224" / "reports" / "onesided.l1.r8.json"
+    specs = json.loads(report.read_text())["specs"]
+    names = [Path(spec["fsa"]).name for spec in specs]
+    assert len(set(names)) == len(specs)
+    assert {"onesided_l1_ab_e.fsa", "onesided_l1_ad_e.fsa",
+            "onesided_l1_bc_e.fsa"} <= set(names)
+    for spec in specs:
+        pair = "".join(spec["pair"])
+        assert Path(spec["fsa"]).name == f"onesided_l1_{pair}_{spec['translator']}.fsa"
+        assert from_text(Path(spec["fsa"]).read_text()).n_states == spec["states"]
 
 
 def test_cli_render_out_is_a_directory_is_exit_2(tmp_path, w237_config, capsys):

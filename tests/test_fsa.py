@@ -15,6 +15,7 @@ from polycell.fsa import (
     empty_language,
     enumerate_words,
     epsilon_language,
+    explore,
     from_text,
     intersect,
     is_empty,
@@ -24,9 +25,9 @@ from polycell.fsa import (
     reverse_fsa,
     symmetric_difference,
     to_text,
-    trim_fsa,
     union,
 )
+from tests.conftest import set_trim_reference
 
 AB = ("a", "b")
 
@@ -161,7 +162,7 @@ def test_minimize_needs_no_trim():
     # state 2 is unreachable and state 3 dead: no accepting state lies ahead
     delta = {(0, 0): 1, (0, 1): 3, (1, 1): 0, (2, 0): 1, (3, 0): 3}
     a = make_dfa(AB, 4, 0, {1}, delta)
-    assert to_text(minimize(a)) == to_text(minimize(trim_fsa(a)))
+    assert to_text(minimize(a)) == to_text(minimize(set_trim_reference(a)))
     assert minimize(a).n_states == 2
     # the accepting state is unreachable, so the initial one has no future
     b = make_dfa(AB, 3, 0, {2}, {(0, 0): 1, (1, 1): 0, (2, 0): 2})
@@ -331,49 +332,12 @@ def myhill_nerode_states(a: FSA) -> int:
     return max(1, len(classes))
 
 
-def set_trim_reference(a: FSA) -> FSA:
-    """trim_fsa by sets: the states reachable from the initial one and
-    co-reachable from an accepting one, renumbered in order."""
-    succ = {(q, t) for q, _, t in a.edges()}
-    succ |= {(q, t) for q, ts in a.eps.items() for t in ts}
-
-    def closure(seeds, pairs):
-        out = set(seeds)
-        while True:
-            more = {t for q, t in pairs if q in out} - out
-            if not more:
-                return out
-            out |= more
-
-    live = closure({a.initial}, succ) & closure(a.accepting,
-                                               {(t, q) for q, t in succ})
-    if a.initial not in live:
-        return empty_language(a.alphabet)
-    remap = {q: i for i, q in enumerate(sorted(live))}
-
-    def kept(targets):
-        return tuple(remap[t] for t in targets if t in live)
-
-    return FSA(
-        alphabet=a.alphabet,
-        n_states=len(live),
-        initial=remap[a.initial],
-        accepting=frozenset(remap[q] for q in a.accepting & live),
-        transitions={(remap[q], s): kept(ts)
-                     for (q, s), ts in a.transitions.items()
-                     if q in live and kept(ts)},
-        eps={remap[q]: kept(ts) for q, ts in a.eps.items()
-             if q in live and kept(ts)},
-        deterministic=a.deterministic,
-    )
-
-
 @settings(max_examples=150, deadline=None)
 @given(a=partial_dfas)
 def test_minimize_partial_dfas_against_table_filling(a):
     m = minimize(a)
     assert m.n_states == myhill_nerode_states(a)
-    assert to_text(m) == to_text(minimize(trim_fsa(a)))
+    assert to_text(m) == to_text(minimize(set_trim_reference(a)))
     assert are_equivalent(m, a)
     for w in _words(5):
         assert m.accepts(w) == a.accepts(w)
@@ -382,8 +346,36 @@ def test_minimize_partial_dfas_against_table_filling(a):
 @settings(max_examples=150, deadline=None)
 @given(a=random_nfas)
 def test_trim_and_emptiness_against_set_reference(a):
-    t = trim_fsa(a)
-    assert t == set_trim_reference(a)
+    t = set_trim_reference(a)
     assert is_empty(a) == (not t.accepting)
     assert is_empty(a) == (not any(a.accepts(w) for w in _words(a.n_states)))
     assert minimize(a).n_states == myhill_nerode_states(determinize(a))
+
+
+def _own_moves(a: FSA):
+    """expand for explore that reads a's own moves, epsilon ones as -1."""
+    def expand(q):
+        moves = [(s, t) for s in range(len(a.alphabet))
+                 for t in a.transitions.get((q, s), ())]
+        return q in a.accepting, moves + [(-1, t) for t in a.eps.get(q, ())]
+    return expand
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=random_nfas)
+def test_explore_keeps_the_live_states(a):
+    e = explore(a.alphabet, a.initial, _own_moves(a))
+    assert e.n_states == set_trim_reference(a).n_states
+    for w in _words(a.n_states):
+        assert e.accepts(w) == a.accepts(w)
+    # no dead state: an accepting state lies ahead of every state kept,
+    # unless the language is empty and one rejecting state stands for it
+    if not e.accepting:
+        assert e == empty_language(AB)
+        return
+    back = {(t, q) for q, _, t in e.edges()}
+    back |= {(t, q) for q, ts in e.eps.items() for t in ts}
+    ahead = set(e.accepting)
+    while more := {q for t, q in back if t in ahead} - ahead:
+        ahead |= more
+    assert ahead == set(range(e.n_states))

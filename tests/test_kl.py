@@ -43,7 +43,7 @@ def _scan_interval(ball, below, v, w):
 
 
 def _r_poly(table, v, w):
-    return table.r_idx(table.idx(v), table.idx(w))
+    return table.r_idx(table.ball.index[v.word], table.ball.index[w.word])
 
 
 def _is_extremal(ball, v, w):
@@ -68,7 +68,7 @@ def _full_scan_w_graph(ball, side, table):
 
 
 def test_r_poly_base_cases(g237, kl237):
-    e = g237.identity
+    e = g237.element(())
     s = g237.element((1,))
     assert _r_poly(kl237, s, s) == (1,)
     assert _r_poly(kl237, e, s) == (-1, 1)          # q - 1
@@ -90,11 +90,11 @@ def test_r_poly_degree_and_constant(g237, kl237):
 
 
 def test_kl_poly_base_cases(g237, kl237):
-    e = g237.identity
+    e = g237.element(())
     w = g237.element((1, 2, 1, 2, 1))
-    wi = kl237.idx(w)
+    wi = kl237.ball.index[w.word]
     assert kl237.p_idx(wi, wi) == (1,)
-    assert kl237.p_idx(kl237.idx(e), wi) == (1,)
+    assert kl237.p_idx(kl237.ball.index[e.word], wi) == (1,)
 
 
 def test_kl_poly_dihedral_always_one(g237, kl237):
@@ -133,8 +133,9 @@ def test_defining_identity_recheck(g237, kl237):
                 continue
             n = ball.elements[wi].length - ball.elements[vi].length
             rhs = [0] * (n + 1)
-            for x in kl237.interval(vi, wi):
-                _poly_mul_into(rhs, kl237.r_idx(vi, x), kl237.p_idx(x, wi))
+            for x in kl237.lower(wi):
+                if kl237.leq_idx(vi, x):  # x in [v, w]
+                    _poly_mul_into(rhs, kl237.r_idx(vi, x), kl237.p_idx(x, wi))
             lhs = [0] * (n + 1)
             for i, c in enumerate(kl237.p_idx(vi, wi)):
                 lhs[n - i] = c
@@ -142,7 +143,8 @@ def test_defining_identity_recheck(g237, kl237):
 
 
 def test_mu_conventions(g237, kl237):
-    e, s, st, rt = (kl237.idx(g237.element(w)) for w in ((), (1,), (1, 2), (0, 2)))
+    e, s, st, rt = (kl237.ball.index[g237.element(w).word]
+                    for w in ((), (1,), (1, 2), (0, 2)))
     assert kl237.mu_idx(e, st) == 0      # even length difference
     assert kl237.mu_idx(s, st) == 1      # covering pair
     assert kl237.mu_idx(st, s) == 0      # wrong order
@@ -158,7 +160,7 @@ def test_mu_covering_pairs_are_one(g237, kl237):
 
 
 def test_bruhat_examples(g237, kl237):
-    e, r, rsr, st, rt = (kl237.idx(g237.element(w))
+    e, r, rsr, st, rt = (kl237.ball.index[g237.element(w).word]
                          for w in ((), (0,), (0, 1, 0), (1, 2), (0, 2)))
     for w in (e, r, rsr):
         assert kl237.leq_idx(e, w)
@@ -176,9 +178,10 @@ def test_bruhat_matches_subexpression_search(g237, kl237, g2224):
             for mask in range(1 << w.length):
                 sub = tuple(w.word[i] for i in range(w.length) if mask >> i & 1)
                 subelems.add(g.nf(sub))
+            index = table.ball.index
             for v in ball.elements:
                 want = v.word in subelems
-                assert table.leq_idx(table.idx(v), table.idx(w)) == want
+                assert table.leq_idx(index[v.word], index[w.word]) == want
 
 
 @pytest.mark.parametrize("group, radius", [("g237", 8), ("g2224", 6)])
@@ -188,14 +191,19 @@ def test_ideals_match_pairwise_scan(request, group, radius):
     table = KLTable(g, ball)
     below = _lifting_below(ball)
     n = len(ball.elements)
+
+    def members(mask):
+        return [x for x in range(n) if mask >> x & 1]
+
     for w in range(n):
         assert table.lower(w) == sorted(below[w])
-        assert table.upper(w) == [x for x in range(n) if w in below[x]]
+        # the upper ideal, which records() walks and _p intersects
+        assert members(table._geq[w]) == [x for x in range(n) if w in below[x]]
         for v in range(n):
             assert table.leq_idx(v, w) == (v in below[w])
             # every x in [v, w] has v <= x <= w, so v <= w or the interval is empty
             want = _scan_interval(ball, below, v, w) if v in below[w] else []
-            assert table.interval(v, w) == want
+            assert members(table._leq[w] & table._geq[v]) == want
 
 
 @pytest.mark.parametrize("group, radius", [("g237", 8), ("g2224", 6)])

@@ -3,7 +3,8 @@
 and the command line loads it only for `verify`.  The workspace reads KL
 data only through public `KLTable` methods, and every cell comes from
 `kl.empirical_cells`.  Outside the word engine and the oracles no module
-rewrites words through normal forms.  The benchmark's tracer finds every
+rewrites words through normal forms, and outside fsa.py none builds an
+automaton by hand.  The benchmark's tracer finds every
 layer function it wraps.  Only `render` loads numpy, so the other commands
 start without it."""
 
@@ -97,6 +98,19 @@ def test_main_path_rewrites_no_words():
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name not in ("words.py", "oracle.py"):
             offenders += _method_calls(path, WORD_REWRITING)
+    assert offenders == []
+
+
+def test_only_fsa_constructs_machines():
+    """Every automaton is made in fsa.py, by `explore`, `make_dfa` or a
+    parser; other modules describe states and moves and never call `FSA(`
+    themselves."""
+    offenders = [
+        f"{path.name}: {ast.unparse(node)}"
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "fsa.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and ast.unparse(node.func).split(".")[-1] == "FSA"]
     assert offenders == []
 
 

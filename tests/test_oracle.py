@@ -76,7 +76,7 @@ def test_classical_kl_agrees(g237, w237, kl237):
     for v in ball.elements:
         for w in ball.elements:
             assert oracle.kl_poly(v.word, w.word) == \
-                kl237.p_idx(kl237.idx(v), kl237.idx(w))
+                kl237.p_idx(kl237.ball.index[v.word], kl237.ball.index[w.word])
 
 
 def test_classical_kl_trivial_cases(w237, g237, kl237):
@@ -86,7 +86,8 @@ def test_classical_kl_trivial_cases(w237, g237, kl237):
     st = w237.parse_word("st")
     rt = w237.parse_word("rt")
     assert oracle.kl_poly(st, rt) == ()
-    assert kl237.p_idx(kl237.idx(g237.element(st)), kl237.idx(g237.element(rt))) == ()
+    index = kl237.ball.index
+    assert kl237.p_idx(index[g237.element(st).word], index[g237.element(rt).word]) == ()
 
 
 def test_comparison_report_shape(g237, part237, kl237):
