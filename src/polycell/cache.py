@@ -17,32 +17,40 @@ version mismatch drops it whole, a file of the wrong shape is
 `CorruptCache`, and a KL table is reused only while its stamp, which
 holds the table's sha256, matches the radius and the file; an artifact
 path that is not a file is `CorruptCache` too.  A KL table is written
-straight from the packed memo through the public `KLTable.records()`,
+from the KL table's forward sweep through the public `KLTable.records()`,
 which decodes each distinct polynomial once; `write_kl` formats each
 distinct polynomial once, and `read_kl` parses each distinct word and
 coefficient field once.
 Balls, automata and reports are rewritten on every run.  Each write goes
 through its own temp file and an atomic rename, so concurrent runs never
-read a torn file; two runs updating `meta.json` at once can lose one
-update, which costs a recomputation, not an answer.
+read a torn file, and each read-modify-write of `meta.json` holds an
+exclusive `flock` on the group directory, so two runs updating it at once
+keep both updates.  The module loads the automaton and KL layers only for
+annotations, so a command pays for neither unless it runs them.
 """
 
 from __future__ import annotations
 
+import fcntl
 import functools
 import hashlib
 import json
 import os
 import tempfile
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .errors import CorruptCache, UnknownGenerator
-from .fsa import FSA, to_text
-from .kl import KLTable
 from .presentation import CoxeterPresentation, config_dict
-from .words import ElementBall
+
+if TYPE_CHECKING:
+    from .fsa import FSA
+    from .kl import KLTable
+    from .words import ElementBall
 
 
 # meta.json records and their integer fields
@@ -121,10 +129,26 @@ class Workspace:
         meta["tool_version"] = __version__
         _atomic_write(self.meta_path(pres), json.dumps(meta, indent=2).encode())
 
+    @contextmanager
+    def _update_meta(self, pres) -> Iterator[dict]:
+        """meta.json to modify, written back on exit.  An exclusive flock
+        on the group directory itself is held from the read to the write,
+        so that two runs never lose each other's updates; it makes no
+        file."""
+        path = self.group_dir(pres)
+        path.mkdir(parents=True, exist_ok=True)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX)
+            meta = self.read_meta(pres)
+            yield meta
+            self.write_meta(pres, meta)
+        finally:
+            os.close(fd)  # which releases the lock
+
     def stamp(self, pres, name: str, **params) -> None:
-        meta = self.read_meta(pres)
-        meta.setdefault("artifacts", {})[name] = params
-        self.write_meta(pres, meta)
+        with self._update_meta(pres) as meta:
+            meta.setdefault("artifacts", {})[name] = params
 
     def is_fresh(self, pres, name: str, **params) -> bool:
         """The artifact's stamp holds these params and the sha256 of the
@@ -140,9 +164,8 @@ class Workspace:
         return self.read_meta(pres).get("validated_k")
 
     def store_validated_k(self, pres, k: int, radius: int) -> None:
-        meta = self.read_meta(pres)
-        meta["validated_k"] = {"k": k, "radius": radius}
-        self.write_meta(pres, meta)
+        with self._update_meta(pres) as meta:
+            meta["validated_k"] = {"k": k, "radius": radius}
 
     def fellow_traveler(self, pres, radius: int) -> int | None:
         """The stored fellow-traveler constant of ball(radius), if any."""
@@ -150,9 +173,8 @@ class Workspace:
         return record["constant"] if record and record["radius"] == radius else None
 
     def store_fellow_traveler(self, pres, constant: int, radius: int) -> None:
-        meta = self.read_meta(pres)
-        meta["fellow_traveler"] = {"constant": constant, "radius": radius}
-        self.write_meta(pres, meta)
+        with self._update_meta(pres) as meta:
+            meta["fellow_traveler"] = {"constant": constant, "radius": radius}
 
     # --- ball ----------------------------------------------------------------
 
@@ -205,6 +227,8 @@ class Workspace:
     # --- automata ---------------------------------------------------------------
 
     def write_fsa(self, pres, name: str, fsa: FSA) -> Path:
+        from .fsa import to_text
+
         path = self.group_dir(pres) / "fsa" / f"{name}.fsa"
         _atomic_write(path, to_text(fsa).encode())
         return path

@@ -2,6 +2,10 @@
 
 Exit codes: 0 success, 1 a verification found a disagreement, 2 usage,
 resource, cache-integrity or file-system errors.
+
+Each command loads the engine modules it runs when it runs, so that no
+command pays for another's: `kl` never loads the automaton stack, and only
+`verify` loads the oracles and only `render` numpy.
 """
 
 from __future__ import annotations
@@ -10,32 +14,16 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .automata import (
-    canonical_fsa,
-    choose_k,
-    factor_fsa,
-    fellow_traveler_constant,
-    red_x_mu,
-    shortlex_fsa,
-)
 from .cache import Workspace, group_hash
-from .cells import (
-    build_partition,
-    descent_class_fsa,
-    dihedral_data,
-    omega_minimal,
-    partition_is_exact,
-    spec_index,
-    u_t_fsa,
-)
-from .compare import empirical_vs_conjectural
 from .errors import BadArgument, KNotValidated, PolycellError, VerificationDisagreement
-from .fsa import FSA, are_equivalent, count_words, determinize, from_text, intersect
-from .kl import KLTable, empirical_cells
 from .presentation import load_presentation
 from .words import PolygonGroup
+
+if TYPE_CHECKING:
+    from .fsa import FSA
 
 VALIDATION_RADIUS = 10  # the ball a k is validated on
 
@@ -48,6 +36,8 @@ def _context(args):
 
 
 def _resolve_k(ws: Workspace, pres, group, k_arg: str) -> int:
+    from .automata import choose_k, fellow_traveler_constant
+
     cached = ws.validated_k(pres)
     if k_arg == "auto":
         if cached and cached["radius"] >= VALIDATION_RADIUS:
@@ -81,6 +71,8 @@ def _resolve_k(ws: Workspace, pres, group, k_arg: str) -> int:
 
 
 def cmd_group_info(args) -> int:
+    from .cells import dihedral_data
+
     pres = load_presentation(args.group)
     group = PolygonGroup(pres)
     data = dihedral_data(pres)
@@ -113,6 +105,8 @@ def cmd_ball(args) -> int:
 
 
 def cmd_kl(args) -> int:
+    from .kl import KLTable
+
     pres, group, ws = _context(args)
     name = ws.kl_name(args.radius)
     if ws.is_fresh(pres, name, radius=args.radius):
@@ -129,7 +123,12 @@ def cmd_cells(args) -> int:
     if args.mode == "compare" and not 0 <= args.trust_margin <= args.radius:
         raise BadArgument(f"--trust-margin must be between 0 and --radius "
                           f"{args.radius}, got {args.trust_margin}")
+    # each mode loads only the engines it runs
     if args.mode == "conjectural":
+        from .automata import shortlex_fsa
+        from .cells import build_partition, partition_is_exact
+        from .fsa import count_words, intersect
+
         k = _resolve_k(ws, pres, group, args.k)
         part = build_partition(group, k)
         refs = {}
@@ -159,6 +158,8 @@ def cmd_cells(args) -> int:
         path = ws.write_report(pres, f"partition.r{args.radius}.json", text)
         print(f"wrote {path}")
         return 0
+    from .kl import KLTable, empirical_cells
+
     if args.mode == "empirical":
         ball = group.ball(args.radius, cap=args.cap)
         left, right, two_sided = empirical_cells(KLTable(group, ball))
@@ -177,7 +178,9 @@ def cmd_cells(args) -> int:
                                json.dumps(report, indent=2) + "\n")
         print(f"wrote {path}")
         return 0
-    # compare
+    from .cells import build_partition
+    from .compare import empirical_vs_conjectural
+
     ball = group.ball(args.radius, cap=args.cap)
     part = build_partition(group, _resolve_k(ws, pres, group, args.k))
     report = empirical_vs_conjectural(part, KLTable(group, ball),
@@ -192,6 +195,9 @@ def cmd_cells(args) -> int:
 def _build_target(args, pres, group, ws, target: str, made: dict) -> FSA:
     """`made` holds the command's k and partition: each is made at most
     once, and only for a target that builds a pair machine."""
+    from .automata import canonical_fsa, factor_fsa, red_x_mu, shortlex_fsa
+    from .cells import build_partition, descent_class_fsa, u_t_fsa
+
     kind, colon, arg = target.partition(":")
     if target == "canonical":
         return canonical_fsa(group)
@@ -219,6 +225,8 @@ def _build_target(args, pres, group, ws, target: str, made: dict) -> FSA:
 
 
 def cmd_fsa(args) -> int:
+    from .fsa import are_equivalent, count_words, determinize
+
     pres, group, ws = _context(args)
     made: dict = {}
     if args.action == "build":
@@ -249,6 +257,8 @@ def cmd_fsa(args) -> int:
 
 
 def _load_or_build(args, pres, group, ws, ref: str, made: dict) -> FSA:
+    from .fsa import from_text
+
     path = Path(ref)
     if not path.is_file():
         return _build_target(args, pres, group, ws, ref, made)
@@ -259,6 +269,8 @@ def _load_or_build(args, pres, group, ws, ref: str, made: dict) -> FSA:
 
 
 def cmd_onesided(args) -> int:
+    from .cells import build_partition, omega_minimal
+
     pres, group, ws = _context(args)
     k = _resolve_k(ws, pres, group, args.k)
     part = build_partition(group, k)
@@ -292,8 +304,9 @@ def cmd_onesided(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    # the oracles load here, so that no other command pays for them
     from . import verify
+    from .cells import build_partition, partition_is_exact
+    from .kl import KLTable
 
     pres, group, ws = _context(args)
     if args.oracle_length < 0:
@@ -339,7 +352,7 @@ def cmd_verify(args) -> int:
 def cmd_render(args) -> int:
     if args.size < 1:
         raise BadArgument(f"--size must be a positive integer, got {args.size}")
-    # render needs numpy; loaded here so that no other command pays for it
+    from .cells import build_partition, omega_minimal, spec_index
     from .render import PALETTE, realize_polygon, render_svg, scene_for_partition
 
     pres, group, ws = _context(args)

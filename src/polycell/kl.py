@@ -32,7 +32,8 @@ each pair is checked against
 
 pmax being the largest |coefficient| of any P stored so far, before its
 digits are read; a pair that fails raises ResourceLimit and nothing is
-stored.
+stored.  On most pairs P = 1, and the comparison alone, of the sum with
+q^n - 1, finds it.
 
 Only extremal pairs are summed: v <= w with D_L(w) in D_L(v) and D_R(w) in
 D_R(v).  Any other pair climbs to one, by
@@ -42,9 +43,25 @@ D_R(v).  Any other pair climbs to one, by
 
 (Bjorner-Brenti, Combinatorics of Coxeter Groups, ch. 5; the lifting
 property keeps sv <= w), so the memo, and the re-check, hold extremal pairs
-only; F. du Cloux, Experiment. Math. 11 (2002), stores P the same way.  The
-end of x's climb depends only on (x, w), so it is kept for one w at a time
-across every v.  W-graphs need only mu, and most of it is known without P:
+only; F. du Cloux, Experiment. Math. 11 (2002), stores P the same way.
+
+Two routes fill one memo: R by row, P on extremal pairs, and one helper,
+`_solve`, that checks the bound, reads P off the identity and re-checks
+it.  The full table (`fill`, `records`, the `kl` command) is one forward
+sweep over w in index order, as du Cloux computes P a row P(., y) at a
+time.  For each w, one pass over x <= w, longest first, finds the end of
+every climb (that of x's first step, sx or xs, or x itself if extremal)
+and builds R_{x,w} from the column of ws by
+
+    R_{x,w} = R_{xs,ws}                      if s in D_R(x),
+    R_{x,w} = q R_{xs,ws} + (q - 1) R_{x,ws}  otherwise,   s = min D_R(w);
+
+then P is solved on the extremal x, longest first, so every term of each
+sum is already known, and P on every pair is kept by row for `records`.
+The W-graphs (`mu_below`) take the lazy route instead: `_p` computes only
+the pairs a mu needs, and the sums behind them, by memoized recursion.  A
+sweep over every w did no better there, since W-graphs ask for few pairs.
+W-graphs need only mu, and most of it is known without P:
 mu(v, w) is 0 for an even length difference, 1 for a difference of 1, and
 0 on a pair that is not extremal with a difference of 3 or more
 (Kazhdan-Lusztig 1979, (2.3e): sw < w, sv > v and mu(v, w) != 0 force
@@ -159,13 +176,16 @@ class KLTable:
         self._mu_far = [0] * len(band)
         for length in range(3, len(band)):
             self._mu_far[length] = self._mu_far[length - 2] | band[length - 3]
-        # packed R and P by pair; P on extremal pairs only
-        self._R: dict[tuple[int, int], int] = {}
+        # packed R by row, _R[v][w] = R_{v,w}, from the diagonal up; packed
+        # P on extremal pairs, _P[v, w]
+        self._R: list[dict[int, int]] = [{v: 1} for v in range(n)]
         self._P: dict[tuple[int, int], int] = {}
         self._pmax = 1  # the largest |coefficient| of a stored P
         # _top[x]: the extremal end of x's climb toward _top_w
         self._top_w = -1
         self._top: dict[int, int] = {}
+        # after the sweep, _p_rows[v]: packed P_{v,w} for w >= v, ascending
+        self._p_rows: list[list[int]] | None = None
 
     def _rmult(self, i: int, s: int) -> int:
         j = self.ball.right_mult[i][s]
@@ -215,12 +235,10 @@ class KLTable:
 
     def _r(self, v: int, w: int) -> int:
         """Packed R_{v,w}."""
-        if v == w:
-            return 1
         if not self._leq[w] >> v & 1:
             return 0
-        key = (v, w)
-        out = self._R.get(key)
+        row = self._R[v]
+        out = row.get(w)
         if out is None:
             s = _lowest(self._rdesc[w])
             ws = self._rmult(w, s)
@@ -230,7 +248,7 @@ class KLTable:
                 # q R_{vs,ws} + (q - 1) R_{v,ws}
                 r = self._r(v, ws)
                 out = ((self._r(self._rmult(v, s), ws) + r) << _B) - r
-            self._R[key] = out
+            row[w] = out
         return out
 
     # --- Kazhdan-Lusztig polynomials ----------------------------------------
@@ -239,18 +257,18 @@ class KLTable:
         return _unpack(self._p(v, w))
 
     def _p(self, v: int, w: int) -> int:
-        """Packed P_{v,w}."""
+        """Packed P_{v,w}, by the lazy route: every term the sum needs is
+        computed on demand."""
         if not self._leq[w] >> v & 1:
             return 0
         v = self._climb(v, w)
         if v == w:
             return 1
-        key = (v, w)
-        out = self._P.get(key)
+        out = self._P.get((v, w))
         if out is None:
             if self._top_w != w:
                 self._top_w, self._top = w, {}
-            top, R, P = self._top, self._R, self._P
+            top, rv, P = self._top, self._R[v], self._P
             interval = self._leq[w] & self._geq[v]
             acc = 0
             # t is the extremal end of x's climb.  Memo hits first, since R
@@ -259,28 +277,42 @@ class KLTable:
                 t = top.get(x)
                 if t is None:
                     t = top[x] = self._climb(x, w)
-                r = R.get((v, x)) or self._r(v, x)
+                r = rv.get(x) or self._r(v, x)
                 if t == w:
                     acc += r
                 else:
                     p = P.get((t, w)) or self._p(t, w)
                     acc += r if p == 1 else r * p
-            n = self._length[w] - self._length[v]
-            if (interval.bit_count() + 2) * 3 ** n * self._pmax >= _HALF:
-                raise ResourceLimit(
-                    f"KL polynomials: P on pair {key} may carry a coefficient "
-                    f"past the packed digit's 2^{_B - 1}")
-            rhs = _unpack(acc)
-            coeffs = [poly_coeff(rhs, n - i) for i in range((n - 1) // 2 + 1)]
+            out = self._solve(v, w, interval, acc)
+        return out
+
+    def _solve(self, v: int, w: int, interval: int, acc: int) -> int:
+        """Store and return packed P_{v,w} on an extremal pair, given the
+        bitset of [v, w] and acc, the packed sum over x in (v, w] of
+        R_{v,x} P_{x,w}: check the coefficient bound, read P off the top
+        coefficients of acc, and re-check the whole identity."""
+        n = self._length[w] - self._length[v]
+        if (interval.bit_count() + 2) * 3 ** n * self._pmax >= _HALF:
+            raise ResourceLimit(
+                f"KL polynomials: P on pair {(v, w)} may carry a coefficient "
+                f"past the packed digit's 2^{_B - 1}")
+        if acc == (1 << _B * n) - 1:  # the identity for P = 1, most pairs
+            out = 1
+        else:
+            # P_i is the digit n - i of acc for i < m = (n + 1) // 2: the
+            # top m digits, rounded off the rest, reversed
+            m = (n + 1) // 2
+            low = _B * (n + 1 - m)
+            coeffs = list(_unpack((acc + (1 << low - 1)) >> low)[m - 1::-1])
             while coeffs and coeffs[-1] == 0:
                 coeffs.pop()
             out = _pack(coeffs)
             # the identity must now hold on the nose
             if _pack(coeffs[::-1]) << _B * (n + 1 - len(coeffs)) != out + acc:
                 raise VerificationDisagreement(
-                    f"defining identity failed for pair {key}")
+                    f"defining identity failed for pair {(v, w)}")
             self._pmax = max([self._pmax, *map(abs, coeffs)])
-            self._P[key] = out
+        self._P[v, w] = out
         return out
 
     def mu_idx(self, v: int, w: int) -> int:
@@ -312,33 +344,87 @@ class KLTable:
                 + _bits(self._leq[w] & self._band[length - 1]))
 
     def fill(self) -> None:
-        """Compute P on every extremal pair in the ball (useful before
-        serializing); every other pair climbs to one of these."""
-        for w in range(len(self._leq)):
-            # longest v first, so every P_{x,w} that P_{v,w} sums is stored
-            for v in reversed(_bits(self._extremal(w))):
-                self._p(v, w)
+        """The sweep (see the module docstring): R on every pair and P on
+        every extremal pair of the ball into the memo, and P on every pair
+        by row for `records`.  Entries the lazy route stored first are kept
+        as they are; a second call does nothing."""
+        if self._p_rows is not None:
+            return
+        R, P, leq, geq = self._R, self._P, self._leq, self._geq
+        ldesc, rdesc = self._ldesc, self._rdesc
+        lmult, rmult = self.ball.left_mult, self.ball.right_mult
+        # by x, for the current w: the end of x's climb, and P_{x,w} at an
+        # extremal x
+        top = [0] * len(leq)
+        pcol = [0] * len(leq)
+        p_rows: list[list[int]] = [[] for _ in leq]
+        for w, down in enumerate(leq):
+            lower = _bits(down)
+            ldw, rdw = ldesc[w], rdesc[w]
+            s = _lowest(rdw)  # -1 at the identity, whose R is its diagonal
+            ws = rmult[w][s]
+            # longest x first, so that one climb step reaches a known end;
+            # R_{x,w} from the column of ws, s = min D_R(w)
+            for x in reversed(lower):
+                if d := ldw & ~ldesc[x]:
+                    top[x] = top[lmult[x][(d & -d).bit_length() - 1]]
+                elif d := rdw & ~rdesc[x]:
+                    top[x] = top[rmult[x][(d & -d).bit_length() - 1]]
+                else:
+                    top[x] = x
+                row = R[x]
+                if w in row:
+                    continue
+                if rdesc[x] >> s & 1:
+                    row[w] = R[rmult[x][s]][ws]
+                else:
+                    # q R_{xs,ws} + (q - 1) R_{x,ws}; x <= ws
+                    r = row[ws]
+                    row[w] = ((R[rmult[x][s]].get(ws, 0) + r) << _B) - r
+            # P on the extremal v, longest first, so every P_{x,w} that
+            # P_{v,w} sums is known
+            pcol[w] = 1
+            for v in reversed(_bits(self._extremal(w) ^ 1 << w)):
+                out = P.get((v, w))
+                if out is None:
+                    interval = down & geq[v]
+                    rv = R[v]
+                    acc = 0
+                    rest = interval ^ 1 << v
+                    while rest:  # x in (v, w], lowest first
+                        x = rest & -rest
+                        rest ^= x
+                        x = x.bit_length() - 1
+                        p = pcol[top[x]]
+                        acc += rv[x] if p == 1 else rv[x] * p
+                    out = self._solve(v, w, interval, acc)
+                pcol[v] = out
+            for x in lower:
+                p_rows[x].append(pcol[top[x]])
+        self._p_rows = p_rows
 
     def records(self) -> Iterator[tuple[int, int, Poly, Poly, int]]:
         """(v, w, R_{v,w}, P_{v,w}, mu(v, w)) for every Bruhat pair of the
-        ball, v ascending, then w ascending over the x >= v.  A table holds
-        few distinct polynomials, so each distinct packed value is decoded
-        once and yielded as the same tuple.  Every length difference in
-        the ball is at most its radius, so one check of 3^radius stands for
-        r_idx's check on every pair."""
-        self.fill()
+        ball, v ascending, then w ascending over the x >= v, read off the
+        sweep's store.  A table holds few distinct polynomials, so each
+        distinct packed value is decoded once and yielded as the same
+        tuple.  Every length difference in the ball is at most its radius,
+        so one check of 3^radius, made before any work, stands for r_idx's
+        check on every pair."""
         radius = self.ball.radius
         if 3 ** radius >= _HALF:
             raise ResourceLimit(
                 f"KL polynomials: R on ball({radius}) may carry a coefficient "
                 f"past the packed digit's 2^{_B - 1}")
+        self.fill()
         decode = functools.cache(_unpack)
         lengths = self._length
-        for v, above in enumerate(self._geq):
-            for w in _bits(above):
-                p = decode(self._p(v, w))
+        for v, (above, row, p_row) in enumerate(
+                zip(self._geq, self._R, self._p_rows)):
+            for w, p in zip(_bits(above), p_row):
+                p = decode(p)
                 n = lengths[w] - lengths[v]
-                yield (v, w, decode(self._r(v, w)), p,
+                yield (v, w, decode(row[w]), p,
                        poly_coeff(p, (n - 1) // 2) if n % 2 else 0)
 
 

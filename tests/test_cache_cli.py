@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import time
 from pathlib import Path
 
 import pytest
@@ -97,6 +98,11 @@ def test_kl_table_past_the_r_bound_writes_nothing(tmp_path, w237, g237, monkeypa
         ws.write_kl(w237, table)
     assert not (ws.group_dir(w237) / ws.kl_name(4)).exists()
     assert ws.kl_name(4) not in ws.read_meta(w237)["artifacts"]
+    # the bound is checked before any work: a cold table stores no P
+    cold = KLTable(g237, g237.ball(4))
+    with pytest.raises(ResourceLimit, match="R on ball"):
+        ws.write_kl(w237, cold)
+    assert cold._P == {}
     monkeypatch.setattr("polycell.kl._HALF", 3 ** 4 + 1)
     ws.write_kl(w237, table)  # radius 4 fits a digit of 3^4 + 1
     assert ws.is_fresh(w237, ws.kl_name(4), radius=4)
@@ -158,6 +164,42 @@ def test_concurrent_meta_writes_stay_whole(tmp_path, w237):
     assert [proc.exitcode for proc in workers] == [0, 0]
     ws = Workspace(tmp_path)
     assert ws.validated_k(w237)["k"] in (4, 6)
+    assert [p.name for p in ws.group_dir(w237).iterdir()] == ["meta.json"]
+
+
+def _store_after_a_slow_read(root, w237, record, barrier):
+    # a delay between reading meta.json and writing it back: without a
+    # lock, both writers read the file before either writes
+    read = Workspace.read_meta
+
+    def slow_read(self, pres):
+        meta = read(self, pres)
+        time.sleep(0.5)
+        return meta
+
+    Workspace.read_meta = slow_read
+    ws = Workspace(root)
+    barrier.wait()
+    if record == "validated_k":
+        ws.store_validated_k(w237, 6, 10)
+    else:
+        ws.store_fellow_traveler(w237, 7, 10)
+
+
+def test_overlapping_meta_updates_both_survive(tmp_path, w237):
+    ctx = multiprocessing.get_context("spawn")
+    barrier = ctx.Barrier(2)
+    workers = [ctx.Process(target=_store_after_a_slow_read,
+                           args=(tmp_path, w237, record, barrier))
+               for record in ("validated_k", "fellow_traveler")]
+    for proc in workers:
+        proc.start()
+    for proc in workers:
+        proc.join(timeout=120)
+    assert [proc.exitcode for proc in workers] == [0, 0]
+    ws = Workspace(tmp_path)
+    assert ws.validated_k(w237) == {"k": 6, "radius": 10}
+    assert ws.fellow_traveler(w237, 10) == 7
     assert [p.name for p in ws.group_dir(w237).iterdir()] == ["meta.json"]
 
 
@@ -289,7 +331,7 @@ def test_cli_explicit_k_reads_stored_constant(tmp_path, w237_config, capsys,
     def recompute(*args):
         raise AssertionError("fellow_traveler_constant recomputed")
 
-    monkeypatch.setattr("polycell.cli.fellow_traveler_constant", recompute)
+    monkeypatch.setattr("polycell.automata.fellow_traveler_constant", recompute)
     assert run(tmp_path, "fsa", "build", "pattern:rt",
                "--group", str(w237_config), "--k", "7") == 0
     capsys.readouterr()
@@ -428,18 +470,18 @@ def test_cli_k_is_resolved_only_for_pair_machines(tmp_path, w237_config, capsys,
     def resolve(*args):
         raise AssertionError("k resolved for a command without pair machines")
 
-    monkeypatch.setattr("polycell.cli.choose_k", resolve)
-    monkeypatch.setattr("polycell.cli.fellow_traveler_constant", resolve)
+    monkeypatch.setattr("polycell.automata.choose_k", resolve)
+    monkeypatch.setattr("polycell.automata.fellow_traveler_constant", resolve)
     assert run(tmp_path, *argv, "--group", str(w237_config), "--k", "2") == 0
 
 
 def test_cli_fsa_equiv_builds_the_partition_once(tmp_path, w237_config, capsys,
                                                  monkeypatch):
-    from polycell import cli
+    from polycell import cells
 
     built = []
-    build = cli.build_partition
-    monkeypatch.setattr(cli, "build_partition",
+    build = cells.build_partition
+    monkeypatch.setattr(cells, "build_partition",
                         lambda *args: built.append(args) or build(*args))
     assert run(tmp_path, "fsa", "equiv", "cell:c0", "cell:c1",
                "--group", str(w237_config), "--k", "6") == 0
@@ -465,12 +507,12 @@ def _poison_one_r(monkeypatch, group, radius):
     identity re-check of the first P that sums it fails."""
     table = KLTable(group, group.ball(radius))
     empirical_cells(table)
-    key = min(table._P)
+    v, w = min(table._P)
     init = KLTable.__init__
 
     def poisoned(self, *args):
         init(self, *args)
-        self._R[key] = self._r(*key) + 1
+        self._R[v][w] = self._r(v, w) + 1
 
     monkeypatch.setattr(KLTable, "__init__", poisoned)
 

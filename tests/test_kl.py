@@ -1,7 +1,7 @@
 import pytest
 
 from polycell import verify
-from polycell.errors import ResourceLimit
+from polycell.errors import ResourceLimit, VerificationDisagreement
 from polycell.field import _poly_mul_into
 from polycell.kl import (
     KLTable,
@@ -232,6 +232,31 @@ def test_fill_stores_extremal_pairs_only(request, group, radius):
         if v != w and _is_extremal(ball, v, w)}
 
 
+@pytest.mark.parametrize("group, radius",
+                         [("g237", 8), ("g237", 12), ("g2224", 6), ("g2224", 7)])
+def test_sweep_agrees_with_the_lazy_route(request, group, radius):
+    """records() reads the sweep's store.  A second cold table answers
+    every pair through the lazy r_idx, p_idx and mu_idx; a third, warmed by
+    the W-graph route before its sweep, covers the mixed order; and the
+    sweep re-checks the identity on a table with one bad R term."""
+    g = request.getfixturevalue(group)
+    ball = g.ball(radius)
+    records = list(KLTable(g, ball).records())
+    lazy = KLTable(g, ball)
+    assert records == [(v, w, lazy.r_idx(v, w), lazy.p_idx(v, w), lazy.mu_idx(v, w))
+                       for v in range(len(ball)) for w in range(len(ball))
+                       if lazy.leq_idx(v, w)]
+    warm = KLTable(g, ball)
+    empirical_cells(warm)
+    assert list(warm.records()) == records
+    bad = KLTable(g, ball)
+    v, w = _far_extremal_pair(ball, bad)
+    bad._R[v][w] = bad._r(v, w) + 1
+    with pytest.raises(VerificationDisagreement,
+                       match=rf"defining identity failed for pair \({v}, {w}\)"):
+        bad.fill()
+
+
 def _far_extremal_pair(ball, table):
     return next((v, w) for w in range(len(ball)) for v in table.lower(w)
                 if ball.lengths[w] - ball.lengths[v] >= 3
@@ -243,7 +268,7 @@ def test_defining_identity_recheck_rejects_a_bad_term(g237):
     table = KLTable(g237, ball)
     v, w = _far_extremal_pair(ball, table)
     table.r_idx(v, w)
-    table._R[v, w] += 1  # the constant term of the x = w term of the sum
+    table._R[v][w] += 1  # the constant term of the x = w term of the sum
     with pytest.raises(ArithmeticError, match="defining identity failed"):
         table.p_idx(v, w)
 

@@ -6,7 +6,8 @@ data only through public `KLTable` methods, and every cell comes from
 rewrites words through normal forms, and outside fsa.py none builds an
 automaton by hand.  The benchmark's tracer finds every
 layer function it wraps.  Only `render` loads numpy, so the other commands
-start without it."""
+start without it, and the command line loads each engine only for the
+commands that run it."""
 
 import ast
 import importlib
@@ -154,11 +155,31 @@ def test_benchmark_tracer_hooks_resolve():
     assert missing == []
 
 
-def test_cli_start_up_does_not_load_numpy():
+ENGINES = ("automata", "fsa", "cells", "compare")
+
+
+def _loaded(code: str, *argv: str) -> list[str]:
+    """The polycell modules, and numpy, that running code leaves loaded."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run(
         [sys.executable, "-c",
-         "import sys, polycell.cli; "
-         "print('numpy' in sys.modules, 'polycell.oracle' in sys.modules)"],
+         code + "; print(*sorted(m for m in sys.modules "
+                "if m.startswith('polycell') or m == 'numpy'))", *argv],
         capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False False"
+    return out.stdout.splitlines()[-1].split()
+
+
+def test_cli_start_up_does_not_load_numpy(tmp_path):
+    """Each command loads the engines it runs: start-up loads none of them,
+    and `kl` loads the KL layer without the automaton stack."""
+    loaded = _loaded("import sys, polycell.cli")
+    assert "numpy" not in loaded and "polycell.oracle" not in loaded
+    assert [m for m in loaded if m.split(".")[-1] in (*ENGINES, "kl")] == []
+    config = tmp_path / "w237.json"
+    config.write_text('{"name": "w237", "angles": [2, 3, 7]}')
+    loaded = _loaded(
+        "import sys; from polycell.cli import main; assert main(sys.argv[1:]) == 0",
+        "kl", "--group", str(config), "--radius", "3",
+        "--workspace", str(tmp_path / "ws"))
+    assert "polycell.kl" in loaded
+    assert [m for m in loaded if m.split(".")[-1] in ENGINES] == []
