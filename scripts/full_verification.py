@@ -5,16 +5,20 @@ radius 10.
 
     python scripts/full_verification.py [WORKSPACE]
 
-WORKSPACE defaults to the committed `workspace/`.  `polycell kl` writes
-each table by the forward sweep, and `verify all` then reads it back and
-checks every pair through `r_idx`, `p_idx` and `mu_idx` (`kl_cache`), the
-per-pair route with its own climb.  Exit status 0 means all
+WORKSPACE defaults to a temporary directory, removed at the end, so a
+plain run leaves the checkout as it was.  `polycell kl` writes each table
+by the forward sweep.  `verify all` then solves the table again, which
+re-checks the defining identity on every extremal pair (`kl_identity`),
+compares P with the classical recursion up to the oracle length
+(`kl_oracle`), and reads the written table back and checks every record
+against the table it solved (`kl_cache`).  Exit status 0 means all
 oracle comparisons agreed; 1 means some oracle or the comparison found a
 disagreement; 2 signals usage or cache problems.  The whole run takes about
-5-6 s on a 2-core Xeon, 2 s of it the comparison.
+5 s on a 2-core Xeon, 2 s of it the comparison.
 """
 
 import sys
+import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
@@ -55,4 +59,7 @@ def run(workspace: Path):
 
 
 if __name__ == "__main__":
-    sys.exit(run(Path(sys.argv[1]) if len(sys.argv) > 1 else ROOT / "workspace"))
+    if len(sys.argv) > 1:
+        sys.exit(run(Path(sys.argv[1])))
+    with tempfile.TemporaryDirectory() as workspace:
+        sys.exit(run(Path(workspace)))

@@ -120,9 +120,12 @@ def cmd_kl(args) -> int:
 
 def cmd_cells(args) -> int:
     pres, group, ws = _context(args)
-    if args.mode == "compare" and not 0 <= args.trust_margin <= args.radius:
+    margin = args.trust_margin
+    if margin is None:
+        margin = min(4, args.radius)
+    elif not 0 <= margin <= args.radius:
         raise BadArgument(f"--trust-margin must be between 0 and --radius "
-                          f"{args.radius}, got {args.trust_margin}")
+                          f"{args.radius}, got {margin}")
     # each mode loads only the engines it runs
     if args.mode == "conjectural":
         from .automata import shortlex_fsa
@@ -148,7 +151,7 @@ def cmd_cells(args) -> int:
             "group": pres.label,
             "k": k,
             "radius": args.radius,
-            "trust_margin": args.trust_margin,
+            "trust_margin": margin,
             "exact_partition": partition_is_exact(part),
             "element_counts_by_length": counts,
             "word_counts_by_length": word_counts,
@@ -184,7 +187,7 @@ def cmd_cells(args) -> int:
     ball = group.ball(args.radius, cap=args.cap)
     part = build_partition(group, _resolve_k(ws, pres, group, args.k))
     report = empirical_vs_conjectural(part, KLTable(group, ball),
-                                      trust_margin=args.trust_margin)
+                                      trust_margin=margin)
     path = ws.write_report(pres, f"compare.r{args.radius}.json", report.to_json())
     print(f"wrote {path} (agreement {report.agreement_ratio:.3f})")
     if not report.partition_equal:
@@ -400,7 +403,7 @@ def _parser() -> argparse.ArgumentParser:
     options = {
         "workspace": dict(default="workspace"),
         "radius": dict(type=int, default=10),
-        "trust-margin": dict(type=int, default=4),
+        "trust-margin": dict(type=int, help="default 4, or --radius if smaller"),
         "k": dict(default="auto", help="fellow-traveler constant or 'auto'"),
         "cap": dict(type=int, default=2_000_000, help="most elements of a ball"),
     }

@@ -48,8 +48,7 @@ def c_basis(table: KLTable, w: int) -> Hecke:
     """C_w in the T-basis (the ball must cover [e, w])."""
     lengths = table.ball.lengths
     out = {}
-    for y in table.lower(w):
-        p = table.p_idx(y, w)
+    for y, p in table.column(w).items():
         n = lengths[w] - lengths[y]
         c = _pack(p[::-1]) << _B * (n + 1 - len(p))  # q^n P_{y,w}(1/q)
         out[y] = -c if n % 2 else c

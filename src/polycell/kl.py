@@ -45,22 +45,28 @@ D_R(v).  Any other pair climbs to one, by
 property keeps sv <= w), so the memo, and the re-check, hold extremal pairs
 only; F. du Cloux, Experiment. Math. 11 (2002), stores P the same way.
 
-Two routes fill one memo: R by row, P on extremal pairs, and one helper,
-`_solve`, that checks the bound, reads P off the identity and re-checks
-it.  The full table (`fill`, `records`, the `kl` command) is one forward
-sweep over w in index order, as du Cloux computes P a row P(., y) at a
-time.  For each w, one pass over x <= w, longest first, finds the end of
-every climb (that of x's first step, sx or xs, or x itself if extremal)
-and builds R_{x,w} from the column of ws by
+One solver, `_column`, climbs and solves P, a column P(., w) at a time,
+as du Cloux does, on the part of the column that its caller needs: the
+x <= w of an upper set.  In one pass over those x, longest first, it
+sets the end of every climb (that of x's first step, sx or xs, or x itself
+if extremal) and, at each extremal x, solves P_{x,w} through `_solve`,
+which checks the bound, reads P off the identity and re-checks it; every
+term of each sum is then known.  Three callers pass three sets:
 
-    R_{x,w} = R_{xs,ws}                      if s in D_R(x),
-    R_{x,w} = q R_{xs,ws} + (q - 1) R_{x,ws}  otherwise,   s = min D_R(w);
+- the sweep (`fill`, `records`, the `kl` command) runs over w in index
+  order and passes the whole lower ideal, after it builds R_{x,w} for
+  every x <= w from the column of ws by
 
-then P is solved on the extremal x, longest first, so every term of each
-sum is already known, and P on every pair is kept by row for `records`.
-The W-graphs (`mu_below`) take the lazy route instead: `_p` computes only
-the pairs a mu needs, and the sums behind them, by memoized recursion.  A
-sweep over every w did no better there, since W-graphs ask for few pairs.
+      R_{x,w} = R_{xs,ws}                      if s in D_R(x),
+      R_{x,w} = q R_{xs,ws} + (q - 1) R_{x,ws}  otherwise,   s = min D_R(w),
+
+  and keeps P on every pair by row for `records`;
+- the W-graphs (`mu_below`) pass the union of the upper ideals of the far
+  x whose mu they need, so they solve only the pairs behind those mu, and
+  R by row, through `_r`, only where those sums ask for it (full R
+  columns would hold 3.4 times as many entries on w2224's ball(10));
+- a point query `p_idx(v, w)` passes the upper ideal of v.
+
 W-graphs need only mu, and most of it is known without P:
 mu(v, w) is 0 for an even length difference, 1 for a difference of 1, and
 0 on a pair that is not extremal with a difference of 3 or more
@@ -181,9 +187,10 @@ class KLTable:
         self._R: list[dict[int, int]] = [{v: 1} for v in range(n)]
         self._P: dict[tuple[int, int], int] = {}
         self._pmax = 1  # the largest |coefficient| of a stored P
-        # _top[x]: the extremal end of x's climb toward _top_w
-        self._top_w = -1
-        self._top: dict[int, int] = {}
+        # by x, for the last column solved: the extremal end of x's climb,
+        # and P_{x,w} at an extremal x
+        self._top = [0] * n
+        self._pcol = [0] * n
         # after the sweep, _p_rows[v]: packed P_{v,w} for w >= v, ascending
         self._p_rows: list[list[int]] | None = None
 
@@ -209,20 +216,6 @@ class KLTable:
         for s in _bits(self._rdesc[w]):
             mask &= self._has_rdesc[s]
         return mask
-
-    def _climb(self, v: int, w: int) -> int:
-        """The extremal v' in [v, w] with P_{v,w} = P_{v',w}: step to sv for
-        the least s in D_L(w) - D_L(v), else to vs for the least s in
-        D_R(w) - D_R(v), a longer element of [v, w] with the same P, until
-        neither exists."""
-        ldw, rdw = self._ldesc[w], self._rdesc[w]
-        while True:
-            if d := ldw & ~self._ldesc[v]:
-                v = self.ball.left_mult[v][_lowest(d)]
-            elif d := rdw & ~self._rdesc[v]:
-                v = self.ball.right_mult[v][_lowest(d)]
-            else:
-                return v
 
     # --- R polynomials -----------------------------------------------------
 
@@ -254,37 +247,55 @@ class KLTable:
     # --- Kazhdan-Lusztig polynomials ----------------------------------------
 
     def p_idx(self, v: int, w: int) -> Poly:
-        return _unpack(self._p(v, w))
+        down = self._leq[w]
+        if not down >> v & 1:
+            return ()
+        self._column(w, _bits(down & self._geq[v]))
+        return _unpack(self._pcol[self._top[v]])
 
-    def _p(self, v: int, w: int) -> int:
-        """Packed P_{v,w}, by the lazy route: every term the sum needs is
-        computed on demand."""
-        if not self._leq[w] >> v & 1:
-            return 0
-        v = self._climb(v, w)
-        if v == w:
-            return 1
-        out = self._P.get((v, w))
-        if out is None:
-            if self._top_w != w:
-                self._top_w, self._top = w, {}
-            top, rv, P = self._top, self._R[v], self._P
-            interval = self._leq[w] & self._geq[v]
-            acc = 0
-            # t is the extremal end of x's climb.  Memo hits first, since R
-            # and P on a comparable pair are never zero.
-            for x in _bits(interval ^ 1 << v):
-                t = top.get(x)
-                if t is None:
-                    t = top[x] = self._climb(x, w)
-                r = rv.get(x) or self._r(v, x)
-                if t == w:
-                    acc += r
-                else:
-                    p = P.get((t, w)) or self._p(t, w)
-                    acc += r if p == 1 else r * p
-            out = self._solve(v, w, interval, acc)
-        return out
+    def column(self, w: int) -> dict[int, Poly]:
+        """P_{y,w} for every y <= w, by y ascending."""
+        lower = self.lower(w)
+        self._column(w, lower)
+        top, pcol = self._top, self._pcol
+        return {y: _unpack(pcol[top[y]]) for y in lower}
+
+    def _column(self, w: int, need: list[int]) -> None:
+        """Solve the column P(., w) on need, the elements <= w of an upper
+        set (w among them), ascending: in one pass, longest x first, set the
+        end _top[x] of x's climb (that of x's first step, sx or xs, a longer
+        element of need, or x itself if extremal), and at an extremal x
+        solve P_{x,w} into _pcol[x]; every term of its sum is then known."""
+        R, P, geq = self._R, self._P, self._geq
+        ldesc, rdesc = self._ldesc, self._rdesc
+        lmult, rmult = self.ball.left_mult, self.ball.right_mult
+        top, pcol = self._top, self._pcol
+        down = self._leq[w]
+        ldw, rdw = ldesc[w], rdesc[w]
+        top[w], pcol[w] = w, 1
+        for x in need[-2::-1]:
+            if d := ldw & ~ldesc[x]:
+                top[x] = top[lmult[x][(d & -d).bit_length() - 1]]
+            elif d := rdw & ~rdesc[x]:
+                top[x] = top[rmult[x][(d & -d).bit_length() - 1]]
+            else:
+                top[x] = x
+                out = P.get((x, w))
+                if out is None:
+                    interval = down & geq[x]
+                    rx = R[x]
+                    acc = 0
+                    rest = interval ^ 1 << x
+                    while rest:  # y in (x, w], lowest first
+                        y = rest & -rest
+                        rest ^= y
+                        y = y.bit_length() - 1
+                        p = pcol[top[y]]
+                        # memo hits first: R on a comparable pair is never zero
+                        r = rx.get(y) or self._r(x, y)
+                        acc += r if p == 1 else r * p
+                    out = self._solve(x, w, interval, acc)
+                pcol[x] = out
 
     def _solve(self, v: int, w: int, interval: int, acc: int) -> int:
         """Store and return packed P_{v,w} on an extremal pair, given the
@@ -325,8 +336,9 @@ class KLTable:
         """Indices x < w with mu(x, w) != 0, ascending, except that with a
         side, far x whose descent set on that side equals w's are left out:
         they give no edge in that side's W-graph.  Covering pairs have
-        mu = 1, so P is computed only on the extremal pairs with an odd
-        length difference of 3 or more (see the module docstring)."""
+        mu = 1, so P is solved only for the far x, extremal with an odd
+        length difference of 3 or more (see the module docstring), and on
+        the pairs their sums need."""
         length = self._length[w]
         if length == 0:
             return []
@@ -340,38 +352,33 @@ class KLTable:
                 if not desc[w] >> s & 1:
                     strict |= has[s]
             far &= strict
-        return ([x for x in _bits(far) if self.mu_idx(x, w)]
+        far_x = _bits(far)
+        if far_x:
+            above = 0
+            for x in far_x:
+                above |= self._geq[x]
+            self._column(w, _bits(self._leq[w] & above))
+        pcol, lengths = self._pcol, self._length
+        return ([x for x in far_x
+                 if poly_coeff(_unpack(pcol[x]), (length - lengths[x] - 1) // 2)]
                 + _bits(self._leq[w] & self._band[length - 1]))
 
     def fill(self) -> None:
         """The sweep (see the module docstring): R on every pair and P on
         every extremal pair of the ball into the memo, and P on every pair
-        by row for `records`.  Entries the lazy route stored first are kept
-        as they are; a second call does nothing."""
+        by row for `records`.  Entries stored before are kept as they are; a
+        second call does nothing."""
         if self._p_rows is not None:
             return
-        R, P, leq, geq = self._R, self._P, self._leq, self._geq
-        ldesc, rdesc = self._ldesc, self._rdesc
-        lmult, rmult = self.ball.left_mult, self.ball.right_mult
-        # by x, for the current w: the end of x's climb, and P_{x,w} at an
-        # extremal x
-        top = [0] * len(leq)
-        pcol = [0] * len(leq)
-        p_rows: list[list[int]] = [[] for _ in leq]
-        for w, down in enumerate(leq):
-            lower = _bits(down)
-            ldw, rdw = ldesc[w], rdesc[w]
-            s = _lowest(rdw)  # -1 at the identity, whose R is its diagonal
-            ws = rmult[w][s]
-            # longest x first, so that one climb step reaches a known end;
+        R, rdesc, rmult = self._R, self._rdesc, self.ball.right_mult
+        top, pcol = self._top, self._pcol
+        p_rows: list[list[int]] = [[] for _ in R]
+        for w, down in enumerate(self._leq):
             # R_{x,w} from the column of ws, s = min D_R(w)
-            for x in reversed(lower):
-                if d := ldw & ~ldesc[x]:
-                    top[x] = top[lmult[x][(d & -d).bit_length() - 1]]
-                elif d := rdw & ~rdesc[x]:
-                    top[x] = top[rmult[x][(d & -d).bit_length() - 1]]
-                else:
-                    top[x] = x
+            s = _lowest(rdesc[w])  # -1 at the identity, whose R is its diagonal
+            ws = rmult[w][s]
+            lower = _bits(down)
+            for x in lower:
                 row = R[x]
                 if w in row:
                     continue
@@ -381,24 +388,7 @@ class KLTable:
                     # q R_{xs,ws} + (q - 1) R_{x,ws}; x <= ws
                     r = row[ws]
                     row[w] = ((R[rmult[x][s]].get(ws, 0) + r) << _B) - r
-            # P on the extremal v, longest first, so every P_{x,w} that
-            # P_{v,w} sums is known
-            pcol[w] = 1
-            for v in reversed(_bits(self._extremal(w) ^ 1 << w)):
-                out = P.get((v, w))
-                if out is None:
-                    interval = down & geq[v]
-                    rv = R[v]
-                    acc = 0
-                    rest = interval ^ 1 << v
-                    while rest:  # x in (v, w], lowest first
-                        x = rest & -rest
-                        rest ^= x
-                        x = x.bit_length() - 1
-                        p = pcol[top[x]]
-                        acc += rv[x] if p == 1 else rv[x] * p
-                    out = self._solve(v, w, interval, acc)
-                pcol[v] = out
+            self._column(w, lower)
             for x in lower:
                 p_rows[x].append(pcol[top[x]])
         self._p_rows = p_rows

@@ -89,8 +89,8 @@ def kl_oracle(table: KLTable, length: int, oracle: ClassicalKL | None = None) ->
     for wi, w in enumerate(ball.elements):
         if w.length > length:
             break
-        for vi in table.lower(wi):
-            if table.p_idx(vi, wi) != oracle.kl_poly(ball.elements[vi].word, w.word):
+        for vi, p in table.column(wi).items():
+            if p != oracle.kl_poly(ball.elements[vi].word, w.word):
                 bad += 1
     return Check("kl_oracle", not bad, f"{bad} mismatches up to length {length}")
 
@@ -114,18 +114,18 @@ def a_function(part: ConjecturalPartition, table: KLTable, sample_length: int) -
 def kl_cache(table: KLTable, records: list[tuple]) -> Check:
     """A stored KL table holds exactly one record per Bruhat pair of the
     ball, each with the R, P and mu the engine computes."""
-    ball = table.ball
+    index = table.ball.index
+    want = {(v, w): rest for v, w, *rest in table.records()}
     seen: set[tuple[int, int]] = set()
     stale = extra = 0
-    for v_word, w_word, r, p, mu in records:
-        vi = ball.index.get(v_word)
-        wi = ball.index.get(w_word)
-        if vi is None or wi is None or not table.leq_idx(vi, wi) or (vi, wi) in seen:
+    for v_word, w_word, *rest in records:
+        pair = index.get(v_word), index.get(w_word)
+        if pair not in want or pair in seen:
             extra += 1
             continue
-        seen.add((vi, wi))
-        if (r, p, mu) != (table.r_idx(vi, wi), table.p_idx(vi, wi), table.mu_idx(vi, wi)):
+        seen.add(pair)
+        if rest != want[pair]:
             stale += 1
-    missing = sum(len(table.lower(wi)) for wi in range(len(ball))) - len(seen)
+    missing = len(want) - len(seen)
     return Check("kl_cache", not (stale or extra or missing),
                  f"{stale} stale, {missing} missing, {extra} extra records")

@@ -416,13 +416,17 @@ def test_cli_render_size_below_1_is_exit_2(tmp_path, w237_config, capsys, size):
     assert not (tmp_path / "ws").exists()
 
 
-@pytest.mark.parametrize("margin", ["-3", "9"])
+@pytest.mark.parametrize("mode, margin, report", [
+    ("compare", "-3", "compare.r4.json"),
+    ("compare", "9", "compare.r4.json"),
+    ("conjectural", "-3", "partition.r4.json"),
+], ids=["-3", "9", "conjectural--3"])
 def test_cli_trust_margin_outside_radius_is_exit_2(tmp_path, w237_config, capsys,
-                                                   margin):
-    code = run(tmp_path, "cells", "compare", "--group", str(w237_config),
+                                                   mode, margin, report):
+    code = run(tmp_path, "cells", mode, "--group", str(w237_config),
                "--radius", "4", "--trust-margin", margin, "--k", "6")
     _assert_bad_argument(code, capsys, f"between 0 and --radius 4, got {margin}")
-    assert not (tmp_path / "ws" / "w237" / "reports" / "compare.r4.json").exists()
+    assert not (tmp_path / "ws" / "w237" / "reports" / report).exists()
 
 
 def test_cli_unknown_letter_is_exit_2(tmp_path, w237_config, capsys):

@@ -197,7 +197,7 @@ def test_ideals_match_pairwise_scan(request, group, radius):
 
     for w in range(n):
         assert table.lower(w) == sorted(below[w])
-        # the upper ideal, which records() walks and _p intersects
+        # the upper ideal, which records() walks and p_idx intersects
         assert members(table._geq[w]) == [x for x in range(n) if w in below[x]]
         for v in range(n):
             assert table.leq_idx(v, w) == (v in below[w])
@@ -255,6 +255,21 @@ def test_sweep_agrees_with_the_lazy_route(request, group, radius):
     with pytest.raises(VerificationDisagreement,
                        match=rf"defining identity failed for pair \({v}, {w}\)"):
         bad.fill()
+
+
+@pytest.mark.parametrize("group, radius, p_count, r_count",
+                         [("g237", 12, 1641, 7681), ("g2224", 8, 4498, 12759)])
+def test_w_graphs_solve_only_what_their_far_mu_need(request, group, radius,
+                                                    p_count, r_count):
+    """On a cold table the W-graphs run no sweep, and store P only on the
+    extremal pairs behind their far mu and R (diagonal included) only on
+    the pairs those sums read."""
+    g = request.getfixturevalue(group)
+    table = KLTable(g, g.ball(radius))
+    empirical_cells(table)
+    assert table._p_rows is None
+    assert len(table._P) == p_count
+    assert sum(map(len, table._R)) == r_count
 
 
 def _far_extremal_pair(ball, table):
