@@ -17,9 +17,19 @@ built and the machine is already the projection to alpha from which
 pattern saturation (red_x_mu) and left translation follow.  Once one word
 has finished, the difference is the element the other word still has to
 spell; both words are reduced, so the machine takes only pad moves that
-shorten the difference.  Like every machine of the toolkit it is one
-`expand` function handed to `fsa.explore`, which keeps only the states on
-an accepting run and raises StateBlowup past `fsa.STATE_CAP` states.
+shorten the difference.
+
+What does not depend on beta's language is computed once: the
+word-difference table (the word-difference machine of Epstein et al.,
+Word Processing in Groups, 1992, ch. 2) holds the states (alpha's
+canonical state, difference, mode) on an accepting run of the pair machine
+of Red(W) with itself, and the moves (x, y) between them.  It is cached per
+group, k and offset length.  A pair machine is the product of that table
+with beta's machine, so it meets few states that no accepting run passes
+through.  Every machine of the toolkit is one `expand` function handed to
+`fsa.explore`, which keeps only the states on an accepting run; the table
+reads the marks of `fsa.search`, the search under `explore`, directly.
+Either raises StateBlowup past `fsa.STATE_CAP` states.
 
 The offset is only ever the identity (saturation) or a generator (one step
 of left translation); a longer translator is a chain of one-generator
@@ -33,17 +43,20 @@ nothing here rewrites a word through normal forms.
 from __future__ import annotations
 
 from itertools import combinations
+from typing import NamedTuple
 from weakref import WeakKeyDictionary
 
 from .errors import BallTooSmall, KNotValidated, PatternNotReduced
 from .fsa import (
     FSA,
     are_equivalent,
+    empty_language,
     explore,
     intersect,
     make_dfa,
     minimize,
     reverse_fsa,
+    search,
 )
 from .words import PolygonGroup, Word
 
@@ -120,72 +133,173 @@ def factor_fsa(group: PolygonGroup, pattern: Word) -> FSA:
     return intersect(base, matcher)
 
 
+class WordDifferenceTable(NamedTuple):
+    """A word-difference machine: the states (alpha's canonical state,
+    difference, mode) on an accepting run of the pair machine of Red(W)
+    with itself, numbered from 0, and the moves between them."""
+
+    starts: dict[Word, int]  # offset -> its state, if a run from it accepts
+    accepts: list[bool]  # the difference is the identity
+    # by state: (x, ((y, target) of the moves of both words), target of the
+    # pad move of alpha alone or None), by x
+    alpha_moves: list[list[tuple[int, tuple[tuple[int, int], ...], int | None]]]
+    beta_moves: list[tuple[tuple[int, int], ...]]  # (y, target) of beta alone
+
+
+# word-difference tables by group, then by (k, offset length): the identity
+# offset has one table at radius k, and the generators share one at radius
+# k + 1, since the runs from different generators soon meet the same states.
+_difference_tables: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def word_difference_table(group: PolygonGroup, k: int,
+                          offset: Word) -> WordDifferenceTable:
+    """The pair machine of Red(W) with itself, as equal_endpoint_pairs
+    describes it, searched from the offset (and from every other offset of
+    its length) and projected to (alpha's canonical state, difference,
+    mode) after its trim: a move (x, y) joins two such states when some
+    move between two live pair states does, y None for a pad move of
+    alpha, x None for a step of beta alone.  Beta's canonical state is not
+    kept, and once beta has finished it is not searched either.  Cached
+    per (group, k, offset length); `fsa.search` builds it, so it stops at
+    `fsa.STATE_CAP` states too."""
+    memo = _difference_tables.setdefault(group, {})
+    key = (k, len(offset))
+    if key in memo:
+        return memo[key]
+    radius = k + len(offset)
+    # the intermediate d*y may overshoot by one before x pulls it back
+    ball = group.ball(radius + 1)
+    right_mult, left_mult, lengths = ball.right_mult, ball.left_mult, ball.lengths
+    canon = [[(x, t) for x, t in enumerate(row) if t is not None]
+             for row in group.transitions]
+    offsets = [(s,) for s in range(group.rank)] if offset else [()]
+
+    # state = (alpha's canonical state, beta's, difference index, mode);
+    # mode 0 = both words running, 1 = beta finished (its state is then
+    # None), 2 = alpha finished.  Ball index 0 is the identity.
+    def expand(state):
+        qa, qb, d, mode = state
+        ld = lengths[d]
+        dy = right_mult[d]  # d * y, by y
+        moves = []
+        if mode != 2:
+            both = canon[qb] if mode == 0 else ()
+            pad = left_mult[d]
+            for x, ta in canon[qa]:
+                for y, tb in both:
+                    nd = left_mult[dy[y]][x]
+                    if nd is not None and lengths[nd] <= radius:
+                        moves.append(((x, y), (ta, tb, nd, 0)))
+                nd = pad[x]
+                if lengths[nd] < ld:
+                    moves.append(((x, None), (ta, None, nd, 1)))
+        if mode != 1:
+            for y, tb in canon[qb]:
+                nd = dy[y]
+                if lengths[nd] < ld:
+                    moves.append(((None, y), (qa, tb, nd, 2)))
+        return d == 0, moves
+
+    keys, rows, _, live = search(
+        [(0, 0, ball.index[o], 0) for o in offsets], expand)
+    number: dict[tuple[int, int, int], int] = {}  # (qa, d, mode) -> state
+    of = []  # live pair state -> its state
+    for i, (qa, _, d, mode) in enumerate(keys):
+        of.append(number.setdefault((qa, d, mode), len(number))
+                  if live[i] else None)
+    both: list[dict] = [{} for _ in number]
+    pads: list[dict] = [{} for _ in number]
+    betas: list[dict] = [{} for _ in number]
+    for i, row in enumerate(rows):
+        if live[i]:
+            t = of[i]
+            for (x, y), j in row:
+                if live[j]:
+                    if y is None:
+                        pads[t][x] = of[j]
+                    elif x is None:
+                        betas[t][y] = of[j]
+                    else:
+                        both[t].setdefault(x, {})[y] = of[j]
+    memo[key] = table = WordDifferenceTable(
+        starts={o: of[i] for i, o in enumerate(offsets) if live[i]},
+        accepts=[d == 0 for _, d, _ in number],
+        alpha_moves=[[(x, tuple(sorted(both[t].get(x, {}).items())),
+                       pads[t].get(x)) for x in sorted({*both[t], *pads[t]})]
+                     for t in range(len(number))],
+        beta_moves=[tuple(sorted(b.items())) for b in betas],
+    )
+    return table
+
+
 def equal_endpoint_pairs(group: PolygonGroup, B: FSA, offset: Word,
                          k: int) -> FSA:
     """Trimmed NFA over the generators accepting every reduced alpha that
     pairs with some beta in L(B) with endpoint(alpha) = offset *
     endpoint(beta) and every synchronous word difference alpha_i^-1 *
     offset * beta_i of length <= k + |offset|, where the offset is the
-    identity () or one generator (s,).  The shorter word pads at
-    the end: a step of alpha alone reads its letter, a step of beta alone
-    is an epsilon move.  B must be deterministic, and L(B) must hold
-    reduced words only.
+    identity () or one generator (s,).  The shorter word pads at the end:
+    a step of alpha alone reads its letter, a step of beta alone is an
+    epsilon move.  B must be deterministic, and L(B) must hold reduced
+    words only.
 
-    Once beta has finished, the difference is the element the rest of alpha
-    spells; alpha is reduced, so each pad step of alpha shortens it by one.
-    Once alpha has finished, the difference is the inverse of the element
-    the rest of beta spells, which shortens on each step because beta is
-    reduced.  Pad moves that do not shorten the difference are therefore
-    never on an accepting run and are not taken; only moves of both words
-    need the radius test.  A B accepting a non-reduced word would lose the
-    pairs that pad through it.
+    The pair machine's states are (alpha's canonical state, B's state,
+    difference, mode), mode 0 while both words run, 1 once beta has
+    finished (B's state then accepts), 2 once alpha has.  Once beta has
+    finished, the difference is the element the rest of alpha spells;
+    alpha is reduced, so each pad step of alpha shortens it by one.  Once
+    alpha has finished, the difference is the inverse of the element the
+    rest of beta spells, which shortens on each step because beta is
+    reduced.  So a pad move that does not shorten the difference is never
+    on an accepting run; only moves of both words need the radius test.
 
-    `fsa.explore` builds the machine: it keeps the states on an accepting
+    The machine is the product of B with word_difference_table(group, k,
+    offset), and it is the full pair machine trimmed, state for state.
+    The product takes exactly the full machine's moves whose projection to
+    (alpha's canonical state, difference, mode) is a move of the table,
+    which holds what lies on an accepting run of the pair machine of Red(W)
+    with itself.  Every accepting run of the full machine, for (alpha,
+    beta), projects onto one of that machine, with beta's canonical states
+    in place of B's, because beta is reduced.  So only dead states are
+    skipped.  No dead state has a move to a live one, so each live state is
+    first met from a live state, by the same move: the live states are
+    found in the same order.  A B accepting a non-reduced word would lose
+    the pairs that run through it.
+
+    `fsa.explore` builds the product: it keeps the states on an accepting
     run, in their order of discovery, and raises StateBlowup past
     `fsa.STATE_CAP` interned states."""
-    radius = k + len(offset)
-    # the intermediate d*y may overshoot by one before x pulls it back
-    ball = group.ball(radius + 1)
-    right_mult, left_mult, lengths = ball.right_mult, ball.left_mult, ball.lengths
+    starts, accepts, alpha_moves, beta_moves = \
+        word_difference_table(group, k, offset)
+    if offset not in starts:
+        return empty_language(group.presentation.names)
     b_delta, b_acc = B.transitions, B.accepting
     gens = range(group.rank)
-    # each side's (letter, target) moves, listed once per state
-    canon = [[(x, t) for x, t in enumerate(row) if t is not None]
-             for row in group.transitions]
-    b_moves = [[(y, t[0]) for y in gens if (t := b_delta.get((q, y)))]
-               for q in range(B.n_states)]
-    # state = (canonical state, B state, difference index, mode); mode 0 =
-    # both words running, 1 = beta finished (so its B state accepts), 2 =
-    # alpha finished.  Every canonical state accepts, and ball index 0 is
-    # the identity.  The step that enters mode 1 or 2 is a pad move too.
+    b_next = [[t[0] if (t := b_delta.get((q, y))) else None for y in gens]
+              for q in range(B.n_states)]
 
+    # state = (table state, B state)
     def expand(state):
-        qa, qb, d, mode = state
+        t, qb = state
+        nb = b_next[qb]
         qb_acc = qb in b_acc
-        ld = lengths[d]
-        dy = right_mult[d]  # d * y, by y
         moves = []
-        if mode != 2:
-            both = b_moves[qb] if mode == 0 else ()
-            pad = left_mult[d] if qb_acc else None
-            for x, ta in canon[qa]:
-                for y, tb in both:
-                    nd = left_mult[dy[y]][x]
-                    if nd is not None and lengths[nd] <= radius:
-                        moves.append((x, (ta, tb, nd, 0)))
-                if pad is not None:
-                    nd = pad[x]
-                    if lengths[nd] < ld:
-                        moves.append((x, (ta, qb, nd, 1)))
-        if mode != 1:
-            for y, tb in b_moves[qb]:
-                nd = dy[y]
-                if lengths[nd] < ld:
-                    moves.append((-1, (qa, tb, nd, 2)))
-        return d == 0 and qb_acc, moves
+        for x, both, pad in alpha_moves[t]:
+            for y, u in both:
+                tb = nb[y]
+                if tb is not None:
+                    moves.append((x, (u, tb)))
+            if pad is not None and qb_acc:
+                moves.append((x, (pad, qb)))
+        for y, u in beta_moves[t]:
+            tb = nb[y]
+            if tb is not None:
+                moves.append((-1, (u, tb)))
+        return qb_acc and accepts[t], moves
 
     return explore(group.presentation.names,
-                   (0, B.initial, ball.index[offset], 0), expand)
+                   (starts[offset], B.initial), expand)
 
 
 # pattern machines by group, then by (pattern, k): choose_k and

@@ -9,9 +9,11 @@ machines, reversal); stored machines are epsilon-free.
 
 One function, `explore`, makes every machine that is searched out from a
 start state: subset construction, products and the pair machines of
-`automata`.  It interns states as it meets them, keeps only those on an
-accepting run (Epstein et al., Word Processing in Groups, 1992, ch. 2),
-and caps every machine at STATE_CAP states.
+`automata`.  It runs `search`, which interns states as it meets them,
+marks those on an accepting run (Epstein et al., Word Processing in
+Groups, 1992, ch. 2) and caps every search at STATE_CAP states; `explore`
+keeps the marked states, and `automata`'s word-difference table reads the
+marks directly.
 """
 
 from __future__ import annotations
@@ -108,38 +110,42 @@ def _check_alphabet(a: FSA, b: FSA) -> None:
         raise AlphabetMismatch(f"{a.alphabet} vs {b.alphabet}")
 
 
-def explore(alphabet, start, expand, deterministic: bool = False) -> FSA:
-    """The machine of the states reached from `start`, trimmed to those on
-    an accepting run.  expand(key) returns whether the state accepts and
-    its moves (symbol, key), symbol -1 an epsilon move.  States are
-    interned in order of discovery, each recording its predecessors; one
-    backward pass from the accepting states marks the live ones, which
-    keep that order.  A machine past STATE_CAP interned states raises
-    StateBlowup naming the function that made `expand`."""
-    ids = {start: 0}
-    order = [start]
-    rows = []  # each state's moves, as expand gave them
-    preds: list[list[int]] = [[]]
+def search(starts, expand):
+    """Intern the states reached from the distinct keys `starts` and mark
+    those on an accepting run.  expand(key) returns whether the state
+    accepts and its moves (symbol, key).  States are numbered in order of
+    discovery, the starts first, each recording its predecessors; one
+    backward pass from the accepting states marks the live ones.  Returns
+    the keys by number, each state's moves as (symbol, target number), the
+    accepting numbers and the live flags.  Past STATE_CAP interned states
+    it raises StateBlowup naming the function that made `expand`."""
+    ids = {key: i for i, key in enumerate(starts)}
+    keys = list(starts)
+    rows = []
+    preds: list[list[int]] = [[] for _ in keys]
     accepting: list[int] = []
     i = 0
-    while i < len(order):
-        accepts, moves = expand(order[i])
+    while i < len(keys):
+        accepts, moves = expand(keys[i])
         if accepts:
             accepting.append(i)
-        for _, key in moves:
+        row = []
+        for s, key in moves:
             j = ids.get(key)
             if j is None:
-                if len(order) >= STATE_CAP:
+                j = len(keys)
+                if j >= STATE_CAP:
                     stage = expand.__qualname__.partition(".")[0]
                     raise StateBlowup(f"{stage} exceeds {STATE_CAP} states")
-                ids[key] = len(order)
-                order.append(key)
+                ids[key] = j
+                keys.append(key)
                 preds.append([i])
             else:
                 preds[j].append(i)
-        rows.append(moves)
+            row.append((s, j))
+        rows.append(row)
         i += 1
-    live = [False] * len(order)
+    live = [False] * len(keys)
     for q in accepting:
         live[q] = True
     stack = list(accepting)
@@ -148,9 +154,17 @@ def explore(alphabet, start, expand, deterministic: bool = False) -> FSA:
             if not live[p]:
                 live[p] = True
                 stack.append(p)
+    return keys, rows, accepting, live
+
+
+def explore(alphabet, start, expand, deterministic: bool = False) -> FSA:
+    """The machine of the states `search` reaches from `start`, trimmed to
+    those on an accepting run, which keep their order of discovery; symbol
+    -1 is an epsilon move."""
+    _, rows, accepting, live = search([start], expand)
     if not live[0]:
         return empty_language(alphabet)
-    remap = [-1] * len(order)
+    remap = [-1] * len(live)
     n = 0
     for q, alive in enumerate(live):
         if alive:
@@ -158,11 +172,10 @@ def explore(alphabet, start, expand, deterministic: bool = False) -> FSA:
             n += 1
     transitions: dict[tuple[int, int], list[int]] = {}
     eps: dict[int, list[int]] = {}
-    for q, moves in enumerate(rows):
+    for q, row in enumerate(rows):
         if live[q]:
             rq = remap[q]
-            for s, key in moves:
-                j = ids[key]
+            for s, j in row:
                 if live[j]:
                     if s < 0:
                         eps.setdefault(rq, []).append(remap[j])

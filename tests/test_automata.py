@@ -2,7 +2,13 @@ import itertools
 
 import pytest
 
-from polycell import PolygonGroup, automata, presentation_from_angles, verify
+from polycell import (
+    PolygonGroup,
+    automata,
+    cells,
+    presentation_from_angles,
+    verify,
+)
 from polycell.automata import (
     canonical_fsa,
     equal_endpoint_pairs,
@@ -13,8 +19,15 @@ from polycell.automata import (
     red_x_mu,
     right_descent_class_fsa,
     shortlex_fsa,
+    word_difference_table,
 )
-from polycell.cells import _spec_candidates, dihedral_data, u_t_fsa
+from polycell.cells import (
+    _spec_candidates,
+    build_partition,
+    dihedral_data,
+    omega_minimal,
+    u_t_fsa,
+)
 from polycell.errors import PatternNotReduced, StateBlowup
 from polycell.fsa import (
     FSA,
@@ -23,9 +36,11 @@ from polycell.fsa import (
     determinize,
     enumerate_words,
     epsilon_language,
+    explore,
     is_empty,
     is_subset,
     minimize,
+    search,
     to_text,
 )
 from polycell.oracle import braid_closure
@@ -247,15 +262,104 @@ def project_first(pairs, names):
     )
 
 
-def test_pair_machine_languages_hold_reduced_words_only(part237, part2224):
-    # equal_endpoint_pairs prunes pad moves on the premise that L(B) holds
-    # reduced words: the languages red_x_mu and omega_minimal hand it
+# (group, k, level, radius) of the one-sided paths the pair machines are
+# checked on; w2224 level 2 radius 8 is the benchmark's onesided path
+ONESIDED_PATHS = (("w237", K_W237, 3, 10), ("w2224", K_W2224, 1, 8),
+                  ("w2224", K_W2224, 2, 8))
+
+
+@pytest.fixture(scope="module")
+def translation_steps(part237, part2224):
+    """(group, A, s, k) of every left_translate step _spec_candidates takes
+    on ONESIDED_PATHS."""
+    parts = {"w237": part237, "w2224": part2224}
+    steps = []
+
+    def record(group, A, s, k):
+        steps.append((group, A, s, k))
+        return left_translate(group, A, s, k)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cells, "left_translate", record)
+        for name, k, level, radius in ONESIDED_PATHS:
+            _spec_candidates(parts[name], level, radius, k)
+    return steps
+
+
+def test_pair_machine_languages_hold_reduced_words_only(part237, part2224,
+                                                        translation_steps):
+    # equal_endpoint_pairs keeps only what lies on an accepting run of the
+    # pair machine of Red(W) with itself, on the premise that L(B) holds
+    # reduced words: the pattern languages red_x_mu hands it, and every
+    # language a translation step starts from
     for part in (part237, part2224):
         group = part.group
         can = canonical_fsa(group)
         for entry in part.data.entries:
             assert is_subset(factor_fsa(group, entry.longest_word), can)
             assert is_subset(u_t_fsa(part, entry.pair), can)
+    assert len(translation_steps) == 316
+    for group, A, _, _ in translation_steps:
+        assert is_subset(A, canonical_fsa(group))
+
+
+def unfiltered_equal_endpoint_pairs(group, B, offset, k):
+    """The pair machine searched without the word-difference table: every
+    move the radius and pad rules allow, dead or not, trimmed by explore.
+    The reference for equal_endpoint_pairs, state for state."""
+    radius = k + len(offset)
+    ball = group.ball(radius + 1)
+    right_mult, left_mult, lengths = ball.right_mult, ball.left_mult, ball.lengths
+    b_delta, b_acc = B.transitions, B.accepting
+    gens = range(group.rank)
+    canon = [[(x, t) for x, t in enumerate(row) if t is not None]
+             for row in group.transitions]
+    b_moves = [[(y, t[0]) for y in gens if (t := b_delta.get((q, y)))]
+               for q in range(B.n_states)]
+
+    def expand(state):
+        qa, qb, d, mode = state
+        qb_acc = qb in b_acc
+        ld = lengths[d]
+        dy = right_mult[d]
+        moves = []
+        if mode != 2:
+            both = b_moves[qb] if mode == 0 else ()
+            pad = left_mult[d] if qb_acc else None
+            for x, ta in canon[qa]:
+                for y, tb in both:
+                    nd = left_mult[dy[y]][x]
+                    if nd is not None and lengths[nd] <= radius:
+                        moves.append((x, (ta, tb, nd, 0)))
+                if pad is not None:
+                    nd = pad[x]
+                    if lengths[nd] < ld:
+                        moves.append((x, (ta, qb, nd, 1)))
+        if mode != 1:
+            for y, tb in b_moves[qb]:
+                nd = dy[y]
+                if lengths[nd] < ld:
+                    moves.append((-1, (qa, tb, nd, 2)))
+        return d == 0 and qb_acc, moves
+
+    return explore(group.presentation.names,
+                   (0, B.initial, ball.index[offset], 0), expand)
+
+
+def test_pair_machines_match_the_unfiltered_search(g237, g2224,
+                                                   translation_steps):
+    # the table skips only dead states: every red_x_mu pattern at k and
+    # k + 1, and every translation step of ONESIDED_PATHS, gives the very
+    # machine of the unfiltered search
+    for group, k in ((g237, K_W237), (g2224, K_W2224)):
+        for entry in dihedral_data(group.presentation).entries:
+            B = factor_fsa(group, entry.longest_word)
+            for kk in (k, k + 1):
+                assert equal_endpoint_pairs(group, B, (), kk) == \
+                    unfiltered_equal_endpoint_pairs(group, B, (), kk)
+    for group, A, s, k in translation_steps:
+        assert equal_endpoint_pairs(group, A, (s,), k) == \
+            unfiltered_equal_endpoint_pairs(group, A, (s,), k)
 
 
 def test_pair_machine_matches_padded_projection(part237, part2224):
@@ -303,14 +407,53 @@ def test_pair_machines_are_trim_stable(part237, part2224, monkeypatch):
         assert set_trim_reference(p) == p
 
 
-def test_pair_machines_stop_at_the_state_cap(g237, w237, monkeypatch):
+def test_pair_machines_stop_at_the_state_cap(w237, monkeypatch):
     # the cap counts interned states, live or not, like every other
-    # machine's; the rt machine interns more than ten
-    B = factor_fsa(g237, w237.parse_word("rt"))
-    assert equal_endpoint_pairs(g237, B, (), K_W237).n_states > 10
+    # machine's.  A fresh group, whose table is built under the full cap:
+    # the rt machine itself interns more than ten states
+    group = PolygonGroup(w237)
+    B = factor_fsa(group, w237.parse_word("rt"))
+    word_difference_table(group, K_W237, ())
+    assert equal_endpoint_pairs(group, B, (), K_W237).n_states > 10
     monkeypatch.setattr("polycell.fsa.STATE_CAP", 10)
     with pytest.raises(StateBlowup, match="equal_endpoint_pairs exceeds 10 states"):
-        equal_endpoint_pairs(g237, B, (), K_W237)
+        equal_endpoint_pairs(group, B, (), K_W237)
+
+
+def test_word_difference_table_stops_at_the_state_cap(w237, monkeypatch):
+    # on a fresh group the table is searched first, and its search has the
+    # cap too; nothing is cached from the failed build
+    group = PolygonGroup(w237)
+    B = factor_fsa(group, w237.parse_word("rt"))
+    monkeypatch.setattr("polycell.fsa.STATE_CAP", 100)
+    for _ in range(2):
+        with pytest.raises(StateBlowup,
+                           match="word_difference_table exceeds 100 states"):
+            equal_endpoint_pairs(group, B, (), K_W237)
+
+
+def test_onesided_path_interns_few_pair_states(w2224, monkeypatch):
+    # the benchmark's onesided path (w2224 level 2 radius 8, k = 4) on a
+    # fresh group: the 27 pair machines keep 2,880 states, and interned
+    # 15,393 before they read the word-difference tables
+    interned: dict = {}
+
+    def record(starts, expand):
+        keys, rows, accepting, live = search(starts, expand)
+        stage = expand.__qualname__.partition(".")[0]
+        n = interned.setdefault(stage, [0, 0, 0])
+        n[0] += 1
+        n[1] += len(keys)
+        n[2] += sum(live)
+        return keys, rows, accepting, live
+
+    monkeypatch.setattr("polycell.fsa.search", record)
+    monkeypatch.setattr(automata, "search", record)
+    part = build_partition(PolygonGroup(w2224), K_W2224)
+    omega_minimal(part, 2, 8, K_W2224)
+    # machines, interned states, live states
+    assert interned["equal_endpoint_pairs"] == [27, 3_282, 2_880]
+    assert interned["word_difference_table"] == [2, 1_311, 295]
 
 
 def test_red_x_mu_examples(g237, w237):

@@ -302,6 +302,18 @@ def test_cli_missing_k_validation_is_exit_2(tmp_path, w237_config, capsys):
     assert code == 2
 
 
+def test_cli_word_difference_table_cap_is_exit_2(tmp_path, w237_config, capsys,
+                                                 monkeypatch):
+    # the factor machine of rt passes a cap of 100 states, and the
+    # word-difference table searched next (523 states) does not
+    monkeypatch.setattr("polycell.fsa.STATE_CAP", 100)
+    code = run(tmp_path, "fsa", "build", "pattern:rt",
+               "--group", str(w237_config), "--k", "6")
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: StateBlowup: word_difference_table exceeds 100 states\n"
+
+
 def test_cli_failed_k_reports_constant(tmp_path, w237_config, capsys):
     code = run(tmp_path, "fsa", "build", "pattern:rt",
                "--group", str(w237_config), "--k", "5")
