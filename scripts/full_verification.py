@@ -46,7 +46,7 @@ def run(workspace: Path):
             "--workspace", str(workspace),
         ])
         worst = max(worst, code)
-    # the scaling check: both W-graphs over the 3325 elements of ball(10)
+    # the scaling check: the W-graphs over the 3325 elements of ball(10)
     print("=== w2224 cells compare, radius 10 ===")
     code = main([
         "cells", "compare",

@@ -61,9 +61,9 @@ term of each sum is then known.  Three callers pass three sets:
       R_{x,w} = q R_{xs,ws} + (q - 1) R_{x,ws}  otherwise,   s = min D_R(w),
 
   and keeps P on every pair by row for `records`;
-- the W-graphs (`mu_below`) pass the union of the upper ideals of the far
-  x whose mu they need, so they solve only the pairs behind those mu, and
-  R by row, through `_r`, only where those sums ask for it (full R
+- the right W-graph (`mu_below`) passes the union of the upper ideals of
+  the far x whose mu it needs, so it solves only the pairs behind those
+  mu, and R by row, through `_r`, only where those sums ask for it (full R
   columns would hold 3.4 times as many entries on w2224's ball(10));
 - a point query `p_idx(v, w)` passes the upper ideal of v.
 
@@ -71,11 +71,12 @@ W-graphs need only mu, and most of it is known without P:
 mu(v, w) is 0 for an even length difference, 1 for a difference of 1, and
 0 on a pair that is not extremal with a difference of 3 or more
 (Kazhdan-Lusztig 1979, (2.3e): sw < w, sv > v and mu(v, w) != 0 force
-v = sw; likewise on the right).  An extremal pair has D(w) in D(v) on both
-sides, and the edge rule draws an edge of one side's W-graph only between
-different descent sets of that side, so each W-graph asks for mu on a far
-pair only when D(v) strictly contains D(w) on its side.  The classical
-one-step recursion lives in oracle.py as an independent cross-check.
+v = sw; likewise on the right).  An extremal pair has D_R(w) in D_R(v), and
+the right W-graph has edges only between different right descent sets, so
+it asks for mu on a far pair only when D_R(v) strictly contains D_R(w).
+As P_{x,w} = P_{x^-1,w^-1} and D_L(w) = D_R(w^-1), the left W-graph is its
+mirror, every vertex inverted.  oracle.py holds the classical one-step
+recursion as an independent cross-check.
 
 Cells are strongly connected components (Kazhdan-Lusztig 1979, section 1):
 left cells of the left W-graph, right cells of the right one, and
@@ -332,27 +333,19 @@ class KLTable:
             return 0
         return poly_coeff(self.p_idx(v, w), (n - 1) // 2)
 
-    def mu_below(self, w: int, side: str | None = None) -> list[int]:
-        """Indices x < w with mu(x, w) != 0, ascending, except that with a
-        side, far x whose descent set on that side equals w's are left out:
-        they give no edge in that side's W-graph.  Covering pairs have
-        mu = 1, so P is solved only for the far x, extremal with an odd
-        length difference of 3 or more (see the module docstring), and on
-        the pairs their sums need."""
+    def mu_below(self, w: int) -> list[int]:
+        """Indices x < w with mu(x, w) != 0, ascending, but for the far x
+        with D_R(x) = D_R(w), which draw no edge of the right W-graph.
+        Covering pairs have mu = 1, so P is solved only for the far x,
+        extremal with an odd length difference of 3 or more (see the module
+        docstring), and on the pairs their sums need."""
         length = self._length[w]
         if length == 0:
             return []
-        far = self._extremal(w) & self._mu_far[length]
-        if side is not None:
-            desc, has = ((self._ldesc, self._has_ldesc) if side == "left"
-                         else (self._rdesc, self._has_rdesc))
-            # far x already has D(w) in D(x); keep those with one more s
-            strict = 0
-            for s in range(self.group.rank):
-                if not desc[w] >> s & 1:
-                    strict |= has[s]
-            far &= strict
-        far_x = _bits(far)
+        # a far x is extremal, D_R(w) in D_R(x): keep those with one more s
+        rdesc = self._rdesc
+        far_x = [x for x in _bits(self._extremal(w) & self._mu_far[length])
+                 if rdesc[x] != rdesc[w]]
         if far_x:
             above = 0
             for x in far_x:
@@ -423,25 +416,21 @@ class KLTable:
 
 @dataclass
 class WGraph:
-    n: int
     edges: dict[int, list[int]]
 
 
-def w_graph(table: KLTable, side: str) -> WGraph:
-    """Edges a -> b between mu-linked elements whose descent sets on `side`
-    have D(a) not inside D(b)."""
-    if side not in ("left", "right"):
-        raise ValueError("side must be 'left' or 'right'")
-    desc = table._ldesc if side == "left" else table._rdesc
-    n = len(desc)
-    edges: dict[int, list[int]] = {i: [] for i in range(n)}
-    for b in range(n):
-        for a in table.mu_below(b, side):
+def w_graph(table: KLTable) -> WGraph:
+    """The right W-graph: edges a -> b between mu-linked elements with
+    D_R(a) not inside D_R(b)."""
+    desc = table._rdesc
+    edges: dict[int, list[int]] = {i: [] for i in range(len(desc))}
+    for b in range(len(desc)):
+        for a in table.mu_below(b):
             if desc[a] & ~desc[b]:
                 edges[a].append(b)
             if desc[b] & ~desc[a]:
                 edges[b].append(a)
-    return WGraph(n=n, edges=edges)
+    return WGraph(edges=edges)
 
 
 def strongly_connected_components(n: int, edges: dict[int, list[int]]) -> list[list[int]]:
@@ -493,15 +482,26 @@ def strongly_connected_components(n: int, edges: dict[int, list[int]]) -> list[l
     return sorted(comps, key=lambda c: c[0])
 
 
+def _inverses(ball: ElementBall) -> list[int]:
+    """inv[w]: the index of w^-1, built as s (ws)^-1 for s = min D_R(w)."""
+    inv = [0] * len(ball)
+    for w in range(1, len(ball)):
+        s = min(ball.elements[w].right)
+        inv[w] = ball.left_mult[inv[ball.right_mult[w][s]]][s]
+    return inv
+
+
 def empirical_cells(table: KLTable) -> tuple[list[list[int]], list[list[int]],
                                              list[list[int]]]:
     """(left, right, two-sided) cells of the table's ball: the strongly
     connected components of the left W-graph, of the right one, and of both
     graphs' edges together, since <=_LR is the preorder generated by <=_L
-    and <=_R."""
-    left, right = w_graph(table, "left"), w_graph(table, "right")
-    n = left.n
-    both = {v: left.edges[v] + right.edges[v] for v in range(n)}
-    return (strongly_connected_components(n, left.edges),
-            strongly_connected_components(n, right.edges),
+    and <=_R.  The left W-graph is the right one, every vertex inverted."""
+    right = w_graph(table).edges
+    inv = _inverses(table.ball)
+    left = {inv[a]: [inv[b] for b in out] for a, out in right.items()}
+    n = len(inv)
+    both = {v: left[v] + right[v] for v in range(n)}
+    return (strongly_connected_components(n, left),
+            strongly_connected_components(n, right),
             strongly_connected_components(n, both))

@@ -5,6 +5,7 @@ from polycell.errors import ResourceLimit, VerificationDisagreement
 from polycell.field import _poly_mul_into
 from polycell.kl import (
     KLTable,
+    _inverses,
     empirical_cells,
     strongly_connected_components,
     w_graph,
@@ -258,12 +259,12 @@ def test_sweep_agrees_with_the_lazy_route(request, group, radius):
 
 
 @pytest.mark.parametrize("group, radius, p_count, r_count",
-                         [("g237", 12, 1641, 7681), ("g2224", 8, 4498, 12759)])
+                         [("g237", 12, 1304, 7054), ("g2224", 8, 3336, 10776)])
 def test_w_graphs_solve_only_what_their_far_mu_need(request, group, radius,
                                                     p_count, r_count):
-    """On a cold table the W-graphs run no sweep, and store P only on the
-    extremal pairs behind their far mu and R (diagonal included) only on
-    the pairs those sums read."""
+    """On a cold table the right W-graph, the only one solved, runs no
+    sweep, and stores P only on the extremal pairs behind its far mu and R
+    (diagonal included) only on the pairs those sums read."""
     g = request.getfixturevalue(group)
     table = KLTable(g, g.ball(radius))
     empirical_cells(table)
@@ -320,29 +321,27 @@ def test_mu_only_w_graph_matches_full_scan(request, group, radius):
     g = request.getfixturevalue(group)
     ball = g.ball(radius)
     scan = request.getfixturevalue("kl237") if group == "g237" else KLTable(g, ball)
-    for side in ("left", "right"):
-        graph = w_graph(KLTable(g, ball), side)
-        assert graph.edges == _full_scan_w_graph(ball, side, scan)
+    graph = w_graph(KLTable(g, ball))
+    assert graph.edges == _full_scan_w_graph(ball, "right", scan)
 
 
 @pytest.mark.parametrize("group, radius", [("g237", 12), ("g2224", 7)])
 def test_side_filter_drops_only_far_pairs_with_equal_descents(request, group, radius):
     g = request.getfixturevalue(group)
     ball = g.ball(radius)
-    table = KLTable(g, ball)
-    for side in ("left", "right"):
-        desc = [e.left if side == "left" else e.right for e in ball.elements]
-        for w in range(len(ball)):
-            want = [x for x in table.mu_below(w)
-                    if ball.lengths[w] - ball.lengths[x] == 1
-                    or desc[x] != desc[w]]
-            assert table.mu_below(w, side) == want
+    table, scan = KLTable(g, ball), KLTable(g, ball)
+    right = [e.right for e in ball.elements]
+    for w in range(len(ball)):
+        want = [x for x in scan.lower(w) if scan.mu_idx(x, w)
+                and (ball.lengths[w] - ball.lengths[x] == 1
+                     or right[x] != right[w])]
+        assert table.mu_below(w) == want
 
 
 def test_w_graph_singleton(g237):
     ball = g237.ball(0)
     table = KLTable(g237, ball)
-    graph = w_graph(table, "left")
+    graph = w_graph(table)
     assert graph.edges == {0: []}
 
 
@@ -350,12 +349,49 @@ def test_w_graph_dihedral_edge_directions(g237, kl237):
     ball = kl237.ball
     s = ball.index[(1,)]
     st = ball.index[(1, 2)]
-    gl = w_graph(kl237, "left")
-    # descents: L(s) = {s}, L(st) = {s}; mu = 1, containment both ways fails
-    # only where the descent sets are not nested
-    assert (st in gl.edges[s]) == (not ball.elements[s].left <= ball.elements[st].left)
-    gr = w_graph(kl237, "right")
+    gr = w_graph(kl237)
+    # mu = 1 on the covering pair; an edge runs one way only where the
+    # descent sets are not nested
     assert (st in gr.edges[s]) == (not ball.elements[s].right <= ball.elements[st].right)
+    # the left W-graph's edge s -> st is the right one's s^-1 -> (st)^-1
+    inv = _inverses(ball)
+    assert (inv[st] in gr.edges[inv[s]]) == (
+        not ball.elements[s].left <= ball.elements[st].left)
+
+
+@pytest.mark.parametrize("group, radius", [("g237", 12), ("g2224", 8)])
+def test_left_cells_mirror_the_right_w_graph(request, group, radius):
+    """The left cells, read off the right W-graph through the inversion
+    map, are the SCCs of a left W-graph scanned from mu on every pair; the
+    map is an involution that swaps left and right descent sets."""
+    g = request.getfixturevalue(group)
+    ball = g.ball(radius)
+    scan = request.getfixturevalue("kl237") if group == "g237" else KLTable(g, ball)
+    left, _, _ = empirical_cells(KLTable(g, ball))
+    reference = _full_scan_w_graph(ball, "left", scan)
+    assert left == strongly_connected_components(len(ball), reference)
+    inv = _inverses(ball)
+    for w, e in enumerate(ball.elements):
+        assert inv[inv[w]] == w
+        assert (ball.elements[inv[w]].left, ball.elements[inv[w]].right) == (e.right, e.left)
+
+
+@pytest.mark.parametrize("group, radius, smaller",
+                         [("g237", 12, (8, 10)), ("g2224", 8, (6, 7))])
+def test_right_w_graph_of_a_smaller_ball_is_the_index_prefix(request, group,
+                                                            radius, smaller):
+    """ball(r) is the index prefix of ball(R), and every edge depends only
+    on its Bruhat interval, so the W-graph of ball(r) is that of ball(R)
+    restricted to the first |ball(r)| indices, edge order included."""
+    g = request.getfixturevalue(group)
+    ball = g.ball(radius)
+    whole = w_graph(KLTable(g, ball)).edges
+    for r in smaller:
+        small = g.ball(r)
+        n = len(small)
+        assert small.elements == ball.elements[:n]
+        assert w_graph(KLTable(g, small)).edges == {
+            a: [b for b in whole[a] if b < n] for a in range(n)}
 
 
 def test_scc_basics():
