@@ -6,20 +6,34 @@ the finite edge orders of the group, so every entry -2*cos(pi/m) of the
 doubled Gram matrix lies in the ring of integers of this field; all root
 computations stay in integer coordinates.
 
-Sign queries are decided by interval arithmetic: theta is boxed in a
-rational isolating interval which is bisected (exactly, against the minimal
-polynomial) until the interval image of the query polynomial excludes zero.
-A reduced nonzero polynomial cannot vanish at theta, so this terminates.
+Sign queries are decided on dyadic integers.  theta is boxed as
+(L/2^K, (L+1)/2^K]: L is seeded from the float 2*cos(pi/N) and certified by
+the sign change of the minimal polynomial, or found by integer bisection if
+the seed fails.  In a field of degree d, a scalar a = sum c_i theta^i is
+evaluated exactly as the integer v = 2^(K*(d-1)) * a(L/2^K).  By the mean
+value theorem on |x| <= 2, a(theta) has the sign of v once
+|v| > 2^(K*(d-2)) * sum i*|c_i|*2^(i-1).  Otherwise K doubles, the box
+bisected on integers.  A reduced nonzero scalar cannot vanish at theta, so
+this ends, unless K would pass PRECISION_CAP, which raises ResourceLimit.
+In degree 1 theta is an integer and every sign is exact at once.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
-from fractions import Fraction
 from functools import lru_cache
 
+from .errors import ResourceLimit
+
 Scalar = tuple[int, ...]
+
+# bits of theta a sign query may ask for before it raises ResourceLimit
+PRECISION_CAP = 1 << 13
+
+# a float's 2*cos(pi/N) is good to about 2^-52
+_SEED_BITS = 48
 
 
 def _trim(coeffs: list[int]) -> list[int]:
@@ -107,13 +121,6 @@ def cos2_minpoly(N: int) -> tuple[int, ...]:
     return tuple(acc)
 
 
-def _eval_fraction(coeffs, x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
-
-
 class RealCyclotomicField:
     """Arithmetic context for Q(2*cos(pi/N))."""
 
@@ -124,37 +131,62 @@ class RealCyclotomicField:
         self.zero: Scalar = (0,) * self.degree
         self.one = self.from_int(1)
         self.two = self.from_int(2)
-        if self.degree == 1:
-            self._theta_exact: Fraction | None = Fraction(-self.minpoly[0])
-            self._lo = self._hi = self._theta_exact
-        else:
-            self._theta_exact = None
-            self._lo, self._hi = self._isolate_theta()
         self.theta = self._reduce([0, 1])
+        if self.degree == 1:
+            self._set_box(-self.minpoly[0], 0)
+        else:
+            self._set_box(self._isolate_theta(), _SEED_BITS)
 
-    # theta = 2cos(pi/N) is the largest root of the minimal polynomial; seed
-    # a lower cut between it and the next conjugate 2cos(k2*pi/N), then keep
-    # the invariant that (lo, hi] contains exactly that root.
-    def _isolate_theta(self) -> tuple[Fraction, Fraction]:
-        N = self.N
+    # theta = 2cos(pi/N) is the largest root of the minimal polynomial f.  A
+    # cut between it and the next conjugate 2cos(k2*pi/N) leaves theta the
+    # one root in (cut, 2], where f < 0 left of theta and f > 0 right of it.
+    def _isolate_theta(self) -> int:
+        N, K = self.N, _SEED_BITS
         k2 = 2
         while math.gcd(k2, 2 * N) != 1:
             k2 += 1
         mid = math.cos(math.pi / N) + math.cos(k2 * math.pi / N)  # = (theta+theta2)/2
-        lo = Fraction(mid).limit_denominator(10**12)
-        val = _eval_fraction(self.minpoly, lo)
-        # strictly below a simple largest root the polynomial is negative
-        assert val < 0, "failed to isolate 2*cos(pi/N)"
-        return lo, Fraction(2)
+        cut = math.ceil(math.ldexp(mid, K))
+        assert self._below(cut, K), "failed to isolate 2*cos(pi/N)"
+        num = math.floor(math.ldexp(2 * math.cos(math.pi / N), K))
+        if cut <= num < (2 << K) and self._below(num, K) and not self._below(num + 1, K):
+            return num
+        return self._bisect(cut, 2 << K, K)
+
+    def _below(self, num: int, bits: int) -> bool:
+        """num/2^bits < theta, for num/2^bits in the isolating (cut, 2]: the
+        sign of 2^(bits*d) * f(num/2^bits), by integer Horner."""
+        acc = 0
+        for i, c in enumerate(reversed(self.minpoly)):
+            acc = acc * num + (c << bits * i)
+        return acc < 0
+
+    def _bisect(self, lo: int, hi: int, bits: int) -> int:
+        """The L in [lo, hi) with theta in (L/2^bits, (L+1)/2^bits], given
+        theta in (lo/2^bits, hi/2^bits] inside the isolating cut."""
+        while hi - lo > 1:
+            mid = (lo + hi) >> 1
+            if self._below(mid, bits):
+                lo = mid
+            else:
+                hi = mid
+        return lo
+
+    def _set_box(self, num: int, bits: int) -> None:
+        """Box theta in (num/2^bits, (num+1)/2^bits] and tabulate, for each
+        power i, the integer weights of v and of its mean-value bound."""
+        self._num, self._bits = num, bits
+        e = self.degree - 1
+        self._powers = tuple(num**i << (bits * (e - i)) for i in range(e + 1))
+        self._slopes = (0,) + tuple(i << (i - 1 + bits * (e - 1)) for i in range(1, e + 1))
 
     def _refine(self) -> None:
-        if self._theta_exact is not None:
-            return
-        mid = (self._lo + self._hi) / 2
-        if _eval_fraction(self.minpoly, mid) < 0:
-            self._lo = mid
-        else:
-            self._hi = mid
+        bits = 2 * self._bits
+        if bits > PRECISION_CAP:
+            raise ResourceLimit(
+                f"small roots: a field sign needs more than {PRECISION_CAP} bits of theta")
+        lo = self._num << self._bits
+        self._set_box(self._bisect(lo, lo + (1 << self._bits), bits), bits)
 
     def _reduce(self, coeffs: list[int]) -> Scalar:
         if len(coeffs) > self.degree:
@@ -187,25 +219,8 @@ class RealCyclotomicField:
     def sign(self, a: Scalar) -> int:
         if not any(a):
             return 0
-        if self._theta_exact is not None:
-            v = _eval_fraction(a, self._theta_exact)
-            return (v > 0) - (v < 0)
-        for _ in range(10000):
-            lo, hi = self._interval_eval(a)
-            if lo > 0:
-                return 1
-            if hi < 0:
-                return -1
+        while True:
+            v = sum(map(operator.mul, a, self._powers))
+            if abs(v) > sum(abs(c) * w for c, w in zip(a, self._slopes)):
+                return 1 if v > 0 else -1
             self._refine()
-        raise ArithmeticError("sign refinement did not converge")
-
-    def _interval_eval(self, coeffs) -> tuple[Fraction, Fraction]:
-        lo = hi = Fraction(0)
-        for c in reversed(coeffs):
-            cands = (lo * self._lo, lo * self._hi, hi * self._lo, hi * self._hi)
-            lo, hi = min(cands) + c, max(cands) + c
-        return lo, hi
-
-    def to_float(self, a: Scalar) -> float:
-        t = math.cos(math.pi / self.N) * 2
-        return float(sum(c * t**i for i, c in enumerate(a)))

@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 
 from .errors import BadConfig, BadDenominator, NonHyperbolic, TooFewSides, UnknownGenerator
@@ -104,11 +103,14 @@ def presentation_from_angles(angles, names=None, label="group") -> CoxeterPresen
             parsed.append(float(a))
         else:
             raise BadDenominator(f"angle denominator must be an integer >= 2 or inf: {a!r}")
-    angle_sum = sum(Fraction(1, int(a)) for a in parsed if a != INFINITY)
-    if angle_sum >= n - 2:
-        raise NonHyperbolic(
-            f"angle sum {angle_sum}*pi is not less than {(n - 2)}*pi"
-        )
+    # the angle sum over pi is num/den
+    finite = [int(a) for a in parsed if a != INFINITY]
+    den = math.lcm(*finite)
+    num = sum(den // a for a in finite)
+    if num >= (n - 2) * den:
+        g = math.gcd(num, den)
+        total = str(num // g) if g == den else f"{num // g}/{den // g}"
+        raise NonHyperbolic(f"angle sum {total}*pi is not less than {n - 2}*pi")
     matrix = [[INFINITY] * n for _ in range(n)]
     for i in range(n):
         matrix[i][i] = 1.0

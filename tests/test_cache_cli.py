@@ -314,6 +314,19 @@ def test_cli_word_difference_table_cap_is_exit_2(tmp_path, w237_config, capsys,
         "error: StateBlowup: word_difference_table exceeds 100 states\n"
 
 
+def test_cli_field_precision_cap_is_exit_2(tmp_path, capsys, monkeypatch):
+    # the small roots of (5, 7, 9) need theta past the first 48 bits
+    config = tmp_path / "w579.json"
+    config.write_text('{"name": "w579", "angles": [5, 7, 9]}')
+    monkeypatch.setattr("polycell.field.PRECISION_CAP", 48)
+    code = run(tmp_path, "ball", "--group", str(config), "--radius", "2")
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: ResourceLimit: small roots: a field sign needs more than 48 bits of theta\n"
+    monkeypatch.setattr("polycell.field.PRECISION_CAP", 96)
+    assert run(tmp_path, "ball", "--group", str(config), "--radius", "2") == 0
+
+
 def test_cli_failed_k_reports_constant(tmp_path, w237_config, capsys):
     code = run(tmp_path, "fsa", "build", "pattern:rt",
                "--group", str(w237_config), "--k", "5")

@@ -1,14 +1,23 @@
+import functools
 import math
+from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polycell.errors import ResourceLimit
 from polycell.field import (
     RealCyclotomicField,
     cos2_minpoly,
     cyclotomic_poly,
     dickson_poly,
 )
+
+
+def _float(f: RealCyclotomicField, a) -> float:
+    theta = 2 * math.cos(math.pi / f.N)
+    return sum(c * theta**i for i, c in enumerate(a))
 
 
 def test_cyclotomic_small():
@@ -47,7 +56,7 @@ def test_two_cos_matches_float():
     f = RealCyclotomicField(42)
     for m in (2, 3, 7):
         scalar = f.two_cos(42 // m)
-        assert abs(f.to_float(scalar) - 2 * math.cos(math.pi / m)) < 1e-9
+        assert abs(_float(f, scalar) - 2 * math.cos(math.pi / m)) < 1e-9
 
 
 def test_sign_decisions():
@@ -89,6 +98,90 @@ def test_ring_axioms_n42(a, b, c):
 @given(a=scalars)
 def test_sign_matches_float_when_clear(a):
     f = RealCyclotomicField(42)
-    approx = f.to_float(a)
+    approx = _float(f, a)
     if abs(approx) > 1e-6:
         assert f.sign(a) == (1 if approx > 0 else -1)
+
+
+def _horner(coeffs, x):
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+@functools.cache
+def _theta_boxes(N: int) -> list[tuple[Fraction, Fraction]]:
+    """Ever narrower boxes (lo, hi] around theta = 2*cos(pi/N), bisected
+    in Fractions against the minimal polynomial down to width 2^-320."""
+    f = cos2_minpoly(N)
+    t = Fraction(2 * math.cos(math.pi / N))
+    # far narrower than the gap to the next conjugate
+    lo, hi = t - Fraction(1, 10**6), t + Fraction(1, 10**6)
+    assert _horner(f, lo) < 0 < _horner(f, hi)
+    boxes = [(lo, hi)]
+    while hi - lo > Fraction(1, 1 << 320):
+        mid = (lo + hi) / 2
+        if _horner(f, mid) < 0:
+            lo = mid
+        else:
+            hi = mid
+        boxes.append((lo, hi))
+    return boxes
+
+
+def _fraction_sign(N: int, a) -> int:
+    """Sign of a(theta) from the first box whose interval image of a
+    excludes zero."""
+    for lo, hi in _theta_boxes(N):
+        low = high = Fraction(0)
+        for c in reversed(a):
+            ends = (low * lo, low * hi, high * lo, high * hi)
+            low, high = min(ends) + c, max(ends) + c
+        if low > 0 or high < 0:
+            return 1 if low > 0 else -1
+    raise AssertionError("the reference boxes are too wide")
+
+
+def _near_integer(f: RealCyclotomicField, j: int, bits: int):
+    """2^bits * theta^j - round(2^bits * theta^j): a scalar of size at most
+    1/2 whose sign needs theta to more than `bits` bits."""
+    lo, _ = _theta_boxes(f.N)[-1]
+    power = f.one
+    for _ in range(j):
+        power = f.mul(power, f.theta)
+    return f.sub(f.mul(f.from_int(1 << bits), power),
+                 f.from_int(round(lo**j * (1 << bits))))
+
+
+@pytest.mark.parametrize("N", [42, 315])
+@pytest.mark.parametrize("j, bits", [(1, 80), (2, 80), (5, 80), (1, 200)])
+def test_sign_refines_past_the_first_box(N, j, bits):
+    f = RealCyclotomicField(N)
+    a = _near_integer(f, j, bits)
+    expected = _fraction_sign(N, a)
+    assert f.sign(a) == expected
+    assert f.sign(f.neg(a)) == -expected
+    # a fresh field starts again from the first box
+    g = RealCyclotomicField(N)
+    assert g.sign(g.neg(a)) == -expected
+
+
+def test_sign_past_the_precision_cap_is_a_resource_limit(monkeypatch):
+    f = RealCyclotomicField(42)
+    a = _near_integer(f, 1, 80)
+    monkeypatch.setattr("polycell.field.PRECISION_CAP", 64)
+    with pytest.raises(ResourceLimit) as exc:
+        f.sign(a)
+    assert str(exc.value) == "small roots: a field sign needs more than 64 bits of theta"
+
+
+@pytest.mark.parametrize("N", [5, 42, 315])
+def test_isolation_falls_back_to_bisection(N, monkeypatch):
+    # no float is good to 2^-120, so the seed fails its certificate and
+    # theta is bisected from the isolating cut
+    monkeypatch.setattr("polycell.field._SEED_BITS", 120)
+    f = RealCyclotomicField(N)
+    for j in (1, 2):
+        a = _near_integer(f, j, 110)
+        assert f.sign(a) == _fraction_sign(N, a)

@@ -7,7 +7,7 @@ rewrites words through normal forms, and outside fsa.py none builds an
 automaton by hand.  The benchmark's tracer finds every
 layer function it wraps.  Only `render` loads numpy, so the other commands
 start without it, and the command line loads each engine only for the
-commands that run it."""
+commands that run it.  No module does arithmetic in `fractions`."""
 
 import ast
 import importlib
@@ -159,12 +159,13 @@ ENGINES = ("automata", "fsa", "cells", "compare")
 
 
 def _loaded(code: str, *argv: str) -> list[str]:
-    """The polycell modules, and numpy, that running code leaves loaded."""
+    """The polycell modules, numpy and fractions that running code leaves
+    loaded."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run(
         [sys.executable, "-c",
          code + "; print(*sorted(m for m in sys.modules "
-                "if m.startswith('polycell') or m == 'numpy'))", *argv],
+                "if m.startswith('polycell') or m in ('numpy', 'fractions')))", *argv],
         capture_output=True, text=True, env=env, check=True)
     return out.stdout.splitlines()[-1].split()
 
@@ -183,3 +184,19 @@ def test_cli_start_up_does_not_load_numpy(tmp_path):
         "--workspace", str(tmp_path / "ws"))
     assert "polycell.kl" in loaded
     assert [m for m in loaded if m.split(".")[-1] in ENGINES] == []
+
+
+def test_no_fraction_arithmetic(tmp_path):
+    """Signs are decided on dyadic integers and angle sums compared as
+    integers: neither start-up, nor a group's small roots and canonical
+    automaton, nor the `kl` command loads `fractions`."""
+    assert "fractions" not in _loaded("import sys, polycell.cli")
+    assert "fractions" not in _loaded(
+        "import sys; from polycell import PolygonGroup, presentation_from_angles; "
+        "PolygonGroup(presentation_from_angles([2, 3, 7]))")
+    config = tmp_path / "w237.json"
+    config.write_text('{"name": "w237", "angles": [2, 3, 7]}')
+    assert "fractions" not in _loaded(
+        "import sys; from polycell.cli import main; assert main(sys.argv[1:]) == 0",
+        "kl", "--group", str(config), "--radius", "3",
+        "--workspace", str(tmp_path / "ws"))

@@ -43,6 +43,18 @@ def test_right_angled_square_rejected():
         presentation_from_angles([2, 2, 2, 2])
 
 
+@pytest.mark.parametrize("angles, message", [
+    ([3, 3, 3], "angle sum 1*pi is not less than 1*pi"),
+    ([2, 2, 2], "angle sum 3/2*pi is not less than 1*pi"),
+    ([2, 2, 2, 2], "angle sum 2*pi is not less than 2*pi"),
+    ([2, 2, "inf"], "angle sum 1*pi is not less than 1*pi"),
+], ids=["333", "222", "2222", "22inf"])
+def test_non_hyperbolic_message(angles, message):
+    with pytest.raises(NonHyperbolic) as exc:
+        presentation_from_angles(angles)
+    assert str(exc.value) == message
+
+
 def test_too_few_sides():
     with pytest.raises(TooFewSides):
         presentation_from_angles([2, 3])
