@@ -61,6 +61,7 @@ from .fsa import (
 from .words import PolygonGroup, Word
 
 MAX_K = 64  # the largest k choose_k tries
+VALIDATION_RADIUS = 10  # the ball a k is validated on
 
 
 def canonical_fsa(group: PolygonGroup) -> FSA:
@@ -94,8 +95,7 @@ def nf_transition_fsa(group: PolygonGroup) -> FSA:
     least_edges = [[(s, t) for s, t in enumerate(row)
                     if t is not None and s == min(rdesc[t])]
                    for row in group.transitions]
-    return explore(group.presentation.names, 0,
-                   lambda q: (True, least_edges[q]), deterministic=True)
+    return explore(group.presentation.names, 0, lambda q: (True, least_edges[q]))
 
 
 def shortlex_fsa(group: PolygonGroup) -> FSA:
@@ -377,18 +377,19 @@ def fellow_traveler_constant(group: PolygonGroup, radius: int) -> int:
     return worst
 
 
-def choose_k(group: PolygonGroup, radius: int = 10) -> int:
-    """Smallest k at least the fellow-traveler constant of the ball for which
-    every dihedral pattern language is stable against k+1."""
+def choose_k(group: PolygonGroup) -> int:
+    """Smallest k at least the fellow-traveler constant of the ball of
+    radius VALIDATION_RADIUS for which every dihedral pattern language is
+    stable against k+1."""
     from .cells import dihedral_data
 
     data = dihedral_data(group.presentation)
     patterns = [entry.longest_word for entry in data.entries]
-    constant = fellow_traveler_constant(group, radius)
+    constant = fellow_traveler_constant(group, VALIDATION_RADIUS)
     for k in range(max(1, constant), MAX_K + 1):
         if all(are_equivalent(red_x_mu(group, p, k), red_x_mu(group, p, k + 1))
                for p in patterns):
             return k
     raise KNotValidated(
         f"no k <= {MAX_K} leaves the pattern languages stable; "
-        f"fellow-traveler constant at radius {radius} is {constant}")
+        f"fellow-traveler constant at radius {VALIDATION_RADIUS} is {constant}")

@@ -25,9 +25,6 @@ from .words import PolygonGroup
 if TYPE_CHECKING:
     from .fsa import FSA
 
-VALIDATION_RADIUS = 10  # the ball a k is validated on
-
-
 def _context(args):
     if args.radius < 0:
         raise BadArgument(f"--radius must be a nonnegative integer, got {args.radius}")
@@ -36,13 +33,13 @@ def _context(args):
 
 
 def _resolve_k(ws: Workspace, pres, group, k_arg: str) -> int:
-    from .automata import choose_k, fellow_traveler_constant
+    from .automata import VALIDATION_RADIUS, choose_k, fellow_traveler_constant
 
     cached = ws.validated_k(pres)
     if k_arg == "auto":
         if cached and cached["radius"] >= VALIDATION_RADIUS:
             return cached["k"]
-        k = choose_k(group, radius=VALIDATION_RADIUS)
+        k = choose_k(group)
         ws.store_validated_k(pres, k, VALIDATION_RADIUS)
         return k
     try:
@@ -98,7 +95,7 @@ def cmd_group_info(args) -> int:
 
 def cmd_ball(args) -> int:
     pres, group, ws = _context(args)
-    ball = group.ball(args.radius, cap=args.cap)
+    ball = group.ball(args.radius)
     path = ws.write_ball(pres, ball)
     print(f"computed {path} ({len(ball)} elements)")
     return 0
@@ -112,7 +109,7 @@ def cmd_kl(args) -> int:
     if ws.is_fresh(pres, name, radius=args.radius):
         print(f"cached {ws.group_dir(pres) / name}")
         return 0
-    table = KLTable(group, group.ball(args.radius, cap=args.cap))
+    table = KLTable(group, group.ball(args.radius))
     path = ws.write_kl(pres, table)
     print(f"computed {path}")
     return 0
@@ -164,7 +161,7 @@ def cmd_cells(args) -> int:
     from .kl import KLTable, empirical_cells
 
     if args.mode == "empirical":
-        ball = group.ball(args.radius, cap=args.cap)
+        ball = group.ball(args.radius)
         left, right, two_sided = empirical_cells(KLTable(group, ball))
         report = {
             "group": pres.label,
@@ -184,7 +181,7 @@ def cmd_cells(args) -> int:
     from .cells import build_partition
     from .compare import empirical_vs_conjectural
 
-    ball = group.ball(args.radius, cap=args.cap)
+    ball = group.ball(args.radius)
     part = build_partition(group, _resolve_k(ws, pres, group, args.k))
     report = empirical_vs_conjectural(part, KLTable(group, ball),
                                       trust_margin=margin)
@@ -272,14 +269,14 @@ def _load_or_build(args, pres, group, ws, ref: str, made: dict) -> FSA:
 
 
 def cmd_onesided(args) -> int:
-    from .cells import build_partition, omega_minimal
+    from .cells import build_partition, dihedral_data, omega_minimal
 
     pres, group, ws = _context(args)
+    # one translator word may serve several pairs of a level
+    several = len(dihedral_data(pres).pairs_at_level(args.level)) > 1
     k = _resolve_k(ws, pres, group, args.k)
     part = build_partition(group, k)
     specs = omega_minimal(part, args.level, args.radius, k)
-    # one translator word may serve several pairs of a level
-    several = len(part.data.pairs_at_level(args.level)) > 1
     entries = []
     for spec in specs:
         word = pres.word_str(spec.translator) or "e"
@@ -315,7 +312,7 @@ def cmd_verify(args) -> int:
     if args.oracle_length < 0:
         raise BadArgument(f"--oracle-length must be a nonnegative integer, "
                           f"got {args.oracle_length}")
-    ball = group.ball(args.radius, cap=args.cap)
+    ball = group.ball(args.radius)
     part = build_partition(group, _resolve_k(ws, pres, group, args.k))
     checks = []
     if args.suite in ("oracles", "all"):
@@ -355,29 +352,32 @@ def cmd_verify(args) -> int:
 def cmd_render(args) -> int:
     if args.size < 1:
         raise BadArgument(f"--size must be a positive integer, got {args.size}")
-    from .cells import build_partition, omega_minimal, spec_index
+    from .cells import build_partition, dihedral_data, omega_minimal, spec_index
     from .render import PALETTE, realize_polygon, render_svg, scene_for_partition
 
     pres, group, ws = _context(args)
-    ball = group.ball(args.radius, cap=args.cap)
-    k = _resolve_k(ws, pres, group, args.k)
-    part = build_partition(group, k)
-    realization = realize_polygon(pres)
-    if args.coloring == "twosided":
-        labels = [part.classify(e) for e in ball.elements]
-        palette = dict(PALETTE)
-    elif args.coloring.startswith("onesided:"):
+    level = None  # two-sided
+    if args.coloring.startswith("onesided:"):
         try:
             level = int(args.coloring.split(":", 1)[1])
         except ValueError:
             raise BadArgument(f"--coloring onesided:<level> needs an integer "
                               f"level, got {args.coloring!r}") from None
+        dihedral_data(pres).pairs_at_level(level)  # BadArgument if it is missing
+    elif args.coloring != "twosided":
+        raise BadArgument(f"unknown coloring {args.coloring!r}")
+    ball = group.ball(args.radius)
+    k = _resolve_k(ws, pres, group, args.k)
+    part = build_partition(group, k)
+    realization = realize_polygon(pres)
+    if level is None:
+        labels = [part.classify(e) for e in ball.elements]
+        palette = dict(PALETTE)
+    else:
         specs = omega_minimal(part, level, args.radius, k)
         found = [spec_index(specs, e.word) for e in ball.elements]
         labels = ["bg" if si is None else f"spec{si}" for si in found]
         palette = {"bg": "#eeeeee"}
-    else:
-        raise PolycellError(f"unknown coloring {args.coloring!r}")
     scene = scene_for_partition(ball, realization, labels,
                                 size=args.size, palette=palette)
     data = render_svg(scene)
@@ -405,7 +405,6 @@ def _parser() -> argparse.ArgumentParser:
         "radius": dict(type=int, default=10),
         "trust-margin": dict(type=int, help="default 4, or --radius if smaller"),
         "k": dict(default="auto", help="fellow-traveler constant or 'auto'"),
-        "cap": dict(type=int, default=2_000_000, help="most elements of a ball"),
     }
 
     def command(p, func, names="", **defaults):
@@ -419,13 +418,13 @@ def _parser() -> argparse.ArgumentParser:
     gsub = g.add_subparsers(dest="action", required=True)
     command(gsub.add_parser("info"), cmd_group_info)
     command(sub.add_parser("ball", help="compute and cache a metric ball"),
-            cmd_ball, "workspace radius cap")
+            cmd_ball, "workspace radius")
     command(sub.add_parser("kl", help="compute and cache Kazhdan-Lusztig data"),
-            cmd_kl, "workspace radius cap")
+            cmd_kl, "workspace radius")
 
     c = sub.add_parser("cells", help="cell partitions")
     c.add_argument("mode", choices=["empirical", "conjectural", "compare"])
-    command(c, cmd_cells, "workspace radius trust-margin k cap", radius=12)
+    command(c, cmd_cells, "workspace radius trust-margin k", radius=12)
 
     f = sub.add_parser("fsa", help="build, inspect, compare automata")
     f.add_argument("action", choices=["build", "stats", "equiv"])
@@ -441,11 +440,11 @@ def _parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="oracle verification suites")
     v.add_argument("suite", choices=["all", "oracles", "kl"])
-    command(v, cmd_verify, "workspace radius k cap")
+    command(v, cmd_verify, "workspace radius k")
     v.add_argument("--oracle-length", type=int, default=8)
 
     r = sub.add_parser("render", help="tessellation SVG")
-    command(r, cmd_render, "workspace radius k cap", radius=8)
+    command(r, cmd_render, "workspace radius k", radius=8)
     r.add_argument("--coloring", default="twosided")
     r.add_argument("--out", required=True)
     r.add_argument("--size", type=int, default=800)

@@ -84,21 +84,18 @@ def cyclotomic_poly(n: int) -> tuple[int, ...]:
     return tuple(num)
 
 
-@lru_cache(maxsize=None)
+_DICKSON: list[tuple[int, ...]] = [(2,), (0, 1)]  # D_0, D_1, ... so far
+
+
 def dickson_poly(k: int) -> tuple[int, ...]:
-    """D_k with D_k(2*cos x) = 2*cos(k*x); D_0 = 2, D_1 = y."""
-    if k == 0:
-        return (2,)
-    if k == 1:
-        return (0, 1)
-    prev, cur = [2], [0, 1]
-    for _ in range(k - 1):
-        nxt = [-c for c in prev]
-        nxt += [0] * (len(cur) + 1 - len(nxt))
-        for i, c in enumerate(cur):
-            nxt[i + 1] += c
-        prev, cur = cur, _trim(nxt)
-    return tuple(cur)
+    """D_k with D_k(2*cos x) = 2*cos(k*x): D_0 = 2, D_1 = y and
+    D_(j+1) = y D_j - D_(j-1)."""
+    while len(_DICKSON) <= k:
+        nxt = [0, *_DICKSON[-1]]
+        for i, c in enumerate(_DICKSON[-2]):
+            nxt[i] -= c
+        _DICKSON.append(tuple(nxt))
+    return _DICKSON[k]
 
 
 @lru_cache(maxsize=None)

@@ -3,9 +3,9 @@
 Symbols are indices into an alphabet tuple of short strings; for automata
 over group generators the symbol index equals the generator index, so
 engine words feed straight in.  Transitions map (state, symbol) to a tuple
-of targets; deterministic machines keep singleton tuples.  Epsilon moves
-are stored separately and only appear in intermediate products (pair
-machines, reversal); stored machines are epsilon-free.
+of targets; deterministic machines keep singleton tuples and no epsilon
+moves, which are stored separately and only appear in intermediate
+products (pair machines, reversal); stored machines are epsilon-free.
 
 One function, `explore`, makes every machine that is searched out from a
 start state: subset construction, products and the pair machines of
@@ -157,10 +157,11 @@ def search(starts, expand):
     return keys, rows, accepting, live
 
 
-def explore(alphabet, start, expand, deterministic: bool = False) -> FSA:
+def explore(alphabet, start, expand) -> FSA:
     """The machine of the states `search` reaches from `start`, trimmed to
     those on an accepting run, which keep their order of discovery; symbol
-    -1 is an epsilon move."""
+    -1 is an epsilon move.  With none, and one target per move, the machine
+    is deterministic."""
     _, rows, accepting, live = search([start], expand)
     if not live[0]:
         return empty_language(alphabet)
@@ -188,7 +189,7 @@ def explore(alphabet, start, expand, deterministic: bool = False) -> FSA:
         accepting=frozenset(remap[q] for q in accepting),
         transitions={k: tuple(ts) for k, ts in transitions.items()},
         eps={q: tuple(ts) for q, ts in eps.items()},
-        deterministic=deterministic,
+        deterministic=not eps and all(len(ts) == 1 for ts in transitions.values()),
     )
 
 
@@ -208,8 +209,7 @@ def determinize(fsa: FSA) -> FSA:
                 moves.append((s, _eps_closure(fsa, nxt)))
         return not acc.isdisjoint(cur), moves
 
-    return explore(fsa.alphabet, _eps_closure(fsa, {fsa.initial}), expand,
-                   deterministic=True)
+    return explore(fsa.alphabet, _eps_closure(fsa, {fsa.initial}), expand)
 
 
 def minimize(fsa: FSA) -> FSA:
@@ -222,7 +222,7 @@ def minimize(fsa: FSA) -> FSA:
     from the initial one, skipping that class."""
     from operator import itemgetter
 
-    if not fsa.deterministic or fsa.eps:
+    if not fsa.deterministic:
         fsa = determinize(fsa)
     if fsa.n_states == 0 or not fsa.accepting:
         return empty_language(fsa.alphabet)
@@ -298,9 +298,9 @@ def _dfa_operands(a: FSA, b: FSA) -> tuple[FSA, FSA, tuple]:
     """Both operands as DFAs over one alphabet, and their start pair; None
     marks the implicit dead side."""
     _check_alphabet(a, b)
-    if not a.deterministic or a.eps:
+    if not a.deterministic:
         a = determinize(a)
-    if not b.deterministic or b.eps:
+    if not b.deterministic:
         b = determinize(b)
     return a, b, (a.initial if a.n_states else None,
                   b.initial if b.n_states else None)
@@ -324,7 +324,7 @@ def _product(a: FSA, b: FSA, keep) -> FSA:
                 moves.append((s, (ta[0] if ta else None, tb[0] if tb else None)))
         return keep(qa in a_acc, qb in b_acc), moves
 
-    return explore(a.alphabet, start, expand, deterministic=True)
+    return explore(a.alphabet, start, expand)
 
 
 def intersect(a: FSA, b: FSA) -> FSA:
@@ -337,10 +337,6 @@ def union(a: FSA, b: FSA) -> FSA:
 
 def difference(a: FSA, b: FSA) -> FSA:
     return _product(a, b, lambda x, y: x and not y)
-
-
-def symmetric_difference(a: FSA, b: FSA) -> FSA:
-    return _product(a, b, lambda x, y: x != y)
 
 
 def is_empty(fsa: FSA) -> bool:
@@ -402,7 +398,7 @@ def is_subset(a: FSA, b: FSA) -> bool:
 
 def count_words(fsa: FSA, max_len: int) -> list[int]:
     """Number of accepted words of each length 0..max_len (exact integers)."""
-    if not fsa.deterministic or fsa.eps:
+    if not fsa.deterministic:
         raise ValueError("counting requires a deterministic automaton")
     vec = {fsa.initial: 1}
     counts = [sum(c for q, c in vec.items() if q in fsa.accepting)]
@@ -422,7 +418,7 @@ def count_words(fsa: FSA, max_len: int) -> list[int]:
 def enumerate_words(fsa: FSA, max_len: int):
     """Yield accepted words (as tuples of symbol indices) up to max_len,
     shortest first, lexicographic within a length."""
-    if not fsa.deterministic or fsa.eps:
+    if not fsa.deterministic:
         fsa = determinize(fsa)
     layer = [((), fsa.initial)]
     nsym = len(fsa.alphabet)

@@ -16,6 +16,8 @@ from .errors import ResourceLimit
 from .presentation import CoxeterPresentation
 from .words import Word
 
+CLOSURE_CAP = 1_000_000  # most words of a braid closure
+
 
 # a frozen presentation hashes by value; the KL recursion asks for the rules
 # on every closure it takes
@@ -30,9 +32,10 @@ def _braid_rules(pres: CoxeterPresentation) -> tuple[tuple[Word, Word], ...]:
     return tuple(rules)
 
 
-def braid_closure(pres: CoxeterPresentation, word, cap: int = 1_000_000) -> frozenset[Word]:
+def braid_closure(pres: CoxeterPresentation, word) -> frozenset[Word]:
     """All words reachable from a reduced word by braid substitutions; for a
-    reduced input this is its complete set of reduced expressions."""
+    reduced input this is its complete set of reduced expressions.  Past
+    CLOSURE_CAP words it raises ResourceLimit."""
     word = tuple(word)
     rules = _braid_rules(pres)
     seen = {word}
@@ -45,8 +48,8 @@ def braid_closure(pres: CoxeterPresentation, word, cap: int = 1_000_000) -> froz
                 if w[i:i + m] == old:
                     z = w[:i] + new + w[i + m:]
                     if z not in seen:
-                        if len(seen) >= cap:
-                            raise ResourceLimit(f"braid closure exceeds {cap} words")
+                        if len(seen) >= CLOSURE_CAP:
+                            raise ResourceLimit(f"braid closure exceeds {CLOSURE_CAP} words")
                         seen.add(z)
                         stack.append(z)
     return frozenset(seen)
@@ -56,14 +59,14 @@ def closure_is_reduced(pres: CoxeterPresentation, closure) -> bool:
     return not any(w[i] == w[i + 1] for w in closure for i in range(len(w) - 1))
 
 
-def reduce_by_rewriting(pres: CoxeterPresentation, word, cap: int = 1_000_000) -> frozenset[Word]:
+def reduce_by_rewriting(pres: CoxeterPresentation, word) -> frozenset[Word]:
     """Closure of a possibly unreduced word under braid moves and ss-deletion,
     iterated until no shorter word appears: the reduced closure."""
     current = {tuple(word)}
     while True:
         closed: set[Word] = set()
         for w in current:
-            closed |= braid_closure(pres, w, cap)
+            closed |= braid_closure(pres, w)
         shorter: set[Word] = set()
         for w in closed:
             for i in range(len(w) - 1):

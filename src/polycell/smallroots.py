@@ -23,6 +23,8 @@ from .presentation import INFINITY, CoxeterPresentation
 NEG_SIMPLE = -1
 ESCAPED = -2
 
+ROOT_CAP = 100_000  # most small roots of a group; more raise ResourceLimit
+
 Coords = tuple[Scalar, ...]
 
 
@@ -55,7 +57,7 @@ def doubled_gram(pres: CoxeterPresentation, field: RealCyclotomicField):
     return g
 
 
-def compute_small_roots(pres: CoxeterPresentation, cap: int = 100000) -> SmallRootTable:
+def compute_small_roots(pres: CoxeterPresentation) -> SmallRootTable:
     field = RealCyclotomicField(pres.lcm_order())
     n = pres.rank
     gram = doubled_gram(pres, field)
@@ -67,8 +69,8 @@ def compute_small_roots(pres: CoxeterPresentation, cap: int = 100000) -> SmallRo
     def intern(coords: Coords, depth: int) -> int:
         i = index.get(coords)
         if i is None:
-            if len(roots) >= cap:
-                raise ResourceLimit(f"more than {cap} small roots")
+            if len(roots) >= ROOT_CAP:
+                raise ResourceLimit(f"more than {ROOT_CAP} small roots")
             i = len(roots)
             index[coords] = i
             roots.append(coords)

@@ -34,6 +34,8 @@ from .smallroots import SmallRootTable, compute_small_roots
 
 Word = tuple[int, ...]
 
+BALL_CAP = 2_000_000  # most elements of a ball
+
 
 @dataclass(frozen=True)
 class Element:
@@ -107,7 +109,6 @@ class PolygonGroup:
                 row.append(j)
             trans.append(row)
             i += 1
-        self.state_sets = sets
         self.transitions = trans
         simple_of = {r: s for s, r in enumerate(table.simple)}
         self.state_rdesc = [
@@ -192,13 +193,12 @@ class PolygonGroup:
 
     # --- balls --------------------------------------------------------------
 
-    def ball(self, radius: int, cap: int = 2_000_000) -> ElementBall:
+    def ball(self, radius: int) -> ElementBall:
         """Every element of length <= radius, with its Cayley edges, built
         layer by layer from the up-moves of the layer below (see the module
-        docstring); no `nf` or `shortlex` call."""
+        docstring); no `nf` or `shortlex` call.  Past BALL_CAP elements it
+        raises ResourceLimit."""
         if radius in self._balls:
-            if len(self._balls[radius].elements) > cap:
-                raise ResourceLimit(f"ball exceeds cap {cap}")
             return self._balls[radius]
         trans, rdesc, rank = self.transitions, self.state_rdesc, self.rank
         words: list[Word] = [()]
@@ -230,8 +230,8 @@ class PolygonGroup:
                     right_mult[z][s] = i
             lo = hi
             counts.append(len(words) - hi)
-            if len(words) > cap:
-                raise ResourceLimit(f"ball exceeds cap {cap}")
+            if len(words) > BALL_CAP:
+                raise ResourceLimit(f"ball exceeds cap {BALL_CAP}")
 
         ldesc = [rdesc[self.run(w[::-1])] for w in words]
         left_mult: list[list[int | None]] = [[None] * rank for _ in words]

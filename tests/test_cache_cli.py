@@ -327,6 +327,13 @@ def test_cli_field_precision_cap_is_exit_2(tmp_path, capsys, monkeypatch):
     assert run(tmp_path, "ball", "--group", str(config), "--radius", "2") == 0
 
 
+def test_cli_small_root_cap_is_exit_2(tmp_path, w237_config, capsys, monkeypatch):
+    # w237 has 12 small roots
+    monkeypatch.setattr("polycell.smallroots.ROOT_CAP", 11)
+    assert run(tmp_path, "ball", "--group", str(w237_config), "--radius", "2") == 2
+    assert capsys.readouterr().err == "error: ResourceLimit: more than 11 small roots\n"
+
+
 def test_cli_failed_k_reports_constant(tmp_path, w237_config, capsys):
     code = run(tmp_path, "fsa", "build", "pattern:rt",
                "--group", str(w237_config), "--k", "5")
@@ -431,6 +438,21 @@ def test_cli_non_integer_coloring_level_is_exit_2(tmp_path, w237_config, capsys)
     _assert_bad_argument(code, capsys, "needs an integer level, got 'onesided:x'")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["render", "--coloring", "foo"], "unknown coloring 'foo'"),
+    (["render", "--coloring", "onesided:x"], "needs an integer level, got 'onesided:x'"),
+    (["onesided", "--level", "9"], "level 9 does not exist; levels are 1..3"),
+], ids=["unknown-coloring", "non-integer-level", "missing-level"])
+def test_cli_bad_coloring_or_level_fails_before_any_work(tmp_path, w237_config, capsys,
+                                                         argv, message):
+    # checked before k is chosen, so the workspace gets no meta.json
+    if argv[0] == "render":
+        argv = [*argv, "--out", str(tmp_path / "out.svg")]
+    code = run(tmp_path, *argv, "--group", str(w237_config), "--radius", "3")
+    _assert_bad_argument(code, capsys, message)
+    assert list((tmp_path / "ws").rglob("meta.json")) == []
+
+
 @pytest.mark.parametrize("size", ["-5", "0"])
 def test_cli_render_size_below_1_is_exit_2(tmp_path, w237_config, capsys, size):
     out = tmp_path / "out.svg"
@@ -480,7 +502,10 @@ def test_cli_bad_k_is_exit_2(tmp_path, w237_config, capsys, k):
     ["onesided", "--level", "2", "--cap", "10"],
     ["render", "--out", "out.svg", "--trust-margin", "2"],
     ["fsa", "build", "canonical", "--cap", "10"],
-], ids=["kl-k", "group-info-radius", "onesided-cap", "render-trust-margin", "fsa-cap"])
+    ["ball", "--cap", "10"],
+    ["cells", "compare", "--cap", "10"],
+], ids=["kl-k", "group-info-radius", "onesided-cap", "render-trust-margin", "fsa-cap",
+        "ball-cap", "cells-compare-cap"])
 def test_cli_rejects_an_option_the_command_does_not_read(tmp_path, w237_config, capsys,
                                                          monkeypatch, argv):
     monkeypatch.chdir(tmp_path)  # so an accepted option writes no workspace here
@@ -522,9 +547,10 @@ def test_cli_fsa_equiv_builds_the_partition_once(tmp_path, w237_config, capsys,
     (["cells", "compare", "--radius", "8"], "compare.r8.json"),
     (["verify", "oracles", "--radius", "10"], "verify.oracles.r10.json"),
 ], ids=["cells-compare", "verify-oracles"])
-def test_cli_cap_bounds_the_ball_is_exit_2(tmp_path, w237_config, capsys, argv,
-                                           report):
-    assert run(tmp_path, *argv, "--group", str(w237_config), "--cap", "10") == 2
+def test_cli_cap_bounds_the_ball_is_exit_2(tmp_path, w237_config, capsys, monkeypatch,
+                                           argv, report):
+    monkeypatch.setattr("polycell.words.BALL_CAP", 10)
+    assert run(tmp_path, *argv, "--group", str(w237_config)) == 2
     err = capsys.readouterr().err
     assert err == "error: ResourceLimit: ball exceeds cap 10\n"
     assert not (tmp_path / "ws" / "w237" / "reports" / report).exists()

@@ -52,6 +52,16 @@ def test_dickson_is_doubled_cosine():
             assert abs(val - 2 * math.cos(k * t)) < 1e-9
 
 
+def test_dickson_is_doubled_cosine_to_degree_40():
+    # at x = j*pi/6 for j = 0, 2, 3, 4, 6, 2cos x is an integer and so is
+    # 2cos(kx), so the check is exact however large the coefficients grow
+    for k in range(41):
+        for j in (0, 2, 3, 4, 6):
+            y = round(2 * math.cos(j * math.pi / 6))
+            val = sum(c * y**i for i, c in enumerate(dickson_poly(k)))
+            assert val == round(2 * math.cos(k * j * math.pi / 6))
+
+
 def test_two_cos_matches_float():
     f = RealCyclotomicField(42)
     for m in (2, 3, 7):

@@ -7,12 +7,17 @@ rewrites words through normal forms, and outside fsa.py none builds an
 automaton by hand.  The benchmark's tracer finds every
 layer function it wraps.  Only `render` loads numpy, so the other commands
 start without it, and the command line loads each engine only for the
-commands that run it.  No module does arithmetic in `fractions`."""
+commands that run it.  No module does arithmetic in `fractions`.  Every
+resource cap is a module-level integer `*_CAP` read where the resource is
+spent: no function takes a cap, and `fsa.explore` works out for itself
+whether a machine is deterministic."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -200,3 +205,35 @@ def test_no_fraction_arithmetic(tmp_path):
         "import sys; from polycell.cli import main; assert main(sys.argv[1:]) == 0",
         "kl", "--group", str(config), "--radius", "3",
         "--workspace", str(tmp_path / "ws"))
+
+
+def test_no_function_takes_a_cap():
+    offenders = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                args = node.args
+                names = [a.arg for a in (*args.posonlyargs, *args.args,
+                                         *args.kwonlyargs, args.vararg, args.kwarg)
+                         if a is not None]
+                if "cap" in names:
+                    offenders.append(f"{path.name}: {getattr(node, 'name', 'lambda')}")
+    assert offenders == []
+
+
+def test_explore_decides_determinism_itself():
+    from polycell.fsa import explore
+
+    assert "deterministic" not in inspect.signature(explore).parameters
+
+
+def test_every_cap_is_a_module_integer():
+    caps = {}
+    for info in pkgutil.iter_modules([str(PACKAGE)]):
+        if info.name != "__main__":  # importing it would run the command line
+            module = importlib.import_module(f"polycell.{info.name}")
+            caps.update({f"{info.name}.{name}": value
+                         for name, value in vars(module).items() if name.endswith("_CAP")})
+    assert {"words.BALL_CAP", "smallroots.ROOT_CAP", "oracle.CLOSURE_CAP",
+            "fsa.STATE_CAP", "field.PRECISION_CAP"} <= caps.keys()
+    assert [name for name, value in caps.items() if type(value) is not int] == []

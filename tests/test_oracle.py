@@ -27,10 +27,11 @@ def test_braid_closure_examples(w237):
     assert braid_closure(w237, ()) == {()}
 
 
-def test_braid_closure_cap(w2224):
+def test_braid_closure_cap(w2224, monkeypatch):
+    monkeypatch.setattr("polycell.oracle.CLOSURE_CAP", 2)
     with pytest.raises(ResourceLimit):
         word = w2224.parse_word("abad" * 3)
-        braid_closure(w2224, word, cap=2)
+        braid_closure(w2224, word)
 
 
 def test_closure_members_share_normal_form(g237, w237):

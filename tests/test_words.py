@@ -125,19 +125,14 @@ def test_ball_calls_no_normal_form(monkeypatch):
     assert group.ball(8).counts == [1, 4, 9, 18, 35, 66, 124, 234, 441]
 
 
-def test_ball_cap():
+def test_ball_cap(monkeypatch):
     import polycell
 
     p = polycell.presentation_from_angles([2, 2, 2, 4])
     g = polycell.PolygonGroup(p)
+    monkeypatch.setattr("polycell.words.BALL_CAP", 10)
     with pytest.raises(ResourceLimit):
-        g.ball(8, cap=10)
-
-
-def test_ball_cap_holds_for_a_cached_ball(g237):
-    g237.ball(8)
-    with pytest.raises(ResourceLimit):
-        g237.ball(8, cap=10)
+        g.ball(8)
 
 
 def test_elements_sorted_by_length_then_word(g2224):
