@@ -39,7 +39,6 @@ import os
 import tempfile
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -83,10 +82,7 @@ def _atomic_write(path: Path, data: bytes) -> None:
         raise
 
 
-@dataclass
 class Workspace:
-    root: Path
-
     def __init__(self, root):
         self.root = Path(root)
 

@@ -18,7 +18,6 @@ and the containment-maximal ones tile the two-sided cell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from functools import reduce
 
 from .automata import (
@@ -41,6 +40,7 @@ from .fsa import (
     minimize,
     reverse_fsa,
     union,
+    with_initial,
 )
 from .presentation import CoxeterPresentation
 from .words import Element, PolygonGroup, Word
@@ -53,17 +53,21 @@ def level_label(i: int) -> str:
     return f"c{i}"
 
 
-@dataclass(frozen=True)
 class DihedralEntry:
-    pair: tuple[int, int]       # generator indices, s < t
-    order: int                  # m(s, t)
-    longest_word: Word          # ShortLex-least alternating word of length m
+    __slots__ = ("pair", "order", "longest_word")
+
+    def __init__(self, pair: tuple[int, int], order: int, longest_word: Word):
+        self.pair = pair                    # generator indices, s < t
+        self.order = order                  # m(s, t)
+        self.longest_word = longest_word    # ShortLex-least alternating word of length m
 
 
-@dataclass(frozen=True)
 class DihedralData:
-    entries: tuple[DihedralEntry, ...]
-    levels: tuple[int, ...]     # distinct finite orders, increasing
+    __slots__ = ("entries", "levels")
+
+    def __init__(self, entries: tuple[DihedralEntry, ...], levels: tuple[int, ...]):
+        self.entries = entries
+        self.levels = levels    # distinct finite orders, increasing
 
     @property
     def m(self) -> int:
@@ -99,13 +103,17 @@ def dihedral_data(pres: CoxeterPresentation) -> DihedralData:
     return DihedralData(entries=tuple(entries), levels=levels)
 
 
-@dataclass
 class ConjecturalPartition:
-    group: PolygonGroup
-    data: DihedralData
-    k: int
-    languages: dict[str, FSA]          # label -> minimal DFA
-    pattern_fsas: dict[tuple[int, int], FSA]  # dihedral pair -> red_x_mu machine
+    __slots__ = ("group", "data", "k", "languages", "pattern_fsas")
+
+    def __init__(self, group: PolygonGroup, data: DihedralData, k: int,
+                 languages: dict[str, FSA],
+                 pattern_fsas: dict[tuple[int, int], FSA]):
+        self.group = group
+        self.data = data
+        self.k = k
+        self.languages = languages          # label -> minimal DFA
+        self.pattern_fsas = pattern_fsas    # dihedral pair -> red_x_mu machine
 
     @property
     def labels(self) -> list[str]:
@@ -214,17 +222,20 @@ def omega_elements(part: ConjecturalPartition, pair: tuple[int, int], ut: FSA,
     translators v^-1 are the reversals of the words `ut` accepts after
     w_T's word."""
     w_t = _dihedral_entry(part, pair).longest_word
-    after_w_t = replace(ut, initial=reduce(ut.step, w_t, ut.initial))
+    after_w_t = with_initial(ut, reduce(ut.step, w_t, ut.initial))
     translators = intersect(reverse_fsa(after_w_t), shortlex_fsa(part.group))
     return list(enumerate_words(translators, radius - len(w_t)))
 
 
-@dataclass(frozen=True)
 class OneSidedCellSpec:
-    level: int
-    pair: tuple[int, int]
-    translator: Word            # ShortLex word
-    language: FSA
+    __slots__ = ("level", "pair", "translator", "language")
+
+    def __init__(self, level: int, pair: tuple[int, int], translator: Word,
+                 language: FSA):
+        self.level = level
+        self.pair = pair
+        self.translator = translator    # ShortLex word
+        self.language = language
 
 
 def _spec_candidates(part: ConjecturalPartition, i: int, radius: int,

@@ -14,29 +14,39 @@ from __future__ import annotations
 
 import json
 from collections.abc import Hashable
-from dataclasses import asdict, dataclass
 
 from .cells import ConjecturalPartition, OneSidedCellSpec, spec_index
 from .kl import KLTable, empirical_cells
 
 
-@dataclass
 class ComparisonReport:
-    group: str
-    radius: int
-    trust_margin: int
-    k: int
-    element_count: int
-    trusted_count: int
-    agreement_ratio: float
-    partition_equal: bool
-    purity_ratio: float
-    disagreements: list[dict]
-    boundary_flagged: list[str]
-    right_cell_agreement: dict
+    __slots__ = ("group", "radius", "trust_margin", "k", "element_count",
+                 "trusted_count", "agreement_ratio", "partition_equal",
+                 "purity_ratio", "disagreements", "boundary_flagged",
+                 "right_cell_agreement")
+
+    def __init__(self, group: str, radius: int, trust_margin: int, k: int,
+                 element_count: int, trusted_count: int, agreement_ratio: float,
+                 partition_equal: bool, purity_ratio: float,
+                 disagreements: list[dict], boundary_flagged: list[str],
+                 right_cell_agreement: dict):
+        self.group = group
+        self.radius = radius
+        self.trust_margin = trust_margin
+        self.k = k
+        self.element_count = element_count
+        self.trusted_count = trusted_count
+        self.agreement_ratio = agreement_ratio
+        self.partition_equal = partition_equal
+        self.purity_ratio = purity_ratio
+        self.disagreements = disagreements
+        self.boundary_flagged = boundary_flagged
+        self.right_cell_agreement = right_cell_agreement
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2) + "\n"
+        """The report as JSON, keys in the order of `__slots__`."""
+        return json.dumps({name: getattr(self, name) for name in self.__slots__},
+                          indent=2) + "\n"
 
 
 def _partition_map(parts: list[list[int]]) -> dict[int, int]:

@@ -75,13 +75,38 @@ def _poly_divmod_monic(num: list[int], den: list[int]) -> tuple[list[int], list[
 
 @lru_cache(maxsize=None)
 def cyclotomic_poly(n: int) -> tuple[int, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, constant term first."""
-    num = [-1] + [0] * (n - 1) + [1]  # x^n - 1
-    for d in range(1, n):
-        if n % d == 0:
-            num, rem = _poly_divmod_monic(num, list(cyclotomic_poly(d)))
-            assert not rem
-    return tuple(num)
+    """Coefficients of the n-th cyclotomic polynomial, constant term first:
+    the product of (x^(n/m) - 1)^mu(m) over the squarefree divisors m of n.
+    Every factor with mu(m) = 1 is multiplied in before any other is
+    divided out, so each division is exact."""
+    primes, rest, p = [], n, 2
+    while rest > 1:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    squarefree = [(1, 1)]  # (m, mu(m))
+    for p in primes:
+        squarefree += [(m * p, -mu) for m, mu in squarefree]
+    poly = [1]
+    for m, mu in squarefree:
+        if mu == 1:
+            d = n // m
+            poly = [0] * d + poly  # x^d * poly - poly
+            for i in range(len(poly) - d):
+                poly[i] -= poly[i + d]
+    for m, mu in squarefree:
+        if mu == -1:
+            # poly = q * (x^d - 1): q_i = p_(i+d) + q_(i+d), from the top
+            d = n // m
+            q = poly[d:]
+            for i in range(len(q) - d - 1, -1, -1):
+                q[i] += q[i + d]
+            assert all(c + (q[i] if i < len(q) else 0) == 0
+                       for i, c in enumerate(poly[:d]))
+            poly = q
+    return tuple(poly)
 
 
 _DICKSON: list[tuple[int, ...]] = [(2,), (0, 1)]  # D_0, D_1, ... so far

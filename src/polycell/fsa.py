@@ -18,22 +18,40 @@ marks directly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-
 from .errors import AlphabetMismatch, StateBlowup
 
 STATE_CAP = 2_000_000
 
 
-@dataclass
 class FSA:
-    alphabet: tuple[str, ...]
-    n_states: int
-    initial: int
-    accepting: frozenset[int]
-    transitions: dict[tuple[int, int], tuple[int, ...]]
-    eps: dict[int, tuple[int, ...]] = dc_field(default_factory=dict)
-    deterministic: bool = False
+    """Equal by value, field by field; unhashable, as its tables are dicts."""
+
+    __slots__ = ("alphabet", "n_states", "initial", "accepting", "transitions",
+                 "eps", "deterministic")
+
+    def __init__(self, alphabet: tuple[str, ...], n_states: int, initial: int,
+                 accepting: frozenset[int],
+                 transitions: dict[tuple[int, int], tuple[int, ...]],
+                 eps: dict[int, tuple[int, ...]] | None = None,
+                 deterministic: bool = False):
+        self.alphabet = alphabet
+        self.n_states = n_states
+        self.initial = initial
+        self.accepting = accepting
+        self.transitions = transitions
+        self.eps = {} if eps is None else eps
+        self.deterministic = deterministic
+
+    def _key(self):
+        return (self.alphabet, self.n_states, self.initial, self.accepting,
+                self.transitions, self.eps, self.deterministic)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    __hash__ = None
 
     def step(self, state: int, sym: int) -> int | None:
         t = self.transitions.get((state, sym))
@@ -103,6 +121,12 @@ def epsilon_language(alphabet) -> FSA:
         transitions={},
         deterministic=True,
     )
+
+
+def with_initial(fsa: FSA, initial: int) -> FSA:
+    """The same machine started from another state; the tables are shared."""
+    return FSA(fsa.alphabet, fsa.n_states, initial, fsa.accepting,
+               fsa.transitions, fsa.eps, fsa.deterministic)
 
 
 def _check_alphabet(a: FSA, b: FSA) -> None:

@@ -89,7 +89,6 @@ from __future__ import annotations
 
 import functools
 from collections.abc import Iterator
-from dataclasses import dataclass
 
 from .errors import ResourceLimit, VerificationDisagreement
 from .words import ElementBall, PolygonGroup
@@ -414,9 +413,11 @@ class KLTable:
 # --- W-graphs and cells -------------------------------------------------------
 
 
-@dataclass
 class WGraph:
-    edges: dict[int, list[int]]
+    __slots__ = ("edges",)
+
+    def __init__(self, edges: dict[int, list[int]]):
+        self.edges = edges
 
 
 def w_graph(table: KLTable) -> WGraph:

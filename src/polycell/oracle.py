@@ -19,7 +19,7 @@ from .words import Word
 CLOSURE_CAP = 1_000_000  # most words of a braid closure
 
 
-# a frozen presentation hashes by value; the KL recursion asks for the rules
+# a presentation hashes by value; the KL recursion asks for the rules
 # on every closure it takes
 @cache
 def _braid_rules(pres: CoxeterPresentation) -> tuple[tuple[Word, Word], ...]:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import BadConfig, BadDenominator, NonHyperbolic, TooFewSides, UnknownGenerator
@@ -21,12 +20,28 @@ INFINITY = math.inf
 _DEFAULT_NAMES = "abcdefghijklmnopqrstuvwxyz"
 
 
-@dataclass(frozen=True)
 class CoxeterPresentation:
-    names: tuple[str, ...]
-    angles: tuple[float, ...]  # integer denominators, INFINITY for ideal vertices
-    matrix: tuple[tuple[float, ...], ...]
-    label: str = "group"
+    """Equal and hashed by value: the oracles cache per presentation."""
+
+    __slots__ = ("names", "angles", "matrix", "label")
+
+    def __init__(self, names: tuple[str, ...], angles: tuple[float, ...],
+                 matrix: tuple[tuple[float, ...], ...], label: str = "group"):
+        self.names = names
+        self.angles = angles  # integer denominators, INFINITY for ideal vertices
+        self.matrix = matrix
+        self.label = label
+
+    def _key(self):
+        return self.names, self.angles, self.matrix, self.label
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     @property
     def rank(self) -> int:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -77,12 +76,15 @@ def _angle_at(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return math.acos(max(-1.0, min(1.0, c)))
 
 
-@dataclass
 class PolygonRealization:
-    presentation: CoxeterPresentation
-    vertices: list[np.ndarray]       # vertex k sits between sides k-1 and k
-    reflections: list[np.ndarray]    # one per side
-    angle_residual: float
+    __slots__ = ("presentation", "vertices", "reflections", "angle_residual")
+
+    def __init__(self, presentation: CoxeterPresentation, vertices: list[np.ndarray],
+                 reflections: list[np.ndarray], angle_residual: float):
+        self.presentation = presentation
+        self.vertices = vertices          # vertex k sits between sides k-1 and k
+        self.reflections = reflections    # one per side
+        self.angle_residual = angle_residual
 
     def realized_area(self) -> float:
         n = len(self.vertices)
@@ -238,13 +240,16 @@ def tile_centroid(mat: np.ndarray, realization: PolygonRealization) -> np.ndarra
 # --- SVG ---------------------------------------------------------------------
 
 
-@dataclass
 class Scene:
-    realization: PolygonRealization
-    tiles: list[np.ndarray]
-    coloring: list[str]               # color key per tile
-    palette: dict[str, str]
-    size: int = 800
+    __slots__ = ("realization", "tiles", "coloring", "palette", "size")
+
+    def __init__(self, realization: PolygonRealization, tiles: list[np.ndarray],
+                 coloring: list[str], palette: dict[str, str], size: int = 800):
+        self.realization = realization
+        self.tiles = tiles
+        self.coloring = coloring    # color key per tile
+        self.palette = palette
+        self.size = size
 
 
 def color_for(palette: dict[str, str], key: str) -> str:

@@ -14,8 +14,6 @@ transition structure of the canonical reduced-word automaton.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ResourceLimit
 from .field import RealCyclotomicField, Scalar
 from .presentation import INFINITY, CoxeterPresentation
@@ -28,14 +26,18 @@ ROOT_CAP = 100_000  # most small roots of a group; more raise ResourceLimit
 Coords = tuple[Scalar, ...]
 
 
-@dataclass(frozen=True)
 class SmallRootTable:
-    presentation: CoxeterPresentation
-    field: RealCyclotomicField
-    roots: tuple[Coords, ...]
-    depths: tuple[int, ...]
-    action: tuple[tuple[int, ...], ...]  # action[root][gen] -> root index / NEG_SIMPLE / ESCAPED
-    simple: tuple[int, ...]
+    __slots__ = ("presentation", "field", "roots", "depths", "action", "simple")
+
+    def __init__(self, presentation: CoxeterPresentation, field: RealCyclotomicField,
+                 roots: tuple[Coords, ...], depths: tuple[int, ...],
+                 action: tuple[tuple[int, ...], ...], simple: tuple[int, ...]):
+        self.presentation = presentation
+        self.field = field
+        self.roots = roots
+        self.depths = depths
+        self.action = action  # action[root][gen] -> root index / NEG_SIMPLE / ESCAPED
+        self.simple = simple
 
     @property
     def size(self) -> int:

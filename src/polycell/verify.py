@@ -8,8 +8,6 @@ engines never do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import automata
 from .cells import ConjecturalPartition
 from .errors import VerificationDisagreement
@@ -20,11 +18,13 @@ from .oracle import ClassicalKL, braid_closure, oracle_classify, unique_reduced_
 from .words import ElementBall, PolygonGroup
 
 
-@dataclass(frozen=True)
 class Check:
-    name: str
-    ok: bool
-    detail: str = ""
+    __slots__ = ("name", "ok", "detail")
+
+    def __init__(self, name: str, ok: bool, detail: str = ""):
+        self.name = name
+        self.ok = ok
+        self.detail = detail
 
 
 def oracle_classification(part: ConjecturalPartition, ball: ElementBall) -> Check:

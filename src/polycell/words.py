@@ -26,8 +26,6 @@ are the reversed down edges.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import ResourceLimit
 from .presentation import CoxeterPresentation
 from .smallroots import SmallRootTable, compute_small_roots
@@ -37,33 +35,52 @@ Word = tuple[int, ...]
 BALL_CAP = 2_000_000  # most elements of a ball
 
 
-@dataclass(frozen=True)
 class Element:
-    """Group element as its ShortLex-least reduced word, with descent sets."""
+    """Group element as its ShortLex-least reduced word, with descent sets;
+    equal and hashed by value."""
 
-    word: Word
-    left: frozenset[int]
-    right: frozenset[int]
+    __slots__ = ("word", "left", "right")
+
+    def __init__(self, word: Word, left: frozenset[int], right: frozenset[int]):
+        self.word = word
+        self.left = left
+        self.right = right
 
     @property
     def length(self) -> int:
         return len(self.word)
 
+    def _key(self):
+        return self.word, self.left, self.right
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
     def __repr__(self):
         return f"Element({self.word})"
 
 
-@dataclass
 class ElementBall:
     """All elements of length <= radius, sorted by (length, word)."""
 
-    radius: int
-    elements: list[Element]
-    index: dict[Word, int]
-    right_mult: list[list[int | None]]  # None = product leaves the ball
-    left_mult: list[list[int | None]]
-    counts: list[int]  # elements per length
-    lengths: list[int]  # element lengths, by index
+    __slots__ = ("radius", "elements", "index", "right_mult", "left_mult",
+                 "counts", "lengths")
+
+    def __init__(self, radius: int, elements: list[Element], index: dict[Word, int],
+                 right_mult: list[list[int | None]], left_mult: list[list[int | None]],
+                 counts: list[int], lengths: list[int]):
+        self.radius = radius
+        self.elements = elements
+        self.index = index
+        self.right_mult = right_mult  # None = product leaves the ball
+        self.left_mult = left_mult
+        self.counts = counts  # elements per length
+        self.lengths = lengths  # element lengths, by index
 
     def __len__(self):
         return len(self.elements)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from polycell.errors import ResourceLimit
 from polycell.field import (
     RealCyclotomicField,
+    _poly_mul,
     cos2_minpoly,
     cyclotomic_poly,
     dickson_poly,
@@ -26,6 +27,16 @@ def test_cyclotomic_small():
     assert cyclotomic_poly(4) == (1, 0, 1)
     assert cyclotomic_poly(6) == (1, -1, 1)
     assert cyclotomic_poly(12) == (1, 0, -1, 0, 1)
+
+
+def test_cyclotomic_products_give_x_n_minus_1():
+    # x^n - 1 is the product of Phi_d over d | n, which fixes every Phi_n
+    for n in range(1, 201):
+        product = [1]
+        for d in range(1, n + 1):
+            if n % d == 0:
+                product = _poly_mul(product, cyclotomic_poly(d))
+        assert product == [-1] + [0] * (n - 1) + [1], n
 
 
 def test_minpoly_values():

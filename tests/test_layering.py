@@ -7,7 +7,9 @@ rewrites words through normal forms, and outside fsa.py none builds an
 automaton by hand.  The benchmark's tracer finds every
 layer function it wraps.  Only `render` loads numpy, so the other commands
 start without it, and the command line loads each engine only for the
-commands that run it.  No module does arithmetic in `fractions`.  Every
+commands that run it.  No module does arithmetic in `fractions`, and none
+defines a record with `dataclasses`, which would load `inspect` and
+compile the record's methods at every start-up.  Every
 resource cap is a module-level integer `*_CAP` read where the resource is
 spent: no function takes a cap, and `fsa.explore` works out for itself
 whether a machine is deterministic."""
@@ -164,13 +166,13 @@ ENGINES = ("automata", "fsa", "cells", "compare")
 
 
 def _loaded(code: str, *argv: str) -> list[str]:
-    """The polycell modules, numpy and fractions that running code leaves
-    loaded."""
+    """The polycell modules, numpy, fractions, dataclasses and inspect that
+    running code leaves loaded."""
     env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
     out = subprocess.run(
         [sys.executable, "-c",
-         code + "; print(*sorted(m for m in sys.modules "
-                "if m.startswith('polycell') or m in ('numpy', 'fractions')))", *argv],
+         code + "; print(*sorted(m for m in sys.modules if m.startswith('polycell') "
+                "or m in ('numpy', 'fractions', 'dataclasses', 'inspect')))", *argv],
         capture_output=True, text=True, env=env, check=True)
     return out.stdout.splitlines()[-1].split()
 
@@ -205,6 +207,30 @@ def test_no_fraction_arithmetic(tmp_path):
         "import sys; from polycell.cli import main; assert main(sys.argv[1:]) == 0",
         "kl", "--group", str(config), "--radius", "3",
         "--workspace", str(tmp_path / "ws"))
+
+
+def test_no_dataclasses(tmp_path):
+    """Records are plain classes: no module imports `dataclasses`, and
+    neither it nor `inspect` is loaded by start-up, by `kl` or by
+    `cells compare`."""
+    offenders = [
+        path.name for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if (isinstance(node, ast.ImportFrom) and node.module == "dataclasses")
+        or (isinstance(node, ast.Import)
+            and any(alias.name == "dataclasses" for alias in node.names))]
+    assert offenders == []
+    config = tmp_path / "w237.json"
+    config.write_text('{"name": "w237", "angles": [2, 3, 7]}')
+    run = "import sys; from polycell.cli import main; assert main(sys.argv[1:]) == 0"
+    for loaded in (
+            _loaded("import sys, polycell.cli"),
+            _loaded(run, "kl", "--group", str(config), "--radius", "3",
+                    "--workspace", str(tmp_path / "ws")),
+            _loaded(run, "cells", "compare", "--group", str(config), "--radius", "6",
+                    "--workspace", str(tmp_path / "ws"))):
+        assert "polycell.cli" in loaded
+        assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
 def test_no_function_takes_a_cap():

@@ -1,14 +1,14 @@
-import dataclasses
 import json
 
 import pytest
 
-from polycell.cells import omega_minimal
-from polycell.compare import empirical_vs_conjectural
+from polycell.cells import OneSidedCellSpec, omega_minimal
+from polycell.compare import ComparisonReport, empirical_vs_conjectural
 from polycell.errors import ResourceLimit
 from polycell.kl import KLTable
 from polycell.oracle import (
     ClassicalKL,
+    _braid_rules,
     braid_closure,
     closure_is_reduced,
     elements_equal,
@@ -16,6 +16,7 @@ from polycell.oracle import (
     reduce_by_rewriting,
     unique_reduced_census,
 )
+from polycell.presentation import presentation_from_angles
 from tests.conftest import K_W237
 
 
@@ -111,7 +112,9 @@ def test_right_cell_disagreements_per_element(g237, part237):
     assert right == {"checked": True, "covered_elements": 17, "disagreements": []}
     # one spec for the whole level merges the right cells: every covered
     # element then disagrees, and names its own empirical right cell
-    merged = [dataclasses.replace(specs[0], language=part237.languages["c1"])]
+    spec = specs[0]
+    merged = [OneSidedCellSpec(spec.level, spec.pair, spec.translator,
+                               part237.languages["c1"])]
     right = empirical_vs_conjectural(part237, table, trust_margin=4,
                                      specs=merged).right_cell_agreement
     assert len(right["disagreements"]) == right["covered_elements"] == 17
@@ -124,3 +127,54 @@ def test_comparison_report_deterministic(g237, part237):
     a = empirical_vs_conjectural(part237, KLTable(g237, g237.ball(6)), trust_margin=3)
     b = empirical_vs_conjectural(part237, KLTable(g237, g237.ball(6)), trust_margin=3)
     assert a.to_json() == b.to_json()
+
+
+def test_comparison_report_json_bytes():
+    # keys in field order, nested values as given, two-space indent
+    report = ComparisonReport(
+        group="w237", radius=6, trust_margin=3, k=4, element_count=35,
+        trusted_count=11, agreement_ratio=0.5, partition_equal=False,
+        purity_ratio=0.75,
+        disagreements=[{"element": "rt", "empirical_cell": ["rt", "rts"],
+                        "conjectural_label": "c1"}],
+        boundary_flagged=["rstrs"], right_cell_agreement={"checked": False})
+    assert report.to_json() == """\
+{
+  "group": "w237",
+  "radius": 6,
+  "trust_margin": 3,
+  "k": 4,
+  "element_count": 35,
+  "trusted_count": 11,
+  "agreement_ratio": 0.5,
+  "partition_equal": false,
+  "purity_ratio": 0.75,
+  "disagreements": [
+    {
+      "element": "rt",
+      "empirical_cell": [
+        "rt",
+        "rts"
+      ],
+      "conjectural_label": "c1"
+    }
+  ],
+  "boundary_flagged": [
+    "rstrs"
+  ],
+  "right_cell_agreement": {
+    "checked": false
+  }
+}
+"""
+
+
+def test_equal_presentations_share_braid_rules():
+    a = presentation_from_angles([2, 3, 7], label="w237")
+    b = presentation_from_angles([2, 3, 7], label="w237")
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != presentation_from_angles([2, 3, 8], label="w237")
+    assert a != presentation_from_angles([2, 3, 7], label="other")
+    _braid_rules.cache_clear()
+    assert _braid_rules(a) is _braid_rules(b)
+    assert _braid_rules.cache_info().currsize == 1

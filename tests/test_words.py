@@ -32,6 +32,16 @@ def test_multiply_basics(g237):
     assert rt.word == (0, 2) and rt.length == 2
 
 
+def test_element_and_ball_records(g237):
+    rt = g237.element((0, 2))
+    tr = g237.element((2, 0))  # r and t commute
+    assert rt is not tr and rt == tr and hash(rt) == hash(tr)
+    assert rt != g237.element((0,))
+    assert repr(rt) == "Element((0, 2))" and repr(g237.element(())) == "Element(())"
+    ball = g237.ball(3)
+    assert len(ball) == len(ball.elements) == sum(ball.counts) == 16
+
+
 def test_descents(g237, w237):
     e = g237.element(())
     assert e.left == frozenset() and e.right == frozenset()
