@@ -29,7 +29,10 @@ with beta's machine, so it meets few states that no accepting run passes
 through.  Every machine of the toolkit is one `expand` function handed to
 `fsa.explore`, which keeps only the states on an accepting run; the table
 reads the marks of `fsa.search`, the search under `explore`, directly.
-Either raises StateBlowup past `fsa.STATE_CAP` states.
+Either raises StateBlowup past `fsa.STATE_CAP` states.  A pattern machine
+reads k only through the identity offset's table, so `choose_k` compares
+the tables at k and k + 1 first, and builds and compares the pattern
+languages only where the tables differ.
 
 The offset is only ever the identity (saturation) or a generator (one step
 of left translation); a longer translator is a chain of one-generator
@@ -377,18 +380,31 @@ def fellow_traveler_constant(group: PolygonGroup, radius: int) -> int:
     return worst
 
 
+def patterns_stable(group: PolygonGroup, patterns: list[Word], k: int) -> bool:
+    """Whether every pattern language at k equals the one at k + 1.
+
+    red_x_mu reads k only through the identity offset's word-difference
+    table, so where the tables at k and k + 1 are equal every pattern
+    machine at k + 1 is the one at k, state for state, and no machine is
+    built.  Only where the tables differ are the pattern languages built
+    and compared."""
+    return (word_difference_table(group, k, ())
+            == word_difference_table(group, k + 1, ())
+            or all(are_equivalent(red_x_mu(group, p, k), red_x_mu(group, p, k + 1))
+                   for p in patterns))
+
+
 def choose_k(group: PolygonGroup) -> int:
     """Smallest k at least the fellow-traveler constant of the ball of
     radius VALIDATION_RADIUS for which every dihedral pattern language is
-    stable against k+1."""
+    stable against k+1 (patterns_stable)."""
     from .cells import dihedral_data
 
     data = dihedral_data(group.presentation)
     patterns = [entry.longest_word for entry in data.entries]
     constant = fellow_traveler_constant(group, VALIDATION_RADIUS)
     for k in range(max(1, constant), MAX_K + 1):
-        if all(are_equivalent(red_x_mu(group, p, k), red_x_mu(group, p, k + 1))
-               for p in patterns):
+        if patterns_stable(group, patterns, k):
             return k
     raise KNotValidated(
         f"no k <= {MAX_K} leaves the pattern languages stable; "

@@ -320,6 +320,7 @@ def cmd_verify(args) -> int:
             verify.oracle_classification(part, ball),
             verify.census_routes(part, ball),
             verify.Check("partition_exact", partition_is_exact(part)),
+            verify.inversion_closed(part),
             verify.word_counts(group, ball, min(args.radius, 10)),
             verify.element_counts(group, ball),
         ]

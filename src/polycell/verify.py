@@ -11,7 +11,7 @@ from __future__ import annotations
 from . import automata
 from .cells import ConjecturalPartition
 from .errors import VerificationDisagreement
-from .fsa import count_words, intersect
+from .fsa import are_equivalent, count_words, intersect, reverse_fsa
 from .hecke import a_lower_bounds
 from .kl import KLTable
 from .oracle import ClassicalKL, braid_closure, oracle_classify, unique_reduced_census
@@ -48,6 +48,17 @@ def census_routes(part: ConjecturalPartition, ball: ElementBall) -> Check:
         intersect(automata.shortlex_fsa(group), part.languages["c0"]), ball.radius)
     return Check("census_routes", by_len == c0_counts,
                  f"{census} unique-expression elements within radius {ball.radius}")
+
+
+def inversion_closed(part: ConjecturalPartition) -> Check:
+    """Two-sided cells are closed under w -> w^-1, and a reduced word of
+    w^-1 is a reversed reduced word of w, so each label language must equal
+    its reversal, at every length."""
+    bad = [label for label, fsa in part.languages.items()
+           if not are_equivalent(fsa, reverse_fsa(fsa))]
+    return Check("inversion_closed", not bad,
+                 f"{len(bad)} of {len(part.languages)} label languages differ "
+                 f"from their reversals" + (f": {', '.join(bad)}" if bad else ""))
 
 
 def word_counts(group: PolygonGroup, ball: ElementBall, length: int) -> Check:

@@ -494,6 +494,49 @@ def test_red_x_mu_stable_in_k(g237, w237):
     assert are_equivalent(a, b)
 
 
+def test_equal_tables_decide_pattern_stability(g237, g2224):
+    # red_x_mu reads k only through the identity offset's table: where the
+    # tables at k and k + 1 are equal, every pattern machine is equal too,
+    # and patterns_stable agrees with comparing the languages at every k
+    for g in (g237, g2224):
+        patterns = [e.longest_word for e in dihedral_data(g.presentation).entries]
+        for k in range(1, 10):
+            if word_difference_table(g, k, ()) == word_difference_table(g, k + 1, ()):
+                assert all(red_x_mu(g, p, k) == red_x_mu(g, p, k + 1)
+                           for p in patterns)
+            assert automata.patterns_stable(g, patterns, k) == all(
+                are_equivalent(red_x_mu(g, p, k), red_x_mu(g, p, k + 1))
+                for p in patterns)
+    # w237 at k = 7: the tables differ, but every pattern language is stable,
+    # so the language comparison is what answers
+    patterns = [e.longest_word for e in dihedral_data(g237.presentation).entries]
+    assert [len(word_difference_table(g237, k, ()).accepts) for k in (7, 8)] \
+        == [159, 163]
+    assert automata.patterns_stable(g237, patterns, 7)
+
+
+def test_choose_k_builds_no_pattern_machine(w237, w2224, monkeypatch):
+    # on a fresh group, choose_k settles k from the word-difference tables
+    # alone; build_partition then builds one pair machine per pattern
+    calls: dict = {}
+
+    def counted(fn):
+        def wrapper(*args):
+            calls[fn.__name__] = calls.get(fn.__name__, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    for name in ("equal_endpoint_pairs", "are_equivalent"):
+        monkeypatch.setattr(automata, name, counted(getattr(automata, name)))
+    for pres, k, machines in ((w237, K_W237, 3), (w2224, K_W2224, 4)):
+        group = PolygonGroup(pres)
+        calls.clear()
+        assert automata.choose_k(group) == k
+        assert calls == {}
+        build_partition(group, k)
+        assert calls == {"equal_endpoint_pairs": machines}
+
+
 def test_inversion_duality(g237, w237):
     pat = w237.parse_word("rs")
     M = red_x_mu(g237, pat, K_W237)

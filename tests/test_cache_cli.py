@@ -786,7 +786,8 @@ def test_cli_verify_all_passes(tmp_path, w237_config, capsys):
     report = json.loads(path.read_text())
     assert (report.pop("group"), report.pop("radius")) == ("w237", 4)
     assert list(report) == ["oracle_classification", "census_routes",
-                            "partition_exact", "word_counts", "element_counts",
+                            "partition_exact", "inversion_closed", "word_counts",
+                            "element_counts",
                             "kl_identity", "kl_oracle", "a_function"]
     assert all(check["pass"] is True for check in report.values())
 

@@ -4,6 +4,7 @@ from polycell import verify
 from polycell.cells import (
     LABEL_ID,
     LABEL_ZERO,
+    ConjecturalPartition,
     descent_class_fsa,
     dihedral_data,
     omega_elements,
@@ -13,7 +14,9 @@ from polycell.cells import (
     valid_descent_classes,
 )
 from polycell.errors import InvalidDescentClass, NoFiniteVertex
+from polycell.kl import KLTable, empirical_cells
 from polycell.fsa import (
+    FSA,
     are_equivalent,
     count_words,
     difference,
@@ -97,6 +100,55 @@ def test_srt_has_two_expressions_hence_c1(part237, g237, w237):
 def test_partition_exact(part237, part2224):
     assert partition_is_exact(part237)
     assert partition_is_exact(part2224)
+
+
+def test_inversion_closed_fails_on_a_dropped_accepting_state(part237, part2224):
+    for part, labels in ((part237, ("c1", "c2", "c3")), (part2224, ("c1", "c2"))):
+        assert verify.inversion_closed(part).ok
+        for label in labels:
+            fsa = part.languages[label]
+            for q in fsa.accepting:
+                mutant = FSA(fsa.alphabet, fsa.n_states, fsa.initial,
+                             fsa.accepting - {q}, fsa.transitions,
+                             deterministic=True)
+                broken = ConjecturalPartition(
+                    part.group, part.data, part.k,
+                    {**part.languages, label: mutant}, part.pattern_fsas)
+                check = verify.inversion_closed(broken)
+                assert not check.ok
+                assert check.detail.endswith(f": {label}")
+
+
+@pytest.mark.parametrize("part, radius, size",
+                         [("part237", 12, 27), ("part2224", 9, 286)])
+def test_c0_is_joined_by_mutual_near_edges(request, part, radius, size):
+    """The c0 certificate: each element of c0 is joined to a generator by
+    mutual near edges inside c0, y = xs > x with D_R(x) not in D_R(y) or
+    y = sx > x with D_L(x) not in D_L(y), and non-commuting generators
+    through st, so c0 lies in one two-sided cell at every length.  On the
+    ball: one component under those edges, inside one empirical class."""
+    part = request.getfixturevalue(part)
+    ball = part.group.ball(radius)
+    elements, lengths = ball.elements, ball.lengths
+    c0 = {i for i, e in enumerate(elements) if part.classify(e) == LABEL_ZERO}
+    assert len(c0) == size
+    near: dict[int, set[int]] = {x: set() for x in c0}
+    for x in c0:
+        for mult, side in ((ball.right_mult, "right"), (ball.left_mult, "left")):
+            for y in mult[x]:
+                if (y in c0 and lengths[y] > lengths[x]
+                        and not getattr(elements[x], side) <= getattr(elements[y], side)):
+                    near[x].add(y)
+                    near[y].add(x)
+    start = min(c0)
+    seen, stack = {start}, [start]
+    while stack:
+        for y in near[stack.pop()] - seen:
+            seen.add(y)
+            stack.append(y)
+    assert seen == c0
+    two_sided = empirical_cells(KLTable(part.group, ball))[2]
+    assert any(c0 <= set(cell) for cell in two_sided)
 
 
 def test_partition_matches_oracle_on_ball(part2224, g2224):
