@@ -17,10 +17,12 @@ version mismatch drops it whole, a file of the wrong shape is
 `CorruptCache`, and a KL table is reused only while its stamp, which
 holds the table's sha256, matches the radius and the file; an artifact
 path that is not a file is `CorruptCache` too.  A KL table is written
-from the KL table's forward sweep through the public `KLTable.records()`,
-which decodes each distinct polynomial once; `write_kl` formats each
-distinct polynomial once, and `read_kl` parses each distinct word and
-coefficient field once.
+from the forward sweep's store, read in file order through the public
+`KLTable.packed_rows()`: each v's packed R row, keyed in ascending w, beside
+its packed P row.  `write_kl` formats the tail of a line, R, P and mu,
+once per distinct pair of packed R and P, so a pair costs one lookup and
+one concatenation, and `read_kl` parses each distinct word and coefficient
+field once.
 Balls, automata and reports are rewritten on every run.  Each write goes
 through its own temp file and an atomic rename, so concurrent runs never
 read a torn file, and each read-modify-write of `meta.json` holds an
@@ -194,14 +196,38 @@ class Workspace:
         return f"kl.r{radius}.tsv"
 
     def write_kl(self, pres, table: KLTable) -> Path:
+        from .kl import poly_coeff, unpack
+
         ball = table.ball
         path = self.group_dir(pres) / self.kl_name(ball.radius)
+        rows = table.packed_rows()  # the coefficient check, before any work
         names = pres.names
         codes = ["".join(names[s] for s in e.word) or "-" for e in ball.elements]
-        text = functools.cache(lambda poly: ",".join(map(str, poly)) or "0")
-        data = "".join(
-            f"{codes[v]}\t{codes[w]}\t{text(r)}\t{text(p)}\t{mu}\n"
-            for v, w, r, p, mu in table.records()).encode()
+
+        def text(poly):
+            return ",".join(map(str, poly)) or "0"
+
+        def tail(r: int, p: int) -> str:
+            # R_{v,w} is monic of degree l(w) - l(v), which fixes mu's place
+            r_poly, p_poly = unpack(r), unpack(p)
+            n = len(r_poly) - 1
+            mu = poly_coeff(p_poly, (n - 1) // 2) if n % 2 else 0
+            return f"\t{text(r_poly)}\t{text(p_poly)}\t{mu}\n"
+
+        # tails[R][P]: the line's text after w, by packed R and P
+        tails: dict[int, dict[int, str]] = {}
+        lines = []
+        for v, (row, p_row) in enumerate(rows):
+            parts = []
+            for (w, r), p in zip(row.items(), p_row):
+                try:
+                    end = tails[r][p]
+                except KeyError:
+                    end = tails.setdefault(r, {})[p] = tail(r, p)
+                parts.append(codes[w] + end)
+            head = codes[v] + "\t"
+            lines.append(head + head.join(parts))
+        data = "".join(lines).encode()
         _atomic_write(path, data)
         self.stamp(pres, self.kl_name(ball.radius), radius=ball.radius,
                    sha256=hashlib.sha256(data).hexdigest())

@@ -27,14 +27,14 @@ below 2^(B-1); a coefficient that fails raises ResourceLimit.
 from __future__ import annotations
 
 from .errors import BallTooSmall, ResourceLimit
-from .kl import _B, _HALF, KLTable, _lowest, _pack, _unpack
+from .kl import _B, _HALF, KLTable, _lowest, _pack, unpack
 
 Hecke = dict[int, int]  # ball index -> packed polynomial in q
 
 
 def _l1(c: int) -> int:
     """Sum of |coefficients| of a packed polynomial with exact digits."""
-    return sum(map(abs, _unpack(c)))
+    return sum(map(abs, unpack(c)))
 
 
 def _certify(majorant: int, where: str) -> None:

@@ -6,9 +6,14 @@ ideal of w is built once, in index order, by the lifting property
 
     down(w) = down(ws) | {x s : x in down(ws)}      for s = min D_R(w),
 
-and the upper ideals are its transpose.  A comparison is one bit test, an
-interval [v, w] is the set bits of down(w) & up(v), and lengths come from a
-flat list.
+and the upper ideals are its transpose as a bit matrix, one row per
+element.  The matrix is lower triangular (x <= w puts x at an index no
+larger than w's), so only the square tiles on and below its diagonal are
+read: rows are sliced as bytes into _TILE x _TILE tiles, each tile, one
+int, is transposed by log2(_TILE) masked delta swaps (the recursive block
+swap of Hacker's Delight, section 7-3), and the result is cut back into
+rows.  A comparison is one bit test, an interval [v, w] is the set bits of
+down(w) & up(v), and lengths come from a flat list.
 
 Polynomials in q are dense integer coefficient tuples from degree 0 at the
 interface.  The memo holds them packed (Kronecker substitution): p is kept
@@ -53,14 +58,17 @@ if extremal) and, at each extremal x, solves P_{x,w} through `_solve`,
 which checks the bound, reads P off the identity and re-checks it; every
 term of each sum is then known.  Three callers pass three sets:
 
-- the sweep (`fill`, `records`, the `kl` command) runs over w in index
-  order and passes the whole lower ideal, after it builds R_{x,w} for
-  every x <= w from the column of ws by
+- the sweep (`fill`, `packed_rows`, `records`, the `kl` command) runs
+  over w in index order and passes the whole lower ideal, after it builds
+  R_{x,w} for every x <= w from the column of ws by
 
       R_{x,w} = R_{xs,ws}                      if s in D_R(x),
       R_{x,w} = q R_{xs,ws} + (q - 1) R_{x,ws}  otherwise,   s = min D_R(w),
 
-  and keeps P on every pair by row for `records`;
+  and keeps P on every pair by row.  It leaves each R row keyed in
+  ascending w, as the P row is, putting back in order the rows that the
+  lazy route began, so one walk over the two rows side by side reads the
+  store in file order;
 - the right W-graph (`mu_below`) passes the union of the upper ideals of
   the far x whose mu it needs, so it solves only the pairs behind those
   mu, and R by row, through `_r`, only where those sums ask for it (full R
@@ -112,7 +120,7 @@ def _pack(a: Poly) -> int:
     return out
 
 
-def _unpack(x: int) -> Poly:
+def unpack(x: int) -> Poly:
     """The coefficients of the packed x, exact while each lies in
     [-2^(B-1), 2^(B-1))."""
     out = []
@@ -139,6 +147,69 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+_TILE = 512  # side of a transpose tile, in bits; a power of two, at least 8
+
+
+def _tile_swaps() -> list[tuple[int, int]]:
+    """The delta swaps that transpose one tile, a _TILE x _TILE bit matrix
+    held as an int with row r at bit r _TILE: for each j = _TILE / 2, ...,
+    1, the shift j (_TILE - 1) that carries (r, c) to (r + j, c - j), and
+    the mask of the (r, c) with bit j clear in r and set in c.  Each swap
+    exchanges bit j of every row and column index (Hacker's Delight,
+    section 7-3).  Built per transpose: kept, the masks would hold
+    _TILE^2 log2(_TILE) / 8 bytes for the life of the process."""
+    width = _TILE // 8
+    out = []
+    j = _TILE // 2
+    while j:
+        if j >= 8:
+            row = (bytes(j // 8) + b"\xff" * (j // 8)) * (_TILE // (2 * j))
+        else:
+            row = bytes([{1: 0xAA, 2: 0xCC, 4: 0xF0}[j]]) * width
+        block = row * j + bytes(width * j)
+        out.append((j * (_TILE - 1),
+                    int.from_bytes(block * (_TILE // (2 * j)), "little")))
+        j //= 2
+    return out
+
+
+def _transpose(rows: list[int]) -> list[int]:
+    """The transpose of a lower-triangular square bit matrix, one int per
+    row (bit x of rows[w] set only if x <= w): out[x] has bit w set where
+    rows[w] has bit x.  The matrix is cut into _TILE x _TILE tiles, read
+    off rows sliced as bytes, and each tile on or below the diagonal is
+    transposed by the delta swaps of _tile_swaps; a block of output rows is
+    joined as soon as its last tile is done."""
+    width = _TILE // 8
+    tiles = -(-len(rows) // _TILE)
+    # rows as bytes, each only as long as its block's tiles reach; the last
+    # block padded with empty rows
+    data = [row.to_bytes((w // _TILE + 1) * width, "little")
+            for w, row in enumerate(rows)]
+    data += [bytes(tiles * width)] * (tiles * _TILE - len(rows))
+    swaps = _tile_swaps()
+    out: list[int] = []
+    for j in range(tiles):  # output rows j _TILE, ...: columns of the input
+        cols = slice(j * width, (j + 1) * width)
+        pieces: list[list[bytes]] = [[] for _ in range(_TILE)]
+        for i in range(j, tiles):
+            x = int.from_bytes(
+                b"".join([row[cols] for row in data[i * _TILE:(i + 1) * _TILE]]),
+                "little")
+            for shift, mask in swaps if x else ():
+                y = (x ^ x >> shift) & mask
+                x ^= y ^ y << shift
+            tile = x.to_bytes(_TILE * width, "little")
+            for c, piece in enumerate(pieces):
+                piece.append(tile[c * width:(c + 1) * width])
+        data[j * _TILE:(j + 1) * _TILE] = [b""] * _TILE  # read for the last time
+        shift = j * _TILE
+        out += [int.from_bytes(b"".join(piece), "little") << shift
+                for piece in pieces]
+    del out[len(rows):]
+    return out
+
+
 class KLTable:
     """Memoized Bruhat/R/P/mu data over one ball; exact on every pair whose
     longer element lies inside the ball (Bruhat intervals are length-bounded,
@@ -161,11 +232,7 @@ class KLTable:
             for x in _bits(mask):  # reaches w = (ws)s
                 mask |= 1 << ball.right_mult[x][s]
             self._leq.append(mask)
-        above: list[list[int]] = [[] for _ in range(n)]
-        for w in range(n):
-            for x in _bits(self._leq[w]):
-                above[x].append(w)
-        self._geq = [sum(1 << w for w in members) for members in above]
+        self._geq = _transpose(self._leq)
         # bitsets of {x : s in D_L(x)} and {x : s in D_R(x)} by s, and of
         # the elements of each length
         self._has_ldesc = [0] * group.rank
@@ -201,9 +268,6 @@ class KLTable:
 
     # --- Bruhat order (ideals) ---------------------------------------------
 
-    def leq_idx(self, v: int, w: int) -> bool:
-        return bool(self._leq[w] >> v & 1)
-
     def lower(self, w: int) -> list[int]:
         """Indices x <= w, ascending."""
         return _bits(self._leq[w])
@@ -224,7 +288,7 @@ class KLTable:
             raise ResourceLimit(
                 f"KL polynomials: R on pair {(v, w)} may carry a coefficient "
                 f"past the packed digit's 2^{_B - 1}")
-        return _unpack(self._r(v, w))
+        return unpack(self._r(v, w))
 
     def _r(self, v: int, w: int) -> int:
         """Packed R_{v,w}."""
@@ -251,14 +315,14 @@ class KLTable:
         if not down >> v & 1:
             return ()
         self._column(w, _bits(down & self._geq[v]))
-        return _unpack(self._pcol[self._top[v]])
+        return unpack(self._pcol[self._top[v]])
 
     def column(self, w: int) -> dict[int, Poly]:
         """P_{y,w} for every y <= w, by y ascending."""
         lower = self.lower(w)
         self._column(w, lower)
         top, pcol = self._top, self._pcol
-        return {y: _unpack(pcol[top[y]]) for y in lower}
+        return {y: unpack(pcol[top[y]]) for y in lower}
 
     def _column(self, w: int, need: list[int]) -> None:
         """Solve the column P(., w) on need, the elements <= w of an upper
@@ -314,7 +378,7 @@ class KLTable:
             # top m digits, rounded off the rest, reversed
             m = (n + 1) // 2
             low = _B * (n + 1 - m)
-            coeffs = list(_unpack((acc + (1 << low - 1)) >> low)[m - 1::-1])
+            coeffs = list(unpack((acc + (1 << low - 1)) >> low)[m - 1::-1])
             while coeffs and coeffs[-1] == 0:
                 coeffs.pop()
             out = _pack(coeffs)
@@ -325,12 +389,6 @@ class KLTable:
             self._pmax = max([self._pmax, *map(abs, coeffs)])
         self._P[v, w] = out
         return out
-
-    def mu_idx(self, v: int, w: int) -> int:
-        n = self._length[w] - self._length[v]
-        if n <= 0 or n % 2 == 0:
-            return 0
-        return poly_coeff(self.p_idx(v, w), (n - 1) // 2)
 
     def mu_below(self, w: int) -> list[int]:
         """Indices x < w with mu(x, w) != 0, ascending, but for the far x
@@ -352,17 +410,20 @@ class KLTable:
             self._column(w, _bits(self._leq[w] & above))
         pcol, lengths = self._pcol, self._length
         return ([x for x in far_x
-                 if poly_coeff(_unpack(pcol[x]), (length - lengths[x] - 1) // 2)]
+                 if poly_coeff(unpack(pcol[x]), (length - lengths[x] - 1) // 2)]
                 + _bits(self._leq[w] & self._band[length - 1]))
 
     def fill(self) -> None:
         """The sweep (see the module docstring): R on every pair and P on
         every extremal pair of the ball into the memo, and P on every pair
-        by row for `records`.  Entries stored before are kept as they are; a
-        second call does nothing."""
+        by row for `packed_rows`.  Entries stored before are kept as they
+        are, and every R row is left keyed in ascending w, the order of its
+        P row; a second call does nothing."""
         if self._p_rows is not None:
             return
         R, rdesc, rmult = self._R, self._rdesc, self.ball.right_mult
+        # rows the lazy route began, whose keys the sweep appends to
+        warm = [x for x, row in enumerate(R) if len(row) > 1]
         top, pcol = self._top, self._pcol
         p_rows: list[list[int]] = [[] for _ in R]
         for w, down in enumerate(self._leq):
@@ -383,30 +444,38 @@ class KLTable:
             self._column(w, lower)
             for x in lower:
                 p_rows[x].append(pcol[top[x]])
+        for x in warm:
+            R[x] = dict(sorted(R[x].items()))
         self._p_rows = p_rows
 
-    def records(self) -> Iterator[tuple[int, int, Poly, Poly, int]]:
-        """(v, w, R_{v,w}, P_{v,w}, mu(v, w)) for every Bruhat pair of the
-        ball, v ascending, then w ascending over the x >= v, read off the
-        sweep's store.  A table holds few distinct polynomials, so each
-        distinct packed value is decoded once and yielded as the same
-        tuple.  Every length difference in the ball is at most its radius,
-        so one check of 3^radius, made before any work, stands for r_idx's
-        check on every pair."""
+    def packed_rows(self) -> Iterator[tuple[dict[int, int], list[int]]]:
+        """The sweep's store in file order: for each v ascending, the row
+        {w: packed R_{v,w}} over the w >= v, keyed in ascending w, and the
+        packed P_{v,w} in the same order; `unpack` decodes both.  Every
+        length difference in the ball is at most its radius, so one check
+        of 3^radius, made here before any work, stands for r_idx's check on
+        every pair."""
         radius = self.ball.radius
         if 3 ** radius >= _HALF:
             raise ResourceLimit(
                 f"KL polynomials: R on ball({radius}) may carry a coefficient "
                 f"past the packed digit's 2^{_B - 1}")
         self.fill()
-        decode = functools.cache(_unpack)
+        return zip(self._R, self._p_rows)
+
+    def records(self) -> Iterator[tuple[int, int, Poly, Poly, int]]:
+        """(v, w, R_{v,w}, P_{v,w}, mu(v, w)) for every Bruhat pair of the
+        ball, in the order of `packed_rows`.  A table holds few distinct
+        polynomials, so each distinct packed value is decoded once and
+        yielded as the same tuple."""
+        decode = functools.cache(unpack)
         lengths = self._length
-        for v, (above, row, p_row) in enumerate(
-                zip(self._geq, self._R, self._p_rows)):
-            for w, p in zip(_bits(above), p_row):
+        for v, (row, p_row) in enumerate(self.packed_rows()):
+            length = lengths[v]
+            for (w, r), p in zip(row.items(), p_row):
                 p = decode(p)
-                n = lengths[w] - lengths[v]
-                yield (v, w, decode(row[w]), p,
+                n = lengths[w] - length
+                yield (v, w, decode(r), p,
                        poly_coeff(p, (n - 1) // 2) if n % 2 else 0)
 
 

@@ -3,6 +3,7 @@ import pytest
 from polycell import PolygonGroup, presentation_from_angles
 from polycell.cells import build_partition, u_t_fsa
 from polycell.fsa import FSA, empty_language
+from polycell.kl import poly_coeff
 
 # fellow-traveler constants; test_automata re-validates both exhaustively
 K_W237 = 6
@@ -23,6 +24,20 @@ def assert_translates_match_balls(part, specs, r):
                     members.add(prod.word)
         for e in group.ball(r).elements:
             assert sp.language.accepts(e.word) == (e.word in members)
+
+
+def bruhat_leq(table, v, w):
+    """v <= w in Bruhat order: one bit of the lower ideal of w."""
+    return bool(table._leq[w] >> v & 1)
+
+
+def kl_mu(table, v, w):
+    """mu(v, w): the coefficient of q^((n - 1) / 2) in P_{v,w} for an odd
+    length difference n, 0 otherwise."""
+    n = table.ball.lengths[w] - table.ball.lengths[v]
+    if n <= 0 or n % 2 == 0:
+        return 0
+    return poly_coeff(table.p_idx(v, w), (n - 1) // 2)
 
 
 def set_trim_reference(a: FSA) -> FSA:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 import time
@@ -10,6 +11,7 @@ from polycell.cli import main
 from polycell.errors import CorruptCache, ResourceLimit
 from polycell.fsa import from_text
 from polycell.kl import KLTable, empirical_cells
+from tests.conftest import bruhat_leq, kl_mu
 
 
 @pytest.fixture()
@@ -44,37 +46,51 @@ def test_kl_roundtrip(tmp_path, w237, g237):
     for v_word, w_word, r, p, mu in rows:
         vi = table.ball.index[v_word]
         wi = table.ball.index[w_word]
-        assert table.leq_idx(vi, wi)
+        assert bruhat_leq(table, vi, wi)
         assert (table.r_idx(vi, wi) or (0,)) == r
         assert (table.p_idx(vi, wi) or (0,)) == p
-        assert table.mu_idx(vi, wi) == mu
+        assert kl_mu(table, vi, wi) == mu
 
 
 def _per_row_kl_bytes(pres, table):
     # the per-row encoder `write_kl` replaced: every pair through r_idx,
-    # p_idx and mu_idx, each polynomial formatted where it occurs
+    # p_idx and kl_mu, each polynomial formatted where it occurs
     table.fill()
     names = pres.names
     codes = ["".join(names[s] for s in e.word) or "-" for e in table.ball.elements]
     lines = []
     n = len(table.ball.elements)
     for v in range(n):
-        for w in (x for x in range(n) if table.leq_idx(v, x)):
+        for w in (x for x in range(n) if bruhat_leq(table, v, x)):
             lines.append("\t".join([
                 codes[v],
                 codes[w],
                 ",".join(str(c) for c in table.r_idx(v, w)) or "0",
                 ",".join(str(c) for c in table.p_idx(v, w)) or "0",
-                str(table.mu_idx(v, w)),
+                str(kl_mu(table, v, w)),
             ]))
     return ("\n".join(lines) + "\n").encode()
 
 
-@pytest.mark.parametrize("group, radius", [("w237", 8), ("w2224", 6)])
-def test_kl_table_bytes_match_per_row_encoder(tmp_path, request, group, radius):
+@pytest.mark.parametrize("group, radius, warm", [
+    pytest.param(g, r, warm, id="-".join([g, str(r), *filter(None, [warm])]))
+    for warm in (None, "empirical_cells", "p_idx")
+    for g, r in (("w237", 8), ("w2224", 6))])
+def test_kl_table_bytes_match_per_row_encoder(tmp_path, request, group, radius,
+                                              warm):
+    """The lazy route stores R rows out of key order before the sweep, and
+    the writer walks rows in key order, so a table it warmed must write the
+    bytes of a cold one."""
     pres = request.getfixturevalue(group)
     g = request.getfixturevalue("g" + group[1:])
-    path = Workspace(tmp_path / "ws").write_kl(pres, KLTable(g, g.ball(radius)))
+    table = KLTable(g, g.ball(radius))
+    if warm == "empirical_cells":
+        empirical_cells(table)
+    elif warm == "p_idx":
+        table.p_idx(0, len(table.ball) - 1)  # the identity and the last element
+    if warm:
+        assert any(list(row) != sorted(row) for row in table._R)
+    path = Workspace(tmp_path / "ws").write_kl(pres, table)
     assert path.read_bytes() == _per_row_kl_bytes(pres, KLTable(g, g.ball(radius)))
 
 
@@ -83,10 +99,24 @@ def test_records_hold_each_bruhat_pair_once_in_file_order(g2224):
     records = list(table.records())
     n = len(table.ball)
     assert [(v, w) for v, w, *_ in records] == [
-        (v, w) for v in range(n) for w in range(n) if table.leq_idx(v, w)]
+        (v, w) for v in range(n) for w in range(n) if bruhat_leq(table, v, w)]
     assert len(records) == sum(len(table.lower(w)) for w in range(n))
     for v, w, r, p, mu in records:
-        assert (r, p, mu) == (table.r_idx(v, w), table.p_idx(v, w), table.mu_idx(v, w))
+        assert (r, p, mu) == (table.r_idx(v, w), table.p_idx(v, w), kl_mu(table, v, w))
+
+
+def test_kl_r7_matches_the_benchmark_reference(tmp_path):
+    """The `kl` command writes w2224's kl.r7.tsv with the rows, bytes and
+    sha256 that the benchmark's `w2224-kl` workload checks."""
+    root = Path(__file__).resolve().parents[1]
+    references = json.loads((root / "perfbench" / "references.json").read_text())
+    want = references["w2224-kl"]["observed"]
+    assert run(tmp_path, "kl", "--group", str(root / "groups" / "w2224.json"),
+               "--radius", "7") == 0
+    path = tmp_path / "ws" / want["file"]
+    data = path.read_bytes()
+    assert (data.count(b"\n"), len(data), hashlib.sha256(data).hexdigest()) == (
+        want["rows"], want["bytes"], want["sha256"])
 
 
 def test_kl_table_past_the_r_bound_writes_nothing(tmp_path, w237, g237, monkeypatch):

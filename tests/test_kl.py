@@ -4,12 +4,14 @@ from polycell import verify
 from polycell.errors import ResourceLimit, VerificationDisagreement
 from polycell.field import _poly_mul_into
 from polycell.kl import (
+    _TILE,
     KLTable,
     _inverses,
     empirical_cells,
     strongly_connected_components,
     w_graph,
 )
+from tests.conftest import bruhat_leq, kl_mu
 
 
 def _lifting_below(ball):
@@ -54,12 +56,12 @@ def _is_extremal(ball, v, w):
 
 
 def _full_scan_w_graph(ball, side, table):
-    """W-graph edges from mu_idx on every Bruhat pair."""
+    """W-graph edges from mu on every Bruhat pair."""
     edges = {i: [] for i in range(len(ball.elements))}
     desc = [e.left if side == "left" else e.right for e in ball.elements]
     for b in range(len(ball.elements)):
         for a in table.lower(b):
-            if table.mu_idx(a, b) == 0:
+            if kl_mu(table, a, b) == 0:
                 continue
             if not desc[a] <= desc[b]:
                 edges[a].append(b)
@@ -82,7 +84,7 @@ def test_r_poly_degree_and_constant(g237, kl237):
     ball = g237.ball(8)
     for vi, v in enumerate(ball.elements):
         for wi, w in enumerate(ball.elements):
-            if not kl237.leq_idx(vi, wi) or vi == wi:
+            if not bruhat_leq(kl237, vi, wi) or vi == wi:
                 continue
             n = w.length - v.length
             r = kl237.r_idx(vi, wi)
@@ -105,7 +107,7 @@ def test_kl_poly_dihedral_always_one(g237, kl237):
                 if set(e.word) <= {1, 2}]
     for vi in dihedral:
         for wi in dihedral:
-            if kl237.leq_idx(vi, wi):
+            if bruhat_leq(kl237, vi, wi):
                 assert kl237.p_idx(vi, wi) == (1,)
 
 
@@ -113,7 +115,7 @@ def test_kl_poly_short_intervals_are_one(g237, kl237):
     ball = g237.ball(10)
     for vi, v in enumerate(ball.elements):
         for wi, w in enumerate(ball.elements):
-            if 0 < w.length - v.length <= 2 and kl237.leq_idx(vi, wi):
+            if 0 < w.length - v.length <= 2 and bruhat_leq(kl237, vi, wi):
                 assert kl237.p_idx(vi, wi) == (1,)
 
 
@@ -121,7 +123,7 @@ def test_kl_degree_bound(g237, kl237):
     ball = g237.ball(10)
     for vi, v in enumerate(ball.elements):
         for wi, w in enumerate(ball.elements):
-            if kl237.leq_idx(vi, wi) and vi != wi:
+            if bruhat_leq(kl237, vi, wi) and vi != wi:
                 p = kl237.p_idx(vi, wi)
                 assert 2 * (len(p) - 1) <= w.length - v.length - 1
 
@@ -130,12 +132,12 @@ def test_defining_identity_recheck(g237, kl237):
     ball = g237.ball(8)
     for vi in range(len(ball.elements)):
         for wi in range(len(ball.elements)):
-            if not kl237.leq_idx(vi, wi):
+            if not bruhat_leq(kl237, vi, wi):
                 continue
             n = ball.elements[wi].length - ball.elements[vi].length
             rhs = [0] * (n + 1)
             for x in kl237.lower(wi):
-                if kl237.leq_idx(vi, x):  # x in [v, w]
+                if bruhat_leq(kl237, vi, x):  # x in [v, w]
                     _poly_mul_into(rhs, kl237.r_idx(vi, x), kl237.p_idx(x, wi))
             lhs = [0] * (n + 1)
             for i, c in enumerate(kl237.p_idx(vi, wi)):
@@ -146,28 +148,28 @@ def test_defining_identity_recheck(g237, kl237):
 def test_mu_conventions(g237, kl237):
     e, s, st, rt = (kl237.ball.index[g237.element(w).word]
                     for w in ((), (1,), (1, 2), (0, 2)))
-    assert kl237.mu_idx(e, st) == 0      # even length difference
-    assert kl237.mu_idx(s, st) == 1      # covering pair
-    assert kl237.mu_idx(st, s) == 0      # wrong order
-    assert kl237.mu_idx(st, rt) == 0      # incomparable
+    assert kl_mu(kl237, e, st) == 0      # even length difference
+    assert kl_mu(kl237, s, st) == 1      # covering pair
+    assert kl_mu(kl237, st, s) == 0      # wrong order
+    assert kl_mu(kl237, st, rt) == 0      # incomparable
 
 
 def test_mu_covering_pairs_are_one(g237, kl237):
     ball = g237.ball(8)
     for vi, v in enumerate(ball.elements):
         for wi, w in enumerate(ball.elements):
-            if w.length - v.length == 1 and kl237.leq_idx(vi, wi):
-                assert kl237.mu_idx(vi, wi) == 1
+            if w.length - v.length == 1 and bruhat_leq(kl237, vi, wi):
+                assert kl_mu(kl237, vi, wi) == 1
 
 
 def test_bruhat_examples(g237, kl237):
     e, r, rsr, st, rt = (kl237.ball.index[g237.element(w).word]
                          for w in ((), (0,), (0, 1, 0), (1, 2), (0, 2)))
     for w in (e, r, rsr):
-        assert kl237.leq_idx(e, w)
-    assert kl237.leq_idx(r, rsr)
-    assert not kl237.leq_idx(st, rt)
-    assert not kl237.leq_idx(rt, st)
+        assert bruhat_leq(kl237, e, w)
+    assert bruhat_leq(kl237, r, rsr)
+    assert not bruhat_leq(kl237, st, rt)
+    assert not bruhat_leq(kl237, rt, st)
 
 
 def test_bruhat_matches_subexpression_search(g237, kl237, g2224):
@@ -182,7 +184,7 @@ def test_bruhat_matches_subexpression_search(g237, kl237, g2224):
             index = table.ball.index
             for v in ball.elements:
                 want = v.word in subelems
-                assert table.leq_idx(index[v.word], index[w.word]) == want
+                assert bruhat_leq(table, index[v.word], index[w.word]) == want
 
 
 @pytest.mark.parametrize("group, radius", [("g237", 8), ("g2224", 6)])
@@ -201,10 +203,28 @@ def test_ideals_match_pairwise_scan(request, group, radius):
         # the upper ideal, which records() walks and p_idx intersects
         assert members(table._geq[w]) == [x for x in range(n) if w in below[x]]
         for v in range(n):
-            assert table.leq_idx(v, w) == (v in below[w])
+            assert bruhat_leq(table, v, w) == (v in below[w])
             # every x in [v, w] has v <= x <= w, so v <= w or the interval is empty
             want = _scan_interval(ball, below, v, w) if v in below[w] else []
             assert members(table._leq[w] & table._geq[v]) == want
+
+
+def _list_transpose(rows):
+    """The upper ideals as the table built them before the tiled transpose:
+    a list of members per element, then one int per list."""
+    above = [[] for _ in rows]
+    for w, row in enumerate(rows):
+        for x, bit in enumerate(reversed(bin(row)[2:])):
+            if bit == "1":
+                above[x].append(w)
+    return [sum(1 << w for w in members) for members in above]
+
+
+@pytest.mark.parametrize("radius, tiles", [(0, 1), (9, 4)])
+def test_tiled_transpose_matches_the_list_transpose(g2224, radius, tiles):
+    table = KLTable(g2224, g2224.ball(radius))
+    assert -(-len(table.ball) // _TILE) == tiles
+    assert table._geq == _list_transpose(table._leq)
 
 
 @pytest.mark.parametrize("group, radius", [("g237", 8), ("g2224", 6)])
@@ -237,16 +257,16 @@ def test_fill_stores_extremal_pairs_only(request, group, radius):
                          [("g237", 8), ("g237", 12), ("g2224", 6), ("g2224", 7)])
 def test_sweep_agrees_with_the_lazy_route(request, group, radius):
     """records() reads the sweep's store.  A second cold table answers
-    every pair through the lazy r_idx, p_idx and mu_idx; a third, warmed by
+    every pair through the lazy r_idx and p_idx; a third, warmed by
     the W-graph route before its sweep, covers the mixed order; and the
     sweep re-checks the identity on a table with one bad R term."""
     g = request.getfixturevalue(group)
     ball = g.ball(radius)
     records = list(KLTable(g, ball).records())
     lazy = KLTable(g, ball)
-    assert records == [(v, w, lazy.r_idx(v, w), lazy.p_idx(v, w), lazy.mu_idx(v, w))
+    assert records == [(v, w, lazy.r_idx(v, w), lazy.p_idx(v, w), kl_mu(lazy, v, w))
                        for v in range(len(ball)) for w in range(len(ball))
-                       if lazy.leq_idx(v, w)]
+                       if bruhat_leq(lazy, v, w)]
     warm = KLTable(g, ball)
     empirical_cells(warm)
     assert list(warm.records()) == records
@@ -311,7 +331,7 @@ def test_nonzero_mu_off_extremal_pairs_is_a_cover(kl237):
             if _is_extremal(ball, v, w) or n % 2 == 0:
                 continue
             far_pairs += n >= 3
-            if kl237.mu_idx(v, w):
+            if kl_mu(kl237, v, w):
                 assert n == 1
     assert far_pairs > 0
 
@@ -332,7 +352,7 @@ def test_side_filter_drops_only_far_pairs_with_equal_descents(request, group, ra
     table, scan = KLTable(g, ball), KLTable(g, ball)
     right = [e.right for e in ball.elements]
     for w in range(len(ball)):
-        want = [x for x in scan.lower(w) if scan.mu_idx(x, w)
+        want = [x for x in scan.lower(w) if kl_mu(scan, x, w)
                 and (ball.lengths[w] - ball.lengths[x] == 1
                      or right[x] != right[w])]
         assert table.mu_below(w) == want
