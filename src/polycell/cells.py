@@ -7,17 +7,25 @@ factor in some reduced expression; elements with a unique reduced
 expression form the pattern-free class c0 and the identity stands alone.
 Each label's reduced-expression language is assembled from the pattern
 machines by boolean algebra, so membership tests, disjointness and the
-cover of Red(W) are all exact automaton computations.
+cover of Red(W) are all exact automaton computations.  A partition builds
+each label language the first time it is read, from the labels above it,
+so a command pays only for the languages it reads: the top level's U^T
+reads none, and `classify` reads only the pattern machines, which
+`automata.red_x_mu` keeps.
 
 One-sided data: the descent class W^T (left descents exactly T) is regular
 by reversing a right-descent re-selection of the canonical machine; U^T
 subtracts the higher cells; the translators w^-1 w_T are read off its
 automaton, each is one left-translation step from its one-letter suffix,
-and the containment-maximal ones tile the two-sided cell.
+and the containment-maximal ones tile the two-sided cell.  A candidate's
+ShortLex-least word is a witness: a kept language that rejects it cannot
+contain the candidate, so containment is walked only against the kept
+languages that accept it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import reduce
 
 from .automata import (
@@ -39,6 +47,7 @@ from .fsa import (
     is_subset,
     minimize,
     reverse_fsa,
+    shortest_word,
     union,
     with_initial,
 )
@@ -104,59 +113,95 @@ def dihedral_data(pres: CoxeterPresentation) -> DihedralData:
 
 
 class ConjecturalPartition:
-    __slots__ = ("group", "data", "k", "languages", "pattern_fsas")
+    """The conjectured two-sided cells of a group at a validated k.
+
+    `languages` maps each label, in the order of `labels`, to its minimal
+    DFA.  A label language is built the first time it is read and kept:
+    c_i is the union of the level's pattern machines minus the union of the
+    labels above it, c0 is Red(W) minus every other label, and each union
+    of higher labels is made once and shared by the levels below.  Reading
+    every label builds each product exactly once; reading none builds no
+    machine.  Pattern machines come from `automata.red_x_mu`, whose memo is
+    their only cache.  A build that blows a resource cap raises at the read
+    that starts it.  Languages passed to the constructor are read as they
+    are, and the others are built from them."""
+
+    __slots__ = ("group", "data", "k", "labels", "languages")
 
     def __init__(self, group: PolygonGroup, data: DihedralData, k: int,
-                 languages: dict[str, FSA],
-                 pattern_fsas: dict[tuple[int, int], FSA]):
+                 languages: dict[str, FSA] | None = None):
         self.group = group
         self.data = data
         self.k = k
-        self.languages = languages          # label -> minimal DFA
-        self.pattern_fsas = pattern_fsas    # dihedral pair -> red_x_mu machine
-
-    @property
-    def labels(self) -> list[str]:
-        return [LABEL_ID, LABEL_ZERO] + [
-            level_label(i) for i in range(1, self.data.m + 1)
+        self.labels = [LABEL_ID, LABEL_ZERO] + [
+            level_label(i) for i in range(1, data.m + 1)
         ]
+        self.languages = _LabelLanguages(self, languages or {})
 
     def classify(self, e: Element) -> str:
         if not e.word:
             return LABEL_ID
         for i in range(self.data.m, 0, -1):
             for entry in self.data.pairs_at_level(i):
-                if self.pattern_fsas[entry.pair].accepts(e.word):
+                if red_x_mu(self.group, entry.longest_word, self.k).accepts(e.word):
                     return level_label(i)
         return LABEL_ZERO
 
 
+class _LabelLanguages(Mapping):
+    """label -> minimal DFA of a partition, each built on first read."""
+
+    __slots__ = ("_part", "_built", "_above")
+
+    def __init__(self, part: ConjecturalPartition, given: dict[str, FSA]):
+        self._part = part
+        self._built = dict(given)
+        self._above: dict[int, FSA] = {}  # level i -> union of labels above i
+
+    def __getitem__(self, label: str) -> FSA:
+        fsa = self._built.get(label)
+        if fsa is None:
+            if label not in self:
+                raise KeyError(label)
+            fsa = self._built[label] = self._build(label)
+        return fsa
+
+    def __contains__(self, label) -> bool:
+        return label in self._part.labels
+
+    def __iter__(self):
+        return iter(self._part.labels)
+
+    def __len__(self) -> int:
+        return len(self._part.labels)
+
+    def _higher(self, i: int) -> FSA | None:
+        """The union of the labels of the levels above i, None above the
+        top level."""
+        if i == self._part.data.m:
+            return None
+        if i not in self._above:
+            above, label = self._higher(i + 1), self[level_label(i + 1)]
+            self._above[i] = label if above is None else union(above, label)
+        return self._above[i]
+
+    def _build(self, label: str) -> FSA:
+        part = self._part
+        if label == LABEL_ID:
+            return epsilon_language(part.group.presentation.names)
+        if label == LABEL_ZERO:
+            rest = union(self[LABEL_ID], self._higher(0))
+            return minimize(difference(canonical_fsa(part.group), rest))
+        i = part.labels.index(label) - 1
+        level = reduce(union, (red_x_mu(part.group, e.longest_word, part.k)
+                               for e in part.data.pairs_at_level(i)))
+        higher = self._higher(i)
+        return minimize(level if higher is None else difference(level, higher))
+
+
 def build_partition(group: PolygonGroup, k: int) -> ConjecturalPartition:
-    data = dihedral_data(group.presentation)
-    pattern_fsas = {
-        entry.pair: red_x_mu(group, entry.longest_word, k)
-        for entry in data.entries
-    }
-    languages: dict[str, FSA] = {}
-    higher: FSA | None = None
-    for i in range(data.m, 0, -1):
-        level = None
-        for entry in data.pairs_at_level(i):
-            m = pattern_fsas[entry.pair]
-            level = m if level is None else union(level, m)
-        if higher is not None:
-            level = difference(level, higher)
-        languages[level_label(i)] = minimize(level)
-        higher = level if higher is None else union(higher, level)
-    base = canonical_fsa(group)
-    eps = epsilon_language(group.presentation.names)
-    languages[LABEL_ID] = eps
-    rest = union(eps, higher) if higher is not None else eps
-    languages[LABEL_ZERO] = minimize(difference(base, rest))
-    return ConjecturalPartition(
-        group=group, data=data, k=k, languages=languages,
-        pattern_fsas=pattern_fsas,
-    )
+    """The partition at k; its languages are built as they are read."""
+    return ConjecturalPartition(group, dihedral_data(group.presentation), k)
 
 
 def partition_is_exact(part: ConjecturalPartition) -> bool:
@@ -267,12 +312,18 @@ def omega_minimal(part: ConjecturalPartition, i: int, radius: int,
                   k: int) -> list[OneSidedCellSpec]:
     """Keep the translators whose translated languages are containment-
     maximal, shortest translator first; ties broken by ShortLex, duplicate
-    languages collapsed."""
+    languages collapsed.  A candidate's ShortLex-least word rules out every
+    kept language that rejects it, so containment is walked only against
+    the kept languages that accept that word; an empty candidate is
+    contained in any kept language."""
     cands = _spec_candidates(part, i, radius, k)
     cands.sort(key=lambda c: (len(c.translator), c.translator, c.pair))
     kept: list[OneSidedCellSpec] = []
     for cand in cands:
-        if not any(is_subset(cand.language, other.language) for other in kept):
+        word = shortest_word(cand.language)
+        if not any((word is None or other.language.accepts(word))
+                   and is_subset(cand.language, other.language)
+                   for other in kept):
             kept.append(cand)
     return kept
 

@@ -131,18 +131,21 @@ def cmd_cells(args) -> int:
 
         k = _resolve_k(ws, pres, group, args.k)
         part = build_partition(group, k)
+        # build every label language before writing any, so a blown cap
+        # leaves no file behind
+        languages = dict(part.languages)
         refs = {}
-        for label in part.labels:
-            path = ws.write_fsa(pres, f"cell_{label}", part.languages[label])
+        for label, fsa in languages.items():
+            path = ws.write_fsa(pres, f"cell_{label}", fsa)
             refs[label] = str(path)
         nf = shortlex_fsa(group)
         counts = {
-            label: count_words(intersect(nf, part.languages[label]), args.radius)
-            for label in part.labels
+            label: count_words(intersect(nf, fsa), args.radius)
+            for label, fsa in languages.items()
         }
         word_counts = {
-            label: count_words(part.languages[label], args.radius)
-            for label in part.labels
+            label: count_words(fsa, args.radius)
+            for label, fsa in languages.items()
         }
         report = {
             "group": pres.label,
@@ -218,7 +221,7 @@ def _build_target(args, pres, group, ws, target: str, made: dict) -> FSA:
     part = made["part"]
     if kind == "ut":
         return u_t_fsa(part, tuple(sorted(pres.parse_word(arg))))
-    if arg not in part.languages:
+    if arg not in part.labels:
         raise BadArgument(f"unknown cell label {arg!r} in {target!r}; "
                           f"labels are {', '.join(part.labels)}")
     return part.languages[arg]

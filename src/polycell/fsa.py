@@ -386,6 +386,33 @@ def is_empty(fsa: FSA) -> bool:
     return True
 
 
+def shortest_word(fsa: FSA):
+    """The ShortLex-least accepted word, as a tuple of symbol indices, or
+    None for an empty language.  A breadth-first search that tries the
+    symbols in order meets the states in ShortLex order of the least word
+    reaching each, so the first accepting state it meets is reached by the
+    answer."""
+    if not fsa.deterministic:
+        fsa = determinize(fsa)
+    delta, acc = fsa.transitions, fsa.accepting
+    syms = range(len(fsa.alphabet))
+    reached_by = {fsa.initial: None}  # state -> (previous state, symbol)
+    queue = [fsa.initial]
+    for q in queue:
+        if q in acc:
+            word = []
+            while (step := reached_by[q]) is not None:
+                q, s = step
+                word.append(s)
+            return tuple(reversed(word))
+        for s in syms:
+            t = delta.get((q, s))
+            if t and t[0] not in reached_by:
+                reached_by[t[0]] = (q, s)
+                queue.append(t[0])
+    return None
+
+
 def _no_pair(a: FSA, b: FSA, bad) -> bool:
     """Walk the reachable state pairs of the completed DFAs of a and b and
     tell whether none has bad(in_a, in_b); stops at the first that does,

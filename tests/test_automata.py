@@ -434,8 +434,11 @@ def test_word_difference_table_stops_at_the_state_cap(w237, monkeypatch):
 
 def test_onesided_path_interns_few_pair_states(w2224, monkeypatch):
     # the benchmark's onesided path (w2224 level 2 radius 8, k = 4) on a
-    # fresh group: the 27 pair machines keep 2,880 states, and interned
-    # 15,393 before they read the word-difference tables
+    # fresh group: the 23 translation machines keep 2,347 states.  The
+    # top level's U^T reads no label language, so no pattern machine and
+    # no identity-offset table is built; with the 4 pattern machines built
+    # eagerly, 27 machines interned 3,282 states, and 15,393 before they
+    # read the word-difference tables
     interned: dict = {}
 
     def record(starts, expand):
@@ -447,13 +450,22 @@ def test_onesided_path_interns_few_pair_states(w2224, monkeypatch):
         n[2] += sum(live)
         return keys, rows, accepting, live
 
+    offsets = []
+    pairs = automata.equal_endpoint_pairs
+
+    def record_offset(group, B, offset, k):
+        offsets.append(offset)
+        return pairs(group, B, offset, k)
+
     monkeypatch.setattr("polycell.fsa.search", record)
     monkeypatch.setattr(automata, "search", record)
+    monkeypatch.setattr(automata, "equal_endpoint_pairs", record_offset)
     part = build_partition(PolygonGroup(w2224), K_W2224)
     omega_minimal(part, 2, 8, K_W2224)
+    assert len(offsets) == 23 and () not in offsets
     # machines, interned states, live states
-    assert interned["equal_endpoint_pairs"] == [27, 3_282, 2_880]
-    assert interned["word_difference_table"] == [2, 1_311, 295]
+    assert interned["equal_endpoint_pairs"] == [23, 2_749, 2_347]
+    assert interned["word_difference_table"] == [1, 1_010, 228]
 
 
 def test_red_x_mu_examples(g237, w237):
@@ -517,7 +529,8 @@ def test_equal_tables_decide_pattern_stability(g237, g2224):
 
 def test_choose_k_builds_no_pattern_machine(w237, w2224, monkeypatch):
     # on a fresh group, choose_k settles k from the word-difference tables
-    # alone; build_partition then builds one pair machine per pattern
+    # alone; build_partition builds no machine, and the first read of the
+    # label languages builds one pair machine per pattern
     calls: dict = {}
 
     def counted(fn):
@@ -533,7 +546,9 @@ def test_choose_k_builds_no_pattern_machine(w237, w2224, monkeypatch):
         calls.clear()
         assert automata.choose_k(group) == k
         assert calls == {}
-        build_partition(group, k)
+        part = build_partition(group, k)
+        assert calls == {}
+        dict(part.languages)
         assert calls == {"equal_endpoint_pairs": machines}
 
 

@@ -335,13 +335,15 @@ def test_cli_missing_k_validation_is_exit_2(tmp_path, w237_config, capsys):
 def test_cli_word_difference_table_cap_is_exit_2(tmp_path, w237_config, capsys,
                                                  monkeypatch):
     # the factor machine of rt passes a cap of 100 states, and the
-    # word-difference table searched next (523 states) does not
+    # word-difference table searched next (523 states) does not; a cell
+    # language meets the cap at its first read, the same way
     monkeypatch.setattr("polycell.fsa.STATE_CAP", 100)
-    code = run(tmp_path, "fsa", "build", "pattern:rt",
-               "--group", str(w237_config), "--k", "6")
-    assert code == 2
-    assert capsys.readouterr().err == \
-        "error: StateBlowup: word_difference_table exceeds 100 states\n"
+    for target in ("pattern:rt", "cell:c1"):
+        code = run(tmp_path, "fsa", "build", target,
+                   "--group", str(w237_config), "--k", "6")
+        assert code == 2
+        assert capsys.readouterr().err == \
+            "error: StateBlowup: word_difference_table exceeds 100 states\n"
 
 
 def test_cli_field_precision_cap_is_exit_2(tmp_path, capsys, monkeypatch):
@@ -571,6 +573,17 @@ def test_cli_fsa_equiv_builds_the_partition_once(tmp_path, w237_config, capsys,
                "--group", str(w237_config), "--k", "6") == 0
     assert "equivalent: False" in capsys.readouterr().out
     assert len(built) == 1
+
+
+def test_cli_unknown_cell_label_builds_no_machine(tmp_path, w237_config, capsys,
+                                                  monkeypatch):
+    def build(*args):
+        raise AssertionError("a pair machine was built to check a label")
+
+    monkeypatch.setattr("polycell.automata.equal_endpoint_pairs", build)
+    code = run(tmp_path, "fsa", "build", "cell:c9", "--group", str(w237_config),
+               "--k", "6")
+    _assert_bad_argument(code, capsys, "unknown cell label 'c9' in 'cell:c9'")
 
 
 @pytest.mark.parametrize("argv, report", [

@@ -1,12 +1,16 @@
 import pytest
 
 from polycell import verify
+from polycell.automata import canonical_fsa, red_x_mu
 from polycell.cells import (
     LABEL_ID,
     LABEL_ZERO,
     ConjecturalPartition,
+    _spec_candidates,
+    build_partition,
     descent_class_fsa,
     dihedral_data,
+    level_label,
     omega_elements,
     omega_minimal,
     partition_is_exact,
@@ -21,6 +25,7 @@ from polycell.fsa import (
     count_words,
     difference,
     enumerate_words,
+    epsilon_language,
     intersect,
     is_empty,
     is_subset,
@@ -30,6 +35,7 @@ from polycell.fsa import (
 )
 from polycell.oracle import braid_closure, oracle_classify
 from polycell.presentation import presentation_from_angles
+from polycell.words import PolygonGroup
 from tests.conftest import K_W237, K_W2224, assert_translates_match_balls
 
 
@@ -97,6 +103,47 @@ def test_srt_has_two_expressions_hence_c1(part237, g237, w237):
     assert oracle_classify(w237, e.word, part237.data) == "c1"
 
 
+def _eager_languages(group, k):
+    """Every label language built up front, the level unions left
+    unminimized: the reference for the partition's on-demand build."""
+    data = dihedral_data(group.presentation)
+    languages = {}
+    higher = None
+    for i in range(data.m, 0, -1):
+        level = None
+        for entry in data.pairs_at_level(i):
+            m = red_x_mu(group, entry.longest_word, k)
+            level = m if level is None else union(level, m)
+        if higher is not None:
+            level = difference(level, higher)
+        languages[level_label(i)] = minimize(level)
+        higher = level if higher is None else union(higher, level)
+    eps = epsilon_language(group.presentation.names)
+    languages[LABEL_ID] = eps
+    languages[LABEL_ZERO] = minimize(difference(canonical_fsa(group),
+                                                union(eps, higher)))
+    return languages
+
+
+def test_languages_built_on_demand_match_the_eager_build(w237, w2224):
+    # on fresh groups, read in label order and in reverse: the same
+    # minimal DFAs, state for state, as building every language up front
+    for pres, k in ((w237, K_W237), (w2224, K_W2224)):
+        group = PolygonGroup(pres)
+        want = _eager_languages(group, k)
+        forward = build_partition(group, k)
+        assert list(forward.languages) == forward.labels
+        assert sorted(want) == sorted(forward.labels)
+        assert all(forward.languages[label] == want[label]
+                   for label in forward.labels)
+        backward = build_partition(group, k)
+        assert all(backward.languages[label] == want[label]
+                   for label in reversed(backward.labels))
+    with pytest.raises(KeyError):
+        forward.languages["c9"]
+    assert "c9" not in forward.languages
+
+
 def test_partition_exact(part237, part2224):
     assert partition_is_exact(part237)
     assert partition_is_exact(part2224)
@@ -113,7 +160,7 @@ def test_inversion_closed_fails_on_a_dropped_accepting_state(part237, part2224):
                              deterministic=True)
                 broken = ConjecturalPartition(
                     part.group, part.data, part.k,
-                    {**part.languages, label: mutant}, part.pattern_fsas)
+                    {**part.languages, label: mutant})
                 check = verify.inversion_closed(broken)
                 assert not check.ok
                 assert check.detail.endswith(f": {label}")
@@ -168,7 +215,7 @@ def test_level_exclusivity(part237, g237):
             lvl
             for lvl in range(1, data.m + 1)
             for entry in data.pairs_at_level(lvl)
-            if part237.pattern_fsas[entry.pair].accepts(e.word)
+            if red_x_mu(g237, entry.longest_word, part237.k).accepts(e.word)
         ]
         assert max(hits) == i
 
@@ -310,3 +357,51 @@ def test_brute_force_translate_membership_w2224(part2224):
     # one-generator steps is w * U^T itself
     specs = omega_minimal(part2224, 2, radius=8, k=K_W2224)
     assert_translates_match_balls(part2224, specs, 6)
+
+
+# the one-sided levels of both groups: (partition, level, radius, specs kept)
+ONESIDED_LEVELS = [("part237", 1, 12, 8), ("part237", 2, 12, 11),
+                   ("part237", 3, 12, 7), ("part2224", 1, 8, 43),
+                   ("part2224", 2, 8, 22)]
+
+
+def _minimal_by_containment(part, i, radius, k):
+    """omega_minimal with a containment walk against every kept spec: the
+    reference for the witness-word rule."""
+    cands = _spec_candidates(part, i, radius, k)
+    cands.sort(key=lambda c: (len(c.translator), c.translator, c.pair))
+    kept = []
+    for cand in cands:
+        if not any(is_subset(cand.language, other.language) for other in kept):
+            kept.append(cand)
+    return kept
+
+
+@pytest.mark.parametrize("part, level, radius, size", ONESIDED_LEVELS)
+def test_witness_word_keeps_what_containment_keeps(request, part, level,
+                                                   radius, size):
+    part = request.getfixturevalue(part)
+    got = omega_minimal(part, level, radius, part.k)
+    want = _minimal_by_containment(part, level, radius, part.k)
+    assert len(got) == size
+    assert [(s.translator, s.pair) for s in got] \
+        == [(s.translator, s.pair) for s in want]
+    assert all(a.language == b.language for a, b in zip(got, want))
+
+
+def test_each_spec_meets_one_left_descent_class(part237, part2224):
+    """Each right cell has one left-descent set (Kazhdan-Lusztig 1979,
+    Prop. 2.4), so each spec language must meet exactly one descent class,
+    at every length."""
+    parts = {"part237": part237, "part2224": part2224}
+    classes = {name: [descent_class_fsa(part.group, T) for T in
+                      valid_descent_classes(part.group.presentation)]
+               for name, part in parts.items()}
+    for name, level, radius, size in ONESIDED_LEVELS:
+        part = parts[name]
+        specs = omega_minimal(part, level, radius, part.k)
+        assert len(specs) == size
+        for spec in specs:
+            met = [not is_empty(intersect(spec.language, fsa))
+                   for fsa in classes[name]]
+            assert sum(met) == 1, (name, level, spec.translator)

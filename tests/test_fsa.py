@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polycell.automata import red_x_mu
 from polycell.cells import u_t_fsa
 from polycell.errors import AlphabetMismatch
 from polycell.fsa import (
@@ -23,6 +24,7 @@ from polycell.fsa import (
     make_dfa,
     minimize,
     reverse_fsa,
+    shortest_word,
     to_text,
     union,
 )
@@ -119,7 +121,9 @@ def product_equivalent(a: FSA, b: FSA) -> bool:
 
 def _language_pool(part) -> list[FSA]:
     names = part.group.presentation.names
-    pool = list(part.languages.values()) + list(part.pattern_fsas.values())
+    pool = list(part.languages.values()) + [
+        red_x_mu(part.group, entry.longest_word, part.k)
+        for entry in part.data.entries]
     pool += [u_t_fsa(part, entry.pair) for entry in part.data.entries]
     pool += [empty_language(names), epsilon_language(names)]
     rev = reverse_fsa(part.languages["c0"])
@@ -198,6 +202,24 @@ def test_subset():
     a, b = _dfa_even_as(), _dfa_contains_ab()
     assert is_subset(intersect(a, b), a)
     assert not is_subset(a, b)
+
+
+def test_shortest_word_is_shortlex_least():
+    # accepts ab, ba, bb and aaa: the least is ab, though a depth-first
+    # walk that tries a first reaches aaa first
+    m = make_dfa(AB, 6, 0, {4, 5},
+                 {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 4, (2, 0): 4,
+                  (2, 1): 5, (3, 0): 5})
+    assert shortest_word(m) == (0, 1)
+    assert [w for w in _words(3) if m.accepts(w)][0] == (0, 1)
+    assert shortest_word(_dfa_contains_ab()) == (0, 1)
+    assert shortest_word(_dfa_even_as()) == ()
+    # a longer word on the only branch that accepts
+    only_bba = make_dfa(AB, 4, 0, {3}, {(0, 1): 1, (1, 1): 2, (2, 0): 3})
+    assert shortest_word(only_bba) == (1, 1, 0)
+    assert shortest_word(reverse_fsa(only_bba)) == (0, 1, 1)
+    assert shortest_word(empty_language(AB)) is None
+    assert shortest_word(make_dfa(AB, 2, 0, set(), {(0, 0): 1})) is None
 
 
 def test_text_roundtrip_bit_exact():
@@ -349,6 +371,14 @@ def test_trim_and_emptiness_against_set_reference(a):
     assert is_empty(a) == (not t.accepting)
     assert is_empty(a) == (not any(a.accepts(w) for w in _words(a.n_states)))
     assert minimize(a).n_states == myhill_nerode_states(determinize(a))
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=random_nfas)
+def test_shortest_word_against_enumeration(a):
+    # a shortest accepting run visits no state twice: n - 1 letters suffice
+    want = next((w for w in _words(a.n_states) if a.accepts(w)), None)
+    assert shortest_word(a) == want
 
 
 def _own_moves(a: FSA):

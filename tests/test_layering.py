@@ -143,14 +143,17 @@ def test_hecke_stays_on_the_kl_table():
 
 def test_benchmark_tracer_hooks_resolve():
     """Every name the benchmark tracer wraps must exist, or `--trace 1`
-    fails with a KeyError; this is the lookup `tracer._wrap_path` makes."""
+    fails with a KeyError; this is the lookup `tracer._wrap_path` makes.
+    The private paths it names (16 of them) must each be a plain function,
+    which the tracer's wrappers call; the file is read, never changed."""
     tracer_path = Path(__file__).parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", tracer_path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    names = [(layer, path) for table in (tracer.EXTRA_SPANS, tracer.COUNT_ONLY)
+    paths = [(layer, path) for table in (tracer.EXTRA_SPANS, tracer.COUNT_ONLY)
              for layer, paths in table.items() for path in paths]
-    names += [tuple(name.split(".", 1)) for name in tracer.OBSERVERS]
+    assert len(paths) == 16
+    names = paths + [tuple(name.split(".", 1)) for name in tracer.OBSERVERS]
     missing = []
     for layer, path in names:
         owner = importlib.import_module(f"polycell.{layer}")
@@ -159,6 +162,8 @@ def test_benchmark_tracer_hooks_resolve():
             owner = getattr(owner, owner_name, None)
         if owner is None or attr not in vars(owner):
             missing.append(f"{layer}.{path}")
+        elif (layer, path) in paths and not inspect.isfunction(vars(owner)[attr]):
+            missing.append(f"{layer}.{path} is not a function")
     assert missing == []
 
 
