@@ -180,7 +180,8 @@ def word_difference_table(group: PolygonGroup, k: int,
 
     # state = (alpha's canonical state, beta's, difference index, mode);
     # mode 0 = both words running, 1 = beta finished (its state is then
-    # None), 2 = alpha finished.  Ball index 0 is the identity.
+    # None), 2 = alpha finished.  Ball index 0 is the identity, and
+    # right_mult[0][s] the generator s.
     def expand(state):
         qa, qb, d, mode = state
         ld = lengths[d]
@@ -205,7 +206,7 @@ def word_difference_table(group: PolygonGroup, k: int,
         return d == 0, moves
 
     keys, rows, _, live = search(
-        [(0, 0, ball.index[o], 0) for o in offsets], expand)
+        [(0, 0, right_mult[0][o[0]] if o else 0, 0) for o in offsets], expand)
     number: dict[tuple[int, int, int], int] = {}  # (qa, d, mode) -> state
     of = []  # live pair state -> its state
     for i, (qa, _, d, mode) in enumerate(keys):
@@ -350,30 +351,38 @@ def fellow_traveler_constant(group: PolygonGroup, radius: int) -> int:
     steps down to (xa, yb) for right descents a of x and b of y, with
     difference a.d.b, and visits each pair once.  Through e or through z,
     each difference and each intermediate product has length at most |z| <=
-    radius, so the walk over ball indices never leaves the ball."""
+    radius, so the walk over ball indices never leaves the ball.  It reads
+    the ball's canonical states and Cayley edges, never its Element records,
+    and keeps each visited pair as one integer."""
     ball = group.ball(radius)
-    elements, right_mult, left_mult = ball.elements, ball.right_mult, ball.left_mult
-    lengths = ball.lengths
+    right_mult, left_mult, lengths = ball.right_mult, ball.left_mult, ball.lengths
+    rstate, n = ball.rstate, len(ball)
+    # right descents, and their pairs s < t, by canonical state
+    desc = [sorted(d) for d in ball.descents]
+    pairs = [list(combinations(d, 2)) for d in desc]
     worst = min(radius, 1)
-    seen: set[tuple[int, int]] = set()
+    seen: set[int] = set()  # pairs (x, y) as x * n + y
     stack: list[tuple[int, int, int]] = []
     try:
-        for z, e in enumerate(elements):
-            for s, t in combinations(sorted(e.right), 2):
-                pair = (right_mult[z][s], right_mult[z][t])
-                seen.add(pair)
-                stack.append((*pair, right_mult[right_mult[0][s]][t]))
+        for z, q in enumerate(rstate):
+            row = right_mult[z]
+            for s, t in pairs[q]:
+                x, y = row[s], row[t]
+                seen.add(x * n + y)
+                stack.append((x, y, right_mult[right_mult[0][s]][t]))
         while stack:
             x, y, d = stack.pop()
             if lengths[d] > worst:
                 worst = lengths[d]
-            for a in elements[x].right:
-                xa = right_mult[x][a]
-                for b in elements[y].right:
-                    pair = (xa, right_mult[y][b])
-                    if pair not in seen:
-                        seen.add(pair)
-                        stack.append((*pair, left_mult[right_mult[d][b]][a]))
+            xs, ys, ds = right_mult[x], right_mult[y], right_mult[d]
+            for b in desc[rstate[y]]:
+                yb, db = ys[b], left_mult[ds[b]]
+                for a in desc[rstate[x]]:
+                    xa = xs[a]
+                    code = xa * n + yb
+                    if code not in seen:
+                        seen.add(code)
+                        stack.append((xa, yb, db[a]))
     except TypeError as exc:  # a None step: the length bound above broke
         raise BallTooSmall(f"fellow-traveler validation: a word difference "
                            f"left ball({radius})") from exc

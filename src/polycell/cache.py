@@ -178,14 +178,12 @@ class Workspace:
 
     def write_ball(self, pres, ball: ElementBall) -> Path:
         names = pres.names
+        # descent sets by canonical state, as sorted generator names
+        desc = ["".join(names[s] for s in sorted(d)) or "-" for d in ball.descents]
         lines = []
-        for e in ball.elements:
+        for w, lq, rq in zip(ball.words, ball.lstate, ball.rstate):
             lines.append("\t".join([
-                str(e.length),
-                "".join(names[s] for s in e.word) or "-",
-                "".join(names[s] for s in sorted(e.left)) or "-",
-                "".join(names[s] for s in sorted(e.right)) or "-",
-            ]))
+                str(len(w)), "".join(names[s] for s in w) or "-", desc[lq], desc[rq]]))
         path = self.group_dir(pres) / f"ball.r{ball.radius}.tsv"
         _atomic_write(path, ("\n".join(lines) + "\n").encode())
         return path

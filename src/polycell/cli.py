@@ -173,7 +173,7 @@ def cmd_cells(args) -> int:
             "right_cells": len(right),
             "two_sided_cells": len(two_sided),
             "cells": [
-                [pres.word_str(ball.elements[i].word) for i in comp]
+                [pres.word_str(ball.words[i]) for i in comp]
                 for comp in two_sided
             ],
         }

@@ -67,7 +67,7 @@ def multiply(table: KLTable, a: Hecke, b: Hecke) -> Hecke:
 
     def row(u: int) -> tuple[Hecke, dict[int, int]]:
         if u not in rows:
-            s = ball.elements[u].word[-1]
+            s = ball.words[u][-1]
             term, major = row(right[u][s])
             out: Hecke = {}
             bound: dict[int, int] = {}

@@ -220,9 +220,10 @@ class KLTable:
         self.ball = ball
         self._length = ball.lengths
         # descent sets as bitmasks over the generators
-        self._ldesc = [sum(1 << s for s in e.left) for e in ball.elements]
-        self._rdesc = [sum(1 << s for s in e.right) for e in ball.elements]
-        n = len(ball.elements)
+        of_state = [sum(1 << s for s in d) for d in ball.descents].__getitem__
+        self._ldesc = list(map(of_state, ball.lstate))
+        self._rdesc = list(map(of_state, ball.rstate))
+        n = len(ball)
         # _leq[w]: bitset of {x <= w}; _geq[v]: bitset of {x >= v}
         self._leq: list[int] = [1]  # the identity is index 0
         for w in range(1, n):
@@ -238,12 +239,12 @@ class KLTable:
         self._has_ldesc = [0] * group.rank
         self._has_rdesc = [0] * group.rank
         band = [0] * (ball.radius + 1)
-        for x, e in enumerate(ball.elements):
-            for s in e.left:
+        for x, length in enumerate(ball.lengths):
+            for s in ball.descents[ball.lstate[x]]:
                 self._has_ldesc[s] |= 1 << x
-            for s in e.right:
+            for s in ball.descents[ball.rstate[x]]:
                 self._has_rdesc[s] |= 1 << x
-            band[e.length] |= 1 << x
+            band[length] |= 1 << x
         self._band = band
         # _mu_far[l]: bitset of {x : l(x) <= l - 3, l - l(x) odd}
         self._mu_far = [0] * len(band)
@@ -556,7 +557,7 @@ def _inverses(ball: ElementBall) -> list[int]:
     """inv[w]: the index of w^-1, built as s (ws)^-1 for s = min D_R(w)."""
     inv = [0] * len(ball)
     for w in range(1, len(ball)):
-        s = min(ball.elements[w].right)
+        s = min(ball.descents[ball.rstate[w]])
         inv[w] = ball.left_mult[inv[ball.right_mult[w][s]]][s]
     return inv
 

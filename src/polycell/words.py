@@ -8,20 +8,21 @@ extraction of the least left descent, with the deletion position located by
 running the word until the automaton dies), multiplication, and metric balls
 with full left/right Cayley edges.
 
-A ball is built layer by layer from the Cayley graph alone, as in
-Brink-Howlett's automatic structure for Coxeter groups (Math. Ann. 296,
-1993), with no `nf` or `shortlex` call.  Layer L+1 comes from the up-moves
-(w, s) of layer L, and the canonical state of w.s gives its right descents.
-There are at most two, since the angle sum leaves no finite parabolic
-subgroup of rank 3: z with descents {s, t} is met once more, from z.t, which
-is found from z.s by 2(m(s, t) - 1) steps round its coset z<s, t> through
-the layers already built.  Prefixes of ShortLex words are ShortLex, so z's
-ShortLex word is the least of word(z.r) + (r,), and in a sorted layer the
-first up-move to meet z gives it.  Left edges follow from the lifting
-property: with x the last letter of z and y = z.x, a left descent s of z has
-s.z = (s.y).x when s is a left descent of y, and s.z = y otherwise; left
-descents come from one reversed canonical run per element, and the up edges
-are the reversed down edges.
+A group keeps one ball, grown layer by layer from the Cayley graph alone as
+in Brink-Howlett's automatic structure (Math. Ann. 296, 1993); a smaller
+ball is its index prefix.  Layer L+1 comes from the up-moves (w, s) of layer
+L, and the canonical state of w.s gives its right descents: at most two, as
+the angle sum leaves no finite parabolic subgroup of rank 3.  A new z with
+descents {s, t} gets both down edges at once: z.t is found from z.s by
+2(m(s, t) - 1) steps round the coset z<s, t>, and the up-move from z.t is
+then already set.  Prefixes and suffixes of ShortLex words are
+ShortLex.  So z's word is the least of word(z.r) + (r,), the first up-move
+to meet z in a sorted layer; and for z = w.s, word(z)[1:] spells u.s, u the
+suffix element of w, so the canonical state of z's reversed word (its left
+descents) is one transition from that of u.s.  Left edges follow from the
+lifting property: a left descent t of z has t.z = (t.w).s if t is a left
+descent of w, else t.z = w.  A ball is flat arrays by index; its `Element`
+records and word index are built only when first read.
 """
 
 from __future__ import annotations
@@ -66,24 +67,47 @@ class Element:
 
 
 class ElementBall:
-    """All elements of length <= radius, sorted by (length, word)."""
+    """All elements of length <= radius, sorted by (length, word), as arrays
+    by index: ShortLex words, lengths, canonical states of each word and of
+    its reverse (descents[rstate[i]] and descents[lstate[i]] are the right and
+    left descents), Cayley edges (None = leaves the ball), counts by length."""
 
-    __slots__ = ("radius", "elements", "index", "right_mult", "left_mult",
-                 "counts", "lengths")
+    __slots__ = ("radius", "descents", "words", "lengths", "rstate", "lstate",
+                 "right_mult", "left_mult", "counts", "_elements", "_index")
 
-    def __init__(self, radius: int, elements: list[Element], index: dict[Word, int],
-                 right_mult: list[list[int | None]], left_mult: list[list[int | None]],
-                 counts: list[int], lengths: list[int]):
-        self.radius = radius
-        self.elements = elements
-        self.index = index
-        self.right_mult = right_mult  # None = product leaves the ball
-        self.left_mult = left_mult
-        self.counts = counts  # elements per length
-        self.lengths = lengths  # element lengths, by index
+    def __init__(self, radius, descents, words, lengths, rstate, lstate,
+                 right_mult, left_mult, counts):
+        self.radius, self.descents, self.words, self.lengths = radius, descents, words, lengths
+        self.rstate, self.lstate, self.counts = rstate, lstate, counts
+        self.right_mult, self.left_mult = right_mult, left_mult
+        self._elements = self._index = None
 
     def __len__(self):
-        return len(self.elements)
+        return len(self.words)
+
+    @property
+    def elements(self) -> list[Element]:
+        if self._elements is None:
+            d = self.descents.__getitem__
+            self._elements = list(map(Element, self.words, map(d, self.lstate),
+                                      map(d, self.rstate)))
+        return self._elements
+
+    @property
+    def index(self) -> dict[Word, int]:
+        if self._index is None:
+            self._index = dict(zip(self.words, range(len(self.words))))
+        return self._index
+
+    def _cut(self, radius: int) -> ElementBall:
+        # the index prefix; rows below its last layer are complete, so shared
+        n = sum(self.counts[:radius + 1])
+        right, left = self.right_mult[:n], self.left_mult[:n]
+        for mult in (right, left):
+            for i in range(n - self.counts[radius], n):
+                mult[i] = [None if j is None or j >= n else j for j in mult[i]]
+        return ElementBall(radius, self.descents, self.words[:n], self.lengths[:n],
+                           self.rstate[:n], self.lstate[:n], right, left, self.counts[:radius + 1])
 
 
 class PolygonGroup:
@@ -99,16 +123,12 @@ class PolygonGroup:
     # canonical automaton: states are the reachable sets of small inversions
     def _build_transitions(self) -> None:
         table = self.table
-        n = self.rank
-        start = frozenset()
-        ids = {start: 0}
-        sets = [start]
+        sets = [frozenset()]
+        ids = {sets[0]: 0}
         trans: list[list[int | None]] = []
-        i = 0
-        while i < len(sets):
-            cur = sets[i]
+        for cur in sets:  # grows as new states are met
             row: list[int | None] = []
-            for s in range(n):
+            for s in range(self.rank):
                 if table.simple[s] in cur:
                     row.append(None)
                     continue
@@ -118,29 +138,23 @@ class PolygonGroup:
                     if img >= 0:
                         nxt.add(img)
                 key = frozenset(nxt)
-                j = ids.get(key)
-                if j is None:
-                    j = len(sets)
-                    ids[key] = j
+                row.append(ids.setdefault(key, len(sets)))
+                if row[-1] == len(sets):
                     sets.append(key)
-                row.append(j)
             trans.append(row)
-            i += 1
         self.transitions = trans
         simple_of = {r: s for s, r in enumerate(table.simple)}
-        self.state_rdesc = [
-            frozenset(simple_of[r] for r in st if r in simple_of) for st in sets
-        ]
+        self.state_rdesc = [frozenset(simple_of[r] for r in st if r in simple_of)
+                            for st in sets]
 
     # --- word primitives -------------------------------------------------
 
     def run(self, word, state: int = 0) -> int | None:
         trans = self.transitions
         for s in word:
-            nxt = trans[state][s]
-            if nxt is None:
-                return None
-            state = nxt
+            state = trans[state][s]
+            if state is None:
+                break
         return state
 
     def is_reduced(self, word) -> bool:
@@ -156,10 +170,9 @@ class PolygonGroup:
         run.  Requires s to be a left descent of the word's element."""
         state = self.transitions[0][s]
         for i, x in enumerate(word):
-            nxt = self.transitions[state][x]
-            if nxt is None:
+            state = self.transitions[state][x]
+            if state is None:
                 return i
-            state = nxt
         raise AssertionError("word survived: not a left descent")
 
     def reduce_word(self, word) -> Word:
@@ -211,75 +224,62 @@ class PolygonGroup:
     # --- balls --------------------------------------------------------------
 
     def ball(self, radius: int) -> ElementBall:
-        """Every element of length <= radius, with its Cayley edges, built
-        layer by layer from the up-moves of the layer below (see the module
-        docstring); no `nf` or `shortlex` call.  Past BALL_CAP elements it
-        raises ResourceLimit."""
-        if radius in self._balls:
-            return self._balls[radius]
+        """Every element of length <= radius, with its Cayley edges: the
+        index prefix of the largest ball built so far, or a copy of it grown
+        layer by layer.  Past BALL_CAP elements it raises ResourceLimit, and
+        the balls built before stay as they were."""
+        balls = self._balls
+        if radius in balls:
+            return balls[radius]
         trans, rdesc, rank = self.transitions, self.state_rdesc, self.rank
-        words: list[Word] = [()]
-        states = [0]  # canonical state of each element
-        right_mult: list[list[int | None]] = [[None] * rank]
-        counts = [1]
-        lo = 0
-        for _ in range(radius):
+        m = self.presentation.matrix
+        top = max(balls, default=0)
+        ball = (balls[top] if balls else ElementBall(
+            0, rdesc, [()], [0], [0], [0], [[None] * rank], [[None] * rank], [1]
+        ))._cut(min(top, radius))
+        words, lengths, rstate, lstate = ball.words, ball.lengths, ball.rstate, ball.lstate
+        right_mult, left_mult, counts = ball.right_mult, ball.left_mult, ball.counts
+        lo = len(words) - counts[-1]
+        for length in range(top + 1, radius + 1):
             hi = len(words)
-            # (z.t, t) -> z for each new z with descents {s, t}, found from z.s
-            second: dict[tuple[int, int], int] = {}
-            for i in range(lo, hi):
-                row = trans[states[i]]
+            for w in range(lo, hi):
+                row, up = trans[rstate[w]], right_mult[w]
                 for s in range(rank):
                     q = row[s]
-                    if q is None:
+                    if q is None or up[s] is not None:  # a descent, or set
                         continue
-                    z = second.pop((i, s), None)
-                    if z is None:
-                        # the layer below is sorted, so the first candidate
-                        # word(z.s) + (s,) met is z's ShortLex word
-                        z = len(words)
-                        words.append(words[i] + (s,))
-                        states.append(q)
-                        right_mult.append([None] * rank)
-                        for t in rdesc[q] - {s}:
-                            second[self._other_down_edge(right_mult, i, s, t), t] = z
-                    right_mult[i][s] = z
-                    right_mult[z][s] = i
+                    # the layer below is sorted, so the first candidate
+                    # word(z.s) + (s,) met is z's ShortLex word
+                    z = len(words)
+                    word = words[w] + (s,)
+                    suffix = right_mult[left_mult[w][word[0]]][s] if w else 0
+                    words.append(word)
+                    lengths.append(length)
+                    rstate.append(q)
+                    lstate.append(trans[lstate[suffix]][word[0]])
+                    right_mult.append([None] * rank)
+                    left_mult.append([None] * rank)
+                    up[s] = z
+                    right_mult[z][s] = w
+                    for t in rdesc[q]:
+                        if t == s:
+                            continue
+                        # z.t = z.s.(t.s)^(m-1), the other way round the
+                        # coset z<s, t>: down to its minimum, then up
+                        y, a, b = w, t, s
+                        for _ in range(2 * int(m[s][t]) - 2):
+                            y, a, b = right_mult[y][a], b, a
+                        right_mult[y][t] = z
+                        right_mult[z][t] = y
+                    for t in rdesc[lstate[z]]:
+                        d = (right_mult[left_mult[w][t]][s]
+                             if t in rdesc[lstate[w]] else w)
+                        left_mult[z][t] = d
+                        left_mult[d][t] = z
             lo = hi
             counts.append(len(words) - hi)
             if len(words) > BALL_CAP:
                 raise ResourceLimit(f"ball exceeds cap {BALL_CAP}")
-
-        ldesc = [rdesc[self.run(w[::-1])] for w in words]
-        left_mult: list[list[int | None]] = [[None] * rank for _ in words]
-        for z in range(1, len(words)):
-            x = words[z][-1]
-            y = right_mult[z][x]
-            for s in ldesc[z]:
-                # lifting property: s.z = (s.y).x if s.y < y, else s.z = y
-                d = right_mult[left_mult[y][s]][x] if s in ldesc[y] else y
-                left_mult[z][s] = d
-                left_mult[d][s] = z
-        elements = [Element(w, ldesc[i], rdesc[states[i]])
-                    for i, w in enumerate(words)]
-        ball = ElementBall(
-            radius=radius,
-            elements=elements,
-            index={w: i for i, w in enumerate(words)},
-            right_mult=right_mult,
-            left_mult=left_mult,
-            counts=counts,
-            lengths=[len(w) for w in words],
-        )
-        self._balls[radius] = ball
+        ball.radius = radius
+        balls[radius] = ball
         return ball
-
-    def _other_down_edge(self, right_mult, i: int, s: int, t: int) -> int:
-        """z.t for z = i.s with right descents {s, t}: z.t = z.s.(t.s)^(m-1)
-        the other way round the 2m-cycle of the coset z<s, t>, whose first
-        m - 1 steps go down to its minimum and the rest up, all in the
-        layers already built."""
-        for _ in range(2 * int(self.presentation.m(s, t)) - 2):
-            i = right_mult[i][t]
-            s, t = t, s
-        return i

@@ -552,6 +552,27 @@ def test_choose_k_builds_no_pattern_machine(w237, w2224, monkeypatch):
         assert calls == {"equal_endpoint_pairs": machines}
 
 
+def test_choose_k_reads_no_element_records(w2224, monkeypatch):
+    # the cold start of a new group validates k on the balls' flat arrays:
+    # no Element record is made and no word index built; read afterwards,
+    # both equal the records of normal forms
+    from polycell import words
+
+    def refuse(*args):
+        raise AssertionError("an Element record was made")
+
+    group = PolygonGroup(w2224)
+    monkeypatch.setattr(words, "Element", refuse)
+    assert automata.choose_k(group) == K_W2224
+    assert sorted(group._balls) == [5, 6, 10]
+    assert [b._elements is None and b._index is None
+            for b in group._balls.values()] == [True] * 3
+    monkeypatch.undo()
+    for ball in group._balls.values():
+        assert ball.elements == [group.element(w) for w in ball.words]
+        assert ball.index == {w: i for i, w in enumerate(ball.words)}
+
+
 def test_inversion_duality(g237, w237):
     pat = w237.parse_word("rs")
     M = red_x_mu(g237, pat, K_W237)
@@ -634,8 +655,10 @@ def test_fellow_traveler_constant_matches_brute_force(g237, g2224):
     others = [PolygonGroup(presentation_from_angles(angles))
               for angles in ([3, 3, 4], [2, 3, "inf"], [2, 4, "inf", 3])]
     pentagon = PolygonGroup(presentation_from_angles([2, 2, 2, 2, 2]))
+    # (3, 4, inf) at radius 12 (3,669 elements) walks far past the others
+    g34inf = PolygonGroup(presentation_from_angles([3, 4, "inf"]))
     for group, radius in ((g237, 8), (g2224, 6), *((g, 6) for g in others),
-                          (pentagon, 5)):
+                          (pentagon, 5), (g34inf, 12)):
         for r in range(radius + 1):
             assert fellow_traveler_constant(group, r) == \
                 _brute_force_constant(group, r)

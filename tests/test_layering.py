@@ -12,7 +12,8 @@ defines a record with `dataclasses`, which would load `inspect` and
 compile the record's methods at every start-up.  Every
 resource cap is a module-level integer `*_CAP` read where the resource is
 spent: no function takes a cap, and `fsa.explore` works out for itself
-whether a machine is deterministic."""
+whether a machine is deterministic.  Fellow-traveler validation, the
+word-difference tables and the Bruhat ideals read no `Element` record."""
 
 import ast
 import importlib
@@ -106,6 +107,30 @@ def test_main_path_rewrites_no_words():
     for path in sorted(PACKAGE.glob("*.py")):
         if path.name not in ("words.py", "oracle.py"):
             offenders += _method_calls(path, WORD_REWRITING)
+    assert offenders == []
+
+
+def _function(path: Path, qualname: str) -> ast.AST:
+    owner, _, name = qualname.rpartition(".")
+    tree = ast.parse(path.read_text())
+    if owner:
+        tree = next(node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == owner)
+    return next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == name)
+
+
+def test_ball_walks_read_no_element_records():
+    """Fellow-traveler validation, the word-difference tables and the
+    Bruhat ideals read a ball's flat arrays: neither its `Element` records
+    nor its word index, which are built only when first read."""
+    offenders = [
+        f"{module}.{qualname}: .{node.attr}"
+        for module, qualname in (("automata", "fellow_traveler_constant"),
+                                 ("automata", "word_difference_table"),
+                                 ("kl", "KLTable.__init__"))
+        for node in ast.walk(_function(PACKAGE / f"{module}.py", qualname))
+        if isinstance(node, ast.Attribute) and node.attr in ("elements", "index")]
     assert offenders == []
 
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -143,6 +144,62 @@ def test_ball_cap(monkeypatch):
     monkeypatch.setattr("polycell.words.BALL_CAP", 10)
     with pytest.raises(ResourceLimit):
         g.ball(8)
+
+
+def _snapshot(ball):
+    """Everything a ball holds, by index, copied out of it."""
+    return (ball.radius, len(ball), list(ball.words), list(ball.lengths),
+            list(ball.counts), [ball.descents[q] for q in ball.lstate],
+            [ball.descents[q] for q in ball.rstate],
+            [list(row) for row in ball.right_mult], [list(row) for row in ball.left_mult])
+
+
+@functools.cache
+def _reference(angles, radius):
+    """The snapshot of a ball built by normal forms, on a group of its own."""
+    import polycell
+
+    group = polycell.PolygonGroup(polycell.presentation_from_angles(angles))
+    elements, _, right, left = _nf_ball(group, radius)
+    lengths = [e.length for e in elements]
+    return (radius, len(elements), [e.word for e in elements], lengths,
+            [lengths.count(n) for n in range(radius + 1)], [e.left for e in elements],
+            [e.right for e in elements], right, left)
+
+
+@pytest.mark.parametrize("angles, r, R", [((2, 3, 7), 5, 11), ((2, 2, 2, 4), 4, 8)],
+                         ids=["w237", "w2224"])
+@pytest.mark.parametrize("order", ["small-first", "large-first"])
+def test_smaller_ball_is_the_index_prefix(angles, r, R, order):
+    """Built in either order, ball(r) equals a ball built by normal forms,
+    index for index, and is the index prefix of ball(R); growing the group
+    leaves the ball handed out before as it was."""
+    import polycell
+
+    group = polycell.PolygonGroup(polycell.presentation_from_angles(angles))
+    first, second = (r, R) if order == "small-first" else (R, r)
+    ball = group.ball(first)
+    assert _snapshot(ball) == _reference(angles, first)
+    assert _snapshot(group.ball(second)) == _reference(angles, second)
+    assert _snapshot(ball) == _reference(angles, first)
+    assert group.ball(r).words == group.ball(R).words[:len(group.ball(r))]
+    assert sorted(group._balls) == [r, R]
+
+
+def test_ball_cap_while_growing_keeps_earlier_balls(monkeypatch):
+    import polycell
+
+    g = polycell.PolygonGroup(polycell.presentation_from_angles([2, 2, 2, 4]))
+    small, larger = g.ball(3), g.ball(5)
+    before = [_snapshot(small), _snapshot(larger)]
+    monkeypatch.setattr("polycell.words.BALL_CAP", 200)  # ball(6) has 257
+    with pytest.raises(ResourceLimit, match="ball exceeds cap 200"):
+        g.ball(8)
+    assert sorted(g._balls) == [3, 5]
+    assert [_snapshot(small), _snapshot(larger)] == before
+    monkeypatch.undo()
+    assert g.ball(8).counts == [1, 4, 9, 18, 35, 66, 124, 234, 441]
+    assert [_snapshot(g.ball(3)), _snapshot(g.ball(5))] == before
 
 
 def test_elements_sorted_by_length_then_word(g2224):
