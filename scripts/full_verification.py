@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Write the KL table of both bundled groups and run every verification
 suite on them, then the empirical-vs-conjectural comparison for w2224 at
-radius 10.
+radius 11.
 
     python scripts/full_verification.py [WORKSPACE]
 
@@ -14,7 +14,7 @@ compares P with the classical recursion up to the oracle length
 against the table it solved (`kl_cache`).  Exit status 0 means all
 oracle comparisons agreed; 1 means some oracle or the comparison found a
 disagreement; 2 signals usage or cache problems.  The whole run takes about
-5 s on a 2-core Xeon, 2 s of it the comparison.
+4 s on a 2-core Xeon, 2 s of it the comparison.
 """
 
 import sys
@@ -46,12 +46,12 @@ def run(workspace: Path):
             "--workspace", str(workspace),
         ])
         worst = max(worst, code)
-    # the scaling check: the W-graphs over the 3325 elements of ball(10)
-    print("=== w2224 cells compare, radius 10 ===")
+    # the scaling check: the W-graphs over the 6269 elements of ball(11)
+    print("=== w2224 cells compare, radius 11 ===")
     code = main([
         "cells", "compare",
         "--group", str(ROOT / "groups/w2224.json"),
-        "--radius", "10",
+        "--radius", "11",
         "--trust-margin", "4",
         "--workspace", str(workspace),
     ])

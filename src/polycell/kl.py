@@ -1,19 +1,16 @@
 """Bruhat order, R- and Kazhdan-Lusztig polynomials, W-graphs and cells.
 
 Ball indices run in (length, ShortLex) order.  Bruhat order is stored as
-ideals, one Python-int bitset over ball indices per element: the lower
-ideal of w is built once, in index order, by the lifting property
-
-    down(w) = down(ws) | {x s : x in down(ws)}      for s = min D_R(w),
-
-and the upper ideals are its transpose as a bit matrix, one row per
-element.  The matrix is lower triangular (x <= w puts x at an index no
-larger than w's), so only the square tiles on and below its diagonal are
-read: rows are sliced as bytes into _TILE x _TILE tiles, each tile, one
-int, is transposed by log2(_TILE) masked delta swaps (the recursive block
-swap of Hacker's Delight, section 7-3), and the result is cut back into
-rows.  A comparison is one bit test, an interval [v, w] is the set bits of
-down(w) & up(v), and lengths come from a flat list.
+ideals, one Python-int bitset over ball indices per element, built from
+coatom lists as du Cloux's Coxeter program builds it (Experiment. Math. 11,
+2002).  For s = min D_R(w) the coatoms of w are ws and the ys for each
+coatom y of ws with s not in D_R(y) (Bjorner-Brenti, Combinatorics of
+Coxeter Groups, Prop. 2.2.7, the lifting property), and Bruhat order is
+graded, so the lower ideal of w is w joined with the lower ideals of its
+coatoms, in index order, and the upper ideal of v is v joined with the
+upper ideals of the elements covering v, in reverse index order: a few
+int ORs per element.  A comparison is one bit test, an interval [v, w] is
+the set bits of down(w) & up(v), and lengths come from a flat list.
 
 Polynomials in q are dense integer coefficient tuples from degree 0 at the
 interface.  The memo holds them packed (Kronecker substitution): p is kept
@@ -69,8 +66,8 @@ term of each sum is then known.  Three callers pass three sets:
   ascending w, as the P row is, putting back in order the rows that the
   lazy route began, so one walk over the two rows side by side reads the
   store in file order;
-- the right W-graph (`mu_below`) passes the union of the upper ideals of
-  the far x whose mu it needs, so it solves only the pairs behind those
+- the right W-graph (`mu_lists`) passes the union of the upper ideals
+  of the far x whose mu it needs, so it solves only the pairs behind those
   mu, and R by row, through `_r`, only where those sums ask for it (full R
   columns would hold 3.4 times as many entries on w2224's ball(10));
 - a point query `p_idx(v, w)` passes the upper ideal of v.
@@ -82,9 +79,13 @@ mu(v, w) is 0 for an even length difference, 1 for a difference of 1, and
 v = sw; likewise on the right).  An extremal pair has D_R(w) in D_R(v), and
 the right W-graph has edges only between different right descent sets, so
 it asks for mu on a far pair only when D_R(v) strictly contains D_R(w).
-As P_{x,w} = P_{x^-1,w^-1} and D_L(w) = D_R(w^-1), the left W-graph is its
-mirror, every vertex inverted.  oracle.py holds the classical one-step
-recursion as an independent cross-check.
+As P_{x,w} = P_{x^-1,w^-1} and D_L(w) = D_R(w^-1), the column of w also
+gives the mu of w^-1, every vertex inverted: the right W-graph solves one
+column per inverse pair, that of its earlier member, on the far x that
+either member needs, and the left W-graph is the right one mirrored.  The
+sweep does not use the identity, so it re-checks every extremal pair.
+oracle.py holds the classical one-step recursion as an independent
+cross-check.
 
 Cells are strongly connected components (Kazhdan-Lusztig 1979, section 1):
 left cells of the left W-graph, right cells of the right one, and
@@ -147,69 +148,6 @@ def _lowest(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-_TILE = 512  # side of a transpose tile, in bits; a power of two, at least 8
-
-
-def _tile_swaps() -> list[tuple[int, int]]:
-    """The delta swaps that transpose one tile, a _TILE x _TILE bit matrix
-    held as an int with row r at bit r _TILE: for each j = _TILE / 2, ...,
-    1, the shift j (_TILE - 1) that carries (r, c) to (r + j, c - j), and
-    the mask of the (r, c) with bit j clear in r and set in c.  Each swap
-    exchanges bit j of every row and column index (Hacker's Delight,
-    section 7-3).  Built per transpose: kept, the masks would hold
-    _TILE^2 log2(_TILE) / 8 bytes for the life of the process."""
-    width = _TILE // 8
-    out = []
-    j = _TILE // 2
-    while j:
-        if j >= 8:
-            row = (bytes(j // 8) + b"\xff" * (j // 8)) * (_TILE // (2 * j))
-        else:
-            row = bytes([{1: 0xAA, 2: 0xCC, 4: 0xF0}[j]]) * width
-        block = row * j + bytes(width * j)
-        out.append((j * (_TILE - 1),
-                    int.from_bytes(block * (_TILE // (2 * j)), "little")))
-        j //= 2
-    return out
-
-
-def _transpose(rows: list[int]) -> list[int]:
-    """The transpose of a lower-triangular square bit matrix, one int per
-    row (bit x of rows[w] set only if x <= w): out[x] has bit w set where
-    rows[w] has bit x.  The matrix is cut into _TILE x _TILE tiles, read
-    off rows sliced as bytes, and each tile on or below the diagonal is
-    transposed by the delta swaps of _tile_swaps; a block of output rows is
-    joined as soon as its last tile is done."""
-    width = _TILE // 8
-    tiles = -(-len(rows) // _TILE)
-    # rows as bytes, each only as long as its block's tiles reach; the last
-    # block padded with empty rows
-    data = [row.to_bytes((w // _TILE + 1) * width, "little")
-            for w, row in enumerate(rows)]
-    data += [bytes(tiles * width)] * (tiles * _TILE - len(rows))
-    swaps = _tile_swaps()
-    out: list[int] = []
-    for j in range(tiles):  # output rows j _TILE, ...: columns of the input
-        cols = slice(j * width, (j + 1) * width)
-        pieces: list[list[bytes]] = [[] for _ in range(_TILE)]
-        for i in range(j, tiles):
-            x = int.from_bytes(
-                b"".join([row[cols] for row in data[i * _TILE:(i + 1) * _TILE]]),
-                "little")
-            for shift, mask in swaps if x else ():
-                y = (x ^ x >> shift) & mask
-                x ^= y ^ y << shift
-            tile = x.to_bytes(_TILE * width, "little")
-            for c, piece in enumerate(pieces):
-                piece.append(tile[c * width:(c + 1) * width])
-        data[j * _TILE:(j + 1) * _TILE] = [b""] * _TILE  # read for the last time
-        shift = j * _TILE
-        out += [int.from_bytes(b"".join(piece), "little") << shift
-                for piece in pieces]
-    del out[len(rows):]
-    return out
-
-
 class KLTable:
     """Memoized Bruhat/R/P/mu data over one ball; exact on every pair whose
     longer element lies inside the ball (Bruhat intervals are length-bounded,
@@ -224,16 +162,31 @@ class KLTable:
         self._ldesc = list(map(of_state, ball.lstate))
         self._rdesc = list(map(of_state, ball.rstate))
         n = len(ball)
-        # _leq[w]: bitset of {x <= w}; _geq[v]: bitset of {x >= v}
+        rmult = ball.right_mult
+        # _leq[w]: bitset of {x <= w}; _geq[v]: bitset of {x >= v}; _inv[w]:
+        # the index of w^-1 = s (ws)^-1
         self._leq: list[int] = [1]  # the identity is index 0
+        self._inv = [0] * n
+        coatoms: list[list[int]] = [[]]
+        covers: list[list[int]] = [[] for _ in range(n)]
         for w in range(1, n):
             s = _lowest(self._rdesc[w])
-            ws = ball.right_mult[w][s]
-            mask = self._leq[ws]
-            for x in _bits(mask):  # reaches w = (ws)s
-                mask |= 1 << ball.right_mult[x][s]
+            ws = rmult[w][s]
+            down = [ws] + [rmult[y][s] for y in coatoms[ws]
+                           if not self._rdesc[y] >> s & 1]
+            mask = 1 << w
+            for y in down:
+                mask |= self._leq[y]
+                covers[y].append(w)
+            coatoms.append(down)
             self._leq.append(mask)
-        self._geq = _transpose(self._leq)
+            self._inv[w] = ball.left_mult[self._inv[ws]][s]
+        self._geq = [0] * n
+        for v in range(n - 1, -1, -1):
+            mask = 1 << v
+            for w in covers[v]:
+                mask |= self._geq[w]
+            self._geq[v] = mask
         # bitsets of {x : s in D_L(x)} and {x : s in D_R(x)} by s, and of
         # the elements of each length
         self._has_ldesc = [0] * group.rank
@@ -261,11 +214,6 @@ class KLTable:
         self._pcol = [0] * n
         # after the sweep, _p_rows[v]: packed P_{v,w} for w >= v, ascending
         self._p_rows: list[list[int]] | None = None
-
-    def _rmult(self, i: int, s: int) -> int:
-        j = self.ball.right_mult[i][s]
-        assert j is not None
-        return j
 
     # --- Bruhat order (ideals) ---------------------------------------------
 
@@ -299,13 +247,14 @@ class KLTable:
         out = row.get(w)
         if out is None:
             s = _lowest(self._rdesc[w])
-            ws = self._rmult(w, s)
+            rmult = self.ball.right_mult
+            ws, vs = rmult[w][s], rmult[v][s]
             if self._rdesc[v] >> s & 1:
-                out = self._r(self._rmult(v, s), ws)
+                out = self._r(vs, ws)
             else:
                 # q R_{vs,ws} + (q - 1) R_{v,ws}
                 r = self._r(v, ws)
-                out = ((self._r(self._rmult(v, s), ws) + r) << _B) - r
+                out = ((self._r(vs, ws) + r) << _B) - r
             row[w] = out
         return out
 
@@ -391,28 +340,37 @@ class KLTable:
         self._P[v, w] = out
         return out
 
-    def mu_below(self, w: int) -> list[int]:
-        """Indices x < w with mu(x, w) != 0, ascending, but for the far x
-        with D_R(x) = D_R(w), which draw no edge of the right W-graph.
-        Covering pairs have mu = 1, so P is solved only for the far x,
-        extremal with an odd length difference of 3 or more (see the module
-        docstring), and on the pairs their sums need."""
+    def mu_lists(self, w: int) -> tuple[list[int], list[int]]:
+        """The x < w with mu(x, w) != 0 and the x < w^-1 with
+        mu(x, w^-1) != 0, each ascending, but for the far x whose right
+        descent set is that of w (of w^-1), which draw no edge of the right
+        W-graph.  Covering pairs have mu = 1, so P is solved only on column
+        w, for the far x, extremal with an odd length difference of 3 or
+        more (see the module docstring), and on the pairs their sums need;
+        the list of w^-1 is read off by inversion."""
         length = self._length[w]
         if length == 0:
-            return []
+            return [], []
+        ldesc, rdesc, inv = self._ldesc, self._rdesc, self._inv
+        lw, rw, pair = ldesc[w], rdesc[w], inv[w] != w
         # a far x is extremal, D_R(w) in D_R(x): keep those with one more s
-        rdesc = self._rdesc
+        # on the right, or, for the mirror, on the left
         far_x = [x for x in _bits(self._extremal(w) & self._mu_far[length])
-                 if rdesc[x] != rdesc[w]]
+                 if rdesc[x] != rw or pair and ldesc[x] != lw]
         if far_x:
             above = 0
             for x in far_x:
                 above |= self._geq[x]
             self._column(w, _bits(self._leq[w] & above))
         pcol, lengths = self._pcol, self._length
-        return ([x for x in far_x
-                 if poly_coeff(unpack(pcol[x]), (length - lengths[x] - 1) // 2)]
-                + _bits(self._leq[w] & self._band[length - 1]))
+        linked = [x for x in far_x
+                  if poly_coeff(unpack(pcol[x]), (length - lengths[x] - 1) // 2)]
+        covered = _bits(self._leq[w] & self._band[length - 1])
+        mine = [x for x in linked if rdesc[x] != rw] + covered
+        if not pair:
+            return mine, mine
+        return mine, sorted([inv[x] for x in linked if ldesc[x] != lw]
+                            + [inv[x] for x in covered])
 
     def fill(self) -> None:
         """The sweep (see the module docstring): R on every pair and P on
@@ -492,11 +450,19 @@ class WGraph:
 
 def w_graph(table: KLTable) -> WGraph:
     """The right W-graph: edges a -> b between mu-linked elements with
-    D_R(a) not inside D_R(b)."""
-    desc = table._rdesc
+    D_R(a) not inside D_R(b).  b is walked in ascending order; where
+    b < b^-1, `mu_lists(b)` also gives the mu list of b^-1, held until the
+    walk reaches it."""
+    desc, inv = table._rdesc, table._inv
     edges: dict[int, list[int]] = {i: [] for i in range(len(desc))}
+    held: dict[int, list[int]] = {}
     for b in range(len(desc)):
-        for a in table.mu_below(b):
+        mu = held.pop(b, None)
+        if mu is None:
+            mu, mirror = table.mu_lists(b)
+            if inv[b] != b:
+                held[inv[b]] = mirror
+        for a in mu:
             if desc[a] & ~desc[b]:
                 edges[a].append(b)
             if desc[b] & ~desc[a]:
@@ -553,15 +519,6 @@ def strongly_connected_components(n: int, edges: dict[int, list[int]]) -> list[l
     return sorted(comps, key=lambda c: c[0])
 
 
-def _inverses(ball: ElementBall) -> list[int]:
-    """inv[w]: the index of w^-1, built as s (ws)^-1 for s = min D_R(w)."""
-    inv = [0] * len(ball)
-    for w in range(1, len(ball)):
-        s = min(ball.descents[ball.rstate[w]])
-        inv[w] = ball.left_mult[inv[ball.right_mult[w][s]]][s]
-    return inv
-
-
 def empirical_cells(table: KLTable) -> tuple[list[list[int]], list[list[int]],
                                              list[list[int]]]:
     """(left, right, two-sided) cells of the table's ball: the strongly
@@ -569,7 +526,7 @@ def empirical_cells(table: KLTable) -> tuple[list[list[int]], list[list[int]],
     graphs' edges together, since <=_LR is the preorder generated by <=_L
     and <=_R.  The left W-graph is the right one, every vertex inverted."""
     right = w_graph(table).edges
-    inv = _inverses(table.ball)
+    inv = table._inv
     left = {inv[a]: [inv[b] for b in out] for a, out in right.items()}
     n = len(inv)
     both = {v: left[v] + right[v] for v in range(n)}

@@ -86,16 +86,6 @@ class PolygonRealization:
         self.reflections = reflections    # one per side
         self.angle_residual = angle_residual
 
-    def realized_area(self) -> float:
-        n = len(self.vertices)
-        total = (n - 2) * math.pi
-        for k, v in enumerate(self.vertices):
-            if _is_null(v):
-                continue
-            total -= _angle_at(v, self.vertices[(k - 1) % n],
-                               self.vertices[(k + 1) % n])
-        return total
-
 
 def _triangle_vertices(angles: list[float]) -> list[np.ndarray]:
     """Closed-form hyperbolic triangle with the given interior angles
@@ -221,20 +211,6 @@ def tile(ball: ElementBall, realization: PolygonRealization) -> list[np.ndarray]
             cache[e.word] = m
         mats.append(m)
     return mats
-
-
-def hyperbolic_distance(p: np.ndarray, q: np.ndarray) -> float:
-    return math.acosh(max(1.0, -lorentz_dot(p, q)))
-
-
-def tile_centroid(mat: np.ndarray, realization: PolygonRealization) -> np.ndarray:
-    acc = np.zeros(3)
-    for v in realization.vertices:
-        acc += mat @ v
-    # pull the Euclidean mean back to the hyperboloid
-    norm = -lorentz_dot(acc, acc)
-    assert norm > 0
-    return acc / math.sqrt(norm)
 
 
 # --- SVG ---------------------------------------------------------------------

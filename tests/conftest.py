@@ -1,9 +1,12 @@
+import math
+
 import pytest
 
 from polycell import PolygonGroup, presentation_from_angles
 from polycell.cells import build_partition, u_t_fsa
 from polycell.fsa import FSA, empty_language
 from polycell.kl import poly_coeff
+from polycell.render import _angle_at, _is_null
 
 # fellow-traveler constants; test_automata re-validates both exhaustively
 K_W237 = 6
@@ -38,6 +41,18 @@ def kl_mu(table, v, w):
     if n <= 0 or n % 2 == 0:
         return 0
     return poly_coeff(table.p_idx(v, w), (n - 1) // 2)
+
+
+def realized_area(real):
+    """The hyperbolic area of a realized polygon by Gauss-Bonnet: (n - 2) pi
+    less its interior angles, an ideal vertex's being 0."""
+    n = len(real.vertices)
+    total = (n - 2) * math.pi
+    for k, v in enumerate(real.vertices):
+        if not _is_null(v):
+            total -= _angle_at(v, real.vertices[(k - 1) % n],
+                               real.vertices[(k + 1) % n])
+    return total
 
 
 def set_trim_reference(a: FSA) -> FSA:

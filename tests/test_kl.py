@@ -1,17 +1,35 @@
+import functools
+
 import pytest
 
-from polycell import verify
+from polycell import PolygonGroup, presentation_from_angles, verify
 from polycell.errors import ResourceLimit, VerificationDisagreement
 from polycell.field import _poly_mul_into
 from polycell.kl import (
-    _TILE,
     KLTable,
-    _inverses,
     empirical_cells,
     strongly_connected_components,
     w_graph,
 )
 from tests.conftest import bruhat_leq, kl_mu
+
+
+@functools.cache
+def _generated(angles):
+    return PolygonGroup(presentation_from_angles(list(angles)))
+
+
+def _group(request, group):
+    """A bundled group by fixture name, or one generated from its angles:
+    the pentagon (2,2,2,2,2) has rank 5, (2,4,inf,3) an ideal vertex."""
+    if isinstance(group, str):
+        return request.getfixturevalue(group)
+    return _generated(group)
+
+
+# generated groups at radius 6: 1,161 and 816 elements
+GENERATED = [pytest.param((2, 2, 2, 2, 2), 6, id="w22222-6"),
+             pytest.param((2, 4, "inf", 3), 6, id="w24inf3-6")]
 
 
 def _lifting_below(ball):
@@ -37,12 +55,14 @@ def _lifting_below(ball):
     return [{x for x in range(n) if leq(x, w)} for w in range(n)]
 
 
-def _scan_interval(ball, below, v, w):
-    """[v, w] by scanning every ball element in the length window."""
-    lv, lw = ball.elements[v].length, ball.elements[w].length
-    return [x for x in range(len(ball.elements))
-            if lv <= ball.elements[x].length <= lw
-            and v in below[x] and x in below[w]]
+def _members(mask):
+    """Indices of the set bits of mask, ascending."""
+    return [x for x, bit in enumerate(reversed(bin(mask)[2:])) if bit == "1"]
+
+
+def _scan_interval(below, v, w):
+    """[v, w] by scanning below[w] for the x with v in below[x]."""
+    return sorted(x for x in below[w] if v in below[x])
 
 
 def _r_poly(table, v, w):
@@ -187,43 +207,43 @@ def test_bruhat_matches_subexpression_search(g237, kl237, g2224):
                 assert bruhat_leq(table, index[v.word], index[w.word]) == want
 
 
-@pytest.mark.parametrize("group, radius", [("g237", 8), ("g2224", 6)])
+@pytest.mark.parametrize("group, radius", [("g237", 8), ("g2224", 6), *GENERATED])
 def test_ideals_match_pairwise_scan(request, group, radius):
-    g = request.getfixturevalue(group)
+    g = _group(request, group)
     ball = g.ball(radius)
     table = KLTable(g, ball)
     below = _lifting_below(ball)
     n = len(ball.elements)
 
-    def members(mask):
-        return [x for x in range(n) if mask >> x & 1]
-
     for w in range(n):
         assert table.lower(w) == sorted(below[w])
         # the upper ideal, which records() walks and p_idx intersects
-        assert members(table._geq[w]) == [x for x in range(n) if w in below[x]]
+        assert _members(table._geq[w]) == [x for x in range(n) if w in below[x]]
         for v in range(n):
             assert bruhat_leq(table, v, w) == (v in below[w])
             # every x in [v, w] has v <= x <= w, so v <= w or the interval is empty
-            want = _scan_interval(ball, below, v, w) if v in below[w] else []
-            assert members(table._leq[w] & table._geq[v]) == want
+            interval = table._leq[w] & table._geq[v]
+            if v in below[w]:
+                assert _members(interval) == _scan_interval(below, v, w)
+            else:
+                assert interval == 0
 
 
 def _list_transpose(rows):
-    """The upper ideals as the table built them before the tiled transpose:
-    a list of members per element, then one int per list."""
+    """The transpose of a bit matrix, one int per row, through a list of
+    members per column."""
     above = [[] for _ in rows]
     for w, row in enumerate(rows):
-        for x, bit in enumerate(reversed(bin(row)[2:])):
-            if bit == "1":
-                above[x].append(w)
+        for x in _members(row):
+            above[x].append(w)
     return [sum(1 << w for w in members) for members in above]
 
 
-@pytest.mark.parametrize("radius, tiles", [(0, 1), (9, 4)])
-def test_tiled_transpose_matches_the_list_transpose(g2224, radius, tiles):
-    table = KLTable(g2224, g2224.ball(radius))
-    assert -(-len(table.ball) // _TILE) == tiles
+@pytest.mark.parametrize("group", ["g237", "g2224"])
+@pytest.mark.parametrize("radius", [0, 9])
+def test_upper_ideals_are_the_list_transpose(request, group, radius):
+    g = request.getfixturevalue(group)
+    table = KLTable(g, g.ball(radius))
     assert table._geq == _list_transpose(table._leq)
 
 
@@ -279,18 +299,20 @@ def test_sweep_agrees_with_the_lazy_route(request, group, radius):
 
 
 @pytest.mark.parametrize("group, radius, p_count, r_count",
-                         [("g237", 12, 1304, 7054), ("g2224", 8, 3336, 10776)])
+                         [("g237", 12, 893, 5960), ("g2224", 8, 2330, 8683)])
 def test_w_graphs_solve_only_what_their_far_mu_need(request, group, radius,
                                                     p_count, r_count):
     """On a cold table the right W-graph, the only one solved, runs no
     sweep, and stores P only on the extremal pairs behind its far mu and R
-    (diagonal included) only on the pairs those sums read."""
+    (diagonal included) only on the pairs those sums read, in one column
+    per inverse pair: that of its earlier member."""
     g = request.getfixturevalue(group)
     table = KLTable(g, g.ball(radius))
     empirical_cells(table)
     assert table._p_rows is None
     assert len(table._P) == p_count
     assert sum(map(len, table._R)) == r_count
+    assert all(table._inv[w] >= w for _, w in table._P)
 
 
 def _far_extremal_pair(ball, table):
@@ -336,9 +358,9 @@ def test_nonzero_mu_off_extremal_pairs_is_a_cover(kl237):
     assert far_pairs > 0
 
 
-@pytest.mark.parametrize("group, radius", [("g237", 12), ("g2224", 7)])
+@pytest.mark.parametrize("group, radius", [("g237", 12), ("g2224", 7), *GENERATED])
 def test_mu_only_w_graph_matches_full_scan(request, group, radius):
-    g = request.getfixturevalue(group)
+    g = _group(request, group)
     ball = g.ball(radius)
     scan = request.getfixturevalue("kl237") if group == "g237" else KLTable(g, ball)
     graph = w_graph(KLTable(g, ball))
@@ -347,15 +369,23 @@ def test_mu_only_w_graph_matches_full_scan(request, group, radius):
 
 @pytest.mark.parametrize("group, radius", [("g237", 12), ("g2224", 7)])
 def test_side_filter_drops_only_far_pairs_with_equal_descents(request, group, radius):
+    """mu_lists(w), asked in the W-graph's order for the earlier member w
+    of each inverse pair, gives the mu lists of w and of w^-1."""
     g = request.getfixturevalue(group)
     ball = g.ball(radius)
     table, scan = KLTable(g, ball), KLTable(g, ball)
     right = [e.right for e in ball.elements]
-    for w in range(len(ball)):
-        want = [x for x in scan.lower(w) if kl_mu(scan, x, w)
+
+    def want(w):
+        return [x for x in scan.lower(w) if kl_mu(scan, x, w)
                 and (ball.lengths[w] - ball.lengths[x] == 1
                      or right[x] != right[w])]
-        assert table.mu_below(w) == want
+
+    inv = table._inv
+    assert any(w < inv[w] for w in range(len(ball)))
+    for w in range(len(ball)):
+        if w <= inv[w]:
+            assert table.mu_lists(w) == (want(w), want(inv[w]))
 
 
 def test_w_graph_singleton(g237):
@@ -374,7 +404,7 @@ def test_w_graph_dihedral_edge_directions(g237, kl237):
     # descent sets are not nested
     assert (st in gr.edges[s]) == (not ball.elements[s].right <= ball.elements[st].right)
     # the left W-graph's edge s -> st is the right one's s^-1 -> (st)^-1
-    inv = _inverses(ball)
+    inv = kl237._inv
     assert (inv[st] in gr.edges[inv[s]]) == (
         not ball.elements[s].left <= ball.elements[st].left)
 
@@ -387,10 +417,11 @@ def test_left_cells_mirror_the_right_w_graph(request, group, radius):
     g = request.getfixturevalue(group)
     ball = g.ball(radius)
     scan = request.getfixturevalue("kl237") if group == "g237" else KLTable(g, ball)
-    left, _, _ = empirical_cells(KLTable(g, ball))
+    table = KLTable(g, ball)
+    left, _, _ = empirical_cells(table)
     reference = _full_scan_w_graph(ball, "left", scan)
     assert left == strongly_connected_components(len(ball), reference)
-    inv = _inverses(ball)
+    inv = table._inv
     for w, e in enumerate(ball.elements):
         assert inv[inv[w]] == w
         assert (ball.elements[inv[w]].left, ball.elements[inv[w]].right) == (e.right, e.left)
