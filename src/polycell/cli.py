@@ -11,6 +11,7 @@ command pays for another's: `kl` never loads the automaton stack, and only
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from pathlib import Path
@@ -467,5 +468,17 @@ def main(argv=None) -> int:
         return 2
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+def run() -> None:
+    """Process entry point (`python -m polycell`, the `polycell` script).
+
+    Interpreter exit walks every live object in collector passes before it
+    frees them by reference count.  Freezing the heap `main` leaves moves
+    those objects out of the passes' reach; the rest of exit (atexit
+    handlers, flushing the standard streams) still runs, so no `os._exit`.
+    In-process callers of `main` are never frozen.
+    """
+    try:
+        code = main()
+    finally:
+        gc.freeze()
+    sys.exit(code)

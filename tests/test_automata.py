@@ -657,8 +657,13 @@ def test_fellow_traveler_constant_matches_brute_force(g237, g2224):
     pentagon = PolygonGroup(presentation_from_angles([2, 2, 2, 2, 2]))
     # (3, 4, inf) at radius 12 (3,669 elements) walks far past the others
     g34inf = PolygonGroup(presentation_from_angles([3, 4, "inf"]))
+    # constant 4 at radius 5 on both: a walk that steps x only by its least
+    # right descent reads 2 on the first, one that steps y so on the second
+    second_descent = [PolygonGroup(presentation_from_angles(angles))
+                      for angles in ([3, 2, 2, 2], [2, 2, 3, 2])]
     for group, radius in ((g237, 8), (g2224, 6), *((g, 6) for g in others),
-                          (pentagon, 5), (g34inf, 12)):
+                          (pentagon, 5), (g34inf, 12),
+                          *((g, 5) for g in second_descent)):
         for r in range(radius + 1):
             assert fellow_traveler_constant(group, r) == \
                 _brute_force_constant(group, r)

@@ -1,11 +1,16 @@
+import gc
 import hashlib
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import polycell
 from polycell.cache import Workspace, group_hash
 from polycell.cli import main
 from polycell.errors import CorruptCache, ResourceLimit
@@ -692,6 +697,59 @@ def test_cli_negative_radius_is_exit_2(tmp_path, w237_config, capsys):
     assert err.count("\n") == 1
     assert "--radius must be a nonnegative integer, got -1" in err
     assert not (tmp_path / "ws" / "w237" / "kl.r-1.tsv").exists()
+
+
+def _python(cwd, *args):
+    """A fresh interpreter on this package, as a user starts one: the exit
+    path through `cli.run`, which in-process calls of `main` never take."""
+    env = dict(os.environ, PYTHONPATH=str(Path(polycell.__file__).parents[1]))
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, cwd=cwd, timeout=120)
+
+
+def _process(tmp_path, *argv):
+    return _python(tmp_path, "-m", "polycell", *argv,
+                   "--workspace", str(tmp_path / "ws"))
+
+
+def test_process_kl_writes_what_main_writes(tmp_path, w237_config):
+    (tmp_path / "process").mkdir()
+    proc = _process(tmp_path / "process", "kl", "--group", str(w237_config),
+                    "--radius", "3")
+    path = tmp_path / "process" / "ws" / "w237" / "kl.r3.tsv"
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"computed {path}\n", "")
+    assert run(tmp_path, "kl", "--group", str(w237_config), "--radius", "3") == 0
+    assert path.read_bytes() == (tmp_path / "ws" / "w237" / "kl.r3.tsv").read_bytes()
+
+
+@pytest.mark.parametrize("argv, last_line", [
+    (["--radius", "-1"],
+     "error: BadArgument: --radius must be a nonnegative integer, got -1"),
+    (["--radius", "3", "--k", "2"], "polycell: error: unrecognized arguments: --k 2"),
+], ids=["negative-radius", "unread-option"])
+def test_process_errors_are_exit_2(tmp_path, w237_config, argv, last_line):
+    proc = _process(tmp_path, "kl", "--group", str(w237_config), *argv)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    lines = proc.stderr.splitlines()
+    assert lines[-1] == last_line
+    assert [line for line in lines if "error:" in line] == [last_line]
+    assert not (tmp_path / "ws" / "w237").exists()
+
+
+def test_run_freezes_the_heap_and_exit_still_runs_atexit(tmp_path):
+    proc = _python(tmp_path, "-c",
+                   "import atexit, gc; from polycell.cli import run; "
+                   "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0)); "
+                   "run()", "--version")
+    assert (proc.returncode, proc.stdout) == (0, f"{polycell.__version__}\nfrozen True\n")
+
+
+@pytest.mark.parametrize("radius, code", [("3", 0), ("-1", 2)],
+                         ids=["success", "typed-error"])
+def test_cli_main_never_freezes(tmp_path, w237_config, radius, code):
+    frozen = gc.get_freeze_count()
+    assert run(tmp_path, "kl", "--group", str(w237_config), "--radius", radius) == code
+    assert gc.get_freeze_count() == frozen
 
 
 def test_cli_negative_oracle_length_is_exit_2(tmp_path, w237_config, capsys):

@@ -13,7 +13,9 @@ compile the record's methods at every start-up.  Every
 resource cap is a module-level integer `*_CAP` read where the resource is
 spent: no function takes a cap, and `fsa.explore` works out for itself
 whether a machine is deterministic.  Fellow-traveler validation, the
-word-difference tables and the Bruhat ideals read no `Element` record."""
+word-difference tables and the Bruhat ideals read no `Element` record.
+`python -m polycell` and the `polycell` script share one entry point,
+`cli.run`, the only code that freezes the heap."""
 
 import ast
 import importlib
@@ -293,3 +295,29 @@ def test_every_cap_is_a_module_integer():
     assert {"words.BALL_CAP", "smallroots.ROOT_CAP", "oracle.CLOSURE_CAP",
             "fsa.STATE_CAP", "field.PRECISION_CAP"} <= caps.keys()
     assert [name for name, value in caps.items() if type(value) is not int] == []
+
+
+def test_one_process_entry_point():
+    """`__main__.py` and the `polycell` script of `pyproject.toml` both run
+    `polycell.cli:run`, and no other code calls `gc.freeze`: in-process
+    callers of `cli.main` keep a collectable heap."""
+    tree = ast.parse((PACKAGE / "__main__.py").read_text())
+    imported = {alias.asname or alias.name: f"polycell.{node.module}:{alias.name}"
+                for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1
+                for alias in node.names}
+    called = [imported.get(node.value.func.id) for node in tree.body
+              if isinstance(node, ast.Expr) and isinstance(node.value, ast.Call)
+              and isinstance(node.value.func, ast.Name)]
+    assert called == ["polycell.cli:run"]
+    pyproject = (PACKAGE.parents[1] / "pyproject.toml").read_text()
+    section = pyproject.split("[project.scripts]\n", 1)[1].split("\n[", 1)[0]
+    assert section.split() == ["polycell", "=", '"polycell.cli:run"']
+
+    def freezes(tree):
+        return [ast.unparse(node) for node in ast.walk(tree)
+                if isinstance(node, ast.Call) and ast.unparse(node.func).endswith("freeze")]
+
+    assert [f"{path.name}: {call}" for path in sorted(PACKAGE.glob("*.py"))
+            for call in freezes(ast.parse(path.read_text()))] == ["cli.py: gc.freeze()"]
+    assert freezes(_function(PACKAGE / "cli.py", "run")) == ["gc.freeze()"]
