@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 from collections.abc import Hashable
 
-from .cells import ConjecturalPartition, OneSidedCellSpec, spec_index
+from .cells import ConjecturalPartition, OneSidedCellSpec, level_label, spec_index
 from .kl import KLTable, empirical_cells
 
 
@@ -142,7 +142,7 @@ def _right_cell_comparison(group, ball, emp_right, specs, trusted, conj):
     fall into empirical right cells exactly as into specs: two partitions of
     the covered set agree on every pair when each element's classes agree."""
     word = group.presentation.word_str
-    level_labels = {f"c{spec.level}" for spec in specs}
+    level_labels = {level_label(spec.level) for spec in specs}
     spec_of = {i: si for i in trusted if conj[i] in level_labels
                and (si := spec_index(specs, ball.elements[i].word)) is not None}
     _, disagree, emp_classes = _restricted_agreement(emp_right, spec_of,

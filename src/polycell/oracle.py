@@ -56,6 +56,8 @@ def braid_closure(pres: CoxeterPresentation, word) -> frozenset[Word]:
 
 
 def closure_is_reduced(pres: CoxeterPresentation, closure) -> bool:
+    """No closure word has a letter twice in a row; kept in the package
+    because perfbench/record.py re-records the references with it."""
     return not any(w[i] == w[i + 1] for w in closure for i in range(len(w) - 1))
 
 

@@ -201,15 +201,11 @@ def realize_polygon(pres: CoxeterPresentation) -> PolygonRealization:
 
 def tile(ball: ElementBall, realization: PolygonRealization) -> list[np.ndarray]:
     """Isometry per ball element: the left action sends w to the product of
-    side reflections along its reduced word."""
-    mats: list[np.ndarray] = []
-    cache: dict[tuple, np.ndarray] = {(): np.eye(3)}
-    for e in ball.elements:
-        m = cache.get(e.word)
-        if m is None:
-            m = cache[e.word[:-1]] @ realization.reflections[e.word[-1]]
-            cache[e.word] = m
-        mats.append(m)
+    side reflections along its reduced word, that of its ShortLex prefix
+    (the element w.s, s its last letter) times the last reflection."""
+    mats = [np.eye(3)]
+    for word, up in zip(ball.words[1:], ball.right_mult[1:]):
+        mats.append(mats[up[word[-1]]] @ realization.reflections[word[-1]])
     return mats
 
 

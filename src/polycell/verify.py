@@ -9,7 +9,7 @@ engines never do.
 from __future__ import annotations
 
 from . import automata
-from .cells import ConjecturalPartition
+from .cells import ConjecturalPartition, level_label
 from .errors import VerificationDisagreement
 from .fsa import are_equivalent, count_words, intersect, reverse_fsa
 from .hecke import a_lower_bounds
@@ -111,7 +111,7 @@ def a_function(part: ConjecturalPartition, table: KLTable, sample_length: int) -
     l(w_T) = m(s, t), so no lower bound from structure constants may exceed
     the level value of an element's conjectured label."""
     data = part.data
-    level_of_label = {f"c{i}": order for i, order in enumerate(data.levels, start=1)}
+    level_of_label = {level_label(i): order for i, order in enumerate(data.levels, start=1)}
     bounds = a_lower_bounds(table, sample_length)
     bad = 0
     for z, bound in bounds.items():

@@ -2,11 +2,10 @@
 
 Reading a word left to right while tracking which small roots are inversions
 of the prefix gives a deterministic automaton whose live runs are exactly
-the reduced words (states double as right-descent detectors).  On top of
-that single primitive we build reduction, ShortLex normal forms (repeated
-extraction of the least left descent, with the deletion position located by
-running the word until the automaton dies), multiplication, and metric balls
-with full left/right Cayley edges.
+the reduced words (states double as right-descent detectors).  The metric
+ball grown from it is the only word engine: `element` reads a word off the
+ball, one right Cayley edge per letter from the identity, and `multiply`
+is `element` on the concatenated words.
 
 A group keeps one ball, grown layer by layer from the Cayley graph alone as
 in Brink-Howlett's automatic structure (Math. Ann. 296, 1993); a smaller
@@ -160,63 +159,19 @@ class PolygonGroup:
     def is_reduced(self, word) -> bool:
         return self.run(word) is not None
 
-    def left_descents(self, reduced: Word) -> frozenset[int]:
-        state = self.run(reduced[::-1])
-        assert state is not None
-        return self.state_rdesc[state]
-
-    def _death_index(self, s: int, word) -> int:
-        """Feed s then word; return the word position whose letter kills the
-        run.  Requires s to be a left descent of the word's element."""
-        state = self.transitions[0][s]
-        for i, x in enumerate(word):
-            state = self.transitions[state][x]
-            if state is None:
-                return i
-        raise AssertionError("word survived: not a left descent")
-
-    def reduce_word(self, word) -> Word:
-        """Some reduced word for the same element (deletion condition)."""
-        out: list[int] = []
-        states = [0]
-        for s in word:
-            nxt = self.transitions[states[-1]][s]
-            if nxt is not None:
-                out.append(s)
-                states.append(nxt)
-                continue
-            # exchange on the inverse: s + reversed(out) dies at position p,
-            # so dropping the mirrored letter shortens out . s to out minus one
-            p = self._death_index(s, out[::-1])
-            drop = len(out) - 1 - p
-            del out[drop:drop + 1]
-            del states[drop + 1:]
-            for x in out[drop:]:
-                states.append(self.transitions[states[-1]][x])
-        return tuple(out)
-
-    def shortlex(self, reduced) -> Word:
-        """ShortLex-least reduced word, by least-left-descent extraction."""
-        u = list(reduced)
-        out: list[int] = []
-        while u:
-            t = min(self.left_descents(tuple(u)))
-            if t == u[0]:
-                out.append(u.pop(0))
-                continue
-            j = self._death_index(t, u)
-            del u[j:j + 1]
-            out.append(t)
-        return tuple(out)
-
-    def nf(self, word) -> Word:
-        return self.shortlex(self.reduce_word(word))
-
     # --- elements ---------------------------------------------------------
 
     def element(self, word) -> Element:
-        w = self.nf(word)
-        return Element(w, self.left_descents(w), self.state_rdesc[self.run(w)])
+        """The element a word spells: one right edge per letter from the
+        identity, the ball grown by a layer only where an edge leaves it."""
+        ball = self.ball(max(self._balls, default=0))
+        i = 0
+        for s in word:
+            if ball.right_mult[i][s] is None:
+                ball = self.ball(ball.radius + 1)
+            i = ball.right_mult[i][s]
+        d = ball.descents
+        return Element(ball.words[i], d[ball.lstate[i]], d[ball.rstate[i]])
 
     def multiply(self, a: Element, b: Element) -> Element:
         return self.element(a.word + b.word)

@@ -555,7 +555,7 @@ def test_choose_k_builds_no_pattern_machine(w237, w2224, monkeypatch):
 def test_choose_k_reads_no_element_records(w2224, monkeypatch):
     # the cold start of a new group validates k on the balls' flat arrays:
     # no Element record is made and no word index built; read afterwards,
-    # both equal the records of normal forms
+    # the records' descents are the first and last letters of the closures
     from polycell import words
 
     def refuse(*args):
@@ -569,7 +569,10 @@ def test_choose_k_reads_no_element_records(w2224, monkeypatch):
             for b in group._balls.values()] == [True] * 3
     monkeypatch.undo()
     for ball in group._balls.values():
-        assert ball.elements == [group.element(w) for w in ball.words]
+        closures = (braid_closure(w2224, w) for w in ball.words)
+        assert [(e.word, e.left, e.right) for e in ball.elements] == [
+            (w, {z[0] for z in c if z}, {z[-1] for z in c if z})
+            for w, c in zip(ball.words, closures)]
         assert ball.index == {w: i for i, w in enumerate(ball.words)}
 
 

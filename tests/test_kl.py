@@ -200,7 +200,7 @@ def test_bruhat_matches_subexpression_search(g237, kl237, g2224):
             subelems = set()
             for mask in range(1 << w.length):
                 sub = tuple(w.word[i] for i in range(w.length) if mask >> i & 1)
-                subelems.add(g.nf(sub))
+                subelems.add(g.element(sub).word)
             index = table.ball.index
             for v in ball.elements:
                 want = v.word in subelems

@@ -15,7 +15,9 @@ spent: no function takes a cap, and `fsa.explore` works out for itself
 whether a machine is deterministic.  Fellow-traveler validation, the
 word-difference tables and the Bruhat ideals read no `Element` record.
 `python -m polycell` and the `polycell` script share one entry point,
-`cli.run`, the only code that freezes the heap."""
+`cli.run`, the only code that freezes the heap.  Every function the
+package defines is named by the package, its scripts or the benchmark,
+save a short allow-list: none is kept only for the tests."""
 
 import ast
 import importlib
@@ -192,6 +194,41 @@ def test_benchmark_tracer_hooks_resolve():
         elif (layer, path) in paths and not inspect.isfunction(vars(owner)[attr]):
             missing.append(f"{layer}.{path} is not a function")
     assert missing == []
+
+
+# functions defined in the package that only the tests name, each with why
+TEST_ONLY = {
+    "kl.KLTable.r_idx": "the lazy-R route that the sweep in `fill` is compared against",
+    "kl.KLTable.p_idx": "ROADMAP item 18 reads the Lusztig Delta function through it",
+}
+
+
+def test_no_function_only_the_tests_call():
+    """Each module-level function and method of the package (dunders aside)
+    is named in `src/`, `scripts/` or `perfbench/`, a method as an attribute
+    (so a local variable of the same name does not count): the tests reach
+    the package only through what the program itself uses, and `TEST_ONLY`."""
+    root = PACKAGE.parents[1]
+    attrs, names = set(), set()
+    for folder in ("src", "scripts", "perfbench"):
+        for path in sorted((root / folder).rglob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Attribute):
+                    attrs.add(node.attr)
+                elif isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.alias):
+                    names.add(node.name.split(".")[-1])
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            is_class = isinstance(node, ast.ClassDef)
+            unused += [f"{path.stem}.{node.name + '.' if is_class else ''}{fn.name}"
+                       for fn in (node.body if is_class else [node])
+                       if isinstance(fn, ast.FunctionDef)
+                       and not (fn.name.startswith("__") and fn.name.endswith("__"))
+                       and fn.name not in (attrs if is_class else attrs | names)]
+    assert sorted(unused) == sorted(TEST_ONLY)
 
 
 ENGINES = ("automata", "fsa", "cells", "compare")

@@ -6,21 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polycell.errors import ResourceLimit
-from polycell.oracle import braid_closure
+from polycell.oracle import braid_closure, closure_is_reduced, reduce_by_rewriting
 
 
 def test_normal_form_examples(g237, w237):
-    nf = lambda txt: w237.word_str(g237.nf(w237.parse_word(txt)))
+    nf = lambda txt: w237.word_str(g237.element(w237.parse_word(txt)).word)
     assert nf("tr") == "rt"
     assert nf("srs") == "rsr"
     assert nf("ss") == ""
     assert nf("tststst") == "stststs"
-
-
-def test_normal_form_idempotent(g237, w237):
-    for txt in ("tr", "srs", "tststst", "rsrsrs", "ttss"):
-        once = g237.nf(w237.parse_word(txt))
-        assert g237.nf(once) == once
 
 
 def test_multiply_basics(g237):
@@ -66,8 +60,8 @@ def test_ball_counts_small(g237):
     assert len(g237.ball(1)) == 4
     ball2 = g237.ball(2)
     assert ball2.counts == [1, 3, 5]
-    # brute force: all 9 two-letter words, identified by normal form
-    elems = {g237.nf(w) for w in itertools.product(range(3), repeat=2)}
+    # brute force: all 9 two-letter words, identified by their elements
+    elems = {g237.element(w).word for w in itertools.product(range(3), repeat=2)}
     assert sum(1 for w in elems if len(w) == 2) == 5
 
 
@@ -80,25 +74,43 @@ def test_ball_edges_involutive(g237):
                 assert ball.right_mult[j][s] == i
 
 
-def _nf_ball(group, radius):
-    """A ball built by full normal forms: breadth-first over nf-distinct
-    words, then nf(w.s) and nf(s.w) for every edge.  The reference for the
-    ball that takes its edges from its own search."""
-    layers = [[()]]
-    seen = {()}
+@functools.cache
+def _oracle_ball(angles, radius):
+    """A ball built from braid closures alone, the reference for the ball
+    that takes its edges from its own search.  Layer L+1 holds the least
+    word of closure(w + (s,)) for each w of layer L and each s not a right
+    descent of w; descents are the first and last letters of a closure; a
+    down edge drops the last (or first) letter s of a closure word that
+    ends (or starts) with s, and an up edge adds s to the word.  Returns,
+    by index, the words, left and right descents and Cayley edges, and the
+    index of every closure word."""
+    import polycell
+
+    pres = polycell.presentation_from_angles(angles)
+    rank = pres.rank
+    layers, closures = [[()]], {(): frozenset({()})}
     for _ in range(radius):
-        nxt = {group.nf(w + (s,)) for w in layers[-1] for s in range(group.rank)}
-        nxt -= seen
-        seen |= nxt
-        layers.append(sorted(nxt))
+        layer = {}
+        for w in layers[-1]:
+            right = {z[-1] for z in closures[w] if z}
+            for s in range(rank):
+                closure = braid_closure(pres, w + (s,))
+                assert closure_is_reduced(pres, closure) == (s not in right)
+                if s not in right:
+                    layer[min(closure)] = closure
+        closures.update(layer)
+        layers.append(sorted(layer))
     words = [w for layer in layers for w in layer]
-    index = {w: i for i, w in enumerate(words)}
-    elements = [group.element(w) for w in words]
-    right = [[index.get(group.nf(w + (s,))) for s in range(group.rank)]
-             for w in words]
-    left = [[index.get(group.nf((s,) + w)) for s in range(group.rank)]
-            for w in words]
-    return elements, index, right, left
+    where = {z: i for i, w in enumerate(words) for z in closures[w]}
+    left = [frozenset(z[0] for z in closures[w] if z) for w in words]
+    right = [frozenset(z[-1] for z in closures[w] if z) for w in words]
+    right_mult = [[where[next(z[:-1] for z in closures[w] if z and z[-1] == s)]
+                   if s in right[i] else where.get(w + (s,)) for s in range(rank)]
+                  for i, w in enumerate(words)]
+    left_mult = [[where[next(z[1:] for z in closures[w] if z and z[0] == s)]
+                  if s in left[i] else where.get((s,) + w) for s in range(rank)]
+                 for i, w in enumerate(words)]
+    return words, left, right, right_mult, left_mult, where
 
 
 @pytest.mark.parametrize("angles, radius", [
@@ -110,30 +122,19 @@ def test_ball_edges_match_normal_forms(angles, radius):
 
     group = polycell.PolygonGroup(polycell.presentation_from_angles(angles))
     ball = group.ball(radius)
-    elements, index, right, left = _nf_ball(group, radius)
-    assert ball.elements == elements
-    assert ball.index == index
-    assert ball.right_mult == right
-    assert ball.left_mult == left
+    words, left, right, right_mult, left_mult, where = _oracle_ball(tuple(angles), radius)
+    assert ball.words == words
+    assert ball.index == {w: where[w] for w in words}
+    assert [e.left for e in ball.elements] == left
+    assert [e.right for e in ball.elements] == right
+    assert ball.right_mult == right_mult
+    assert ball.left_mult == left_mult
     # s.w is the inverse of w^-1.s
-    inv = [ball.index[group.nf(e.word[::-1])] for e in ball.elements]
+    inv = [where[w[::-1]] for w in ball.words]
     for i in range(len(ball)):
         for s in range(group.rank):
             j = ball.left_mult[i][s]
             assert (None if j is None else inv[j]) == ball.right_mult[inv[i]][s]
-
-
-def test_ball_calls_no_normal_form(monkeypatch):
-    import polycell
-
-    group = polycell.PolygonGroup(polycell.presentation_from_angles([2, 2, 2, 4]))
-
-    def refuse(word):
-        raise AssertionError("ball asked for a normal form")
-
-    monkeypatch.setattr(group, "shortlex", refuse)
-    monkeypatch.setattr(group, "nf", refuse)
-    assert group.ball(8).counts == [1, 4, 9, 18, 35, 66, 124, 234, 441]
 
 
 def test_ball_cap(monkeypatch):
@@ -154,24 +155,20 @@ def _snapshot(ball):
             [list(row) for row in ball.right_mult], [list(row) for row in ball.left_mult])
 
 
-@functools.cache
 def _reference(angles, radius):
-    """The snapshot of a ball built by normal forms, on a group of its own."""
-    import polycell
-
-    group = polycell.PolygonGroup(polycell.presentation_from_angles(angles))
-    elements, _, right, left = _nf_ball(group, radius)
-    lengths = [e.length for e in elements]
-    return (radius, len(elements), [e.word for e in elements], lengths,
-            [lengths.count(n) for n in range(radius + 1)], [e.left for e in elements],
-            [e.right for e in elements], right, left)
+    """The snapshot of the ball built from braid closures alone."""
+    words, left, right, right_mult, left_mult, _ = _oracle_ball(angles, radius)
+    lengths = list(map(len, words))
+    return (radius, len(words), words, lengths,
+            [lengths.count(n) for n in range(radius + 1)], left, right,
+            right_mult, left_mult)
 
 
 @pytest.mark.parametrize("angles, r, R", [((2, 3, 7), 5, 11), ((2, 2, 2, 4), 4, 8)],
                          ids=["w237", "w2224"])
 @pytest.mark.parametrize("order", ["small-first", "large-first"])
 def test_smaller_ball_is_the_index_prefix(angles, r, R, order):
-    """Built in either order, ball(r) equals a ball built by normal forms,
+    """Built in either order, ball(r) equals the ball built from closures,
     index for index, and is the index prefix of ball(R); growing the group
     leaves the ball handed out before as it was."""
     import polycell
@@ -213,6 +210,14 @@ words237 = st.lists(st.integers(min_value=0, max_value=2), max_size=10).map(tupl
 
 @settings(max_examples=80, deadline=None)
 @given(word=words237)
+def test_element_is_least_rewritten_word(g237, w237, word):
+    # the ball walk against reduction by braid moves and ss-deletion alone
+    least = min(reduce_by_rewriting(w237, word), key=lambda z: (len(z), z))
+    assert g237.element(word).word == least
+
+
+@settings(max_examples=80, deadline=None)
+@given(word=words237)
 def test_length_changes_by_one(g237, word):
     e = g237.element(word)
     for s in range(3):
@@ -224,7 +229,7 @@ def test_length_changes_by_one(g237, word):
 def test_braid_closure_constant_on_classes(g237, w237, word):
     e = g237.element(word)
     for sibling in braid_closure(w237, e.word):
-        assert g237.nf(sibling) == e.word
+        assert g237.element(sibling).word == e.word
 
 
 @settings(max_examples=60, deadline=None)
