@@ -309,7 +309,7 @@ def cmd_onesided(args) -> int:
 
 def cmd_verify(args) -> int:
     from . import verify
-    from .cells import build_partition, partition_is_exact
+    from .cells import build_partition
     from .kl import KLTable
 
     pres, group, ws = _context(args)
@@ -323,7 +323,7 @@ def cmd_verify(args) -> int:
         checks += [
             verify.oracle_classification(part, ball),
             verify.census_routes(part, ball),
-            verify.Check("partition_exact", partition_is_exact(part)),
+            verify.partition_exact(part),
             verify.inversion_closed(part),
             verify.word_counts(group, ball, min(args.radius, 10)),
             verify.element_counts(group, ball),

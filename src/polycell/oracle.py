@@ -2,10 +2,11 @@
 
 Everything here works by rewriting words with the defining relations:
 braid closures enumerate complete sets of reduced expressions, cell labels
-come from scanning closures for dihedral patterns, Bruhat order from
-subsequence search, and Kazhdan-Lusztig polynomials from the classical
-one-step recursion.  None of it shares memo tables with the main engines;
-agreement between the two routes is the evidence the test suite runs on.
+come from scanning closures for dihedral patterns, Bruhat ideals as the
+products of the subwords of a reduced word (the subword property), and
+Kazhdan-Lusztig polynomials from the classical one-step recursion.  None
+of it shares memo tables with the main engines; agreement between the two
+routes is the evidence the test suite runs on.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from functools import cache
 
 from .errors import ResourceLimit
 from .presentation import CoxeterPresentation
-from .words import Word
+
+Word = tuple[int, ...]
 
 CLOSURE_CAP = 1_000_000  # most words of a braid closure
 
@@ -79,12 +81,6 @@ def reduce_by_rewriting(pres: CoxeterPresentation, word) -> frozenset[Word]:
         current = shorter
 
 
-def elements_equal(pres: CoxeterPresentation, a, b) -> bool:
-    ra = reduce_by_rewriting(pres, a)
-    rb = reduce_by_rewriting(pres, b)
-    return bool(ra & rb)
-
-
 # --- cell labels ------------------------------------------------------------
 
 
@@ -131,14 +127,13 @@ def unique_reduced_census(pres: CoxeterPresentation, ball) -> tuple[int, list[Wo
 
 
 class ClassicalKL:
-    """R and P polynomials by the textbook one-step recursions, with Bruhat
-    order from exhaustive subsequence search.  Deliberately word-based and
-    slow; usable for lengths up to ~8."""
+    """P polynomials by the textbook one-step recursion over Bruhat ideals
+    grown as subword products; word-based, every product by rewriting."""
 
     def __init__(self, pres: CoxeterPresentation):
         self.pres = pres
         self._red: dict[Word, frozenset[Word]] = {}
-        self._leq: dict[tuple[Word, Word], bool] = {}
+        self._below: dict[Word, frozenset[Word]] = {(): frozenset({()})}
         self._P: dict[tuple[Word, Word], tuple[int, ...]] = {}
         self._canon: dict[Word, Word] = {}
 
@@ -148,38 +143,29 @@ class ClassicalKL:
         return self._red[w]
 
     def canon(self, word) -> Word:
-        """Least reduced word of the element, independent of the engine."""
+        """Least reduced word of the element, independent of the engine
+        (the reduced words of one element all have its length)."""
         word = tuple(word)
         if word not in self._canon:
-            closure = reduce_by_rewriting(self.pres, word)
-            self._canon[word] = min(closure, key=lambda z: (len(z), z))
+            self._canon[word] = min(reduce_by_rewriting(self.pres, word))
         return self._canon[word]
 
     def right_descents(self, w: Word) -> set[int]:
         return {u[-1] for u in self.reduced_words(w) if u}
 
-    def mult_gen(self, w: Word, s: int, side: str) -> Word:
-        word = (s,) + w if side == "left" else w + (s,)
-        return self.canon(word)
+    def mult_gen(self, w: Word, s: int) -> Word:
+        return self.canon(w + (s,))
+
+    def below(self, w: Word) -> frozenset[Word]:
+        """Canonical words x <= w for a canonical w, the subword products:
+        Below(u s) = Below(u) | {x s : x in Below(u)}."""
+        if w not in self._below:
+            prefix = self.below(self.canon(w[:-1]))
+            self._below[w] = prefix | {self.mult_gen(x, w[-1]) for x in prefix}
+        return self._below[w]
 
     def bruhat_leq(self, v: Word, w: Word) -> bool:
-        key = (v, w)
-        if key not in self._leq:
-            if len(v) > len(w):
-                out = False
-            elif v == w:
-                out = True
-            else:
-                out = False
-                for mask in range(1 << len(w)):
-                    if bin(mask).count("1") != len(v):
-                        continue
-                    sub = tuple(w[i] for i in range(len(w)) if mask >> i & 1)
-                    if elements_equal(self.pres, sub, v):
-                        out = True
-                        break
-            self._leq[key] = out
-        return self._leq[key]
+        return self.canon(v) in self.below(self.canon(w))
 
     def kl_poly(self, v: Word, w: Word) -> tuple[int, ...]:
         """P_{v,w} via the classical recursion on a right descent of w."""
@@ -193,14 +179,14 @@ class ClassicalKL:
             out = (1,)
         else:
             s = min(self.right_descents(w))
-            ws = self.mult_gen(w, s, "right")
-            vs = self.mult_gen(v, s, "right")
+            ws = self.mult_gen(w, s)
+            vs = self.mult_gen(v, s)
             c = 1 if len(vs) < len(v) else 0
             first = _poly_shift(self.kl_poly(vs, ws), 1 - c)
             second = _poly_shift(self.kl_poly(v, ws), c)
             total = _poly_add(first, second)
             for z in self._interval_below(v, ws):
-                if len(self.mult_gen(z, s, "right")) >= len(z):
+                if len(self.mult_gen(z, s)) >= len(z):
                     continue
                 mu = self._mu(z, ws)
                 if mu:
@@ -212,15 +198,8 @@ class ClassicalKL:
         return out
 
     def _interval_below(self, v: Word, w: Word) -> list[Word]:
-        """Canonical words z with v <= z <= w (z ranges over subsequence
-        closures of w)."""
-        seen: set[Word] = set()
-        for mask in range(1 << len(w)):
-            sub = tuple(w[i] for i in range(len(w)) if mask >> i & 1)
-            z = self.canon(sub)
-            seen.add(z)
-        return [z for z in seen
-                if self.bruhat_leq(v, z) and self.bruhat_leq(z, w)]
+        """Canonical words z with v <= z <= w."""
+        return [z for z in self.below(w) if v in self.below(z)]
 
     def _mu(self, v: Word, w: Word) -> int:
         n = len(w) - len(v)

@@ -9,7 +9,7 @@ engines never do.
 from __future__ import annotations
 
 from . import automata
-from .cells import ConjecturalPartition, level_label
+from .cells import ConjecturalPartition, level_label, partition_is_exact
 from .errors import VerificationDisagreement
 from .fsa import are_equivalent, count_words, intersect, reverse_fsa
 from .hecke import a_lower_bounds
@@ -48,6 +48,11 @@ def census_routes(part: ConjecturalPartition, ball: ElementBall) -> Check:
         intersect(automata.shortlex_fsa(group), part.languages["c0"]), ball.radius)
     return Check("census_routes", by_len == c0_counts,
                  f"{census} unique-expression elements within radius {ball.radius}")
+
+
+def partition_exact(part: ConjecturalPartition) -> Check:
+    """The label languages are disjoint, and their union is Red(W)."""
+    return Check("partition_exact", partition_is_exact(part))
 
 
 def inversion_closed(part: ConjecturalPartition) -> Check:
@@ -90,8 +95,10 @@ def kl_identity(table: KLTable) -> Check:
 
 
 def kl_oracle(table: KLTable, length: int, oracle: ClassicalKL | None = None) -> Check:
-    """P on every Bruhat pair up to `length` against the classical one-step
-    recursion; a shared `oracle` keeps its memo across calls."""
+    """The lower Bruhat ideal of every element up to `length` against the
+    oracle's subword products, and P on each of its pairs against the
+    classical one-step recursion; a shared `oracle` keeps its memo across
+    calls."""
     ball = table.ball
     length = min(length, ball.radius)
     if oracle is None:
@@ -100,7 +107,10 @@ def kl_oracle(table: KLTable, length: int, oracle: ClassicalKL | None = None) ->
     for wi, w in enumerate(ball.elements):
         if w.length > length:
             break
-        for vi, p in table.column(wi).items():
+        column = table.column(wi)
+        ideal = {ball.index.get(x) for x in oracle.below(oracle.canon(w.word))}
+        bad += len(ideal ^ set(column))
+        for vi, p in column.items():
             if p != oracle.kl_poly(ball.elements[vi].word, w.word):
                 bad += 1
     return Check("kl_oracle", not bad, f"{bad} mismatches up to length {length}")

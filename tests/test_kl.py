@@ -192,15 +192,20 @@ def test_bruhat_examples(g237, kl237):
     assert not bruhat_leq(kl237, rt, st)
 
 
-def test_bruhat_matches_subexpression_search(g237, kl237, g2224):
-    # independent route: enumerate subsequences of one fixed reduced word
-    for g, table in ((g237, kl237), (g2224, KLTable(g2224, g2224.ball(5)))):
+def test_bruhat_matches_subexpression_search(g237, kl237, g2224, classical237,
+                                             classical2224):
+    """The engine's ideals (from covers) and the oracle's `below` (subword
+    products grown a letter at a time) against the reference: all 2^l
+    subsequences of one fixed reduced word."""
+    for g, table, oracle in ((g237, kl237, classical237),
+                             (g2224, KLTable(g2224, g2224.ball(5)), classical2224)):
         ball = g.ball(5)
         for w in ball.elements:
             subelems = set()
             for mask in range(1 << w.length):
                 sub = tuple(w.word[i] for i in range(w.length) if mask >> i & 1)
                 subelems.add(g.element(sub).word)
+            assert oracle.below(oracle.canon(w.word)) == subelems
             index = table.ball.index
             for v in ball.elements:
                 want = v.word in subelems
@@ -247,7 +252,7 @@ def test_upper_ideals_are_the_list_transpose(request, group, radius):
     assert table._geq == _list_transpose(table._leq)
 
 
-@pytest.mark.parametrize("group, radius", [("g237", 8), ("g2224", 6)])
+@pytest.mark.parametrize("group, radius", [("g237", 8), ("g2224", 8)])
 def test_p_idx_matches_classical_on_every_pair(request, group, radius):
     # pairs v <= w of a cold table: non-extremal pairs climb, extremal ones
     # are summed; test_bruhat_matches_subexpression_search covers the order
@@ -260,6 +265,22 @@ def test_p_idx_matches_classical_on_every_pair(request, group, radius):
     kinds = {_is_extremal(ball, v, w)
              for w in range(len(ball)) for v in table.lower(w)}
     assert kinds == {False, True}
+
+
+def test_kl_oracle_catches_a_wrong_ideal_or_p(g2224, classical2224):
+    """kl_oracle compares each lower ideal as well as P on it: a Bruhat pair
+    dropped from the engine's ideal is caught, though kl_identity, which
+    walks the same ideal, passes; so is one wrong extremal P."""
+    ball = g2224.ball(6)
+    table = KLTable(g2224, ball)
+    table._leq[-1] &= ~1  # the identity, bit 0, no longer below the last element
+    assert verify.kl_identity(table).ok
+    check = verify.kl_oracle(table, 6, classical2224)
+    assert (check.ok, check.detail) == (False, "1 mismatches up to length 6")
+    table = KLTable(g2224, ball)
+    v, w = _far_extremal_pair(ball, table)
+    table._P[v, w] = 7  # packed: P_{v,w} = 7, stored before its column is solved
+    assert not verify.kl_oracle(table, 6, classical2224).ok
 
 
 @pytest.mark.parametrize("group, radius", [("g237", 8), ("g2224", 6)])

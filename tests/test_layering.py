@@ -1,6 +1,8 @@
 """Main-path engines stay independent of the brute-force oracles: only
 `verify.py` may import `polycell.oracle`, to run the verification checks,
-and the command line loads it only for `verify`.  The workspace reads KL
+and the command line loads it only for `verify`.  In turn `oracle.py`
+imports from the package only its errors and the presentation, so no
+engine's result reaches the oracles.  The workspace reads KL
 data only through public `KLTable` methods, and every cell comes from
 `kl.empirical_cells`.  Outside the word engine and the oracles no module
 rewrites words through normal forms, and outside fsa.py none builds an
@@ -56,6 +58,20 @@ def test_only_verify_imports_oracle():
         and _imports_oracle(ast.parse(path.read_text()))
     ]
     assert offenders == []
+
+
+def test_oracle_imports_no_engine():
+    imported = set()
+    for node in ast.walk(ast.parse((PACKAGE / "oracle.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "polycell"):
+            module = node.module or ""
+            imported |= ({alias.name for alias in node.names}
+                         if module in ("", "polycell") else {module.split(".")[-1]})
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[-1] for alias in node.names
+                         if alias.name.split(".")[0] == "polycell"}
+    assert imported <= {"errors", "presentation"}
 
 
 def _private(name: str) -> bool:
