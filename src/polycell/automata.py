@@ -12,24 +12,23 @@ The pair machine runs a reduced word alpha beside a word beta of a given
 language while tracking the group element alpha_i^-1 * offset * beta_i
 inside a fixed ball; with a validated fellow-traveler bound its runs are the
 equal-endpoint pairs.  It reads only alpha's letters: where beta runs past
-the end of alpha, beta's step is an epsilon move, so no pair alphabet is
-built and the machine is already the projection to alpha from which
-pattern saturation (red_x_mu) and left translation follow.  Once one word
-has finished, the difference is the element the other word still has to
-spell; both words are reduced, so the machine takes only pad moves that
-shorten the difference.
+the end of alpha, beta's steps are epsilon moves, folded into acceptance,
+so no pair alphabet is built and the machine is already the projection to
+alpha from which pattern saturation (red_x_mu) and left translation
+follow.  Once one word has finished, the difference is the element the
+other word still has to spell; both words are reduced, so the machine
+takes only pad moves that shorten the difference.
 
 What does not depend on beta's language is computed once: the
 word-difference table (the word-difference machine of Epstein et al.,
 Word Processing in Groups, 1992, ch. 2) holds the states (alpha's
 canonical state, difference, mode) on an accepting run of the pair machine
 of Red(W) with itself, and the moves (x, y) between them.  It is cached per
-group, k and offset length.  A pair machine is the product of that table
-with beta's machine, so it meets few states that no accepting run passes
-through.  Every machine of the toolkit is one `expand` function handed to
-`fsa.explore`, which keeps only the states on an accepting run; the table
-reads the marks of `fsa.search`, the search under `explore`, directly.
-Either raises StateBlowup past `fsa.STATE_CAP` states.  A pattern machine
+group, k and offset length, and `fsa.search` builds it.  A pair machine is
+the product of that table with beta's machine, handed to
+`fsa.minimal_dfa`: one subset search over its pair states, then the one
+partition refinement, so the minimal DFA comes straight from the table.
+Both raise StateBlowup past `fsa.STATE_CAP` states.  A pattern machine
 reads k only through the identity offset's table, so `choose_k` compares
 the tables at k and k + 1 first, and builds and compares the pattern
 languages only where the tables differ.
@@ -57,6 +56,7 @@ from .fsa import (
     explore,
     intersect,
     make_dfa,
+    minimal_dfa,
     minimize,
     reverse_fsa,
     search,
@@ -239,53 +239,48 @@ def word_difference_table(group: PolygonGroup, k: int,
 
 def equal_endpoint_pairs(group: PolygonGroup, B: FSA, offset: Word,
                          k: int) -> FSA:
-    """Trimmed NFA over the generators accepting every reduced alpha that
+    """Minimal DFA over the generators accepting every reduced alpha that
     pairs with some beta in L(B) with endpoint(alpha) = offset *
     endpoint(beta) and every synchronous word difference alpha_i^-1 *
     offset * beta_i of length <= k + |offset|, where the offset is the
-    identity () or one generator (s,).  The shorter word pads at the end:
-    a step of alpha alone reads its letter, a step of beta alone is an
-    epsilon move.  B must be deterministic, and L(B) must hold reduced
-    words only.
+    identity () or one generator (s,).  The shorter word pads at the end.
+    B must be deterministic, and L(B) must hold reduced words only.
 
-    The pair machine's states are (alpha's canonical state, B's state,
-    difference, mode), mode 0 while both words run, 1 once beta has
-    finished (B's state then accepts), 2 once alpha has.  Once beta has
-    finished, the difference is the element the rest of alpha spells;
-    alpha is reduced, so each pad step of alpha shortens it by one.  Once
-    alpha has finished, the difference is the inverse of the element the
-    rest of beta spells, which shortens on each step because beta is
-    reduced.  So a pad move that does not shorten the difference is never
-    on an accepting run; only moves of both words need the radius test.
-
-    The machine is the product of B with word_difference_table(group, k,
-    offset), and it is the full pair machine trimmed, state for state.
-    The product takes exactly the full machine's moves whose projection to
-    (alpha's canonical state, difference, mode) is a move of the table,
-    which holds what lies on an accepting run of the pair machine of Red(W)
-    with itself.  Every accepting run of the full machine, for (alpha,
-    beta), projects onto one of that machine, with beta's canonical states
-    in place of B's, because beta is reduced.  So only dead states are
-    skipped.  No dead state has a move to a live one, so each live state is
-    first met from a live state, by the same move: the live states are
-    found in the same order.  A B accepting a non-reduced word would lose
-    the pairs that run through it.
-
-    `fsa.explore` builds the product: it keeps the states on an accepting
-    run, in their order of discovery, and raises StateBlowup past
-    `fsa.STATE_CAP` interned states."""
+    The full pair machine's states are (alpha's canonical state, B's
+    state, difference, mode), mode 0 while both words run, 1 once beta has
+    finished (B's state then accepts), 2 once alpha has.  Once either word
+    has finished, the difference is what the rest of the other spells, so
+    each pad step shortens it, and only moves of both words need the
+    radius test.  The states searched are the (table state, B state) of
+    its product with word_difference_table(group, k, offset), as ints.
+    Every accepting run for (alpha, beta) projects onto the table's runs,
+    beta being reduced, so only dead states are skipped; a B accepting a
+    non-reduced word would lose the pairs that run through it.  Steps of
+    beta alone read no letter of alpha, so each state is closed under
+    them once: it accepts if they lead to an accepting state.
+    `fsa.minimal_dfa` determinizes and minimizes the product."""
     starts, accepts, alpha_moves, beta_moves = \
         word_difference_table(group, k, offset)
     if offset not in starts:
         return empty_language(group.presentation.names)
-    b_delta, b_acc = B.transitions, B.accepting
-    gens = range(group.rank)
-    b_next = [[t[0] if (t := b_delta.get((q, y))) else None for y in gens]
-              for q in range(B.n_states)]
+    b_delta, b_acc, n = B.transitions, B.accepting, B.n_states
+    b_next = [[t[0] if (t := b_delta.get((q, y))) else None
+               for y in range(group.rank)] for q in range(n)]
+    ends: dict[int, bool] = {}
 
-    # state = (table state, B state)
+    def beta_ends(t, qb):
+        # whether steps of beta alone lead from (t, qb) to an accepting pair
+        done = ends.get(t * n + qb)
+        if done is None:
+            nb = b_next[qb]
+            done = ends[t * n + qb] = (accepts[t] and qb in b_acc) or any(
+                nb[y] is not None and beta_ends(u, nb[y])
+                for y, u in beta_moves[t])
+        return done
+
+    # state = table state * n + B state
     def expand(state):
-        t, qb = state
+        t, qb = divmod(state, n)
         nb = b_next[qb]
         qb_acc = qb in b_acc
         moves = []
@@ -293,17 +288,15 @@ def equal_endpoint_pairs(group: PolygonGroup, B: FSA, offset: Word,
             for y, u in both:
                 tb = nb[y]
                 if tb is not None:
-                    moves.append((x, (u, tb)))
+                    moves.append((x, u * n + tb))
             if pad is not None and qb_acc:
-                moves.append((x, (pad, qb)))
-        for y, u in beta_moves[t]:
-            tb = nb[y]
-            if tb is not None:
-                moves.append((-1, (u, tb)))
-        return qb_acc and accepts[t], moves
+                moves.append((x, pad * n + qb))
+        if beta_moves[t]:  # most table states have no step of beta alone
+            return beta_ends(t, qb), moves
+        return accepts[t] and qb_acc, moves
 
-    return explore(group.presentation.names,
-                   (starts[offset], B.initial), expand)
+    return minimal_dfa(group.presentation.names,
+                       starts[offset] * n + B.initial, expand)
 
 
 # pattern machines by group, then by (pattern, k): choose_k and
@@ -318,8 +311,7 @@ def red_x_mu(group: PolygonGroup, pattern: Word, k: int) -> FSA:
     memo = _pattern_machines.setdefault(group, {})
     key = (tuple(pattern), k)
     if key not in memo:
-        memo[key] = minimize(equal_endpoint_pairs(
-            group, factor_fsa(group, pattern), (), k))
+        memo[key] = equal_endpoint_pairs(group, factor_fsa(group, pattern), (), k)
     return memo[key]
 
 
@@ -327,7 +319,7 @@ def left_translate(group: PolygonGroup, A: FSA, s: int, k: int) -> FSA:
     """Minimal DFA for Red(s * X), X the element set of A, which must accept
     reduced words only: one pair machine whose offset is the generator s,
     so every word difference lives in a ball of radius k + 1."""
-    return minimize(equal_endpoint_pairs(group, A, (s,), k))
+    return equal_endpoint_pairs(group, A, (s,), k)
 
 
 # --- fellow-traveler constant ----------------------------------------------

@@ -4,19 +4,23 @@ Symbols are indices into an alphabet tuple of short strings; for automata
 over group generators the symbol index equals the generator index, so
 engine words feed straight in.  Transitions map (state, symbol) to a tuple
 of targets; deterministic machines keep singleton tuples and no epsilon
-moves, which are stored separately and only appear in intermediate
-products (pair machines, reversal); stored machines are epsilon-free.
+moves, which only reversal makes; stored machines are epsilon-free.
 
-One function, `explore`, makes every machine that is searched out from a
-start state: subset construction, products and the pair machines of
-`automata`.  It runs `search`, which interns states as it meets them,
-marks those on an accepting run (Epstein et al., Word Processing in
-Groups, 1992, ch. 2) and caps every search at STATE_CAP states; `explore`
-keeps the marked states, and `automata`'s word-difference table reads the
-marks directly.
+Every machine searched out from a start state goes through `search`, which
+interns states as it meets them, marks those on an accepting run (Epstein
+et al., Word Processing in Groups, 1992, ch. 2) and caps every search at
+STATE_CAP states.  `explore` keeps the marked states (products), and
+`automata`'s word-difference table reads the marks directly.  One subset
+search over the marked states, its sets int bitsets, serves `determinize`
+and `minimal_dfa` (the pair machines of `automata`), which hands its rows
+straight to `_moore`, the one partition refinement, which `minimize` also
+runs.
 """
 
 from __future__ import annotations
+
+from itertools import accumulate
+from operator import itemgetter, or_
 
 from .errors import AlphabetMismatch, StateBlowup
 
@@ -113,14 +117,7 @@ def empty_language(alphabet) -> FSA:
 
 
 def epsilon_language(alphabet) -> FSA:
-    return FSA(
-        alphabet=tuple(alphabet),
-        n_states=1,
-        initial=0,
-        accepting=frozenset({0}),
-        transitions={},
-        deterministic=True,
-    )
+    return make_dfa(alphabet, 1, 0, {0}, {})
 
 
 def with_initial(fsa: FSA, initial: int) -> FSA:
@@ -129,46 +126,37 @@ def with_initial(fsa: FSA, initial: int) -> FSA:
                fsa.transitions, fsa.eps, fsa.deterministic)
 
 
-def _check_alphabet(a: FSA, b: FSA) -> None:
-    if a.alphabet != b.alphabet:
-        raise AlphabetMismatch(f"{a.alphabet} vs {b.alphabet}")
-
-
 def search(starts, expand):
     """Intern the states reached from the distinct keys `starts` and mark
     those on an accepting run.  expand(key) returns whether the state
     accepts and its moves (symbol, key).  States are numbered in order of
-    discovery, the starts first, each recording its predecessors; one
-    backward pass from the accepting states marks the live ones.  Returns
-    the keys by number, each state's moves as (symbol, target number), the
-    accepting numbers and the live flags.  Past STATE_CAP interned states
-    it raises StateBlowup naming the function that made `expand`."""
+    discovery, the starts first; one backward pass over the recorded
+    predecessors marks the live ones.  Returns the keys by number, each
+    state's moves as (symbol, target number), the accepting numbers and
+    the live flags.  Past STATE_CAP interned states it raises StateBlowup
+    naming the function that made `expand`."""
     ids = {key: i for i, key in enumerate(starts)}
     keys = list(starts)
     rows = []
     preds: list[list[int]] = [[] for _ in keys]
     accepting: list[int] = []
-    i = 0
-    while i < len(keys):
-        accepts, moves = expand(keys[i])
+    for i, key in enumerate(keys):  # grows as new states are met
+        accepts, moves = expand(key)
         if accepts:
             accepting.append(i)
         row = []
-        for s, key in moves:
-            j = ids.get(key)
-            if j is None:
-                j = len(keys)
+        for s, target in moves:
+            j = ids.setdefault(target, len(keys))
+            if j == len(keys):
                 if j >= STATE_CAP:
                     stage = expand.__qualname__.partition(".")[0]
                     raise StateBlowup(f"{stage} exceeds {STATE_CAP} states")
-                ids[key] = j
-                keys.append(key)
+                keys.append(target)
                 preds.append([i])
             else:
                 preds[j].append(i)
             row.append((s, j))
         rows.append(row)
-        i += 1
     live = [False] * len(keys)
     for q in accepting:
         live[q] = True
@@ -183,87 +171,115 @@ def search(starts, expand):
 
 def explore(alphabet, start, expand) -> FSA:
     """The machine of the states `search` reaches from `start`, trimmed to
-    those on an accepting run, which keep their order of discovery; symbol
-    -1 is an epsilon move.  With none, and one target per move, the machine
-    is deterministic."""
+    those on an accepting run, which keep their order of discovery.  With
+    one target per move the machine is deterministic."""
     _, rows, accepting, live = search([start], expand)
     if not live[0]:
         return empty_language(alphabet)
-    remap = [-1] * len(live)
-    n = 0
-    for q, alive in enumerate(live):
-        if alive:
-            remap[q] = n
-            n += 1
+    remap = [n - 1 for n in accumulate(live)]  # for the live states
     transitions: dict[tuple[int, int], list[int]] = {}
-    eps: dict[int, list[int]] = {}
     for q, row in enumerate(rows):
         if live[q]:
-            rq = remap[q]
             for s, j in row:
                 if live[j]:
-                    if s < 0:
-                        eps.setdefault(rq, []).append(remap[j])
-                    else:
-                        transitions.setdefault((rq, s), []).append(remap[j])
-    return FSA(
-        alphabet=tuple(alphabet),
-        n_states=n,
-        initial=0,
-        accepting=frozenset(remap[q] for q in accepting),
-        transitions={k: tuple(ts) for k, ts in transitions.items()},
-        eps={q: tuple(ts) for q, ts in eps.items()},
-        deterministic=not eps and all(len(ts) == 1 for ts in transitions.values()),
-    )
+                    transitions.setdefault((remap[q], s), []).append(remap[j])
+    return FSA(tuple(alphabet), remap[-1] + 1, 0,
+               frozenset(remap[q] for q in accepting),
+               {k: tuple(ts) for k, ts in transitions.items()},
+               deterministic=all(len(ts) == 1 for ts in transitions.values()))
+
+
+def minimal_dfa(alphabet, start, expand) -> FSA:
+    """The minimal DFA of the machine `search` reaches from `start`, which
+    may have several moves on one symbol: `_moore` on its subset rows."""
+    rows, accepting = _subset_rows(len(alphabet), start, expand)
+    return _moore(alphabet, rows, accepting, 1, 0)
+
+
+def _subset_rows(nsym, start, expand):
+    """The subset machine of the states `search` reaches from `start`, its
+    sets of states on an accepting run as int bitsets, numbered as they
+    are met: 0 is the empty set, its own successor, and 1 the start.
+    Returns the successor rows by number and the accepting numbers.  Past
+    STATE_CAP sets it raises StateBlowup, as `search` does past STATE_CAP
+    states."""
+    _, moves, accepting, live = search([start], expand)
+    steps = []  # by state and symbol, the live states it moves to
+    for row in moves:
+        step = [0] * nsym
+        for s, j in row:
+            if live[j]:
+                step[s] |= 1 << j
+        steps.append(step)
+    ids = {0: 0, 1: 1}
+    sets = [1]
+    rows = [[0] * nsym]
+    for cur in sets:  # grows as new sets are met
+        row = None
+        while cur:
+            low = cur & -cur
+            step = steps[low.bit_length() - 1]
+            row = step if row is None else list(map(or_, row, step))
+            cur ^= low
+        out = []
+        for nxt in row:
+            j = ids.setdefault(nxt, len(ids))
+            if j > len(sets):
+                if j >= STATE_CAP:
+                    stage = expand.__qualname__.partition(".")[0]
+                    raise StateBlowup(f"{stage} exceeds {STATE_CAP} states")
+                sets.append(nxt)
+            out.append(j)
+        rows.append(out)
+    acc = sum(1 << q for q in accepting)
+    return rows, {i for i, cur in enumerate(sets, 1) if cur & acc}
 
 
 def determinize(fsa: FSA) -> FSA:
-    """Subset construction of the states reachable from the initial one,
-    trimmed."""
+    """`_subset_rows` of fsa from its initial state, numbered from 0, with
+    epsilon moves folded into the moves and acceptance of the states
+    before them."""
     delta, acc = fsa.transitions, fsa.accepting
     syms = range(len(fsa.alphabet))
 
-    def expand(cur):
-        moves = []
-        for s in syms:
-            nxt = set()
-            for q in cur:
-                nxt.update(delta.get((q, s), ()))
-            if nxt:
-                moves.append((s, _eps_closure(fsa, nxt)))
-        return not acc.isdisjoint(cur), moves
+    def expand(q):
+        near = _eps_closure(fsa, {q})
+        return not acc.isdisjoint(near), [(s, t) for p in near for s in syms
+                                          for t in delta.get((p, s), ())]
 
-    return explore(fsa.alphabet, _eps_closure(fsa, {fsa.initial}), expand)
+    rows, accepting = _subset_rows(len(syms), fsa.initial, expand)
+    return make_dfa(fsa.alphabet, len(rows) - 1, 0, {q - 1 for q in accepting},
+                    {(q - 1, s): t - 1 for q, row in enumerate(rows) if q
+                     for s, t in enumerate(row) if t})
 
 
 def minimize(fsa: FSA) -> FSA:
-    """Unique minimal DFA via Moore partition refinement (dead state
-    implicit).  Each state's successor row, the dead sink filling missing
-    moves, is built once; a round splits classes by (class, classes of the
-    row) and never merges them, so refinement stops at the first round that
-    adds no class.  No trim is needed: refinement puts every state with an
-    empty future in the dead class, and the numbering reaches only states
-    from the initial one, skipping that class."""
-    from operator import itemgetter
-
+    """Unique minimal DFA: `_moore` on the successor rows of fsa, or of
+    its subset machine if fsa is not deterministic."""
     if not fsa.deterministic:
         fsa = determinize(fsa)
-    if fsa.n_states == 0 or not fsa.accepting:
-        return empty_language(fsa.alphabet)
     n = fsa.n_states
-    dead = n  # non-accepting sink, its own successor on every symbol
-    nsym = len(fsa.alphabet)
-    rows = [[dead] * nsym for _ in range(n + 1)]
+    rows = [[n] * len(fsa.alphabet) for _ in range(n + 1)]
     for (q, s), ts in fsa.transitions.items():
         if ts:
             rows[q][s] = ts[0]
+    return _moore(fsa.alphabet, rows, fsa.accepting, fsa.initial, n)
+
+
+def _moore(alphabet, rows, accepting, initial, dead) -> FSA:
+    """The minimal DFA of the complete machine whose successor rows are
+    `rows`, `dead` a rejecting state that is its own successor, by Moore
+    partition refinement.  A round splits classes by (class, classes of
+    the row) and never merges them, so refinement stops at the first round
+    that adds no class.  No trim is needed: refinement puts every state
+    with an empty future in the dead state's class, and the numbering
+    reaches only states from the initial one, skipping that class."""
     # a state's signature in a class list: its class, then its row's
     signature = [itemgetter(q, *row) for q, row in enumerate(rows)]
-
-    cls = [0] * (n + 1)
-    for q in fsa.accepting:
+    cls = [0] * len(rows)
+    for q in accepting:
         cls[q] = 1
-    count = 2  # the dead sink never accepts
+    count = 2  # the dead state never accepts
     while True:
         sig: dict = {}
         cls = [sig.setdefault(key(cls), len(sig)) for key in signature]
@@ -273,27 +289,22 @@ def minimize(fsa: FSA) -> FSA:
 
     dead_cls = cls[dead]
     # canonical numbering: BFS from the initial class in symbol order
-    renum = {cls[fsa.initial]: 0}
-    order = [fsa.initial]
+    renum = {cls[initial]: 0}
+    order = [initial]
     delta: dict[tuple[int, int], int] = {}
-    accepting = set()
-    i = 0
-    while i < len(order):
-        rep = order[i]
-        if rep in fsa.accepting:
-            accepting.add(i)
+    final = set()
+    for i, rep in enumerate(order):  # grows as new classes are met
+        if rep in accepting:
+            final.add(i)
         for s, t in enumerate(rows[rep]):
             c = cls[t]
             if c == dead_cls:
                 continue
-            j = renum.get(c)
-            if j is None:
-                j = len(renum)
-                renum[c] = j
+            j = renum.setdefault(c, len(renum))
+            if j == len(order):
                 order.append(t)
             delta[(i, s)] = j
-        i += 1
-    return make_dfa(fsa.alphabet, len(renum), 0, accepting, delta)
+    return make_dfa(alphabet, len(renum), 0, final, delta)
 
 
 def reverse_fsa(fsa: FSA) -> FSA:
@@ -321,7 +332,8 @@ def reverse_fsa(fsa: FSA) -> FSA:
 def _dfa_operands(a: FSA, b: FSA) -> tuple[FSA, FSA, tuple]:
     """Both operands as DFAs over one alphabet, and their start pair; None
     marks the implicit dead side."""
-    _check_alphabet(a, b)
+    if a.alphabet != b.alphabet:
+        raise AlphabetMismatch(f"{a.alphabet} vs {b.alphabet}")
     if not a.deterministic:
         a = determinize(a)
     if not b.deterministic:

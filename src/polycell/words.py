@@ -163,12 +163,18 @@ class PolygonGroup:
 
     def element(self, word) -> Element:
         """The element a word spells: one right edge per letter from the
-        identity, the ball grown by a layer only where an edge leaves it."""
-        ball = self.ball(max(self._balls, default=0))
+        identity, the ball grown by a layer only where an edge leaves it.
+        Of the balls the walk grows, only the last is kept."""
+        balls = self._balls
+        top = max(balls, default=-1)
+        ball = self.ball(max(top, 0))
         i = 0
         for s in word:
             if ball.right_mult[i][s] is None:
-                ball = self.ball(ball.radius + 1)
+                grown = self.ball(ball.radius + 1)
+                if ball.radius > top:
+                    del balls[ball.radius]
+                ball = grown
             i = ball.right_mult[i][s]
         d = ball.descents
         return Element(ball.words[i], d[ball.lstate[i]], d[ball.rstate[i]])

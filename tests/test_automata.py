@@ -6,6 +6,7 @@ from polycell import (
     PolygonGroup,
     automata,
     cells,
+    fsa,
     presentation_from_angles,
     verify,
 )
@@ -36,7 +37,6 @@ from polycell.fsa import (
     determinize,
     enumerate_words,
     epsilon_language,
-    explore,
     is_empty,
     is_subset,
     minimize,
@@ -305,8 +305,9 @@ def test_pair_machine_languages_hold_reduced_words_only(part237, part2224,
 
 def unfiltered_equal_endpoint_pairs(group, B, offset, k):
     """The pair machine searched without the word-difference table: every
-    move the radius and pad rules allow, dead or not, trimmed by explore.
-    The reference for equal_endpoint_pairs, state for state."""
+    move the radius and pad rules allow, dead or not, as an NFA whose steps
+    of beta alone are epsilon moves.  The reference for
+    equal_endpoint_pairs, which must be its minimal DFA."""
     radius = k + len(offset)
     ball = group.ball(radius + 1)
     right_mult, left_mult, lengths = ball.right_mult, ball.left_mult, ball.lengths
@@ -339,27 +340,47 @@ def unfiltered_equal_endpoint_pairs(group, B, offset, k):
             for y, tb in b_moves[qb]:
                 nd = dy[y]
                 if lengths[nd] < ld:
-                    moves.append((-1, (qa, tb, nd, 2)))
+                    moves.append((None, (qa, tb, nd, 2)))
         return d == 0 and qb_acc, moves
 
-    return explore(group.presentation.names,
-                   (0, B.initial, ball.index[offset], 0), expand)
+    keys = [(0, B.initial, ball.index[offset], 0)]
+    ids = {keys[0]: 0}
+    accepting, transitions, eps = set(), {}, {}
+    for i, key in enumerate(keys):  # grows as new states are met
+        accepts, moves = expand(key)
+        if accepts:
+            accepting.add(i)
+        for x, target in moves:
+            j = ids.setdefault(target, len(keys))
+            if j == len(keys):
+                keys.append(target)
+            if x is None:
+                eps.setdefault(i, set()).add(j)
+            else:
+                transitions.setdefault((i, x), set()).add(j)
+    return FSA(group.presentation.names, len(keys), 0, frozenset(accepting),
+               {key: tuple(sorted(ts)) for key, ts in transitions.items()},
+               eps={q: tuple(sorted(ts)) for q, ts in eps.items()})
 
 
 def test_pair_machines_match_the_unfiltered_search(g237, g2224,
                                                    translation_steps):
     # the table skips only dead states: every red_x_mu pattern at k and
-    # k + 1, and every translation step of ONESIDED_PATHS, gives the very
-    # machine of the unfiltered search
+    # k + 1, and every translation step of ONESIDED_PATHS, gives the
+    # minimal DFA of the unfiltered search.  Those steps all lengthen the
+    # words; each pattern language translated by each generator also has
+    # words that s shortens, whose pairs end with steps of beta alone
+    def same(group, B, offset, k):
+        return to_text(equal_endpoint_pairs(group, B, offset, k)) == to_text(
+            minimize(unfiltered_equal_endpoint_pairs(group, B, offset, k)))
+
     for group, k in ((g237, K_W237), (g2224, K_W2224)):
         for entry in dihedral_data(group.presentation).entries:
             B = factor_fsa(group, entry.longest_word)
-            for kk in (k, k + 1):
-                assert equal_endpoint_pairs(group, B, (), kk) == \
-                    unfiltered_equal_endpoint_pairs(group, B, (), kk)
+            assert same(group, B, (), k) and same(group, B, (), k + 1)
+            assert all(same(group, B, (s,), k) for s in range(group.rank))
     for group, A, s, k in translation_steps:
-        assert equal_endpoint_pairs(group, A, (s,), k) == \
-            unfiltered_equal_endpoint_pairs(group, A, (s,), k)
+        assert same(group, A, (s,), k)
 
 
 def test_pair_machine_matches_padded_projection(part237, part2224):
@@ -382,9 +403,9 @@ def test_pair_machine_matches_padded_projection(part237, part2224):
             assert to_text(cand.language) == to_text(want)
 
 
-def test_pair_machines_are_trim_stable(part237, part2224, monkeypatch):
-    # equal_endpoint_pairs trims as it builds, so trimming again changes
-    # nothing: it keeps no state off an accepting path.  The red_x_mu
+def test_pair_machines_are_already_minimal(part237, part2224, monkeypatch):
+    # equal_endpoint_pairs hands its subset rows to the refinement that
+    # minimize runs, so minimizing again changes nothing.  The red_x_mu
     # machines and every one-generator step of _spec_candidates on the
     # bundled paths; their languages are checked against the padded
     # projection above.
@@ -404,17 +425,26 @@ def test_pair_machines_are_trim_stable(part237, part2224, monkeypatch):
         _spec_candidates(part, level, radius, k)
         assert len(built) > n_patterns
     for p in built:
-        assert set_trim_reference(p) == p
+        assert minimize(p) == p
 
 
 def test_pair_machines_stop_at_the_state_cap(w237, monkeypatch):
-    # the cap counts interned states, live or not, like every other
-    # machine's.  A fresh group, whose table is built under the full cap:
-    # the rt machine itself interns more than ten states
+    # the cap counts interned pair states, live or not, and subset states
+    # alike.  A fresh group, whose table is built under the full cap: the
+    # rt machine itself interns more than ten pair states
     group = PolygonGroup(w237)
     B = factor_fsa(group, w237.parse_word("rt"))
     word_difference_table(group, K_W237, ())
-    assert equal_endpoint_pairs(group, B, (), K_W237).n_states > 10
+    interned = []
+
+    def record(starts, expand):
+        out = search(starts, expand)
+        interned.append(len(out[0]))
+        return out
+
+    monkeypatch.setattr("polycell.fsa.search", record)
+    equal_endpoint_pairs(group, B, (), K_W237)
+    assert len(interned) == 1 and interned[0] > 10
     monkeypatch.setattr("polycell.fsa.STATE_CAP", 10)
     with pytest.raises(StateBlowup, match="equal_endpoint_pairs exceeds 10 states"):
         equal_endpoint_pairs(group, B, (), K_W237)
@@ -434,12 +464,15 @@ def test_word_difference_table_stops_at_the_state_cap(w237, monkeypatch):
 
 def test_onesided_path_interns_few_pair_states(w2224, monkeypatch):
     # the benchmark's onesided path (w2224 level 2 radius 8, k = 4) on a
-    # fresh group: the 23 translation machines keep 2,347 states.  The
-    # top level's U^T reads no label language, so no pattern machine and
-    # no identity-offset table is built; with the 4 pattern machines built
-    # eagerly, 27 machines interned 3,282 states, and 15,393 before they
-    # read the word-difference tables
+    # fresh group: the 23 translation machines intern 2,749 pair states,
+    # 2,347 of them on an accepting run, and meet 1,093 nonempty sets of
+    # those in their subset searches.  The top level's U^T reads no label
+    # language, so no pattern machine and no identity-offset table is
+    # built; with the 4 pattern machines built eagerly, 27 machines
+    # interned 3,282 states, and 15,393 before they read the
+    # word-difference tables
     interned: dict = {}
+    subsets: dict = {}
 
     def record(starts, expand):
         keys, rows, accepting, live = search(starts, expand)
@@ -450,6 +483,13 @@ def test_onesided_path_interns_few_pair_states(w2224, monkeypatch):
         n[2] += sum(live)
         return keys, rows, accepting, live
 
+    def record_sets(nsym, start, expand):
+        rows, accepting = subset_rows(nsym, start, expand)
+        stage = expand.__qualname__.partition(".")[0]
+        # the sets met, without the empty one, which is the dead state
+        subsets[stage] = subsets.get(stage, 0) + len(rows) - 1
+        return rows, accepting
+
     offsets = []
     pairs = automata.equal_endpoint_pairs
 
@@ -457,15 +497,19 @@ def test_onesided_path_interns_few_pair_states(w2224, monkeypatch):
         offsets.append(offset)
         return pairs(group, B, offset, k)
 
-    monkeypatch.setattr("polycell.fsa.search", record)
+    subset_rows = fsa._subset_rows
+    monkeypatch.setattr(fsa, "search", record)
+    monkeypatch.setattr(fsa, "_subset_rows", record_sets)
     monkeypatch.setattr(automata, "search", record)
     monkeypatch.setattr(automata, "equal_endpoint_pairs", record_offset)
     part = build_partition(PolygonGroup(w2224), K_W2224)
-    omega_minimal(part, 2, 8, K_W2224)
+    specs = omega_minimal(part, 2, 8, K_W2224)
     assert len(offsets) == 23 and () not in offsets
     # machines, interned states, live states
     assert interned["equal_endpoint_pairs"] == [23, 2_749, 2_347]
     assert interned["word_difference_table"] == [1, 1_010, 228]
+    assert subsets["equal_endpoint_pairs"] == 1_093
+    assert len(specs) == 22
 
 
 def test_red_x_mu_examples(g237, w237):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from polycell.automata import red_x_mu
 from polycell.cells import u_t_fsa
-from polycell.errors import AlphabetMismatch
+from polycell.errors import AlphabetMismatch, StateBlowup
 from polycell.fsa import (
     FSA,
     are_equivalent,
@@ -382,19 +382,19 @@ def test_shortest_word_against_enumeration(a):
 
 
 def _own_moves(a: FSA):
-    """expand for explore that reads a's own moves, epsilon ones as -1."""
+    """expand for explore that reads a's own letter moves."""
     def expand(q):
-        moves = [(s, t) for s in range(len(a.alphabet))
-                 for t in a.transitions.get((q, s), ())]
-        return q in a.accepting, moves + [(-1, t) for t in a.eps.get(q, ())]
+        return q in a.accepting, [(s, t) for s in range(len(a.alphabet))
+                                  for t in a.transitions.get((q, s), ())]
     return expand
 
 
 @settings(max_examples=150, deadline=None)
-@given(a=random_nfas)
+@given(a=partial_dfas)
 def test_explore_keeps_the_live_states(a):
+    # explore trims a DFA to its live states
     e = explore(a.alphabet, a.initial, _own_moves(a))
-    assert e.n_states == set_trim_reference(a).n_states
+    assert e.deterministic and e.n_states == set_trim_reference(a).n_states
     for w in _words(a.n_states):
         assert e.accepts(w) == a.accepts(w)
     # no dead state: an accepting state lies ahead of every state kept,
@@ -403,8 +403,31 @@ def test_explore_keeps_the_live_states(a):
         assert e == empty_language(AB)
         return
     back = {(t, q) for q, _, t in e.edges()}
-    back |= {(t, q) for q, ts in e.eps.items() for t in ts}
     ahead = set(e.accepting)
     while more := {q for t, q in back if t in ahead} - ahead:
         ahead |= more
     assert ahead == set(range(e.n_states))
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=random_nfas)
+def test_subset_machines_accept_the_words_of_the_nfa(a):
+    # a.accepts simulates the epsilon closures by sets, apart from the
+    # bitset subset search behind minimize and determinize
+    m, d = minimize(a), determinize(a)
+    assert d.deterministic and not d.eps
+    for w in _words(a.n_states + 2):
+        assert m.accepts(w) == d.accepts(w) == a.accepts(w)
+
+
+def test_subset_search_stops_at_the_state_cap(monkeypatch):
+    # the n-th letter from the end is a: n + 1 states, 2^n subsets, so a
+    # cap between the two stops the subset search, not the state search
+    n = 6
+    delta = {(0, 0): (0, 1), (0, 1): (0,)}
+    delta.update({(q, s): (q + 1,) for q in range(1, n) for s in (0, 1)})
+    a = FSA(AB, n + 1, 0, frozenset({n}), delta)
+    assert determinize(a).n_states == minimize(a).n_states == 2 ** n
+    monkeypatch.setattr("polycell.fsa.STATE_CAP", 2 * n)
+    with pytest.raises(StateBlowup, match=f"determinize exceeds {2 * n} states"):
+        determinize(a)

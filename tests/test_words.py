@@ -239,3 +239,33 @@ def test_inverse_involution(g237, word):
     inverse = g237.element(e.word[::-1])
     assert g237.element(inverse.word[::-1]) == e
     assert g237.multiply(e, inverse) == g237.element(())
+
+
+WALK = (0, 1, 2, 3) * 3  # a reduced word of length 12 in w2224
+
+
+def test_element_walk_keeps_only_the_last_ball_it_grows(w2224):
+    # the walk grows one layer per letter from ball(0); the balls there
+    # before it stay, and of those it grows only the last
+    import polycell
+
+    group = polycell.PolygonGroup(w2224)
+    group.element(WALK)
+    assert sorted(group._balls) == [12]
+    group = polycell.PolygonGroup(w2224)
+    group.ball(5)
+    group.element(WALK)
+    assert sorted(group._balls) == [5, 12]
+    group.element(WALK[:7])
+    assert sorted(group._balls) == [5, 12]
+
+
+def test_element_walk_matches_the_reference(w2224):
+    # on a fresh group, against rewriting and a ball built at once
+    import polycell
+
+    e = polycell.PolygonGroup(w2224).element(WALK)
+    rewritten = reduce_by_rewriting(w2224, WALK)
+    assert e.word == min(rewritten, key=lambda z: (len(z), z)) and len(e.word) == 12
+    ball = polycell.PolygonGroup(w2224).ball(12)
+    assert e == ball.elements[ball.index[e.word]]
