@@ -12,10 +12,10 @@ The pair machine runs a reduced word alpha beside a word beta of a given
 language while tracking the group element alpha_i^-1 * offset * beta_i
 inside a fixed ball; with a validated fellow-traveler bound its runs are the
 equal-endpoint pairs.  It reads only alpha's letters: where beta runs past
-the end of alpha, beta's steps are epsilon moves, folded into acceptance,
-so no pair alphabet is built and the machine is already the projection to
-alpha from which pattern saturation (red_x_mu) and left translation
-follow.  Once one word has finished, the difference is the element the
+the end of alpha, beta's steps read no letter and are folded into
+acceptance, so no pair alphabet is built and the machine is already the
+projection to alpha from which pattern saturation (red_x_mu) and left
+translation follow.  Once one word has finished, the difference is the element the
 other word still has to spell; both words are reduced, so the machine
 takes only pad moves that shorten the difference.
 
@@ -58,7 +58,7 @@ from .fsa import (
     make_dfa,
     minimal_dfa,
     minimize,
-    reverse_fsa,
+    reverse,
     search,
 )
 from .words import PolygonGroup, Word
@@ -85,9 +85,8 @@ def right_descent_class_fsa(group: PolygonGroup, T: frozenset[int]) -> FSA:
     accepting = frozenset(
         q for q in range(base.n_states) if group.state_rdesc[q] == T
     )
-    out = make_dfa(base.alphabet, base.n_states, base.initial, accepting,
-                   {k: v[0] for k, v in base.transitions.items()})
-    return minimize(out)
+    return minimize(make_dfa(base.alphabet, base.n_states, base.initial,
+                             accepting, base.transitions))
 
 
 def nf_transition_fsa(group: PolygonGroup) -> FSA:
@@ -103,7 +102,7 @@ def nf_transition_fsa(group: PolygonGroup) -> FSA:
 
 def shortlex_fsa(group: PolygonGroup) -> FSA:
     """Minimal DFA for the ShortLex normal-form language itself."""
-    return minimize(reverse_fsa(nf_transition_fsa(group)))
+    return minimize(reverse(nf_transition_fsa(group)))
 
 
 def factor_fsa(group: PolygonGroup, pattern: Word) -> FSA:
@@ -244,7 +243,7 @@ def equal_endpoint_pairs(group: PolygonGroup, B: FSA, offset: Word,
     endpoint(beta) and every synchronous word difference alpha_i^-1 *
     offset * beta_i of length <= k + |offset|, where the offset is the
     identity () or one generator (s,).  The shorter word pads at the end.
-    B must be deterministic, and L(B) must hold reduced words only.
+    L(B) must hold reduced words only.
 
     The full pair machine's states are (alpha's canonical state, B's
     state, difference, mode), mode 0 while both words run, 1 once beta has
@@ -258,14 +257,14 @@ def equal_endpoint_pairs(group: PolygonGroup, B: FSA, offset: Word,
     non-reduced word would lose the pairs that run through it.  Steps of
     beta alone read no letter of alpha, so each state is closed under
     them once: it accepts if they lead to an accepting state.
-    `fsa.minimal_dfa` determinizes and minimizes the product."""
+    `fsa.minimal_dfa` turns the product into its minimal DFA."""
     starts, accepts, alpha_moves, beta_moves = \
         word_difference_table(group, k, offset)
     if offset not in starts:
         return empty_language(group.presentation.names)
     b_delta, b_acc, n = B.transitions, B.accepting, B.n_states
-    b_next = [[t[0] if (t := b_delta.get((q, y))) else None
-               for y in range(group.rank)] for q in range(n)]
+    b_next = [[b_delta.get((q, y)) for y in range(group.rank)]
+              for q in range(n)]
     ends: dict[int, bool] = {}
 
     def beta_ends(t, qb):

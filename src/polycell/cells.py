@@ -46,7 +46,7 @@ from .fsa import (
     is_empty,
     is_subset,
     minimize,
-    reverse_fsa,
+    reverse,
     shortest_word,
     union,
     with_initial,
@@ -236,7 +236,7 @@ def descent_class_fsa(group: PolygonGroup, T) -> FSA:
     if T not in set(valid_descent_classes(group.presentation)):
         raise InvalidDescentClass(f"{sorted(T)} is not a realizable descent class")
     right = right_descent_class_fsa(group, T)
-    return minimize(reverse_fsa(right))
+    return minimize(reverse(right))
 
 
 def _dihedral_entry(part: ConjecturalPartition, pair) -> DihedralEntry:
@@ -268,7 +268,7 @@ def omega_elements(part: ConjecturalPartition, pair: tuple[int, int], ut: FSA,
     w_T's word."""
     w_t = _dihedral_entry(part, pair).longest_word
     after_w_t = with_initial(ut, reduce(ut.step, w_t, ut.initial))
-    translators = intersect(reverse_fsa(after_w_t), shortlex_fsa(part.group))
+    translators = intersect(reverse(after_w_t), shortlex_fsa(part.group))
     return list(enumerate_words(translators, radius - len(w_t)))
 
 

@@ -229,7 +229,7 @@ def _build_target(args, pres, group, ws, target: str, made: dict) -> FSA:
 
 
 def cmd_fsa(args) -> int:
-    from .fsa import are_equivalent, count_words, determinize
+    from .fsa import are_equivalent, count_words
 
     pres, group, ws = _context(args)
     made: dict = {}
@@ -241,12 +241,10 @@ def cmd_fsa(args) -> int:
         return 0
     if args.action == "stats":
         fsa = _load_or_build(args, pres, group, ws, args.target, made)
-        counts = count_words(fsa if fsa.deterministic else determinize(fsa),
-                             args.radius)
         print(json.dumps({
             "states": fsa.n_states,
             "accepting": len(fsa.accepting),
-            "word_counts": counts,
+            "word_counts": count_words(fsa, args.radius),
         }, indent=2))
         return 0
     # equiv

@@ -2,19 +2,21 @@
 
 Symbols are indices into an alphabet tuple of short strings; for automata
 over group generators the symbol index equals the generator index, so
-engine words feed straight in.  Transitions map (state, symbol) to a tuple
-of targets; deterministic machines keep singleton tuples and no epsilon
-moves, which only reversal makes; stored machines are epsilon-free.
+engine words feed straight in.  Every `FSA` is a partial DFA: transitions
+map (state, symbol) to one target state, and a missing move goes to an
+implicit dead state.
 
 Every machine searched out from a start state goes through `search`, which
 interns states as it meets them, marks those on an accepting run (Epstein
 et al., Word Processing in Groups, 1992, ch. 2) and caps every search at
 STATE_CAP states.  `explore` keeps the marked states (products), and
-`automata`'s word-difference table reads the marks directly.  One subset
-search over the marked states, its sets int bitsets, serves `determinize`
-and `minimal_dfa` (the pair machines of `automata`), which hands its rows
-straight to `_moore`, the one partition refinement, which `minimize` also
-runs.
+`automata`'s word-difference table reads the marks directly.  A search
+whose states have several moves on one symbol is nondeterministic only
+while it is searched: one subset search over its marked states, its sets
+int bitsets, turns it into a DFA.  It serves `reverse`, `from_text` on a
+file with several targets for one move, and `minimal_dfa` (the pair
+machines of `automata`), which hands its rows straight to `_moore`, the
+one partition refinement, which `minimize` also runs.
 """
 
 from __future__ import annotations
@@ -30,25 +32,20 @@ STATE_CAP = 2_000_000
 class FSA:
     """Equal by value, field by field; unhashable, as its tables are dicts."""
 
-    __slots__ = ("alphabet", "n_states", "initial", "accepting", "transitions",
-                 "eps", "deterministic")
+    __slots__ = ("alphabet", "n_states", "initial", "accepting", "transitions")
 
     def __init__(self, alphabet: tuple[str, ...], n_states: int, initial: int,
                  accepting: frozenset[int],
-                 transitions: dict[tuple[int, int], tuple[int, ...]],
-                 eps: dict[int, tuple[int, ...]] | None = None,
-                 deterministic: bool = False):
+                 transitions: dict[tuple[int, int], int]):
         self.alphabet = alphabet
         self.n_states = n_states
         self.initial = initial
         self.accepting = accepting
         self.transitions = transitions
-        self.eps = {} if eps is None else eps
-        self.deterministic = deterministic
 
     def _key(self):
         return (self.alphabet, self.n_states, self.initial, self.accepting,
-                self.transitions, self.eps, self.deterministic)
+                self.transitions)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -58,58 +55,21 @@ class FSA:
     __hash__ = None
 
     def step(self, state: int, sym: int) -> int | None:
-        t = self.transitions.get((state, sym))
-        return t[0] if t else None
+        return self.transitions.get((state, sym))
 
     def accepts(self, word) -> bool:
-        if self.deterministic:
-            q = self.initial
-            for s in word:
-                t = self.transitions.get((q, s))
-                if not t:
-                    return False
-                q = t[0]
-            return q in self.accepting
-        cur = _eps_closure(self, {self.initial})
+        delta = self.transitions
+        q = self.initial
         for s in word:
-            nxt = set()
-            for q in cur:
-                nxt.update(self.transitions.get((q, s), ()))
-            if not nxt:
+            q = delta.get((q, s))
+            if q is None:
                 return False
-            cur = _eps_closure(self, nxt)
-        return bool(cur & self.accepting)
-
-    def edges(self):
-        for (q, s), targets in self.transitions.items():
-            for t in targets:
-                yield q, s, t
-
-
-def _eps_closure(fsa: FSA, states: set[int]) -> frozenset[int]:
-    if not fsa.eps:
-        return frozenset(states)
-    out = set(states)
-    stack = list(states)
-    while stack:
-        q = stack.pop()
-        for t in fsa.eps.get(q, ()):
-            if t not in out:
-                out.add(t)
-                stack.append(t)
-    return frozenset(out)
+        return q in self.accepting
 
 
 def make_dfa(alphabet, n_states, initial, accepting, delta) -> FSA:
-    """delta: dict (state, sym) -> state."""
-    return FSA(
-        alphabet=tuple(alphabet),
-        n_states=n_states,
-        initial=initial,
-        accepting=frozenset(accepting),
-        transitions={k: (v,) for k, v in delta.items()},
-        deterministic=True,
-    )
+    """delta: dict (state, sym) -> state, kept as it is."""
+    return FSA(tuple(alphabet), n_states, initial, frozenset(accepting), delta)
 
 
 def empty_language(alphabet) -> FSA:
@@ -123,7 +83,7 @@ def epsilon_language(alphabet) -> FSA:
 def with_initial(fsa: FSA, initial: int) -> FSA:
     """The same machine started from another state; the tables are shared."""
     return FSA(fsa.alphabet, fsa.n_states, initial, fsa.accepting,
-               fsa.transitions, fsa.eps, fsa.deterministic)
+               fsa.transitions)
 
 
 def search(starts, expand):
@@ -170,40 +130,33 @@ def search(starts, expand):
 
 
 def explore(alphabet, start, expand) -> FSA:
-    """The machine of the states `search` reaches from `start`, trimmed to
-    those on an accepting run, which keep their order of discovery.  With
-    one target per move the machine is deterministic."""
+    """The DFA of the states `search` reaches from `start`, whose expand
+    gives at most one move per symbol, trimmed to those on an accepting
+    run, which keep their order of discovery."""
     _, rows, accepting, live = search([start], expand)
     if not live[0]:
         return empty_language(alphabet)
     remap = [n - 1 for n in accumulate(live)]  # for the live states
-    transitions: dict[tuple[int, int], list[int]] = {}
-    for q, row in enumerate(rows):
-        if live[q]:
-            for s, j in row:
-                if live[j]:
-                    transitions.setdefault((remap[q], s), []).append(remap[j])
-    return FSA(tuple(alphabet), remap[-1] + 1, 0,
-               frozenset(remap[q] for q in accepting),
-               {k: tuple(ts) for k, ts in transitions.items()},
-               deterministic=all(len(ts) == 1 for ts in transitions.values()))
+    return make_dfa(alphabet, remap[-1] + 1, 0, [remap[q] for q in accepting],
+                    {(remap[q], s): remap[j] for q, row in enumerate(rows)
+                     if live[q] for s, j in row if live[j]})
 
 
 def minimal_dfa(alphabet, start, expand) -> FSA:
     """The minimal DFA of the machine `search` reaches from `start`, which
     may have several moves on one symbol: `_moore` on its subset rows."""
-    rows, accepting = _subset_rows(len(alphabet), start, expand)
+    rows, accepting = _subset_rows(len(alphabet), [start], expand)
     return _moore(alphabet, rows, accepting, 1, 0)
 
 
-def _subset_rows(nsym, start, expand):
-    """The subset machine of the states `search` reaches from `start`, its
-    sets of states on an accepting run as int bitsets, numbered as they
-    are met: 0 is the empty set, its own successor, and 1 the start.
-    Returns the successor rows by number and the accepting numbers.  Past
-    STATE_CAP sets it raises StateBlowup, as `search` does past STATE_CAP
-    states."""
-    _, moves, accepting, live = search([start], expand)
+def _subset_rows(nsym, starts, expand):
+    """The subset machine of the states `search` reaches from the nonempty
+    `starts`, its sets of states on an accepting run as int bitsets,
+    numbered as they are met: 0 is the empty set, its own successor, and 1
+    the set of the starts.  Returns the successor rows by number and the
+    accepting numbers.  Past STATE_CAP sets it raises StateBlowup, as
+    `search` does past STATE_CAP states."""
+    _, moves, accepting, live = search(starts, expand)
     steps = []  # by state and symbol, the live states it moves to
     for row in moves:
         step = [0] * nsym
@@ -211,8 +164,9 @@ def _subset_rows(nsym, start, expand):
             if live[j]:
                 step[s] |= 1 << j
         steps.append(step)
-    ids = {0: 0, 1: 1}
-    sets = [1]
+    first = (1 << len(starts)) - 1
+    ids = {0: 0, first: 1}
+    sets = [first]
     rows = [[0] * nsym]
     for cur in sets:  # grows as new sets are met
         row = None
@@ -235,34 +189,21 @@ def _subset_rows(nsym, start, expand):
     return rows, {i for i, cur in enumerate(sets, 1) if cur & acc}
 
 
-def determinize(fsa: FSA) -> FSA:
-    """`_subset_rows` of fsa from its initial state, numbered from 0, with
-    epsilon moves folded into the moves and acceptance of the states
-    before them."""
-    delta, acc = fsa.transitions, fsa.accepting
-    syms = range(len(fsa.alphabet))
-
-    def expand(q):
-        near = _eps_closure(fsa, {q})
-        return not acc.isdisjoint(near), [(s, t) for p in near for s in syms
-                                          for t in delta.get((p, s), ())]
-
-    rows, accepting = _subset_rows(len(syms), fsa.initial, expand)
-    return make_dfa(fsa.alphabet, len(rows) - 1, 0, {q - 1 for q in accepting},
+def _subset_dfa(alphabet, starts, expand) -> FSA:
+    """`_subset_rows` from the starts, numbered from 0 without the empty
+    set: the DFA of a search with several moves on one symbol."""
+    rows, accepting = _subset_rows(len(alphabet), starts, expand)
+    return make_dfa(alphabet, len(rows) - 1, 0, {q - 1 for q in accepting},
                     {(q - 1, s): t - 1 for q, row in enumerate(rows) if q
                      for s, t in enumerate(row) if t})
 
 
 def minimize(fsa: FSA) -> FSA:
-    """Unique minimal DFA: `_moore` on the successor rows of fsa, or of
-    its subset machine if fsa is not deterministic."""
-    if not fsa.deterministic:
-        fsa = determinize(fsa)
+    """Unique minimal DFA: `_moore` on the successor rows of fsa."""
     n = fsa.n_states
     rows = [[n] * len(fsa.alphabet) for _ in range(n + 1)]
-    for (q, s), ts in fsa.transitions.items():
-        if ts:
-            rows[q][s] = ts[0]
+    for (q, s), t in fsa.transitions.items():
+        rows[q][s] = t
     return _moore(fsa.alphabet, rows, fsa.accepting, fsa.initial, n)
 
 
@@ -307,45 +248,27 @@ def _moore(alphabet, rows, accepting, initial, dead) -> FSA:
     return make_dfa(alphabet, len(renum), 0, final, delta)
 
 
-def reverse_fsa(fsa: FSA) -> FSA:
-    """NFA for the reversed language (fresh initial state, eps to old finals)."""
-    transitions: dict[tuple[int, int], list[int]] = {}
-    for q, s, t in fsa.edges():
-        transitions.setdefault((t, s), []).append(q)
-    eps: dict[int, list[int]] = {}
-    for q, targets in fsa.eps.items():
-        for t in targets:
-            eps.setdefault(t, []).append(q)
-    new_init = fsa.n_states
-    eps[new_init] = sorted(fsa.accepting)
-    return FSA(
-        alphabet=fsa.alphabet,
-        n_states=fsa.n_states + 1,
-        initial=new_init,
-        accepting=frozenset({fsa.initial}),
-        transitions={k: tuple(sorted(v)) for k, v in transitions.items()},
-        eps={k: tuple(sorted(v)) for k, v in eps.items()},
-        deterministic=False,
-    )
+def reverse(fsa: FSA) -> FSA:
+    """DFA for the reversed language: the subset search over the reversed
+    moves, from the set of accepting states."""
+    if not fsa.accepting:
+        return empty_language(fsa.alphabet)
+    back: list[list[tuple[int, int]]] = [[] for _ in range(fsa.n_states)]
+    for (q, s), t in fsa.transitions.items():
+        back[t].append((s, q))
+    initial = fsa.initial
 
+    def expand(q):
+        return q == initial, back[q]
 
-def _dfa_operands(a: FSA, b: FSA) -> tuple[FSA, FSA, tuple]:
-    """Both operands as DFAs over one alphabet, and their start pair; None
-    marks the implicit dead side."""
-    if a.alphabet != b.alphabet:
-        raise AlphabetMismatch(f"{a.alphabet} vs {b.alphabet}")
-    if not a.deterministic:
-        a = determinize(a)
-    if not b.deterministic:
-        b = determinize(b)
-    return a, b, (a.initial if a.n_states else None,
-                  b.initial if b.n_states else None)
+    return _subset_dfa(fsa.alphabet, sorted(fsa.accepting), expand)
 
 
 def _product(a: FSA, b: FSA, keep) -> FSA:
     """Pairing on completed DFAs, trimmed; keep(in_a, in_b) decides
     acceptance.  None marks the implicit dead side."""
-    a, b, start = _dfa_operands(a, b)
+    if a.alphabet != b.alphabet:
+        raise AlphabetMismatch(f"{a.alphabet} vs {b.alphabet}")
     a_delta, a_acc = a.transitions, a.accepting
     b_delta, b_acc = b.transitions, b.accepting
     syms = range(len(a.alphabet))
@@ -356,11 +279,11 @@ def _product(a: FSA, b: FSA, keep) -> FSA:
         for s in syms:
             ta = a_delta.get((qa, s))
             tb = b_delta.get((qb, s))
-            if ta or tb:
-                moves.append((s, (ta[0] if ta else None, tb[0] if tb else None)))
+            if ta is not None or tb is not None:
+                moves.append((s, (ta, tb)))
         return keep(qa in a_acc, qb in b_acc), moves
 
-    return explore(a.alphabet, start, expand)
+    return explore(a.alphabet, (a.initial, b.initial), expand)
 
 
 def intersect(a: FSA, b: FSA) -> FSA:
@@ -378,7 +301,7 @@ def difference(a: FSA, b: FSA) -> FSA:
 def is_empty(fsa: FSA) -> bool:
     """Whether no word is accepted: a walk from the initial state that stops
     at the first accepting state it reaches."""
-    delta, eps, acc = fsa.transitions, fsa.eps, fsa.accepting
+    delta, acc = fsa.transitions, fsa.accepting
     syms = range(len(fsa.alphabet))
     seen = {fsa.initial}
     stack = [fsa.initial]
@@ -387,12 +310,8 @@ def is_empty(fsa: FSA) -> bool:
         if q in acc:
             return False
         for s in syms:
-            for t in delta.get((q, s), ()):
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        for t in eps.get(q, ()):
-            if t not in seen:
+            t = delta.get((q, s))
+            if t is not None and t not in seen:
                 seen.add(t)
                 stack.append(t)
     return True
@@ -404,8 +323,6 @@ def shortest_word(fsa: FSA):
     symbols in order meets the states in ShortLex order of the least word
     reaching each, so the first accepting state it meets is reached by the
     answer."""
-    if not fsa.deterministic:
-        fsa = determinize(fsa)
     delta, acc = fsa.transitions, fsa.accepting
     syms = range(len(fsa.alphabet))
     reached_by = {fsa.initial: None}  # state -> (previous state, symbol)
@@ -419,9 +336,9 @@ def shortest_word(fsa: FSA):
             return tuple(reversed(word))
         for s in syms:
             t = delta.get((q, s))
-            if t and t[0] not in reached_by:
-                reached_by[t[0]] = (q, s)
-                queue.append(t[0])
+            if t is not None and t not in reached_by:
+                reached_by[t] = (q, s)
+                queue.append(t)
     return None
 
 
@@ -429,10 +346,12 @@ def _no_pair(a: FSA, b: FSA, bad) -> bool:
     """Walk the reachable state pairs of the completed DFAs of a and b and
     tell whether none has bad(in_a, in_b); stops at the first that does,
     and builds no product machine."""
-    a, b, start = _dfa_operands(a, b)
+    if a.alphabet != b.alphabet:
+        raise AlphabetMismatch(f"{a.alphabet} vs {b.alphabet}")
     a_delta, a_acc = a.transitions, a.accepting
     b_delta, b_acc = b.transitions, b.accepting
     syms = range(len(a.alphabet))
+    start = (a.initial, b.initial)
     seen = {start}
     stack = [start]
     while stack:
@@ -444,7 +363,7 @@ def _no_pair(a: FSA, b: FSA, bad) -> bool:
             tb = b_delta.get((qb, s))
             if ta is None and tb is None:
                 continue
-            key = (ta[0] if ta else None, tb[0] if tb else None)
+            key = (ta, tb)
             if key not in seen:
                 seen.add(key)
                 stack.append(key)
@@ -461,8 +380,6 @@ def is_subset(a: FSA, b: FSA) -> bool:
 
 def count_words(fsa: FSA, max_len: int) -> list[int]:
     """Number of accepted words of each length 0..max_len (exact integers)."""
-    if not fsa.deterministic:
-        raise ValueError("counting requires a deterministic automaton")
     vec = {fsa.initial: 1}
     counts = [sum(c for q, c in vec.items() if q in fsa.accepting)]
     nsym = len(fsa.alphabet)
@@ -471,8 +388,8 @@ def count_words(fsa: FSA, max_len: int) -> list[int]:
         for q, c in vec.items():
             for s in range(nsym):
                 t = fsa.transitions.get((q, s))
-                if t:
-                    nxt[t[0]] = nxt.get(t[0], 0) + c
+                if t is not None:
+                    nxt[t] = nxt.get(t, 0) + c
         vec = nxt
         counts.append(sum(c for q, c in vec.items() if q in fsa.accepting))
     return counts
@@ -481,8 +398,6 @@ def count_words(fsa: FSA, max_len: int) -> list[int]:
 def enumerate_words(fsa: FSA, max_len: int):
     """Yield accepted words (as tuples of symbol indices) up to max_len,
     shortest first, lexicographic within a length."""
-    if not fsa.deterministic:
-        fsa = determinize(fsa)
     layer = [((), fsa.initial)]
     nsym = len(fsa.alphabet)
     for _ in range(max_len + 1):
@@ -492,8 +407,8 @@ def enumerate_words(fsa: FSA, max_len: int):
                 yield word
             for s in range(nsym):
                 t = fsa.transitions.get((q, s))
-                if t:
-                    nxt.append((word + (s,), t[0]))
+                if t is not None:
+                    nxt.append((word + (s,), t))
         layer = nxt
 
 
@@ -501,20 +416,19 @@ def enumerate_words(fsa: FSA, max_len: int):
 
 
 def to_text(fsa: FSA) -> str:
-    if fsa.eps:
-        raise ValueError("serialization requires an epsilon-free automaton")
     lines = [
         "states %d alphabet %s initial %d"
         % (fsa.n_states, " ".join(fsa.alphabet), fsa.initial)
     ]
-    for q, s, t in sorted(fsa.edges()):
+    for (q, s), t in sorted(fsa.transitions.items()):
         lines.append(f"{q} {fsa.alphabet[s]} {t}")
     lines.append("accept " + " ".join(str(q) for q in sorted(fsa.accepting)))
     return "\n".join(lines) + "\n"
 
 
 def from_text(text: str) -> FSA:
-    """Parse `to_text` output; malformed text of any kind raises ValueError."""
+    """Parse `to_text` output; malformed text of any kind raises ValueError.
+    A file that gives two targets for one move reads as its subset DFA."""
     lines = [ln.split() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty automaton text")
@@ -526,6 +440,9 @@ def from_text(text: str) -> FSA:
     ai = head.index("alphabet")
     ii = head.index("initial")
     alphabet = tuple(head[ai + 1:ii])
+    sym_idx = {sym: i for i, sym in enumerate(alphabet)}
+    if len(sym_idx) != len(alphabet):
+        raise ValueError(f"a letter appears twice in the alphabet {alphabet}")
 
     def state(field: str) -> int:
         if not 0 <= (q := int(field)) < n_states:
@@ -533,11 +450,12 @@ def from_text(text: str) -> FSA:
         return q
 
     initial = state(head[ii + 1])
-    sym_idx = {sym: i for i, sym in enumerate(alphabet)}
-    transitions: dict[tuple[int, int], list[int]] = {}
+    moves: list[list[tuple[int, int]]] = [[] for _ in range(n_states)]
     accepting: frozenset[int] | None = None
     for parts in lines[1:]:
         if parts[0] == "accept":
+            if accepting is not None:
+                raise ValueError("a second accept line")
             accepting = frozenset(map(state, parts[1:]))
             continue
         if len(parts) != 3:
@@ -545,15 +463,14 @@ def from_text(text: str) -> FSA:
         q, sym, t = state(parts[0]), parts[1], state(parts[2])
         if sym not in sym_idx:
             raise ValueError(f"letter {sym!r} is not in the alphabet {alphabet}")
-        transitions.setdefault((q, sym_idx[sym]), []).append(t)
+        moves[q].append((sym_idx[sym], t))
     if accepting is None:
         raise ValueError("missing accept line")
-    det = all(len(v) == 1 for v in transitions.values())
-    return FSA(
-        alphabet=alphabet,
-        n_states=n_states,
-        initial=initial,
-        accepting=accepting,
-        transitions={k: tuple(v) for k, v in transitions.items()},
-        deterministic=det,
-    )
+    delta = {(q, s): t for q, row in enumerate(moves) for s, t in row}
+    if len(delta) == sum(map(len, moves)):
+        return make_dfa(alphabet, n_states, initial, accepting, delta)
+
+    def expand(q):
+        return q in accepting, moves[q]
+
+    return _subset_dfa(alphabet, [initial], expand)

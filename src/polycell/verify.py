@@ -11,7 +11,7 @@ from __future__ import annotations
 from . import automata
 from .cells import ConjecturalPartition, level_label, partition_is_exact
 from .errors import VerificationDisagreement
-from .fsa import are_equivalent, count_words, intersect, reverse_fsa
+from .fsa import are_equivalent, count_words, intersect, reverse
 from .hecke import a_lower_bounds
 from .kl import KLTable
 from .oracle import ClassicalKL, braid_closure, oracle_classify, unique_reduced_census
@@ -60,7 +60,7 @@ def inversion_closed(part: ConjecturalPartition) -> Check:
     w^-1 is a reversed reduced word of w, so each label language must equal
     its reversal, at every length."""
     bad = [label for label, fsa in part.languages.items()
-           if not are_equivalent(fsa, reverse_fsa(fsa))]
+           if not are_equivalent(fsa, reverse(fsa))]
     return Check("inversion_closed", not bad,
                  f"{len(bad)} of {len(part.languages)} label languages differ "
                  f"from their reversals" + (f": {', '.join(bad)}" if bad else ""))

@@ -4,7 +4,7 @@ import pytest
 
 from polycell import PolygonGroup, presentation_from_angles
 from polycell.cells import build_partition, u_t_fsa
-from polycell.fsa import FSA, empty_language
+from polycell.fsa import FSA, empty_language, minimal_dfa
 from polycell.kl import poly_coeff
 from polycell.render import _angle_at, _is_null
 
@@ -58,8 +58,7 @@ def realized_area(real):
 def set_trim_reference(a: FSA) -> FSA:
     """The trim by sets: the states reachable from the initial one and
     co-reachable from an accepting one, renumbered in order."""
-    succ = {(q, t) for q, _, t in a.edges()}
-    succ |= {(q, t) for q, ts in a.eps.items() for t in ts}
+    succ = {(q, t) for (q, _), t in a.transitions.items()}
 
     def closure(seeds, pairs):
         step: dict = {}
@@ -76,22 +75,62 @@ def set_trim_reference(a: FSA) -> FSA:
     if a.initial not in live:
         return empty_language(a.alphabet)
     remap = {q: i for i, q in enumerate(sorted(live))}
-
-    def kept(targets):
-        return tuple(remap[t] for t in targets if t in live)
-
     return FSA(
         alphabet=a.alphabet,
         n_states=len(live),
         initial=remap[a.initial],
         accepting=frozenset(remap[q] for q in a.accepting & live),
-        transitions={(remap[q], s): kept(ts)
-                     for (q, s), ts in a.transitions.items()
-                     if q in live and kept(ts)},
-        eps={remap[q]: kept(ts) for q, ts in a.eps.items()
-             if q in live and kept(ts)},
-        deterministic=a.deterministic,
+        transitions={(remap[q], s): remap[t]
+                     for (q, s), t in a.transitions.items()
+                     if q in live and t in live},
     )
+
+
+# Nondeterministic machines exist only in the tests, as references: dicts
+# whose "moves" map (state, symbol) to a set of targets and whose "eps" map
+# a state to the targets of its epsilon moves.
+def nfa(alphabet, n_states, initial, accepting, moves, eps=None) -> dict:
+    return {"alphabet": tuple(alphabet), "n_states": n_states,
+            "initial": initial, "accepting": frozenset(accepting),
+            "moves": moves, "eps": eps or {}}
+
+
+def nfa_closure(a: dict, states) -> frozenset:
+    """The states reached from `states` by epsilon moves."""
+    out = set(states)
+    stack = list(out)
+    while stack:
+        for t in a["eps"].get(stack.pop(), ()):
+            if t not in out:
+                out.add(t)
+                stack.append(t)
+    return frozenset(out)
+
+
+def nfa_step(a: dict, states, sym: int) -> frozenset:
+    return nfa_closure(a, frozenset().union(
+        *(a["moves"].get((q, sym), ()) for q in states)))
+
+
+def nfa_accepts(a: dict, word) -> bool:
+    """Set simulation of the epsilon closures."""
+    cur = nfa_closure(a, {a["initial"]})
+    for s in word:
+        cur = nfa_step(a, cur, s)
+    return not cur.isdisjoint(a["accepting"])
+
+
+def nfa_minimal_dfa(a: dict) -> FSA:
+    """`fsa.minimal_dfa` of the search over a's states, each with the moves
+    and acceptance of its epsilon closure."""
+    syms = range(len(a["alphabet"]))
+
+    def expand(q):
+        near = nfa_closure(a, {q})
+        return not near.isdisjoint(a["accepting"]), [
+            (s, t) for p in near for s in syms for t in a["moves"].get((p, s), ())]
+
+    return minimal_dfa(a["alphabet"], a["initial"], expand)
 
 
 @pytest.fixture(scope="session")

@@ -31,20 +31,19 @@ from polycell.cells import (
 )
 from polycell.errors import PatternNotReduced, StateBlowup
 from polycell.fsa import (
-    FSA,
     are_equivalent,
     count_words,
-    determinize,
     enumerate_words,
     epsilon_language,
     is_empty,
     is_subset,
+    make_dfa,
     minimize,
     search,
     to_text,
 )
 from polycell.oracle import braid_closure
-from tests.conftest import K_W237, K_W2224, set_trim_reference
+from tests.conftest import K_W237, K_W2224, nfa, nfa_minimal_dfa
 
 
 def test_canonical_rejects_non_reduced(g237):
@@ -138,9 +137,9 @@ def padded_equal_endpoint_pairs(
     offset=None,
     diff_radius=None,
 ):
-    """Automaton over padded pair symbols accepting (alpha, beta) with
-    alpha in L(A), beta in L(B), endpoint(alpha) = offset * endpoint(beta),
-    and every synchronous word difference alpha_i^-1 * offset * beta_i of
+    """NFA over padded pair symbols accepting (alpha, beta) with alpha in
+    L(A), beta in L(B), endpoint(alpha) = offset * endpoint(beta), and
+    every synchronous word difference alpha_i^-1 * offset * beta_i of
     length <= diff_radius (default k).  The shorter word pads at the end;
     (pad, pad) never occurs."""
     if offset is None:
@@ -156,7 +155,7 @@ def padded_equal_endpoint_pairs(
     e_idx = ball.index[()]
     start_d = ball.index.get(offset.word) if offset.length <= maxlen else None
     if start_d is None:
-        return FSA(alphabet, 1, 0, frozenset(), {}, deterministic=True)
+        return nfa(alphabet, 1, 0, (), {})
     lengths = [e.length for e in ball.elements]
 
     def diff_step(d, x, y):
@@ -226,40 +225,27 @@ def padded_equal_endpoint_pairs(
                 if nd is not None:
                     moves.append((sym[f"{PAD}|{names[y]}"], (qa, tb, nd, 2)))
         for code, key in moves:
-            j = intern(key)
-            prev = transitions.get((i, code), ())
-            transitions[(i, code)] = prev + (j,)
+            transitions.setdefault((i, code), set()).add(intern(key))
         i += 1
 
-    det = all(len(v) == 1 for v in transitions.values())
-    out = FSA(alphabet, len(order), 0, frozenset(accepting), transitions,
-              deterministic=det)
-    return set_trim_reference(out)
+    return nfa(alphabet, len(order), 0, accepting, transitions)
 
 
 def project_first(pairs, names):
-    """Erase the right coordinate of every pair symbol: (x|y) and (x|-)
-    read as x, (-|y) becomes an epsilon move.  Output is an NFA over the
-    generator alphabet."""
-    names = tuple(names)
+    """Erase the right coordinate of every pair symbol of the NFA pairs:
+    (x|y) and (x|-) read as x, (-|y) becomes an epsilon move.  Output is an
+    NFA over the generator alphabet."""
     sidx = {name: i for i, name in enumerate(names)}
     transitions = {}
     eps = {}
-    for q, s, t in pairs.edges():
-        left = pairs.alphabet[s].split("|")[0]
+    for (q, s), ts in pairs["moves"].items():
+        left = pairs["alphabet"][s].split("|")[0]
         if left == PAD:
-            eps.setdefault(q, []).append(t)
+            eps.setdefault(q, set()).update(ts)
         else:
-            transitions.setdefault((q, sidx[left]), []).append(t)
-    return FSA(
-        alphabet=names,
-        n_states=pairs.n_states,
-        initial=pairs.initial,
-        accepting=pairs.accepting,
-        transitions={k: tuple(sorted(set(v))) for k, v in transitions.items()},
-        eps={k: tuple(sorted(set(v))) for k, v in eps.items()},
-        deterministic=False,
-    )
+            transitions.setdefault((q, sidx[left]), set()).update(ts)
+    return nfa(names, pairs["n_states"], pairs["initial"], pairs["accepting"],
+               transitions, eps)
 
 
 # (group, k, level, radius) of the one-sided paths the pair machines are
@@ -315,7 +301,7 @@ def unfiltered_equal_endpoint_pairs(group, B, offset, k):
     gens = range(group.rank)
     canon = [[(x, t) for x, t in enumerate(row) if t is not None]
              for row in group.transitions]
-    b_moves = [[(y, t[0]) for y in gens if (t := b_delta.get((q, y)))]
+    b_moves = [[(y, t) for y in gens if (t := b_delta.get((q, y))) is not None]
                for q in range(B.n_states)]
 
     def expand(state):
@@ -358,9 +344,8 @@ def unfiltered_equal_endpoint_pairs(group, B, offset, k):
                 eps.setdefault(i, set()).add(j)
             else:
                 transitions.setdefault((i, x), set()).add(j)
-    return FSA(group.presentation.names, len(keys), 0, frozenset(accepting),
-               {key: tuple(sorted(ts)) for key, ts in transitions.items()},
-               eps={q: tuple(sorted(ts)) for q, ts in eps.items()})
+    return nfa(group.presentation.names, len(keys), 0, accepting,
+               transitions, eps)
 
 
 def test_pair_machines_match_the_unfiltered_search(g237, g2224,
@@ -372,7 +357,7 @@ def test_pair_machines_match_the_unfiltered_search(g237, g2224,
     # words that s shortens, whose pairs end with steps of beta alone
     def same(group, B, offset, k):
         return to_text(equal_endpoint_pairs(group, B, offset, k)) == to_text(
-            minimize(unfiltered_equal_endpoint_pairs(group, B, offset, k)))
+            nfa_minimal_dfa(unfiltered_equal_endpoint_pairs(group, B, offset, k)))
 
     for group, k in ((g237, K_W237), (g2224, K_W2224)):
         for entry in dihedral_data(group.presentation).entries:
@@ -392,13 +377,13 @@ def test_pair_machine_matches_padded_projection(part237, part2224):
         base = canonical_fsa(group)
         for entry in dihedral_data(group.presentation).entries:
             B = factor_fsa(group, entry.longest_word)
-            want = minimize(project_first(
+            want = nfa_minimal_dfa(project_first(
                 padded_equal_endpoint_pairs(group, base, B, k), names))
             assert to_text(red_x_mu(group, entry.longest_word, k)) == to_text(want)
         for cand in _spec_candidates(part, level, radius, k):
             w = group.element(cand.translator)
             ut = u_t_fsa(part, cand.pair)
-            want = minimize(project_first(padded_equal_endpoint_pairs(
+            want = nfa_minimal_dfa(project_first(padded_equal_endpoint_pairs(
                 group, base, ut, k, offset=w, diff_radius=k + w.length), names))
             assert to_text(cand.language) == to_text(want)
 
@@ -637,21 +622,14 @@ def test_left_translate_singletons(g237, w237):
         out = left_translate(g237, out, s, K_W237)
     assert set(enumerate_words(out, 8)) == braid_closure(w237, word)
     # Red({s}) translated by s collapses to the empty word
-    s_only = minimize(determinize(_single_word_fsa(g237, (1,))))
+    s_only = minimize(_single_word_fsa(g237, (1,)))
     back = left_translate(g237, s_only, 1, K_W237)
     assert set(enumerate_words(back, 4)) == {()}
 
 
 def _single_word_fsa(group, word):
-    delta = {(i, s): (i + 1,) for i, s in enumerate(word)}
-    return FSA(
-        alphabet=group.presentation.names,
-        n_states=len(word) + 1,
-        initial=0,
-        accepting=frozenset({len(word)}),
-        transitions=delta,
-        deterministic=True,
-    )
+    return make_dfa(group.presentation.names, len(word) + 1, 0, {len(word)},
+                    {(i, s): i + 1 for i, s in enumerate(word)})
 
 
 def test_validate_k(g237):

@@ -317,11 +317,36 @@ def test_cli_fsa_build_stats_equiv(tmp_path, w237_config, capsys):
 
 def test_cli_fsa_stats_counts_words_of_nondeterministic_file(tmp_path, w237_config,
                                                             capsys):
+    # r+ with a dead state: the file reads as its subset DFA, {0} and
+    # {0, 1}, and `states` counts the DFA's states, not the file's
     path = tmp_path / "nfa.fsa"
-    path.write_text("states 2 alphabet r s t initial 0\n0 r 0\n0 r 1\naccept 1\n")
+    path.write_text("states 3 alphabet r s t initial 0\n"
+                    "0 r 0\n0 r 1\n0 s 2\naccept 1\n")
     assert run(tmp_path, "fsa", "stats", str(path),
                "--group", str(w237_config), "--radius", "3", "--k", "6") == 0
-    assert json.loads(capsys.readouterr().out)["word_counts"] == [0, 1, 1, 1]
+    assert json.loads(capsys.readouterr().out) == {
+        "states": 2, "accepting": 1, "word_counts": [0, 1, 1, 1]}
+
+
+def test_cli_subset_search_cap_is_exit_2(tmp_path, w237_config, capsys,
+                                         monkeypatch):
+    # the third letter from the end is r: 4 states in the file and 8 sets
+    # in its subset DFA, so a cap of 5 stops loading the file; descent:rs
+    # reverses a 35-state machine into 52 sets, so a cap of 40 stops the
+    # reversal.  Both stop in the subset search, and each names its stage
+    path = tmp_path / "nfa.fsa"
+    path.write_text("states 4 alphabet r s t initial 0\n"
+                    "0 r 0\n0 s 0\n0 t 0\n0 r 1\n"
+                    + "".join(f"{q} {x} {q + 1}\n" for q in (1, 2) for x in "rst")
+                    + "accept 3\n")
+    monkeypatch.setattr("polycell.fsa.STATE_CAP", 5)
+    assert run(tmp_path, "fsa", "stats", str(path),
+               "--group", str(w237_config), "--radius", "3", "--k", "6") == 2
+    assert capsys.readouterr().err == "error: StateBlowup: from_text exceeds 5 states\n"
+    monkeypatch.setattr("polycell.fsa.STATE_CAP", 40)
+    assert run(tmp_path, "fsa", "build", "descent:rs",
+               "--group", str(w237_config), "--k", "6") == 2
+    assert capsys.readouterr().err == "error: StateBlowup: reverse exceeds 40 states\n"
 
 
 def test_cli_usage_error_is_exit_2(tmp_path):
@@ -433,6 +458,11 @@ BAD_LETTER_FSA = "states 1 alphabet r initial 0\n0 s 0\naccept 0\n"
      "{file} is not a readable automaton file: state 0 is out of range for -2 states"),
     (["equiv", "{file}", "canonical"], "states 1 alphabet r initial 0\naccept 7\n",
      "{file} is not a readable automaton file: state 7 is out of range for 1 states"),
+    (["stats", "{file}"], "states 1 alphabet r r initial 0\n0 r 0\naccept 0\n",
+     "{file} is not a readable automaton file: a letter appears twice in the "
+     "alphabet ('r', 'r')"),
+    (["stats", "{file}"], "states 2 alphabet r initial 0\n0 r 1\naccept 1\naccept 0\n",
+     "{file} is not a readable automaton file: a second accept line"),
     (["stats", "{dir}"], None, "'{dir}' is neither a file nor an fsa target"),
     (["equiv", "canonical"], None, "needs a second automaton after 'canonical'"),
     (["build", "cell:c9"], None,
@@ -441,7 +471,7 @@ BAD_LETTER_FSA = "states 1 alphabet r initial 0\n0 s 0\naccept 0\n"
                               "the pairs are rt, rs, st"),
 ], ids=["malformed", "empty", "bad-letter", "target-out-of-range",
         "initial-out-of-range", "negative-states", "accept-out-of-range",
-        "directory", "equiv-one-operand",
+        "repeated-letter", "second-accept", "directory", "equiv-one-operand",
         "unknown-cell", "ut-not-a-pair"])
 def test_cli_fsa_bad_input_is_exit_2(tmp_path, w237_config, capsys, argv, text,
                                      message):

@@ -30,7 +30,7 @@ from polycell.fsa import (
     is_empty,
     is_subset,
     minimize,
-    reverse_fsa,
+    reverse,
     union,
 )
 from polycell.oracle import braid_closure, oracle_classify
@@ -156,8 +156,7 @@ def test_inversion_closed_fails_on_a_dropped_accepting_state(part237, part2224):
             fsa = part.languages[label]
             for q in fsa.accepting:
                 mutant = FSA(fsa.alphabet, fsa.n_states, fsa.initial,
-                             fsa.accepting - {q}, fsa.transitions,
-                             deterministic=True)
+                             fsa.accepting - {q}, fsa.transitions)
                 broken = ConjecturalPartition(
                     part.group, part.data, part.k,
                     {**part.languages, label: mutant})
@@ -340,7 +339,7 @@ def test_specs_subset_of_their_cell(part2224, g2224):
 def test_left_cells_by_reversal(part237, g237, w237):
     specs = omega_minimal(part237, 3, radius=10, k=K_W237)
     # right cells reflect to left cells by word reversal (inverse elements)
-    lang = minimize(reverse_fsa(specs[0].language))
+    lang = minimize(reverse(specs[0].language))
     # reversed language consists of inverses: closed under braid moves
     for w in enumerate_words(lang, 9):
         for sibling in braid_closure(w237, w):

@@ -11,7 +11,6 @@ from polycell.fsa import (
     FSA,
     are_equivalent,
     count_words,
-    determinize,
     difference,
     empty_language,
     enumerate_words,
@@ -23,12 +22,19 @@ from polycell.fsa import (
     is_subset,
     make_dfa,
     minimize,
-    reverse_fsa,
+    reverse,
     shortest_word,
     to_text,
     union,
 )
-from tests.conftest import set_trim_reference
+from tests.conftest import (
+    nfa,
+    nfa_accepts,
+    nfa_closure,
+    nfa_minimal_dfa,
+    nfa_step,
+    set_trim_reference,
+)
 
 AB = ("a", "b")
 
@@ -54,9 +60,7 @@ def boolean(op: str, a: FSA, b: FSA | None = None, universe: FSA | None = None) 
 
 
 def analyze(fsa: FSA, max_len: int) -> dict:
-    d = fsa if fsa.deterministic and not fsa.eps else determinize(fsa)
-    counts = count_words(d, max_len)
-    return {"is_empty": is_empty(d), "word_counts": counts}
+    return {"is_empty": is_empty(fsa), "word_counts": count_words(fsa, max_len)}
 
 
 def _dfa_even_as():
@@ -126,9 +130,8 @@ def _language_pool(part) -> list[FSA]:
         for entry in part.data.entries]
     pool += [u_t_fsa(part, entry.pair) for entry in part.data.entries]
     pool += [empty_language(names), epsilon_language(names)]
-    rev = reverse_fsa(part.languages["c0"])
-    assert not rev.deterministic
-    return pool + [rev]
+    # a subset DFA, not minimized
+    return pool + [reverse(part.languages["c0"])]
 
 
 def test_containment_walk_matches_product(part237, part2224):
@@ -174,9 +177,10 @@ def test_minimize_needs_no_trim():
 
 def test_reverse_language():
     a = _dfa_contains_ab()
-    rev = minimize(reverse_fsa(a))
+    rev = reverse(a)
     for w in _words(6):
         assert rev.accepts(w) == a.accepts(tuple(reversed(w)))
+    assert reverse(empty_language(AB)) == empty_language(AB)
 
 
 def test_counting_matches_enumeration():
@@ -217,7 +221,7 @@ def test_shortest_word_is_shortlex_least():
     # a longer word on the only branch that accepts
     only_bba = make_dfa(AB, 4, 0, {3}, {(0, 1): 1, (1, 1): 2, (2, 0): 3})
     assert shortest_word(only_bba) == (1, 1, 0)
-    assert shortest_word(reverse_fsa(only_bba)) == (0, 1, 1)
+    assert shortest_word(reverse(only_bba)) == (0, 1, 1)
     assert shortest_word(empty_language(AB)) is None
     assert shortest_word(make_dfa(AB, 2, 0, set(), {(0, 0): 1})) is None
 
@@ -245,6 +249,12 @@ def test_from_text_rejects_garbage():
                 "states 1 alphabet a initial 0\naccept 7\n"):
         with pytest.raises(ValueError):
             from_text(bad)
+    # `a a` would read every a as the second letter
+    with pytest.raises(ValueError, match="appears twice"):
+        from_text("states 1 alphabet a a initial 0\n0 a 0\naccept 0\n")
+    # the last accept line would win, and the empty word be accepted
+    with pytest.raises(ValueError, match="second accept line"):
+        from_text("states 2 alphabet a initial 0\n0 a 1\naccept 1\naccept 0\n")
 
 
 random_dfas = st.builds(
@@ -293,14 +303,14 @@ partial_dfas = st.integers(min_value=1, max_value=6).flatmap(lambda n: st.builds
                      min_size=2 * n, max_size=2 * n),
 ))
 
-# NFAs with several targets per move and epsilon moves, any initial state.
+# NFAs with several targets per move and epsilon moves, any initial state,
+# as the tests' dicts.
 random_nfas = st.integers(min_value=1, max_value=6).flatmap(lambda n: st.builds(
-    lambda initial, acc, edges, eps: FSA(
-        AB, n, initial, frozenset(acc),
-        {key: tuple(sorted(t for q, s, t in edges if (q, s) == key))
-         for key in sorted({(q, s) for q, s, _ in edges})},
-        eps={q: tuple(sorted(t for p, t in eps if p == q))
-             for q in sorted({p for p, _ in eps})},
+    lambda initial, acc, edges, eps: nfa(
+        AB, n, initial, acc,
+        {(q, s): {t for p, r, t in edges if (p, r) == (q, s)}
+         for q, s, _ in edges},
+        {q: {t for p, t in eps if p == q} for q, _ in eps},
     ),
     initial=st.integers(min_value=0, max_value=n - 1),
     acc=st.sets(st.integers(min_value=0, max_value=n - 1)),
@@ -323,7 +333,7 @@ def myhill_nerode_states(a: FSA) -> int:
 
     def step(q, s):
         t = a.transitions.get((q, s)) if q != dead else None
-        return t[0] if t else dead
+        return dead if t is None else t
 
     reach = {a.initial}
     stack = [a.initial]
@@ -364,28 +374,69 @@ def test_minimize_partial_dfas_against_table_filling(a):
         assert m.accepts(w) == a.accepts(w)
 
 
+def subset_reference(a: dict) -> FSA:
+    """The complete subset DFA of the NFA a, by frozensets of epsilon
+    closures: every set reached from the initial one, the empty set
+    included, numbered in order of discovery."""
+    start = nfa_closure(a, {a["initial"]})
+    ids = {start: 0}
+    order = [start]
+    delta = {}
+    for i, cur in enumerate(order):  # grows as new sets are met
+        for s in range(len(a["alphabet"])):
+            nxt = nfa_step(a, cur, s)
+            delta[(i, s)] = ids.setdefault(nxt, len(order))
+            if delta[(i, s)] == len(order):
+                order.append(nxt)
+    return make_dfa(a["alphabet"], len(order), 0,
+                    {i for i, cur in enumerate(order)
+                     if not cur.isdisjoint(a["accepting"])}, delta)
+
+
+def nfa_text(a: dict) -> str:
+    """The epsilon-free NFA a in the text format, its moves in any order."""
+    return "".join([
+        f"states {a['n_states']} alphabet {' '.join(a['alphabet'])} "
+        f"initial {a['initial']}\n",
+        *(f"{q} {a['alphabet'][s]} {t}\n" for (q, s), ts in a["moves"].items()
+          for t in ts),
+        "accept " + " ".join(map(str, a["accepting"])) + "\n"])
+
+
+def reversal_nfa(a: FSA) -> dict:
+    """The reversed moves of the DFA a, from a fresh initial state with an
+    epsilon move to each accepting one."""
+    moves: dict = {}
+    for (q, s), t in a.transitions.items():
+        moves.setdefault((t, s), set()).add(q)
+    return nfa(a.alphabet, a.n_states + 1, a.n_states, {a.initial}, moves,
+               {a.n_states: a.accepting})
+
+
 @settings(max_examples=150, deadline=None)
 @given(a=random_nfas)
 def test_trim_and_emptiness_against_set_reference(a):
-    t = set_trim_reference(a)
-    assert is_empty(a) == (not t.accepting)
-    assert is_empty(a) == (not any(a.accepts(w) for w in _words(a.n_states)))
-    assert minimize(a).n_states == myhill_nerode_states(determinize(a))
+    d = nfa_minimal_dfa(a)
+    assert is_empty(d) == (not any(nfa_accepts(a, w) for w in _words(a["n_states"])))
+    ref = subset_reference(a)
+    assert is_empty(ref) == (not set_trim_reference(ref).accepting) == is_empty(d)
+    assert d.n_states == myhill_nerode_states(ref)
 
 
 @settings(max_examples=150, deadline=None)
 @given(a=random_nfas)
 def test_shortest_word_against_enumeration(a):
     # a shortest accepting run visits no state twice: n - 1 letters suffice
-    want = next((w for w in _words(a.n_states) if a.accepts(w)), None)
-    assert shortest_word(a) == want
+    want = next((w for w in _words(a["n_states"]) if nfa_accepts(a, w)), None)
+    assert shortest_word(nfa_minimal_dfa(a)) == shortest_word(
+        subset_reference(a)) == want
 
 
 def _own_moves(a: FSA):
     """expand for explore that reads a's own letter moves."""
     def expand(q):
         return q in a.accepting, [(s, t) for s in range(len(a.alphabet))
-                                  for t in a.transitions.get((q, s), ())]
+                                  if (t := a.transitions.get((q, s))) is not None]
     return expand
 
 
@@ -394,7 +445,7 @@ def _own_moves(a: FSA):
 def test_explore_keeps_the_live_states(a):
     # explore trims a DFA to its live states
     e = explore(a.alphabet, a.initial, _own_moves(a))
-    assert e.deterministic and e.n_states == set_trim_reference(a).n_states
+    assert e.n_states == set_trim_reference(a).n_states
     for w in _words(a.n_states):
         assert e.accepts(w) == a.accepts(w)
     # no dead state: an accepting state lies ahead of every state kept,
@@ -402,7 +453,7 @@ def test_explore_keeps_the_live_states(a):
     if not e.accepting:
         assert e == empty_language(AB)
         return
-    back = {(t, q) for q, _, t in e.edges()}
+    back = {(t, q) for (q, _), t in e.transitions.items()}
     ahead = set(e.accepting)
     while more := {q for t, q in back if t in ahead} - ahead:
         ahead |= more
@@ -412,22 +463,39 @@ def test_explore_keeps_the_live_states(a):
 @settings(max_examples=150, deadline=None)
 @given(a=random_nfas)
 def test_subset_machines_accept_the_words_of_the_nfa(a):
-    # a.accepts simulates the epsilon closures by sets, apart from the
-    # bitset subset search behind minimize and determinize
-    m, d = minimize(a), determinize(a)
-    assert d.deterministic and not d.eps
-    for w in _words(a.n_states + 2):
-        assert m.accepts(w) == d.accepts(w) == a.accepts(w)
+    # the set simulation and the frozenset subset DFA of the tests, apart
+    # from the bitset subset search behind minimal_dfa, from_text and
+    # reverse
+    m, ref = nfa_minimal_dfa(a), subset_reference(a)
+    assert m == minimize(ref)
+    for w in _words(a["n_states"] + 2):
+        assert m.accepts(w) == ref.accepts(w) == nfa_accepts(a, w)
+    # the same machine without its epsilon moves, read from a file
+    plain = dict(a, eps={})
+    d = from_text(nfa_text(plain))
+    assert minimize(d) == minimize(subset_reference(plain))
+    for w in _words(a["n_states"] + 2):
+        assert d.accepts(w) == nfa_accepts(plain, w)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=partial_dfas)
+def test_reverse_against_the_subset_reference(a):
+    rev = reverse(a)
+    assert minimize(rev) == minimize(subset_reference(reversal_nfa(a)))
+    for w in _words(a.n_states + 1):
+        assert rev.accepts(w) == a.accepts(w[::-1])
 
 
 def test_subset_search_stops_at_the_state_cap(monkeypatch):
-    # the n-th letter from the end is a: n + 1 states, 2^n subsets, so a
-    # cap between the two stops the subset search, not the state search
+    # the n-th letter is a: n + 1 states; the n-th letter from the end is
+    # a: 2^n, so a cap between the two stops reversal's subset search, not
+    # its search of the states
     n = 6
-    delta = {(0, 0): (0, 1), (0, 1): (0,)}
-    delta.update({(q, s): (q + 1,) for q in range(1, n) for s in (0, 1)})
-    a = FSA(AB, n + 1, 0, frozenset({n}), delta)
-    assert determinize(a).n_states == minimize(a).n_states == 2 ** n
+    delta = {(q, s): q + 1 for q in range(n - 1) for s in (0, 1)}
+    delta.update({(n - 1, 0): n, (n, 0): n, (n, 1): n})
+    a = make_dfa(AB, n + 1, 0, {n}, delta)
+    assert minimize(reverse(a)).n_states == 2 ** n
     monkeypatch.setattr("polycell.fsa.STATE_CAP", 2 * n)
-    with pytest.raises(StateBlowup, match=f"determinize exceeds {2 * n} states"):
-        determinize(a)
+    with pytest.raises(StateBlowup, match=f"reverse exceeds {2 * n} states"):
+        reverse(a)

@@ -13,8 +13,9 @@ commands that run it.  No module does arithmetic in `fractions`, and none
 defines a record with `dataclasses`, which would load `inspect` and
 compile the record's methods at every start-up.  Every
 resource cap is a module-level integer `*_CAP` read where the resource is
-spent: no function takes a cap, and `fsa.explore` works out for itself
-whether a machine is deterministic.  Fellow-traveler validation, the
+spent: no function takes a cap.  Every automaton is a DFA: `fsa.FSA` has
+five fields, and each of its moves goes to one int target, also where a
+reversal or a file has several.  Fellow-traveler validation, the
 word-difference tables and the Bruhat ideals read no `Element` record.
 `python -m polycell` and the `polycell` script share one entry point,
 `cli.run`, the only code that freezes the heap.  Every function the
@@ -332,10 +333,22 @@ def test_no_function_takes_a_cap():
     assert offenders == []
 
 
-def test_explore_decides_determinism_itself():
-    from polycell.fsa import explore
+def test_every_automaton_is_a_dfa():
+    from polycell import fsa
 
-    assert "deterministic" not in inspect.signature(explore).parameters
+    assert fsa.FSA.__slots__ == ("alphabet", "n_states", "initial",
+                                 "accepting", "transitions")
+    ab = ("a", "b")
+    a = fsa.make_dfa(ab, 2, 0, {1}, {(0, 0): 1, (1, 1): 0})
+    # two targets for 0 a: the file reads as its subset DFA
+    read = fsa.from_text("states 2 alphabet a b initial 0\n"
+                         "0 a 0\n0 a 1\n1 b 0\naccept 1\n")
+    machines = [fsa.reverse(a), read, fsa.intersect(a, read),
+                fsa.union(a, read), fsa.difference(read, a),
+                fsa.minimal_dfa(ab, 0, lambda q: (q == 1, [(0, 0), (0, 1)]))]
+    for m in machines:
+        assert type(m) is fsa.FSA and m.transitions
+        assert {type(t) for t in m.transitions.values()} == {int}
 
 
 def test_every_cap_is_a_module_integer():
