@@ -5,19 +5,22 @@ by the order of that subgroup gives levels e_1 < ... < e_m.  An element is
 labeled by the highest level whose longest dihedral word appears as a
 factor in some reduced expression; elements with a unique reduced
 expression form the pattern-free class c0 and the identity stands alone.
-Each label's reduced-expression language is assembled from the pattern
-machines by boolean algebra, so membership tests, disjointness and the
-cover of Red(W) are all exact automaton computations.  A partition builds
-each label language the first time it is read, from the labels above it,
-so a command pays only for the languages it reads: the top level's U^T
-reads none, and `classify` reads only the pattern machines, which
-`automata.red_x_mu` keeps.
+A word's label is fixed by which pattern languages Red(x.mu) accept it,
+so one product of the canonical machine with every pattern machine, each
+state labeled by the highest level accepting there, recognizes every
+label at once (Epstein et al., Word Processing in Groups, 1992, ch. 1-2).
+`classify` walks it, and each label language is that machine with the
+label's states accepting, minimized, so disjointness and the cover of
+Red(W) are exact automaton computations.  Reading one label builds the
+whole machine, and so every pattern machine; `classify` builds no label
+language.
 
 One-sided data: the descent class W^T (left descents exactly T) is regular
 by reversing a right-descent re-selection of the canonical machine; U^T
-subtracts the higher cells; the translators w^-1 w_T are read off its
-automaton, each is one left-translation step from its one-letter suffix,
-and the containment-maximal ones tile the two-sided cell.  A candidate's
+subtracts the higher levels' pattern machines, so the top level's builds
+none; the translators w^-1 w_T are read off its automaton, each is one
+left-translation step from its one-letter suffix, and the
+containment-maximal ones tile the two-sided cell.  A candidate's
 ShortLex-least word is a witness: a kept language that rejects it cannot
 contain the candidate, so containment is walked only against the kept
 languages that accept it.
@@ -25,8 +28,8 @@ languages that accept it.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from functools import reduce
+from operator import getitem
 
 from .automata import (
     canonical_fsa,
@@ -41,12 +44,13 @@ from .fsa import (
     are_equivalent,
     difference,
     enumerate_words,
-    epsilon_language,
     intersect,
     is_empty,
     is_subset,
+    make_dfa,
     minimize,
     reverse,
+    search,
     shortest_word,
     union,
     with_initial,
@@ -82,9 +86,6 @@ class DihedralData:
     def m(self) -> int:
         return len(self.levels)
 
-    def level_of(self, order: int) -> int:
-        return self.levels.index(order) + 1
-
     def pairs_at_level(self, i: int) -> list[DihedralEntry]:
         if not 1 <= i <= self.m:
             raise BadArgument(f"level {i} does not exist; levels are 1..{self.m}")
@@ -115,18 +116,14 @@ def dihedral_data(pres: CoxeterPresentation) -> DihedralData:
 class ConjecturalPartition:
     """The conjectured two-sided cells of a group at a validated k.
 
-    `languages` maps each label, in the order of `labels`, to its minimal
-    DFA.  A label language is built the first time it is read and kept:
-    c_i is the union of the level's pattern machines minus the union of the
-    labels above it, c0 is Red(W) minus every other label, and each union
-    of higher labels is made once and shared by the levels below.  Reading
-    every label builds each product exactly once; reading none builds no
-    machine.  Pattern machines come from `automata.red_x_mu`, whose memo is
-    their only cache.  A build that blows a resource cap raises at the read
-    that starts it.  Languages passed to the constructor are read as they
-    are, and the others are built from them."""
+    `classify` walks the labelling machine (`labelling_machine`), and
+    `languages` maps each label, in the order of `labels`, to the minimal
+    DFA of that machine with the label's states accepting.  Each is built
+    on first need and kept; a blown resource cap raises at the read that
+    starts the build.  Languages passed to the constructor are read as
+    they are."""
 
-    __slots__ = ("group", "data", "k", "labels", "languages")
+    __slots__ = ("group", "data", "k", "labels", "_machine", "_languages")
 
     def __init__(self, group: PolygonGroup, data: DihedralData, k: int,
                  languages: dict[str, FSA] | None = None):
@@ -136,67 +133,68 @@ class ConjecturalPartition:
         self.labels = [LABEL_ID, LABEL_ZERO] + [
             level_label(i) for i in range(1, data.m + 1)
         ]
-        self.languages = _LabelLanguages(self, languages or {})
+        self._machine = None
+        self._languages = languages
+
+    def _labelling(self) -> tuple[dict[tuple[int, int], int], list[str]]:
+        if self._machine is None:
+            self._machine = labelling_machine(self)
+        return self._machine
+
+    @property
+    def languages(self) -> dict[str, FSA]:
+        if self._languages is None:
+            delta, labels = self._labelling()
+            names = self.group.presentation.names
+            self._languages = {
+                label: minimize(make_dfa(
+                    names, len(labels), 0,
+                    [q for q, at in enumerate(labels) if at == label], delta))
+                for label in self.labels}
+        return self._languages
 
     def classify(self, e: Element) -> str:
-        if not e.word:
-            return LABEL_ID
-        for i in range(self.data.m, 0, -1):
-            for entry in self.data.pairs_at_level(i):
-                if red_x_mu(self.group, entry.longest_word, self.k).accepts(e.word):
-                    return level_label(i)
-        return LABEL_ZERO
+        delta, labels = self._labelling()
+        q = 0
+        for s in e.word:
+            q = delta[q, s]
+        return labels[q]
 
 
-class _LabelLanguages(Mapping):
-    """label -> minimal DFA of a partition, each built on first read."""
+def labelling_machine(part: ConjecturalPartition
+                      ) -> tuple[dict[tuple[int, int], int], list[str]]:
+    """The product of the canonical machine with every pattern machine,
+    searched from the identity with every state accepting: its moves and
+    the label of each state, that of the highest level one of whose
+    pattern machines accepts there.  The start state is reached by the
+    empty word alone."""
+    group, data = part.group, part.data
+    # by symbol, each pattern machine's successors; by pattern machine, the
+    # level of each accepting state, 0 elsewhere; the dead state comes last
+    cols: list[list[list[int]]] = [[] for _ in range(group.rank)]
+    marks = []
+    for entry in data.entries:
+        m = red_x_mu(group, entry.longest_word, part.k)
+        dead = m.n_states
+        for s, col in enumerate(cols):
+            col.append([m.transitions.get((q, s), dead) for q in range(dead + 1)])
+        level = data.levels.index(entry.order) + 1
+        marks.append([level if q in m.accepting else 0 for q in range(dead + 1)])
+    canon = [[(s, t, cols[s]) for s, t in enumerate(row) if t is not None]
+             for row in group.transitions]
 
-    __slots__ = ("_part", "_built", "_above")
+    # state = (canonical state, the pattern machines' states)
+    def expand(key):
+        qc, qs = key
+        return True, [(s, (t, tuple(map(getitem, col, qs))))
+                      for s, t, col in canon[qc]]
 
-    def __init__(self, part: ConjecturalPartition, given: dict[str, FSA]):
-        self._part = part
-        self._built = dict(given)
-        self._above: dict[int, FSA] = {}  # level i -> union of labels above i
-
-    def __getitem__(self, label: str) -> FSA:
-        fsa = self._built.get(label)
-        if fsa is None:
-            if label not in self:
-                raise KeyError(label)
-            fsa = self._built[label] = self._build(label)
-        return fsa
-
-    def __contains__(self, label) -> bool:
-        return label in self._part.labels
-
-    def __iter__(self):
-        return iter(self._part.labels)
-
-    def __len__(self) -> int:
-        return len(self._part.labels)
-
-    def _higher(self, i: int) -> FSA | None:
-        """The union of the labels of the levels above i, None above the
-        top level."""
-        if i == self._part.data.m:
-            return None
-        if i not in self._above:
-            above, label = self._higher(i + 1), self[level_label(i + 1)]
-            self._above[i] = label if above is None else union(above, label)
-        return self._above[i]
-
-    def _build(self, label: str) -> FSA:
-        part = self._part
-        if label == LABEL_ID:
-            return epsilon_language(part.group.presentation.names)
-        if label == LABEL_ZERO:
-            rest = union(self[LABEL_ID], self._higher(0))
-            return minimize(difference(canonical_fsa(part.group), rest))
-        i = part.labels.index(label) - 1
-        level = reduce(union, (red_x_mu(part.group, e.longest_word, part.k)
-                               for e in part.data.pairs_at_level(i)))
-        higher = self._higher(i)
-        return minimize(level if higher is None else difference(level, higher))
+    keys, moves, _, _ = search([(0, (0,) * len(marks))], expand)
+    labels = [LABEL_ID]
+    for _, qs in keys[1:]:
+        level = max(map(getitem, marks, qs))
+        labels.append(level_label(level) if level else LABEL_ZERO)
+    return {(q, s): t for q, row in enumerate(moves) for s, t in row}, labels
 
 
 def build_partition(group: PolygonGroup, k: int) -> ConjecturalPartition:
@@ -249,13 +247,13 @@ def _dihedral_entry(part: ConjecturalPartition, pair) -> DihedralEntry:
 
 
 def u_t_fsa(part: ConjecturalPartition, pair: tuple[int, int]) -> FSA:
-    """Red(U^T): the descent class minus all higher-level cells."""
-    data = part.data
+    """Red(U^T): the descent class minus the higher-level cells, that is,
+    minus every pattern machine of a higher level."""
     entry = _dihedral_entry(part, pair)
-    i = data.level_of(entry.order)
     out = descent_class_fsa(part.group, frozenset(entry.pair))
-    for j in range(i + 1, data.m + 1):
-        out = difference(out, part.languages[level_label(j)])
+    for other in part.data.entries:
+        if other.order > entry.order:
+            out = difference(out, red_x_mu(part.group, other.longest_word, part.k))
     return minimize(out)
 
 

@@ -103,9 +103,10 @@ def cmd_ball(args) -> int:
 
 
 def cmd_kl(args) -> int:
-    from .kl import KLTable
+    from .kl import KLTable, _check_radius
 
     pres, group, ws = _context(args)
+    _check_radius(args.radius)  # before the ball is built
     name = ws.kl_name(args.radius)
     if ws.is_fresh(pres, name, radius=args.radius):
         print(f"cached {ws.group_dir(pres) / name}")
@@ -119,6 +120,8 @@ def cmd_kl(args) -> int:
 def cmd_cells(args) -> int:
     pres, group, ws = _context(args)
     margin = args.trust_margin
+    if args.mode == "empirical" and margin is not None:
+        raise BadArgument("cells empirical does not read --trust-margin")
     if margin is None:
         margin = min(4, args.radius)
     elif not 0 <= margin <= args.radius:

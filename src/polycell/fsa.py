@@ -76,10 +76,6 @@ def empty_language(alphabet) -> FSA:
     return make_dfa(alphabet, 1, 0, frozenset(), {})
 
 
-def epsilon_language(alphabet) -> FSA:
-    return make_dfa(alphabet, 1, 0, {0}, {})
-
-
 def with_initial(fsa: FSA, initial: int) -> FSA:
     """The same machine started from another state; the tables are shared."""
     return FSA(fsa.alphabet, fsa.n_states, initial, fsa.accepting,

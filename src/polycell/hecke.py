@@ -26,8 +26,8 @@ below 2^(B-1); a coefficient that fails raises ResourceLimit.
 
 from __future__ import annotations
 
-from .errors import BallTooSmall, ResourceLimit
-from .kl import _B, _HALF, KLTable, _lowest, _pack, unpack
+from .errors import BallTooSmall
+from .kl import _B, KLTable, _check_digit, _lowest, _pack, unpack
 
 Hecke = dict[int, int]  # ball index -> packed polynomial in q
 
@@ -35,13 +35,6 @@ Hecke = dict[int, int]  # ball index -> packed polynomial in q
 def _l1(c: int) -> int:
     """Sum of |coefficients| of a packed polynomial with exact digits."""
     return sum(map(abs, unpack(c)))
-
-
-def _certify(majorant: int, where: str) -> None:
-    if majorant >= _HALF:
-        raise ResourceLimit(
-            f"Hecke algebra: {where} may carry a coefficient past the packed "
-            f"digit's 2^{_B - 1}")
 
 
 def c_basis(table: KLTable, w: int) -> Hecke:
@@ -96,7 +89,7 @@ def multiply(table: KLTable, a: Hecke, b: Hecke) -> Hecke:
             prod[x] = prod.get(x, 0) + c * bu
             bound[x] = bound.get(x, 0) + major[x] * m
     for x in prod:
-        _certify(bound[x], f"the T_{x} coefficient of a product")
+        _check_digit(bound[x], "Hecke algebra: the T_%d coefficient of a product", x)
     return {x: c for x, c in prod.items() if c}
 
 
@@ -113,7 +106,7 @@ def h_constants(table: KLTable, x: int, y: int) -> Hecke:
     while prod:
         z = max(prod)
         h = prod.pop(z)
-        _certify(bound[z], f"H_{z} of C_{x} C_{y}")
+        _check_digit(bound[z], "Hecke algebra: H_%d of C_%d C_%d", z, x, y)
         if not h:
             continue
         out[z] = h

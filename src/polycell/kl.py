@@ -132,6 +132,20 @@ def unpack(x: int) -> Poly:
     return tuple(out)
 
 
+def _check_digit(majorant: int, what: str, *args) -> None:
+    """Raise ResourceLimit unless majorant, a bound on every coefficient
+    about to be read, lies below 2^(B-1); `what % args` names them."""
+    if majorant >= _HALF:
+        raise ResourceLimit(f"{what % args} may carry a coefficient past the "
+                            f"packed digit's 2^{_B - 1}")
+
+
+def _check_radius(radius: int) -> None:
+    """Every length difference in ball(radius) is at most the radius, so
+    one check of 3^radius stands for r_idx's check on every pair."""
+    _check_digit(3 ** radius, "KL polynomials: R on ball(%d)", radius)
+
+
 def _bits(mask: int) -> list[int]:
     """Indices of the set bits of mask, ascending."""
     digits = bin(mask)[:1:-1]
@@ -233,10 +247,8 @@ class KLTable:
     # --- R polynomials -----------------------------------------------------
 
     def r_idx(self, v: int, w: int) -> Poly:
-        if 3 ** (self._length[w] - self._length[v]) >= _HALF:
-            raise ResourceLimit(
-                f"KL polynomials: R on pair {(v, w)} may carry a coefficient "
-                f"past the packed digit's 2^{_B - 1}")
+        _check_digit(3 ** (self._length[w] - self._length[v]),
+                     "KL polynomials: R on pair %s", (v, w))
         return unpack(self._r(v, w))
 
     def _r(self, v: int, w: int) -> int:
@@ -317,10 +329,8 @@ class KLTable:
         R_{v,x} P_{x,w}: check the coefficient bound, read P off the top
         coefficients of acc, and re-check the whole identity."""
         n = self._length[w] - self._length[v]
-        if (interval.bit_count() + 2) * 3 ** n * self._pmax >= _HALF:
-            raise ResourceLimit(
-                f"KL polynomials: P on pair {(v, w)} may carry a coefficient "
-                f"past the packed digit's 2^{_B - 1}")
+        _check_digit((interval.bit_count() + 2) * 3 ** n * self._pmax,
+                     "KL polynomials: P on pair %s", (v, w))
         if acc == (1 << _B * n) - 1:  # the identity for P = 1, most pairs
             out = 1
         else:
@@ -410,15 +420,9 @@ class KLTable:
     def packed_rows(self) -> Iterator[tuple[dict[int, int], list[int]]]:
         """The sweep's store in file order: for each v ascending, the row
         {w: packed R_{v,w}} over the w >= v, keyed in ascending w, and the
-        packed P_{v,w} in the same order; `unpack` decodes both.  Every
-        length difference in the ball is at most its radius, so one check
-        of 3^radius, made here before any work, stands for r_idx's check on
-        every pair."""
-        radius = self.ball.radius
-        if 3 ** radius >= _HALF:
-            raise ResourceLimit(
-                f"KL polynomials: R on ball({radius}) may carry a coefficient "
-                f"past the packed digit's 2^{_B - 1}")
+        packed P_{v,w} in the same order; `unpack` decodes both.  The R
+        bound of the radius (`_check_radius`) is checked before any work."""
+        _check_radius(self.ball.radius)
         self.fill()
         return zip(self._R, self._p_rows)
 

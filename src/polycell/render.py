@@ -77,14 +77,13 @@ def _angle_at(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 
 
 class PolygonRealization:
-    __slots__ = ("presentation", "vertices", "reflections", "angle_residual")
+    __slots__ = ("presentation", "vertices", "reflections")
 
     def __init__(self, presentation: CoxeterPresentation, vertices: list[np.ndarray],
-                 reflections: list[np.ndarray], angle_residual: float):
+                 reflections: list[np.ndarray]):
         self.presentation = presentation
         self.vertices = vertices          # vertex k sits between sides k-1 and k
         self.reflections = reflections    # one per side
-        self.angle_residual = angle_residual
 
 
 def _triangle_vertices(angles: list[float]) -> list[np.ndarray]:
@@ -195,7 +194,6 @@ def realize_polygon(pres: CoxeterPresentation) -> PolygonRealization:
         presentation=pres,
         vertices=vertices,
         reflections=reflections,
-        angle_residual=residual,
     )
 
 

@@ -27,15 +27,14 @@ Coords = tuple[Scalar, ...]
 
 
 class SmallRootTable:
-    __slots__ = ("presentation", "field", "roots", "depths", "action", "simple")
+    __slots__ = ("presentation", "field", "roots", "action", "simple")
 
     def __init__(self, presentation: CoxeterPresentation, field: RealCyclotomicField,
-                 roots: tuple[Coords, ...], depths: tuple[int, ...],
-                 action: tuple[tuple[int, ...], ...], simple: tuple[int, ...]):
+                 roots: tuple[Coords, ...], action: tuple[tuple[int, ...], ...],
+                 simple: tuple[int, ...]):
         self.presentation = presentation
         self.field = field
         self.roots = roots
-        self.depths = depths
         self.action = action  # action[root][gen] -> root index / NEG_SIMPLE / ESCAPED
         self.simple = simple
 
@@ -65,10 +64,9 @@ def compute_small_roots(pres: CoxeterPresentation) -> SmallRootTable:
     gram = doubled_gram(pres, field)
 
     roots: list[Coords] = []
-    depths: list[int] = []
     index: dict[Coords, int] = {}
 
-    def intern(coords: Coords, depth: int) -> int:
+    def intern(coords: Coords) -> int:
         i = index.get(coords)
         if i is None:
             if len(roots) >= ROOT_CAP:
@@ -76,13 +74,12 @@ def compute_small_roots(pres: CoxeterPresentation) -> SmallRootTable:
             i = len(roots)
             index[coords] = i
             roots.append(coords)
-            depths.append(depth)
         return i
 
     simple = []
     for s in range(n):
         coords = tuple(field.one if t == s else field.zero for t in range(n))
-        simple.append(intern(coords, 1))
+        simple.append(intern(coords))
 
     action: list[list[int]] = []
     i = 0
@@ -106,7 +103,7 @@ def compute_small_roots(pres: CoxeterPresentation) -> SmallRootTable:
             # alpha_s has s-coordinate 1, so only that coordinate moves
             coords = list(beta)
             coords[s] = field.sub(beta[s], pairing)
-            row.append(intern(tuple(coords), depths[i] + 1))
+            row.append(intern(tuple(coords)))
         action.append(row)
         i += 1
 
@@ -114,7 +111,6 @@ def compute_small_roots(pres: CoxeterPresentation) -> SmallRootTable:
         presentation=pres,
         field=field,
         roots=tuple(roots),
-        depths=tuple(depths),
         action=tuple(tuple(r) for r in action),
         simple=tuple(simple),
     )

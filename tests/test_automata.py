@@ -34,7 +34,6 @@ from polycell.fsa import (
     are_equivalent,
     count_words,
     enumerate_words,
-    epsilon_language,
     is_empty,
     is_subset,
     make_dfa,
@@ -616,7 +615,7 @@ def test_inversion_duality(g237, w237):
 
 def test_left_translate_singletons(g237, w237):
     # Red({w}) from Red({e}) by one step per letter of w, last letter first
-    out = epsilon_language(g237.presentation.names)
+    out = make_dfa(g237.presentation.names, 1, 0, {0}, {})
     word = w237.parse_word("stststs")
     for s in reversed(word):
         out = left_translate(g237, out, s, K_W237)

@@ -143,6 +143,21 @@ def test_kl_table_past_the_r_bound_writes_nothing(tmp_path, w237, g237, monkeypa
     assert ws.is_fresh(w237, ws.kl_name(4), radius=4)
 
 
+def test_cli_kl_past_the_r_bound_builds_nothing(tmp_path, w237_config, capsys,
+                                                monkeypatch):
+    # 3^40 >= 2^63: radius 40 fails the sweep's R bound on the radius alone,
+    # so the command refuses before it builds the ball or a table
+    def refuse(*args):
+        raise AssertionError("built before the R bound was checked")
+
+    monkeypatch.setattr("polycell.kl.KLTable", refuse)
+    monkeypatch.setattr("polycell.words.PolygonGroup.ball", refuse)
+    assert run(tmp_path, "kl", "--group", str(w237_config), "--radius", "40") == 2
+    assert capsys.readouterr().err == (
+        "error: ResourceLimit: KL polynomials: R on ball(40) may carry a "
+        "coefficient past the packed digit's 2^63\n")
+
+
 def test_fsa_roundtrip_bit_exact(tmp_path, w237, g237):
     from polycell.automata import canonical_fsa
 
@@ -376,6 +391,31 @@ def test_cli_word_difference_table_cap_is_exit_2(tmp_path, w237_config, capsys,
             "error: StateBlowup: word_difference_table exceeds 100 states\n"
 
 
+def test_cli_labelling_product_cap_is_exit_2(tmp_path, w237_config, capsys,
+                                            monkeypatch):
+    # a cap of 50 only on the partition's own search: the pattern machines
+    # pass, and the labelling product (94 states) does not, whether a label
+    # language or `classify` asks for it; no report is written
+    from polycell import cells, fsa
+
+    search = cells.search
+
+    def capped(*args):
+        cap, fsa.STATE_CAP = fsa.STATE_CAP, 50
+        try:
+            return search(*args)
+        finally:
+            fsa.STATE_CAP = cap
+
+    monkeypatch.setattr(cells, "search", capped)
+    for argv in (["fsa", "build", "cell:c1"],
+                 ["cells", "compare", "--radius", "3"]):
+        assert run(tmp_path, *argv, "--group", str(w237_config), "--k", "6") == 2
+        assert capsys.readouterr().err == \
+            "error: StateBlowup: labelling_machine exceeds 50 states\n"
+    assert not (tmp_path / "ws" / "w237" / "reports").exists()
+
+
 def test_cli_field_precision_cap_is_exit_2(tmp_path, capsys, monkeypatch):
     # the small roots of (5, 7, 9) need theta past the first 48 bits
     config = tmp_path / "w579.json"
@@ -541,6 +581,15 @@ def test_cli_trust_margin_outside_radius_is_exit_2(tmp_path, w237_config, capsys
                "--radius", "4", "--trust-margin", margin, "--k", "6")
     _assert_bad_argument(code, capsys, f"between 0 and --radius 4, got {margin}")
     assert not (tmp_path / "ws" / "w237" / "reports" / report).exists()
+
+
+@pytest.mark.parametrize("margin", ["2", "9"])
+def test_cli_empirical_refuses_trust_margin(tmp_path, w237_config, capsys, margin):
+    # empirical mode reads no trust margin, in range or out of it
+    code = run(tmp_path, "cells", "empirical", "--group", str(w237_config),
+               "--radius", "3", "--trust-margin", margin)
+    _assert_bad_argument(code, capsys, "cells empirical does not read --trust-margin")
+    assert not (tmp_path / "ws" / "w237" / "reports").exists()
 
 
 def test_cli_unknown_letter_is_exit_2(tmp_path, w237_config, capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from polycell import verify
+from polycell import cells, verify
 from polycell.automata import canonical_fsa, red_x_mu
 from polycell.cells import (
     LABEL_ID,
@@ -17,7 +17,7 @@ from polycell.cells import (
     u_t_fsa,
     valid_descent_classes,
 )
-from polycell.errors import InvalidDescentClass, NoFiniteVertex
+from polycell.errors import InvalidDescentClass, NoFiniteVertex, StateBlowup
 from polycell.kl import KLTable, empirical_cells
 from polycell.fsa import (
     FSA,
@@ -25,10 +25,10 @@ from polycell.fsa import (
     count_words,
     difference,
     enumerate_words,
-    epsilon_language,
     intersect,
     is_empty,
     is_subset,
+    make_dfa,
     minimize,
     reverse,
     union,
@@ -104,8 +104,9 @@ def test_srt_has_two_expressions_hence_c1(part237, g237, w237):
 
 
 def _eager_languages(group, k):
-    """Every label language built up front, the level unions left
-    unminimized: the reference for the partition's on-demand build."""
+    """Every label language built up front by boolean algebra on the
+    pattern machines, the level unions left unminimized: the reference for
+    the partition's labelling machine."""
     data = dihedral_data(group.presentation)
     languages = {}
     higher = None
@@ -118,30 +119,79 @@ def _eager_languages(group, k):
             level = difference(level, higher)
         languages[level_label(i)] = minimize(level)
         higher = level if higher is None else union(higher, level)
-    eps = epsilon_language(group.presentation.names)
+    eps = make_dfa(group.presentation.names, 1, 0, {0}, {})
     languages[LABEL_ID] = eps
     languages[LABEL_ZERO] = minimize(difference(canonical_fsa(group),
                                                 union(eps, higher)))
     return languages
 
 
+def _agrees_with_eager(part, want, ball) -> bool:
+    """Whether `classify` gives each element of the ball the one label
+    whose eager language accepts its word, and then the partition's
+    languages are the eager ones, state for state."""
+    return (all([label for label in part.labels
+                 if want[label].accepts(e.word)] == [part.classify(e)]
+                for e in ball.elements)
+            and part.languages == want)
+
+
 def test_languages_built_on_demand_match_the_eager_build(w237, w2224):
-    # on fresh groups, read in label order and in reverse: the same
+    # on fresh groups: classify before any language is read, then the same
     # minimal DFAs, state for state, as building every language up front
     for pres, k in ((w237, K_W237), (w2224, K_W2224)):
         group = PolygonGroup(pres)
         want = _eager_languages(group, k)
-        forward = build_partition(group, k)
-        assert list(forward.languages) == forward.labels
-        assert sorted(want) == sorted(forward.labels)
-        assert all(forward.languages[label] == want[label]
-                   for label in forward.labels)
-        backward = build_partition(group, k)
-        assert all(backward.languages[label] == want[label]
-                   for label in reversed(backward.labels))
+        part = build_partition(group, k)
+        assert _agrees_with_eager(part, want, group.ball(10))
+        assert list(part.languages) == part.labels
     with pytest.raises(KeyError):
-        forward.languages["c9"]
-    assert "c9" not in forward.languages
+        part.languages["c9"]
+
+
+def test_eager_check_fails_a_machine_that_ranks_levels_lowest_first(
+        g237, g2224, monkeypatch):
+    # the mutant labels a state by the lowest level whose pattern machine
+    # accepts there: `max` over the levels, 0 where a machine rejects,
+    # becomes the least nonzero level
+    monkeypatch.setattr(cells, "max", raising=False,
+                        value=lambda levels: min(filter(None, levels), default=0))
+    for group, k in ((g237, K_W237), (g2224, K_W2224)):
+        want = _eager_languages(group, k)
+        assert not _agrees_with_eager(build_partition(group, k), want,
+                                      group.ball(10))
+
+
+def test_u_t_matches_the_route_through_the_label_languages(g237, g2224):
+    # the old route: the descent class minus the eager label languages of
+    # the levels above the pair's
+    for group, k in ((g237, K_W237), (g2224, K_W2224)):
+        want = _eager_languages(group, k)
+        part = build_partition(group, k)
+        data = part.data
+        for entry in data.entries:
+            i = data.levels.index(entry.order) + 1
+            old = descent_class_fsa(group, frozenset(entry.pair))
+            for j in range(i + 1, data.m + 1):
+                old = difference(old, want[level_label(j)])
+            assert u_t_fsa(part, entry.pair) == minimize(old)
+
+
+def test_labelling_product_stops_at_the_state_cap(w237, monkeypatch):
+    # the pattern machines are built under the normal cap; the product of
+    # 94 states then meets a cap of 50, and nothing is kept from it
+    group = PolygonGroup(w237)
+    part = build_partition(group, K_W237)
+    for entry in part.data.entries:
+        red_x_mu(group, entry.longest_word, K_W237)
+    monkeypatch.setattr("polycell.fsa.STATE_CAP", 50)
+    e = group.element(w237.parse_word("rt"))
+    with pytest.raises(StateBlowup, match="labelling_machine exceeds 50 states"):
+        part.classify(e)
+    with pytest.raises(StateBlowup, match="labelling_machine exceeds 50 states"):
+        part.languages
+    monkeypatch.undo()
+    assert part.classify(e) == "c1"
 
 
 def test_partition_exact(part237, part2224):

@@ -14,7 +14,6 @@ from polycell.fsa import (
     difference,
     empty_language,
     enumerate_words,
-    epsilon_language,
     explore,
     from_text,
     intersect,
@@ -129,7 +128,7 @@ def _language_pool(part) -> list[FSA]:
         red_x_mu(part.group, entry.longest_word, part.k)
         for entry in part.data.entries]
     pool += [u_t_fsa(part, entry.pair) for entry in part.data.entries]
-    pool += [empty_language(names), epsilon_language(names)]
+    pool += [empty_language(names), make_dfa(names, 1, 0, {0}, {})]
     # a subset DFA, not minimized
     return pool + [reverse(part.languages["c0"])]
 
@@ -197,7 +196,7 @@ def test_counting_matches_enumeration():
 def test_analyze():
     out = analyze(empty_language(AB), 4)
     assert out["is_empty"] and out["word_counts"] == [0] * 5
-    eps = epsilon_language(AB)
+    eps = make_dfa(AB, 1, 0, {0}, {})
     out = analyze(eps, 3)
     assert not out["is_empty"] and out["word_counts"] == [1, 0, 0, 0]
 

@@ -2,7 +2,7 @@ from collections import Counter
 
 import pytest
 
-from polycell import hecke
+from polycell import kl
 from polycell.errors import BallTooSmall, ResourceLimit
 from polycell.hecke import a_lower_bounds, c_basis, h_constants, multiply
 from polycell.kl import _B, KLTable
@@ -118,7 +118,9 @@ def test_a_lower_bound_histograms(kl237, g2224):
 def test_uncertified_digits_raise(g237, kl237, monkeypatch):
     s = kl237.ball.index[g237.element((1,)).word]
     cs = c_basis(kl237, s)
-    monkeypatch.setattr(hecke, "_HALF", 2)  # certify L1 norms below 2 only
+    # certify L1 norms below 2 only; digits of -2 and up still decode, and
+    # no coefficient here is smaller
+    monkeypatch.setattr(kl, "_HALF", 2)
     # C_s C_s = (q + q^2) - (1 + q) T_s fails in the product
     with pytest.raises(ResourceLimit):
         multiply(kl237, cs, cs)

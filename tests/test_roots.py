@@ -38,8 +38,8 @@ def test_action_is_involutive(w237, w2224):
 
 
 def _float_closure(pres):
-    """Independent route: the small roots, their depths and their action
-    table by numeric closure, with a wide certainty margin.  A pairing
+    """Independent route: the small roots and their action table by
+    numeric closure, with a wide certainty margin.  A pairing
     within 1e-9 of -2 is taken as exactly -2 (a simple root against a side
     it does not meet, or its images); none may fall between the margins."""
     n = pres.rank
@@ -50,17 +50,15 @@ def _float_closure(pres):
             gram[i][j] = 2.0 if i == j else -2.0 * math.cos(math.pi / m)
     roots = {}
     order = []
-    depths = []
 
-    def intern(v, depth):
+    def intern(v):
         key = tuple(round(x, 9) for x in v)
         if key not in roots:
             roots[key] = len(order)
             order.append(v)
-            depths.append(depth)
         return roots[key]
 
-    simple = [intern(tuple(1.0 if t == s else 0.0 for t in range(n)), 1) for s in range(n)]
+    simple = [intern(tuple(1.0 if t == s else 0.0 for t in range(n))) for s in range(n)]
     action = []
     i = 0
     while i < len(order):
@@ -78,10 +76,10 @@ def _float_closure(pres):
                 continue
             img = list(beta)
             img[s] -= pairing
-            row.append(intern(tuple(img), depths[i] + 1))
+            row.append(intern(tuple(img)))
         action.append(tuple(row))
         i += 1
-    return len(order), tuple(depths), tuple(action), tuple(simple)
+    return len(order), tuple(action), tuple(simple)
 
 
 @pytest.mark.parametrize("angles", [
@@ -90,11 +88,5 @@ def _float_closure(pres):
 ], ids=lambda angles: ",".join(map(str, angles)))
 def test_small_roots_match_float_closure(angles):
     table = compute_small_roots(presentation_from_angles(angles))
-    assert (table.size, table.depths, table.action, table.simple) == \
+    assert (table.size, table.action, table.simple) == \
         _float_closure(table.presentation)
-
-
-def test_depths_start_at_one(g237):
-    table = g237.table
-    assert all(table.depths[i] == 1 for i in table.simple)
-    assert all(d >= 1 for d in table.depths)
