@@ -255,7 +255,8 @@ class Workspace:
 
     # --- reports -------------------------------------------------------------
 
-    def write_report(self, pres, name: str, text: str) -> Path:
+    def write_report(self, pres, name: str, report: dict) -> Path:
+        """The one report format: indented JSON, keys in insertion order."""
         path = self.group_dir(pres) / "reports" / name
-        _atomic_write(path, text.encode())
+        _atomic_write(path, (json.dumps(report, indent=2) + "\n").encode())
         return path

@@ -45,7 +45,6 @@ from .fsa import (
     difference,
     enumerate_words,
     intersect,
-    is_empty,
     is_subset,
     make_dfa,
     minimize,
@@ -207,7 +206,7 @@ def partition_is_exact(part: ConjecturalPartition) -> bool:
     labels = part.labels
     for i, a in enumerate(labels):
         for b in labels[i + 1:]:
-            if not is_empty(intersect(part.languages[a], part.languages[b])):
+            if intersect(part.languages[a], part.languages[b]).accepting:
                 return False
     total = None
     for label in labels:
@@ -281,8 +280,8 @@ class OneSidedCellSpec:
         self.language = language
 
 
-def _spec_candidates(part: ConjecturalPartition, i: int, radius: int,
-                     k: int) -> list[OneSidedCellSpec]:
+def _spec_candidates(part: ConjecturalPartition, i: int,
+                     radius: int) -> list[OneSidedCellSpec]:
     """One spec per translator omega of each pair at the level, with the
     language Red(omega * U^T); the one place translation is composed.
     Translators are suffix-closed: for w = w_T . v in U^T, a prefix
@@ -298,7 +297,7 @@ def _spec_candidates(part: ConjecturalPartition, i: int, radius: int,
         for omega in omega_elements(part, entry.pair, translated[()], radius):
             if omega:
                 translated[omega] = left_translate(
-                    group, translated[omega[1:]], omega[0], k)
+                    group, translated[omega[1:]], omega[0], part.k)
             out.append(OneSidedCellSpec(
                 level=i, pair=entry.pair, translator=omega,
                 language=translated[omega],
@@ -306,15 +305,15 @@ def _spec_candidates(part: ConjecturalPartition, i: int, radius: int,
     return out
 
 
-def omega_minimal(part: ConjecturalPartition, i: int, radius: int,
-                  k: int) -> list[OneSidedCellSpec]:
+def omega_minimal(part: ConjecturalPartition, i: int,
+                  radius: int) -> list[OneSidedCellSpec]:
     """Keep the translators whose translated languages are containment-
     maximal, shortest translator first; ties broken by ShortLex, duplicate
     languages collapsed.  A candidate's ShortLex-least word rules out every
     kept language that rejects it, so containment is walked only against
     the kept languages that accept that word; an empty candidate is
     contained in any kept language."""
-    cands = _spec_candidates(part, i, radius, k)
+    cands = _spec_candidates(part, i, radius)
     cands.sort(key=lambda c: (len(c.translator), c.translator, c.pair))
     kept: list[OneSidedCellSpec] = []
     for cand in cands:

@@ -117,84 +117,92 @@ def cmd_kl(args) -> int:
     return 0
 
 
-def cmd_cells(args) -> int:
-    pres, group, ws = _context(args)
+def _trust_margin(args) -> int:
     margin = args.trust_margin
-    if args.mode == "empirical" and margin is not None:
-        raise BadArgument("cells empirical does not read --trust-margin")
     if margin is None:
-        margin = min(4, args.radius)
-    elif not 0 <= margin <= args.radius:
+        return min(4, args.radius)
+    if not 0 <= margin <= args.radius:
         raise BadArgument(f"--trust-margin must be between 0 and --radius "
                           f"{args.radius}, got {margin}")
-    # each mode loads only the engines it runs
-    if args.mode == "conjectural":
-        from .automata import shortlex_fsa
-        from .cells import build_partition, partition_is_exact
-        from .fsa import count_words, intersect
+    return margin
 
-        k = _resolve_k(ws, pres, group, args.k)
-        part = build_partition(group, k)
-        # build every label language before writing any, so a blown cap
-        # leaves no file behind
-        languages = dict(part.languages)
-        refs = {}
-        for label, fsa in languages.items():
-            path = ws.write_fsa(pres, f"cell_{label}", fsa)
-            refs[label] = str(path)
-        nf = shortlex_fsa(group)
-        counts = {
-            label: count_words(intersect(nf, fsa), args.radius)
-            for label, fsa in languages.items()
-        }
-        word_counts = {
-            label: count_words(fsa, args.radius)
-            for label, fsa in languages.items()
-        }
-        report = {
-            "group": pres.label,
-            "k": k,
-            "radius": args.radius,
-            "trust_margin": margin,
-            "exact_partition": partition_is_exact(part),
-            "element_counts_by_length": counts,
-            "word_counts_by_length": word_counts,
-            "fsa_files": refs,
-        }
-        text = json.dumps(report, indent=2) + "\n"
-        path = ws.write_report(pres, f"partition.r{args.radius}.json", text)
-        print(f"wrote {path}")
-        return 0
+
+def cmd_cells_conjectural(args) -> int:
+    from .automata import shortlex_fsa
+    from .cells import build_partition, partition_is_exact
+    from .fsa import count_words, intersect
+
+    pres, group, ws = _context(args)
+    margin = _trust_margin(args)
+    k = _resolve_k(ws, pres, group, args.k)
+    part = build_partition(group, k)
+    # build every label language before writing any, so a blown cap
+    # leaves no file behind
+    languages = dict(part.languages)
+    refs = {}
+    for label, fsa in languages.items():
+        path = ws.write_fsa(pres, f"cell_{label}", fsa)
+        refs[label] = str(path)
+    nf = shortlex_fsa(group)
+    counts = {
+        label: count_words(intersect(nf, fsa), args.radius)
+        for label, fsa in languages.items()
+    }
+    word_counts = {
+        label: count_words(fsa, args.radius)
+        for label, fsa in languages.items()
+    }
+    report = {
+        "group": pres.label,
+        "k": k,
+        "radius": args.radius,
+        "trust_margin": margin,
+        "exact_partition": partition_is_exact(part),
+        "element_counts_by_length": counts,
+        "word_counts_by_length": word_counts,
+        "fsa_files": refs,
+    }
+    path = ws.write_report(pres, f"partition.r{args.radius}.json", report)
+    print(f"wrote {path}")
+    return 0
+
+
+def cmd_cells_empirical(args) -> int:
     from .kl import KLTable, empirical_cells
 
-    if args.mode == "empirical":
-        ball = group.ball(args.radius)
-        left, right, two_sided = empirical_cells(KLTable(group, ball))
-        report = {
-            "group": pres.label,
-            "radius": args.radius,
-            "left_cells": len(left),
-            "right_cells": len(right),
-            "two_sided_cells": len(two_sided),
-            "cells": [
-                [pres.word_str(ball.words[i]) for i in comp]
-                for comp in two_sided
-            ],
-        }
-        path = ws.write_report(pres, f"empirical.r{args.radius}.json",
-                               json.dumps(report, indent=2) + "\n")
-        print(f"wrote {path}")
-        return 0
+    pres, group, ws = _context(args)
+    ball = group.ball(args.radius)
+    left, right, two_sided = empirical_cells(KLTable(group, ball))
+    report = {
+        "group": pres.label,
+        "radius": args.radius,
+        "left_cells": len(left),
+        "right_cells": len(right),
+        "two_sided_cells": len(two_sided),
+        "cells": [
+            [pres.word_str(ball.words[i]) for i in comp]
+            for comp in two_sided
+        ],
+    }
+    path = ws.write_report(pres, f"empirical.r{args.radius}.json", report)
+    print(f"wrote {path}")
+    return 0
+
+
+def cmd_cells_compare(args) -> int:
     from .cells import build_partition
     from .compare import empirical_vs_conjectural
+    from .kl import KLTable
 
+    pres, group, ws = _context(args)
+    margin = _trust_margin(args)
     ball = group.ball(args.radius)
     part = build_partition(group, _resolve_k(ws, pres, group, args.k))
     report = empirical_vs_conjectural(part, KLTable(group, ball),
                                       trust_margin=margin)
-    path = ws.write_report(pres, f"compare.r{args.radius}.json", report.to_json())
-    print(f"wrote {path} (agreement {report.agreement_ratio:.3f})")
-    if not report.partition_equal:
+    path = ws.write_report(pres, f"compare.r{args.radius}.json", report)
+    print(f"wrote {path} (agreement {report['agreement_ratio']:.3f})")
+    if not report["partition_equal"]:
         raise VerificationDisagreement("empirical cells disagree with the partition")
     return 0
 
@@ -281,7 +289,7 @@ def cmd_onesided(args) -> int:
     several = len(dihedral_data(pres).pairs_at_level(args.level)) > 1
     k = _resolve_k(ws, pres, group, args.k)
     part = build_partition(group, k)
-    specs = omega_minimal(part, args.level, args.radius, k)
+    specs = omega_minimal(part, args.level, args.radius)
     entries = []
     for spec in specs:
         word = pres.word_str(spec.translator) or "e"
@@ -303,7 +311,7 @@ def cmd_onesided(args) -> int:
         "specs": entries,
     }
     path = ws.write_report(pres, f"onesided.l{args.level}.r{args.radius}.json",
-                           json.dumps(report, indent=2) + "\n")
+                           report)
     print(f"wrote {path} ({len(entries)} specs)")
     return 0
 
@@ -344,7 +352,7 @@ def cmd_verify(args) -> int:
     results = {"group": pres.label, "radius": args.radius,
                **{c.name: {"pass": c.ok, "detail": c.detail} for c in checks}}
     path = ws.write_report(pres, f"verify.{args.suite}.r{args.radius}.json",
-                           json.dumps(results, indent=2) + "\n")
+                           results)
     print(f"wrote {path}")
     for c in checks:
         print(f"  {c.name}: {'PASS' if c.ok else 'FAIL'}"
@@ -359,7 +367,7 @@ def cmd_render(args) -> int:
     if args.size < 1:
         raise BadArgument(f"--size must be a positive integer, got {args.size}")
     from .cells import build_partition, dihedral_data, omega_minimal, spec_index
-    from .render import PALETTE, realize_polygon, render_svg, scene_for_partition
+    from .render import PALETTE, realize_polygon, render_svg, tile
 
     pres, group, ws = _context(args)
     level = None  # two-sided
@@ -380,13 +388,12 @@ def cmd_render(args) -> int:
         labels = [part.classify(e) for e in ball.elements]
         palette = dict(PALETTE)
     else:
-        specs = omega_minimal(part, level, args.radius, k)
+        specs = omega_minimal(part, level, args.radius)
         found = [spec_index(specs, e.word) for e in ball.elements]
         labels = ["bg" if si is None else f"spec{si}" for si in found]
         palette = {"bg": "#eeeeee"}
-    scene = scene_for_partition(ball, realization, labels,
-                                size=args.size, palette=palette)
-    data = render_svg(scene)
+    data = render_svg(realization, tile(ball, realization), labels, palette,
+                      args.size)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_bytes(data)
@@ -429,8 +436,13 @@ def _parser() -> argparse.ArgumentParser:
             cmd_kl, "workspace radius")
 
     c = sub.add_parser("cells", help="cell partitions")
-    c.add_argument("mode", choices=["empirical", "conjectural", "compare"])
-    command(c, cmd_cells, "workspace radius trust-margin k", radius=12)
+    csub = c.add_subparsers(dest="mode", required=True)
+    command(csub.add_parser("empirical"), cmd_cells_empirical,
+            "workspace radius", radius=12)
+    command(csub.add_parser("conjectural"), cmd_cells_conjectural,
+            "workspace radius trust-margin k", radius=12)
+    command(csub.add_parser("compare"), cmd_cells_compare,
+            "workspace radius trust-margin k", radius=12)
 
     f = sub.add_parser("fsa", help="build, inspect, compare automata")
     f.add_argument("action", choices=["build", "stats", "equiv"])

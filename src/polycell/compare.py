@@ -7,46 +7,17 @@ sit in fragments of their true cell, so the comparison fixes a trust
 margin: only elements of length <= radius - margin are judged, and for
 those the restricted empirical two-sided partition is required to coincide
 with the restriction of the conjectural label partition.  Right cells are
-compared against the one-sided specs the same way.
+compared against the one-sided specs the same way.  The report is a plain
+dict, its keys in a fixed order, which `Workspace.write_report` writes as
+every other report.
 """
 
 from __future__ import annotations
 
-import json
 from collections.abc import Hashable
 
 from .cells import ConjecturalPartition, OneSidedCellSpec, level_label, spec_index
 from .kl import KLTable, empirical_cells
-
-
-class ComparisonReport:
-    __slots__ = ("group", "radius", "trust_margin", "k", "element_count",
-                 "trusted_count", "agreement_ratio", "partition_equal",
-                 "purity_ratio", "disagreements", "boundary_flagged",
-                 "right_cell_agreement")
-
-    def __init__(self, group: str, radius: int, trust_margin: int, k: int,
-                 element_count: int, trusted_count: int, agreement_ratio: float,
-                 partition_equal: bool, purity_ratio: float,
-                 disagreements: list[dict], boundary_flagged: list[str],
-                 right_cell_agreement: dict):
-        self.group = group
-        self.radius = radius
-        self.trust_margin = trust_margin
-        self.k = k
-        self.element_count = element_count
-        self.trusted_count = trusted_count
-        self.agreement_ratio = agreement_ratio
-        self.partition_equal = partition_equal
-        self.purity_ratio = purity_ratio
-        self.disagreements = disagreements
-        self.boundary_flagged = boundary_flagged
-        self.right_cell_agreement = right_cell_agreement
-
-    def to_json(self) -> str:
-        """The report as JSON, keys in the order of `__slots__`."""
-        return json.dumps({name: getattr(self, name) for name in self.__slots__},
-                          indent=2) + "\n"
 
 
 def _partition_map(parts: list[list[int]]) -> dict[int, int]:
@@ -81,8 +52,9 @@ def empirical_vs_conjectural(
     table: KLTable,
     trust_margin: int = 4,
     specs: list[OneSidedCellSpec] | None = None,
-) -> ComparisonReport:
-    """Compare on the ball of `table`: its radius is the report's."""
+) -> dict:
+    """The comparison report on the ball of `table`, whose radius is the
+    report's; `Workspace.write_report` writes it as it is."""
     group, ball = part.group, table.ball
     radius = ball.radius
     _, right, two_sided = empirical_cells(table)
@@ -121,20 +93,20 @@ def empirical_vs_conjectural(
         right_section = _right_cell_comparison(
             group, ball, emp_right, specs, trusted, conj)
 
-    return ComparisonReport(
-        group=group.presentation.label,
-        radius=radius,
-        trust_margin=trust_margin,
-        k=part.k,
-        element_count=len(ball.elements),
-        trusted_count=len(trusted),
-        agreement_ratio=len(agree) / max(1, len(trusted)),
-        partition_equal=not disagree,
-        purity_ratio=purity_ratio,
-        disagreements=disagreements,
-        boundary_flagged=boundary,
-        right_cell_agreement=right_section,
-    )
+    return {
+        "group": group.presentation.label,
+        "radius": radius,
+        "trust_margin": trust_margin,
+        "k": part.k,
+        "element_count": len(ball.elements),
+        "trusted_count": len(trusted),
+        "agreement_ratio": len(agree) / max(1, len(trusted)),
+        "partition_equal": not disagree,
+        "purity_ratio": purity_ratio,
+        "disagreements": disagreements,
+        "boundary_flagged": boundary,
+        "right_cell_agreement": right_section,
+    }
 
 
 def _right_cell_comparison(group, ball, emp_right, specs, trusted, conj):

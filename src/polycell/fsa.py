@@ -17,6 +17,13 @@ int bitsets, turns it into a DFA.  It serves `reverse`, `from_text` on a
 file with several targets for one move, and `minimal_dfa` (the pair
 machines of `automata`), which hands its rows straight to `_moore`, the
 one partition refinement, which `minimize` also runs.
+
+Every question about two machines is one `_product`: intersection, union
+and difference are the products themselves, and equivalence and
+containment ask whether a product accepts anything.  Its trim keeps only
+the states on an accepting run, so a product has an accepting state
+exactly when its language is nonempty.  `shortest_word` is the one walk
+that stops at the first accepting state.
 """
 
 from __future__ import annotations
@@ -261,8 +268,9 @@ def reverse(fsa: FSA) -> FSA:
 
 
 def _product(a: FSA, b: FSA, keep) -> FSA:
-    """Pairing on completed DFAs, trimmed; keep(in_a, in_b) decides
-    acceptance.  None marks the implicit dead side."""
+    """Pairing on completed DFAs, searched from the start pair and trimmed;
+    keep(in_a, in_b) decides acceptance.  None marks the implicit dead
+    side."""
     if a.alphabet != b.alphabet:
         raise AlphabetMismatch(f"{a.alphabet} vs {b.alphabet}")
     a_delta, a_acc = a.transitions, a.accepting
@@ -294,25 +302,6 @@ def difference(a: FSA, b: FSA) -> FSA:
     return _product(a, b, lambda x, y: x and not y)
 
 
-def is_empty(fsa: FSA) -> bool:
-    """Whether no word is accepted: a walk from the initial state that stops
-    at the first accepting state it reaches."""
-    delta, acc = fsa.transitions, fsa.accepting
-    syms = range(len(fsa.alphabet))
-    seen = {fsa.initial}
-    stack = [fsa.initial]
-    while stack:
-        q = stack.pop()
-        if q in acc:
-            return False
-        for s in syms:
-            t = delta.get((q, s))
-            if t is not None and t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return True
-
-
 def shortest_word(fsa: FSA):
     """The ShortLex-least accepted word, as a tuple of symbol indices, or
     None for an empty language.  A breadth-first search that tries the
@@ -338,40 +327,12 @@ def shortest_word(fsa: FSA):
     return None
 
 
-def _no_pair(a: FSA, b: FSA, bad) -> bool:
-    """Walk the reachable state pairs of the completed DFAs of a and b and
-    tell whether none has bad(in_a, in_b); stops at the first that does,
-    and builds no product machine."""
-    if a.alphabet != b.alphabet:
-        raise AlphabetMismatch(f"{a.alphabet} vs {b.alphabet}")
-    a_delta, a_acc = a.transitions, a.accepting
-    b_delta, b_acc = b.transitions, b.accepting
-    syms = range(len(a.alphabet))
-    start = (a.initial, b.initial)
-    seen = {start}
-    stack = [start]
-    while stack:
-        qa, qb = stack.pop()
-        if bad(qa in a_acc, qb in b_acc):
-            return False
-        for s in syms:
-            ta = a_delta.get((qa, s))
-            tb = b_delta.get((qb, s))
-            if ta is None and tb is None:
-                continue
-            key = (ta, tb)
-            if key not in seen:
-                seen.add(key)
-                stack.append(key)
-    return True
-
-
 def are_equivalent(a: FSA, b: FSA) -> bool:
-    return _no_pair(a, b, lambda x, y: x != y)
+    return not _product(a, b, lambda x, y: x != y).accepting
 
 
 def is_subset(a: FSA, b: FSA) -> bool:
-    return _no_pair(a, b, lambda x, y: x and not y)
+    return not difference(a, b).accepting
 
 
 def count_words(fsa: FSA, max_len: int) -> list[int]:

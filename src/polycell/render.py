@@ -2,8 +2,9 @@
 
 Geometry runs in the hyperboloid model (Lorentz form diag(1,1,-1)): side
 reflections are Lorentz-orthogonal matrices, tiles are pushed around by
-left multiplication, and projection to the Poincare disk happens only at
-SVG emission.  Triangles are solved in closed form from the hyperbolic law
+left multiplication (`tile`), and projection to the Poincare disk happens
+only at SVG emission: `render_svg` takes the realization, the tiles' isometries,
+a label per tile and a palette.  Triangles are solved in closed form from the hyperbolic law
 of cosines; larger polygons place vertices on a symmetric fan of rays and
 solve the radii by a damped Newton iteration with a fixed seed, so output
 is reproducible bit for bit.
@@ -210,18 +211,6 @@ def tile(ball: ElementBall, realization: PolygonRealization) -> list[np.ndarray]
 # --- SVG ---------------------------------------------------------------------
 
 
-class Scene:
-    __slots__ = ("realization", "tiles", "coloring", "palette", "size")
-
-    def __init__(self, realization: PolygonRealization, tiles: list[np.ndarray],
-                 coloring: list[str], palette: dict[str, str], size: int = 800):
-        self.realization = realization
-        self.tiles = tiles
-        self.coloring = coloring    # color key per tile
-        self.palette = palette
-        self.size = size
-
-
 def color_for(palette: dict[str, str], key: str) -> str:
     got = palette.get(key)
     if got is not None:
@@ -275,8 +264,10 @@ def _arc_path(points: list[tuple[float, float]], size: int) -> str:
     return " ".join(parts)
 
 
-def render_svg(scene: Scene) -> bytes:
-    size = scene.size
+def render_svg(realization: PolygonRealization, tiles: list[np.ndarray],
+               labels: list[str], palette: dict[str, str], size: int) -> bytes:
+    """The disk of the given size with one tile per isometry in `tiles`,
+    filled by `color_for` of its label."""
     half = size / 2.0
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
@@ -286,26 +277,15 @@ def render_svg(scene: Scene) -> bytes:
         f'<circle cx="{half:.4f}" cy="{half:.4f}" r="{half:.4f}" '
         'fill="none" stroke="#000000" stroke-width="1"/>',
     ]
-    for mat, key in zip(scene.tiles, scene.coloring):
+    for mat, key in zip(tiles, labels):
         pts = []
-        for v in scene.realization.vertices:
+        for v in realization.vertices:
             pts.append(_clip(_project(mat @ v)))
         path = _arc_path(pts, size)
-        fill = color_for(scene.palette, key)
+        fill = color_for(palette, key)
         lines.append(
             f'<path d="{path}" fill="{fill}" stroke="#333333" stroke-width="0.4"/>'
         )
     lines.append("</svg>")
     return ("\n".join(lines) + "\n").encode()
 
-
-def scene_for_partition(ball: ElementBall, realization: PolygonRealization,
-                        labels: list[str], size: int = 800,
-                        palette: dict[str, str] | None = None) -> Scene:
-    return Scene(
-        realization=realization,
-        tiles=tile(ball, realization),
-        coloring=labels,
-        palette=dict(PALETTE) if palette is None else palette,
-        size=size,
-    )

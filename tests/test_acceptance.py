@@ -18,7 +18,7 @@ from polycell.compare import empirical_vs_conjectural
 from polycell.fsa import count_words, difference, enumerate_words, is_subset, union
 from polycell.kl import KLTable
 from polycell.oracle import unique_reduced_census
-from polycell.render import realize_polygon, render_svg, scene_for_partition
+from polycell.render import PALETTE, realize_polygon, render_svg, tile
 from tests.conftest import K_W237, K_W2224, assert_translates_match_balls, realized_area
 
 
@@ -91,14 +91,14 @@ def test_criterion_05_kl_self_consistency(g237, classical237):
 def test_criterion_06_empirical_agreement(g237, part237, kl237):
     with criterion(6, "empirical cells equal conjectural labels to length 8"):
         start = time.perf_counter()
-        specs = omega_minimal(part237, 3, radius=12, k=K_W237)
+        specs = omega_minimal(part237, 3, radius=12)
         report = empirical_vs_conjectural(part237, kl237, trust_margin=4,
                                           specs=specs)
-        assert report.partition_equal
-        assert report.agreement_ratio == 1.0
-        assert report.purity_ratio == 1.0
-        assert report.right_cell_agreement["checked"]
-        assert report.right_cell_agreement["disagreements"] == []
+        assert report["partition_equal"]
+        assert report["agreement_ratio"] == 1.0
+        assert report["purity_ratio"] == 1.0
+        assert report["right_cell_agreement"]["checked"]
+        assert report["right_cell_agreement"]["disagreements"] == []
         assert time.perf_counter() - start < 1800.0
 
 
@@ -107,10 +107,10 @@ def test_criterion_06_empirical_agreement_w2224(g2224, part2224):
         start = time.perf_counter()
         report = empirical_vs_conjectural(part2224, KLTable(g2224, g2224.ball(10)),
                                           trust_margin=4)
-        assert (report.element_count, report.trusted_count) == (3325, 257)
-        assert report.partition_equal
-        assert report.agreement_ratio == 1.0
-        assert report.purity_ratio == 1.0
+        assert (report["element_count"], report["trusted_count"]) == (3325, 257)
+        assert report["partition_equal"]
+        assert report["agreement_ratio"] == 1.0
+        assert report["purity_ratio"] == 1.0
         assert time.perf_counter() - start < 60.0
 
 
@@ -123,7 +123,7 @@ def test_criterion_07_counting(g237, g2224):
 
 def test_criterion_08_translation(part237):
     with criterion(8, "translated one-sided specs: membership and coverage"):
-        specs = omega_minimal(part237, 3, radius=12, k=K_W237)
+        specs = omega_minimal(part237, 3, radius=12)
         assert_translates_match_balls(part237, specs, 10)
         combined = None
         for spec in specs:
@@ -158,8 +158,8 @@ def test_criterion_10_renderer(g237, w237, part237):
         assert abs(realized_area(real) - math.pi / 42) < 1e-8
         ball = g237.ball(8)
         labels = [part237.classify(e) for e in ball.elements]
-        svg1 = render_svg(scene_for_partition(ball, real, labels))
-        svg2 = render_svg(scene_for_partition(ball, real, labels))
+        svg1 = render_svg(real, tile(ball, real), labels, PALETTE, 800)
+        svg2 = render_svg(real, tile(ball, real), labels, PALETTE, 800)
         assert svg1 == svg2
         fills = {}
         for label, fill in zip(

@@ -34,11 +34,11 @@ from polycell.fsa import (
     are_equivalent,
     count_words,
     enumerate_words,
-    is_empty,
     is_subset,
     make_dfa,
     minimize,
     search,
+    shortest_word,
     to_text,
 )
 from polycell.oracle import braid_closure
@@ -110,7 +110,7 @@ def test_pair_machine_braid_pair(g237, w237):
 def test_projection_trivialities(g237):
     can = canonical_fsa(g237)
     proj = minimize(equal_endpoint_pairs(g237, can, (), 2))
-    assert not is_empty(proj)
+    assert shortest_word(proj) == ()
     # projection of equal-endpoint pairs over Red(W) is Red(W)
     assert are_equivalent(proj, can)
 
@@ -267,7 +267,7 @@ def translation_steps(part237, part2224):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cells, "left_translate", record)
         for name, k, level, radius in ONESIDED_PATHS:
-            _spec_candidates(parts[name], level, radius, k)
+            _spec_candidates(parts[name], level, radius)
     return steps
 
 
@@ -379,7 +379,7 @@ def test_pair_machine_matches_padded_projection(part237, part2224):
             want = nfa_minimal_dfa(project_first(
                 padded_equal_endpoint_pairs(group, base, B, k), names))
             assert to_text(red_x_mu(group, entry.longest_word, k)) == to_text(want)
-        for cand in _spec_candidates(part, level, radius, k):
+        for cand in _spec_candidates(part, level, radius):
             w = group.element(cand.translator)
             ut = u_t_fsa(part, cand.pair)
             want = nfa_minimal_dfa(project_first(padded_equal_endpoint_pairs(
@@ -406,7 +406,7 @@ def test_pair_machines_are_already_minimal(part237, part2224, monkeypatch):
         for entry in dihedral_data(group.presentation).entries:
             record(group, factor_fsa(group, entry.longest_word), (), k)
         n_patterns = len(built)
-        _spec_candidates(part, level, radius, k)
+        _spec_candidates(part, level, radius)
         assert len(built) > n_patterns
     for p in built:
         assert minimize(p) == p
@@ -487,7 +487,7 @@ def test_onesided_path_interns_few_pair_states(w2224, monkeypatch):
     monkeypatch.setattr(automata, "search", record)
     monkeypatch.setattr(automata, "equal_endpoint_pairs", record_offset)
     part = build_partition(PolygonGroup(w2224), K_W2224)
-    specs = omega_minimal(part, 2, 8, K_W2224)
+    specs = omega_minimal(part, 2, 8)
     assert len(offsets) == 23 and () not in offsets
     # machines, interned states, live states
     assert interned["equal_endpoint_pairs"] == [23, 2_749, 2_347]

@@ -1,5 +1,7 @@
+import argparse
 import gc
 import hashlib
+import re
 import json
 import multiprocessing
 import os
@@ -12,7 +14,7 @@ import pytest
 
 import polycell
 from polycell.cache import Workspace, group_hash
-from polycell.cli import main
+from polycell.cli import _parser, main
 from polycell.errors import CorruptCache, ResourceLimit
 from polycell.fsa import from_text
 from polycell.kl import KLTable, empirical_cells
@@ -583,15 +585,6 @@ def test_cli_trust_margin_outside_radius_is_exit_2(tmp_path, w237_config, capsys
     assert not (tmp_path / "ws" / "w237" / "reports" / report).exists()
 
 
-@pytest.mark.parametrize("margin", ["2", "9"])
-def test_cli_empirical_refuses_trust_margin(tmp_path, w237_config, capsys, margin):
-    # empirical mode reads no trust margin, in range or out of it
-    code = run(tmp_path, "cells", "empirical", "--group", str(w237_config),
-               "--radius", "3", "--trust-margin", margin)
-    _assert_bad_argument(code, capsys, "cells empirical does not read --trust-margin")
-    assert not (tmp_path / "ws" / "w237" / "reports").exists()
-
-
 def test_cli_unknown_letter_is_exit_2(tmp_path, w237_config, capsys):
     code = run(tmp_path, "fsa", "build", "pattern:xyz",
                "--group", str(w237_config), "--k", "6")
@@ -620,8 +613,11 @@ def test_cli_bad_k_is_exit_2(tmp_path, w237_config, capsys, k):
     ["fsa", "build", "canonical", "--cap", "10"],
     ["ball", "--cap", "10"],
     ["cells", "compare", "--cap", "10"],
+    ["cells", "empirical", "--k", "2"],
+    ["cells", "empirical", "--trust-margin", "2"],
 ], ids=["kl-k", "group-info-radius", "onesided-cap", "render-trust-margin", "fsa-cap",
-        "ball-cap", "cells-compare-cap"])
+        "ball-cap", "cells-compare-cap", "cells-empirical-k",
+        "cells-empirical-trust-margin"])
 def test_cli_rejects_an_option_the_command_does_not_read(tmp_path, w237_config, capsys,
                                                          monkeypatch, argv):
     monkeypatch.chdir(tmp_path)  # so an accepted option writes no workspace here
@@ -631,9 +627,48 @@ def test_cli_rejects_an_option_the_command_does_not_read(tmp_path, w237_config, 
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+def _parser_options() -> dict[str, list[str]]:
+    """Each command the parser runs, named by its words ("cells compare"),
+    with its options besides --group and --help, in the parser's order."""
+    out = {}
+
+    def walk(parser, words):
+        subs = [a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)]
+        if subs:
+            for name, child in subs[0].choices.items():
+                walk(child, [*words, name])
+            return
+        out[" ".join(words)] = [a.option_strings[0] for a in parser._actions
+                                if a.option_strings
+                                and a.dest not in ("help", "group")]
+
+    walk(_parser(), [])
+    return out
+
+
+def _readme_options() -> dict[str, list[str]]:
+    """The README's options table: each command a row names, with the
+    options the row lists."""
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    rows = re.search(r"^\| subcommand .*\n\|-[-|]*\n((?:\|.*\n)+)", text, re.M)
+    out = {}
+    for row in rows.group(1).splitlines():
+        names, options = row.split("|")[1:3]
+        listed = re.findall(r"`([^`]+)`", options)
+        for name in re.findall(r"`([^`]+)`", names):
+            assert name not in out, f"{name} has two rows"
+            out[name] = listed[0].split() if listed else []
+    return out
+
+
+def test_readme_options_table_matches_the_parser():
+    assert _readme_options() == _parser_options()
+
+
 @pytest.mark.parametrize("argv", [
     ["cells", "empirical", "--radius", "4"],
-    ["fsa", "build", "canonical"],
+    ["fsa", "build", "canonical", "--k", "2"],
 ], ids=["cells-empirical", "fsa-canonical"])
 def test_cli_k_is_resolved_only_for_pair_machines(tmp_path, w237_config, capsys,
                                                   monkeypatch, argv):
@@ -642,7 +677,7 @@ def test_cli_k_is_resolved_only_for_pair_machines(tmp_path, w237_config, capsys,
 
     monkeypatch.setattr("polycell.automata.choose_k", resolve)
     monkeypatch.setattr("polycell.automata.fellow_traveler_constant", resolve)
-    assert run(tmp_path, *argv, "--group", str(w237_config), "--k", "2") == 0
+    assert run(tmp_path, *argv, "--group", str(w237_config)) == 0
 
 
 def test_cli_fsa_equiv_builds_the_partition_once(tmp_path, w237_config, capsys,

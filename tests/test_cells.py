@@ -26,11 +26,11 @@ from polycell.fsa import (
     difference,
     enumerate_words,
     intersect,
-    is_empty,
     is_subset,
     make_dfa,
     minimize,
     reverse,
+    shortest_word,
     union,
 )
 from polycell.oracle import braid_closure, oracle_classify
@@ -355,13 +355,13 @@ def test_translators_match_ball_scan(part237, part2224):
 
 
 def test_omega_minimal_top_level(part237, g237, w237):
-    specs = omega_minimal(part237, 3, radius=12, k=K_W237)
+    specs = omega_minimal(part237, 3, radius=12)
     translators = [w237.word_str(sp.translator) for sp in specs]
     assert translators[0] == ""  # identity translator survives
     # pairwise disjoint languages after minimal filtering
     for i, a in enumerate(specs):
         for b in specs[i + 1:]:
-            assert is_empty(intersect(a.language, b.language))
+            assert shortest_word(intersect(a.language, b.language)) is None
     # non-minimal candidates are swallowed: every omega translate lands
     # inside the union of the kept ones, up to the discovery horizon
     u = None
@@ -374,20 +374,20 @@ def test_omega_minimal_top_level(part237, g237, w237):
 
 
 def test_identity_spec_language_is_ut(part237):
-    specs = omega_minimal(part237, 3, radius=10, k=K_W237)
+    specs = omega_minimal(part237, 3, radius=10)
     first = specs[0]
     assert first.translator == ()
     assert are_equivalent(first.language, u_t_fsa(part237, first.pair))
 
 
 def test_specs_subset_of_their_cell(part2224, g2224):
-    specs = omega_minimal(part2224, 2, radius=8, k=K_W2224)
+    specs = omega_minimal(part2224, 2, radius=8)
     for sp in specs:
         assert is_subset(sp.language, part2224.languages["c2"])
 
 
 def test_left_cells_by_reversal(part237, g237, w237):
-    specs = omega_minimal(part237, 3, radius=10, k=K_W237)
+    specs = omega_minimal(part237, 3, radius=10)
     # right cells reflect to left cells by word reversal (inverse elements)
     lang = minimize(reverse(specs[0].language))
     # reversed language consists of inverses: closed under braid moves
@@ -397,14 +397,14 @@ def test_left_cells_by_reversal(part237, g237, w237):
 
 
 def test_brute_force_translate_membership(part237):
-    specs = omega_minimal(part237, 3, radius=12, k=K_W237)
+    specs = omega_minimal(part237, 3, radius=12)
     assert_translates_match_balls(part237, specs[:4], 10)
 
 
 def test_brute_force_translate_membership_w2224(part2224):
     # every spec of the benchmark's onesided path: a translate built by
     # one-generator steps is w * U^T itself
-    specs = omega_minimal(part2224, 2, radius=8, k=K_W2224)
+    specs = omega_minimal(part2224, 2, radius=8)
     assert_translates_match_balls(part2224, specs, 6)
 
 
@@ -414,10 +414,10 @@ ONESIDED_LEVELS = [("part237", 1, 12, 8), ("part237", 2, 12, 11),
                    ("part2224", 2, 8, 22)]
 
 
-def _minimal_by_containment(part, i, radius, k):
+def _minimal_by_containment(part, i, radius):
     """omega_minimal with a containment walk against every kept spec: the
     reference for the witness-word rule."""
-    cands = _spec_candidates(part, i, radius, k)
+    cands = _spec_candidates(part, i, radius)
     cands.sort(key=lambda c: (len(c.translator), c.translator, c.pair))
     kept = []
     for cand in cands:
@@ -430,8 +430,8 @@ def _minimal_by_containment(part, i, radius, k):
 def test_witness_word_keeps_what_containment_keeps(request, part, level,
                                                    radius, size):
     part = request.getfixturevalue(part)
-    got = omega_minimal(part, level, radius, part.k)
-    want = _minimal_by_containment(part, level, radius, part.k)
+    got = omega_minimal(part, level, radius)
+    want = _minimal_by_containment(part, level, radius)
     assert len(got) == size
     assert [(s.translator, s.pair) for s in got] \
         == [(s.translator, s.pair) for s in want]
@@ -448,9 +448,9 @@ def test_each_spec_meets_one_left_descent_class(part237, part2224):
                for name, part in parts.items()}
     for name, level, radius, size in ONESIDED_LEVELS:
         part = parts[name]
-        specs = omega_minimal(part, level, radius, part.k)
+        specs = omega_minimal(part, level, radius)
         assert len(specs) == size
         for spec in specs:
-            met = [not is_empty(intersect(spec.language, fsa))
+            met = [shortest_word(intersect(spec.language, fsa)) is not None
                    for fsa in classes[name]]
             assert sum(met) == 1, (name, level, spec.translator)

@@ -17,7 +17,6 @@ from polycell.fsa import (
     explore,
     from_text,
     intersect,
-    is_empty,
     is_subset,
     make_dfa,
     minimize,
@@ -59,7 +58,8 @@ def boolean(op: str, a: FSA, b: FSA | None = None, universe: FSA | None = None) 
 
 
 def analyze(fsa: FSA, max_len: int) -> dict:
-    return {"is_empty": is_empty(fsa), "word_counts": count_words(fsa, max_len)}
+    return {"is_empty": shortest_word(fsa) is None,
+            "word_counts": count_words(fsa, max_len)}
 
 
 def _dfa_even_as():
@@ -89,7 +89,7 @@ def test_boolean_against_membership():
 def test_intersection_with_complement_empty():
     a = _dfa_contains_ab()
     universe = make_dfa(AB, 1, 0, {0}, {(0, 0): 0, (0, 1): 0})
-    assert is_empty(intersect(a, complement_within(universe, a)))
+    assert shortest_word(intersect(a, complement_within(universe, a))) is None
     assert are_equivalent(union(a, empty_language(AB)), a)
 
 
@@ -112,16 +112,6 @@ def test_alphabet_mismatch():
         intersect(a, c)
 
 
-# the product formulation of containment, kept as the reference for the
-# early-exit walk of is_subset and are_equivalent
-def product_subset(a: FSA, b: FSA) -> bool:
-    return is_empty(difference(a, b))
-
-
-def product_equivalent(a: FSA, b: FSA) -> bool:
-    return product_subset(a, b) and product_subset(b, a)
-
-
 def _language_pool(part) -> list[FSA]:
     names = part.group.presentation.names
     pool = list(part.languages.values()) + [
@@ -133,12 +123,16 @@ def _language_pool(part) -> list[FSA]:
     return pool + [reverse(part.languages["c0"])]
 
 
-def test_containment_walk_matches_product(part237, part2224):
+def test_equivalence_and_containment_match_minimal_dfas(part237, part2224):
+    # the minimal DFA is unique and minimize numbers it canonically, so two
+    # languages are equal exactly when their minimal DFAs are, and a is in b
+    # exactly when a union b equals b
     pools = [_language_pool(part237), _language_pool(part2224)]
     for pool in pools:
-        for a, b in itertools.product(pool, repeat=2):
-            assert is_subset(a, b) == product_subset(a, b)
-            assert are_equivalent(a, b) == product_equivalent(a, b)
+        minimal = [minimize(a) for a in pool]
+        for (a, ma), (b, mb) in itertools.product(zip(pool, minimal), repeat=2):
+            assert are_equivalent(a, b) == (ma == mb)
+            assert is_subset(a, b) == (minimize(union(a, b)) == mb)
     a, b = pools[0][0], pools[1][0]
     with pytest.raises(AlphabetMismatch):
         is_subset(a, b)
@@ -280,7 +274,7 @@ def test_minimize_preserves_language(a):
 @given(a=random_dfas, b=random_dfas)
 def test_symmetric_difference_detects_equality(a, b):
     same_by_words = all(a.accepts(w) == b.accepts(w) for w in _words(6))
-    eq = product_equivalent(a, b)
+    eq = are_equivalent(a, b)
     if eq:
         assert same_by_words
     # states <= 5 over 2 symbols: words up to length 6 do not fully separate,
@@ -289,18 +283,54 @@ def test_symmetric_difference_detects_equality(a, b):
         assert not eq
 
 
-# Partial DFAs: a missing move goes to the implicit dead state, and states
-# may be unreachable or have an empty future.
-partial_dfas = st.integers(min_value=1, max_value=6).flatmap(lambda n: st.builds(
-    lambda acc, targets: make_dfa(
-        AB, n, 0, acc,
-        {(q, s): t for (q, s), t in zip(itertools.product(range(n), range(2)),
-                                        targets) if t is not None},
-    ),
-    acc=st.sets(st.integers(min_value=0, max_value=n - 1)),
-    targets=st.lists(st.none() | st.integers(min_value=0, max_value=n - 1),
-                     min_size=2 * n, max_size=2 * n),
-))
+def partial_dfas_upto(max_states: int):
+    """Partial DFAs: a missing move goes to the implicit dead state, and
+    states may be unreachable or have an empty future."""
+    return st.integers(min_value=1, max_value=max_states).flatmap(
+        lambda n: st.builds(
+            lambda acc, targets: make_dfa(
+                AB, n, 0, acc,
+                {(q, s): t for (q, s), t in zip(
+                    itertools.product(range(n), range(2)), targets)
+                 if t is not None},
+            ),
+            acc=st.sets(st.integers(min_value=0, max_value=n - 1)),
+            targets=st.lists(st.none() | st.integers(min_value=0, max_value=n - 1),
+                             min_size=2 * n, max_size=2 * n),
+        ))
+
+
+partial_dfas = partial_dfas_upto(6)
+
+
+def memberships(a: FSA, b: FSA, max_len: int) -> list[tuple[bool, bool]]:
+    """(in a, in b) for every word of length up to max_len, each run read
+    letter by letter, leaving out the words that both runs have left:
+    those, and all their extensions, are in neither language."""
+    out = []
+    layer = [(a.initial, b.initial)]
+    for _ in range(max_len + 1):
+        nxt = []
+        for qa, qb in layer:
+            out.append((qa in a.accepting, qb in b.accepting))
+            for s in range(len(AB)):
+                ta, tb = a.step(qa, s), b.step(qb, s)
+                if ta is not None or tb is not None:
+                    nxt.append((ta, tb))
+        layer = nxt
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=partial_dfas_upto(3), b=partial_dfas_upto(3))
+def test_equivalence_and_containment_against_membership(a, b):
+    # a shortest word in one language and not the other visits each pair
+    # of states of the completed machines at most once, and never the pair
+    # of dead states, so words that short decide both questions
+    words = memberships(a, b, (a.n_states + 1) * (b.n_states + 1) - 2)
+    assert is_subset(a, b) == all(y for x, y in words if x)
+    assert is_subset(b, a) == all(x for x, y in words if y)
+    assert are_equivalent(a, b) == all(x == y for x, y in words)
 
 # NFAs with several targets per move and epsilon moves, any initial state,
 # as the tests' dicts.
@@ -416,9 +446,11 @@ def reversal_nfa(a: FSA) -> dict:
 @given(a=random_nfas)
 def test_trim_and_emptiness_against_set_reference(a):
     d = nfa_minimal_dfa(a)
-    assert is_empty(d) == (not any(nfa_accepts(a, w) for w in _words(a["n_states"])))
+    empty = shortest_word(d) is None
+    assert empty == (not any(nfa_accepts(a, w) for w in _words(a["n_states"])))
     ref = subset_reference(a)
-    assert is_empty(ref) == (not set_trim_reference(ref).accepting) == is_empty(d)
+    assert (shortest_word(ref) is None) == (not set_trim_reference(ref).accepting) \
+        == empty
     assert d.n_states == myhill_nerode_states(ref)
 
 

@@ -1,9 +1,8 @@
-import json
-
 import pytest
 
 from polycell.cells import OneSidedCellSpec, omega_minimal
-from polycell.compare import ComparisonReport, empirical_vs_conjectural
+from polycell.cache import Workspace
+from polycell.compare import empirical_vs_conjectural
 from polycell.errors import ResourceLimit
 from polycell.kl import KLTable
 from polycell.oracle import (
@@ -16,7 +15,6 @@ from polycell.oracle import (
     unique_reduced_census,
 )
 from polycell.presentation import presentation_from_angles
-from tests.conftest import K_W237
 
 
 def test_braid_closure_examples(w237):
@@ -94,20 +92,22 @@ def test_classical_kl_trivial_cases(w237, g237, kl237):
 def test_comparison_report_shape(g237, part237, kl237):
     report = empirical_vs_conjectural(part237, KLTable(g237, g237.ball(8)),
                                       trust_margin=4)
-    assert report.group == "w237"
-    assert report.trusted_count == sum(g237.ball(4).counts)
-    assert 0.0 <= report.agreement_ratio <= 1.0
-    payload = json.loads(report.to_json())
-    assert list(payload)[:4] == ["group", "radius", "trust_margin", "k"]
+    assert report["group"] == "w237"
+    assert report["trusted_count"] == sum(g237.ball(4).counts)
+    assert 0.0 <= report["agreement_ratio"] <= 1.0
+    assert list(report) == [
+        "group", "radius", "trust_margin", "k", "element_count", "trusted_count",
+        "agreement_ratio", "partition_equal", "purity_ratio", "disagreements",
+        "boundary_flagged", "right_cell_agreement"]
     # identity forms its own empirical and conjectural cell
-    assert payload["disagreements"] == [] or payload["disagreements"][0]["element"] != ""
+    assert report["disagreements"] == [] or report["disagreements"][0]["element"] != ""
 
 
 def test_right_cell_disagreements_per_element(g237, part237):
     table = KLTable(g237, g237.ball(10))
-    specs = omega_minimal(part237, 1, radius=10, k=K_W237)
+    specs = omega_minimal(part237, 1, radius=10)
     right = empirical_vs_conjectural(part237, table, trust_margin=4,
-                                     specs=specs).right_cell_agreement
+                                     specs=specs)["right_cell_agreement"]
     assert right == {"checked": True, "covered_elements": 17, "disagreements": []}
     # one spec for the whole level merges the right cells: every covered
     # element then disagrees, and names its own empirical right cell
@@ -115,7 +115,7 @@ def test_right_cell_disagreements_per_element(g237, part237):
     merged = [OneSidedCellSpec(spec.level, spec.pair, spec.translator,
                                part237.languages["c1"])]
     right = empirical_vs_conjectural(part237, table, trust_margin=4,
-                                     specs=merged).right_cell_agreement
+                                     specs=merged)["right_cell_agreement"]
     assert len(right["disagreements"]) == right["covered_elements"] == 17
     first = right["disagreements"][0]
     assert first["element"] == "rt" and first["translator"] == ""
@@ -125,19 +125,21 @@ def test_right_cell_disagreements_per_element(g237, part237):
 def test_comparison_report_deterministic(g237, part237):
     a = empirical_vs_conjectural(part237, KLTable(g237, g237.ball(6)), trust_margin=3)
     b = empirical_vs_conjectural(part237, KLTable(g237, g237.ball(6)), trust_margin=3)
-    assert a.to_json() == b.to_json()
+    assert a == b
 
 
-def test_comparison_report_json_bytes():
-    # keys in field order, nested values as given, two-space indent
-    report = ComparisonReport(
-        group="w237", radius=6, trust_margin=3, k=4, element_count=35,
-        trusted_count=11, agreement_ratio=0.5, partition_equal=False,
-        purity_ratio=0.75,
-        disagreements=[{"element": "rt", "empirical_cell": ["rt", "rts"],
-                        "conjectural_label": "c1"}],
-        boundary_flagged=["rstrs"], right_cell_agreement={"checked": False})
-    assert report.to_json() == """\
+def test_comparison_report_json_bytes(tmp_path, w237):
+    # keys in insertion order, nested values as given, two-space indent
+    report = {
+        "group": "w237", "radius": 6, "trust_margin": 3, "k": 4,
+        "element_count": 35, "trusted_count": 11, "agreement_ratio": 0.5,
+        "partition_equal": False, "purity_ratio": 0.75,
+        "disagreements": [{"element": "rt", "empirical_cell": ["rt", "rts"],
+                           "conjectural_label": "c1"}],
+        "boundary_flagged": ["rstrs"], "right_cell_agreement": {"checked": False}}
+    path = Workspace(tmp_path).write_report(w237, "compare.r6.json", report)
+    assert path == tmp_path / "w237" / "reports" / "compare.r6.json"
+    assert path.read_text() == """\
 {
   "group": "w237",
   "radius": 6,

@@ -7,12 +7,10 @@ import numpy as np
 from polycell.presentation import presentation_from_angles
 from polycell.render import (
     PALETTE,
-    Scene,
     color_for,
     lorentz_dot,
     realize_polygon,
     render_svg,
-    scene_for_partition,
     tile,
 )
 from tests.conftest import realized_area
@@ -103,8 +101,7 @@ def test_tile_centroids_distinct(g237):
 
 def test_empty_scene_is_valid_svg(w237):
     real = realize_polygon(w237)
-    scene = Scene(realization=real, tiles=[], coloring=[], palette=dict(PALETTE))
-    data = render_svg(scene)
+    data = render_svg(real, [], [], dict(PALETTE), 800)
     text = data.decode()
     assert text.startswith("<?xml")
     assert "<circle" in text and text.rstrip().endswith("</svg>")
@@ -115,8 +112,8 @@ def test_tile_count_and_determinism(g237, part237):
     real = realize_polygon(g237.presentation)
     ball = g237.ball(6)
     labels = [part237.classify(e) for e in ball.elements]
-    svg1 = render_svg(scene_for_partition(ball, real, labels))
-    svg2 = render_svg(scene_for_partition(ball, real, labels))
+    svg1 = render_svg(real, tile(ball, real), labels, PALETTE, 800)
+    svg2 = render_svg(real, tile(ball, real), labels, PALETTE, 800)
     assert svg1 == svg2
     assert svg1.count(b"<path") == len(ball)
 
@@ -125,7 +122,7 @@ def test_two_sided_coloring_uses_five_fills(g237, part237):
     real = realize_polygon(g237.presentation)
     ball = g237.ball(8)
     labels = [part237.classify(e) for e in ball.elements]
-    svg = render_svg(scene_for_partition(ball, real, labels))
+    svg = render_svg(real, tile(ball, real), labels, PALETTE, 800)
     fills = set(re.findall(rb'<path d="[^"]*" fill="([^"]+)"', svg))
     assert len(fills) == 5
     assert set(labels) == {"cid", "c0", "c1", "c2", "c3"}
