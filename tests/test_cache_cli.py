@@ -585,6 +585,19 @@ def test_cli_trust_margin_outside_radius_is_exit_2(tmp_path, w237_config, capsys
     assert not (tmp_path / "ws" / "w237" / "reports" / report).exists()
 
 
+@pytest.mark.parametrize("margin", ["2", "9"])
+def test_cli_empirical_refuses_trust_margin(tmp_path, w237_config, capsys,
+                                            monkeypatch, margin):
+    # empirical mode has no --trust-margin, in range or out of it
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, "cells", "empirical", "--group", str(w237_config),
+            "--radius", "3", "--trust-margin", margin)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --trust-margin" in capsys.readouterr().err
+    assert not (tmp_path / "ws" / "w237" / "reports").exists()
+
+
 def test_cli_unknown_letter_is_exit_2(tmp_path, w237_config, capsys):
     code = run(tmp_path, "fsa", "build", "pattern:xyz",
                "--group", str(w237_config), "--k", "6")
@@ -614,10 +627,8 @@ def test_cli_bad_k_is_exit_2(tmp_path, w237_config, capsys, k):
     ["ball", "--cap", "10"],
     ["cells", "compare", "--cap", "10"],
     ["cells", "empirical", "--k", "2"],
-    ["cells", "empirical", "--trust-margin", "2"],
 ], ids=["kl-k", "group-info-radius", "onesided-cap", "render-trust-margin", "fsa-cap",
-        "ball-cap", "cells-compare-cap", "cells-empirical-k",
-        "cells-empirical-trust-margin"])
+        "ball-cap", "cells-compare-cap", "cells-empirical-k"])
 def test_cli_rejects_an_option_the_command_does_not_read(tmp_path, w237_config, capsys,
                                                          monkeypatch, argv):
     monkeypatch.chdir(tmp_path)  # so an accepted option writes no workspace here
