@@ -102,16 +102,16 @@ def nf_transition_fsa(group: PolygonGroup) -> FSA:
 
 def shortlex_fsa(group: PolygonGroup) -> FSA:
     """Minimal DFA for the ShortLex normal-form language itself."""
-    return minimize(reverse(nf_transition_fsa(group)))
+    return reverse(nf_transition_fsa(group))
 
 
 def factor_fsa(group: PolygonGroup, pattern: Word) -> FSA:
     """Reduced words containing the pattern as a consecutive factor
     (canonical machine intersected with a failure-function matcher)."""
     pattern = tuple(pattern)
-    if not group.is_reduced(pattern):
-        raise PatternNotReduced(group.presentation.word_str(pattern))
     base = canonical_fsa(group)
+    if not base.accepts(pattern):
+        raise PatternNotReduced(group.presentation.word_str(pattern))
     if not pattern:
         return base
     m = len(pattern)
@@ -295,7 +295,7 @@ def equal_endpoint_pairs(group: PolygonGroup, B: FSA, offset: Word,
         return accepts[t] and qb_acc, moves
 
     return minimal_dfa(group.presentation.names,
-                       starts[offset] * n + B.initial, expand)
+                       [starts[offset] * n + B.initial], expand)
 
 
 # pattern machines by group, then by (pattern, k): choose_k and

@@ -232,8 +232,7 @@ def descent_class_fsa(group: PolygonGroup, T) -> FSA:
     T = frozenset(T)
     if T not in set(valid_descent_classes(group.presentation)):
         raise InvalidDescentClass(f"{sorted(T)} is not a realizable descent class")
-    right = right_descent_class_fsa(group, T)
-    return minimize(reverse(right))
+    return reverse(right_descent_class_fsa(group, T))
 
 
 def _dihedral_entry(part: ConjecturalPartition, pair) -> DihedralEntry:

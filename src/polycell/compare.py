@@ -50,7 +50,7 @@ def _restricted_agreement(mine: dict[int, int], theirs: dict[int, Hashable],
 def empirical_vs_conjectural(
     part: ConjecturalPartition,
     table: KLTable,
-    trust_margin: int = 4,
+    trust_margin: int,
     specs: list[OneSidedCellSpec] | None = None,
 ) -> dict:
     """The comparison report on the ball of `table`, whose radius is the

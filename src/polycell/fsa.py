@@ -12,11 +12,12 @@ et al., Word Processing in Groups, 1992, ch. 2) and caps every search at
 STATE_CAP states.  `explore` keeps the marked states (products), and
 `automata`'s word-difference table reads the marks directly.  A search
 whose states have several moves on one symbol is nondeterministic only
-while it is searched: one subset search over its marked states, its sets
-int bitsets, turns it into a DFA.  It serves `reverse`, `from_text` on a
-file with several targets for one move, and `minimal_dfa` (the pair
-machines of `automata`), which hands its rows straight to `_moore`, the
-one partition refinement, which `minimize` also runs.
+while it is searched: `minimal_dfa` runs one subset search over its marked
+states, its sets int bitsets, and hands the successor rows straight to
+`_moore`, the one partition refinement, which `minimize` also runs.  So
+every such search ends in the minimal DFA, numbered canonically: the pair
+machines of `automata`, `reverse`, and `from_text` on a file with several
+targets for one move.
 
 Every question about two machines is one `_product`: intersection, union
 and difference are the products themselves, and equivalence and
@@ -145,20 +146,15 @@ def explore(alphabet, start, expand) -> FSA:
                      if live[q] for s, j in row if live[j]})
 
 
-def minimal_dfa(alphabet, start, expand) -> FSA:
-    """The minimal DFA of the machine `search` reaches from `start`, which
-    may have several moves on one symbol: `_moore` on its subset rows."""
-    rows, accepting = _subset_rows(len(alphabet), [start], expand)
-    return _moore(alphabet, rows, accepting, 1, 0)
-
-
-def _subset_rows(nsym, starts, expand):
-    """The subset machine of the states `search` reaches from the nonempty
-    `starts`, its sets of states on an accepting run as int bitsets,
-    numbered as they are met: 0 is the empty set, its own successor, and 1
-    the set of the starts.  Returns the successor rows by number and the
-    accepting numbers.  Past STATE_CAP sets it raises StateBlowup, as
-    `search` does past STATE_CAP states."""
+def minimal_dfa(alphabet, starts, expand) -> FSA:
+    """The minimal DFA of the machine `search` reaches from the distinct,
+    nonempty `starts`, which may have several moves on one symbol: its
+    subset machine, the sets of states on an accepting run as int bitsets,
+    numbered as they are met (0 the empty set, its own successor, and 1 the
+    set of the starts), its successor rows handed to `_moore`.  Past
+    STATE_CAP sets it raises StateBlowup, as `search` does past STATE_CAP
+    states."""
+    nsym = len(alphabet)
     _, moves, accepting, live = search(starts, expand)
     steps = []  # by state and symbol, the live states it moves to
     for row in moves:
@@ -189,16 +185,8 @@ def _subset_rows(nsym, starts, expand):
             out.append(j)
         rows.append(out)
     acc = sum(1 << q for q in accepting)
-    return rows, {i for i, cur in enumerate(sets, 1) if cur & acc}
-
-
-def _subset_dfa(alphabet, starts, expand) -> FSA:
-    """`_subset_rows` from the starts, numbered from 0 without the empty
-    set: the DFA of a search with several moves on one symbol."""
-    rows, accepting = _subset_rows(len(alphabet), starts, expand)
-    return make_dfa(alphabet, len(rows) - 1, 0, {q - 1 for q in accepting},
-                    {(q - 1, s): t - 1 for q, row in enumerate(rows) if q
-                     for s, t in enumerate(row) if t})
+    return _moore(alphabet, rows, {i for i, cur in enumerate(sets, 1) if cur & acc},
+                  1, 0)
 
 
 def minimize(fsa: FSA) -> FSA:
@@ -252,8 +240,8 @@ def _moore(alphabet, rows, accepting, initial, dead) -> FSA:
 
 
 def reverse(fsa: FSA) -> FSA:
-    """DFA for the reversed language: the subset search over the reversed
-    moves, from the set of accepting states."""
+    """The minimal DFA of the reversed language: `minimal_dfa` over the
+    reversed moves, from the set of accepting states."""
     if not fsa.accepting:
         return empty_language(fsa.alphabet)
     back: list[list[tuple[int, int]]] = [[] for _ in range(fsa.n_states)]
@@ -264,7 +252,7 @@ def reverse(fsa: FSA) -> FSA:
     def expand(q):
         return q == initial, back[q]
 
-    return _subset_dfa(fsa.alphabet, sorted(fsa.accepting), expand)
+    return minimal_dfa(fsa.alphabet, sorted(fsa.accepting), expand)
 
 
 def _product(a: FSA, b: FSA, keep) -> FSA:
@@ -385,7 +373,7 @@ def to_text(fsa: FSA) -> str:
 
 def from_text(text: str) -> FSA:
     """Parse `to_text` output; malformed text of any kind raises ValueError.
-    A file that gives two targets for one move reads as its subset DFA."""
+    A file that gives two targets for one move reads as its minimal DFA."""
     lines = [ln.split() for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise ValueError("empty automaton text")
@@ -430,4 +418,4 @@ def from_text(text: str) -> FSA:
     def expand(q):
         return q in accepting, moves[q]
 
-    return _subset_dfa(alphabet, [initial], expand)
+    return minimal_dfa(alphabet, [initial], expand)

@@ -53,7 +53,8 @@ x <= w of an upper set.  In one pass over those x, longest first, it
 sets the end of every climb (that of x's first step, sx or xs, or x itself
 if extremal) and, at each extremal x, solves P_{x,w} through `_solve`,
 which checks the bound, reads P off the identity and re-checks it; every
-term of each sum is then known.  Three callers pass three sets:
+term of each sum is then known.  The sweep and the W-graph pass two
+sets, and `column` the sweep's:
 
 - the sweep (`fill`, `packed_rows`, `records`, the `kl` command) runs
   over w in index order and passes the whole lower ideal, after it builds
@@ -70,7 +71,8 @@ term of each sum is then known.  Three callers pass three sets:
   of the far x whose mu it needs, so it solves only the pairs behind those
   mu, and R by row, through `_r`, only where those sums ask for it (full R
   columns would hold 3.4 times as many entries on w2224's ball(10));
-- a point query `p_idx(v, w)` passes the upper ideal of v.
+- `column(w)`, which `verify.kl_oracle` reads, passes the whole lower
+  ideal of w, as the sweep does, with R by row through `_r`.
 
 W-graphs need only mu, and most of it is known without P:
 mu(v, w) is 0 for an even length difference, 1 for a difference of 1, and
@@ -103,6 +105,13 @@ from .errors import ResourceLimit, VerificationDisagreement
 from .words import ElementBall, PolygonGroup
 
 Poly = tuple[int, ...]
+
+# most elements of a ball a KL table is built on.  Its Bruhat ideals alone
+# take about 3n^2/16 bytes for n elements: the lower ideals' bitsets
+# average n/2 bits (n^2/16 bytes in all) and the upper ones' n bits
+# (n^2/8), so about 1.9 GB at the cap, 93 MB on w2224's ball(13) (22,253
+# elements) and 560 MB on the (2,2,2,2,2) pentagon's ball(10) (54,726)
+KL_CAP = 100_000
 
 _B = 64  # bits per packed coefficient
 _HALF = 1 << (_B - 1)
@@ -142,7 +151,8 @@ def _check_digit(majorant: int, what: str, *args) -> None:
 
 def _check_radius(radius: int) -> None:
     """Every length difference in ball(radius) is at most the radius, so
-    one check of 3^radius stands for r_idx's check on every pair."""
+    one check of 3^radius stands for the check of 3^n, n the length
+    difference, on every pair."""
     _check_digit(3 ** radius, "KL polynomials: R on ball(%d)", radius)
 
 
@@ -168,6 +178,9 @@ class KLTable:
     hence complete)."""
 
     def __init__(self, group: PolygonGroup, ball: ElementBall):
+        if len(ball) > KL_CAP:
+            raise ResourceLimit(f"KL table: ball({ball.radius}) has {len(ball)} "
+                                f"elements, past cap {KL_CAP}")
         self.group = group
         self.ball = ball
         self._length = ball.lengths
@@ -246,11 +259,6 @@ class KLTable:
 
     # --- R polynomials -----------------------------------------------------
 
-    def r_idx(self, v: int, w: int) -> Poly:
-        _check_digit(3 ** (self._length[w] - self._length[v]),
-                     "KL polynomials: R on pair %s", (v, w))
-        return unpack(self._r(v, w))
-
     def _r(self, v: int, w: int) -> int:
         """Packed R_{v,w}."""
         if not self._leq[w] >> v & 1:
@@ -271,13 +279,6 @@ class KLTable:
         return out
 
     # --- Kazhdan-Lusztig polynomials ----------------------------------------
-
-    def p_idx(self, v: int, w: int) -> Poly:
-        down = self._leq[w]
-        if not down >> v & 1:
-            return ()
-        self._column(w, _bits(down & self._geq[v]))
-        return unpack(self._pcol[self._top[v]])
 
     def column(self, w: int) -> dict[int, Poly]:
         """P_{y,w} for every y <= w, by y ascending."""

@@ -78,11 +78,9 @@ def _angle_at(p: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 
 
 class PolygonRealization:
-    __slots__ = ("presentation", "vertices", "reflections")
+    __slots__ = ("vertices", "reflections")
 
-    def __init__(self, presentation: CoxeterPresentation, vertices: list[np.ndarray],
-                 reflections: list[np.ndarray]):
-        self.presentation = presentation
+    def __init__(self, vertices: list[np.ndarray], reflections: list[np.ndarray]):
         self.vertices = vertices          # vertex k sits between sides k-1 and k
         self.reflections = reflections    # one per side
 
@@ -191,11 +189,7 @@ def realize_polygon(pres: CoxeterPresentation) -> PolygonRealization:
         residual = max(residual, abs(got - angles[k]))
     if residual > 1e-8:
         raise SolverDiverged(f"angle residual {residual}")
-    return PolygonRealization(
-        presentation=pres,
-        vertices=vertices,
-        reflections=reflections,
-    )
+    return PolygonRealization(vertices=vertices, reflections=reflections)
 
 
 def tile(ball: ElementBall, realization: PolygonRealization) -> list[np.ndarray]:

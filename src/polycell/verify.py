@@ -94,15 +94,13 @@ def kl_identity(table: KLTable) -> Check:
     return Check("kl_identity", True, f"every extremal pair in ball({table.ball.radius})")
 
 
-def kl_oracle(table: KLTable, length: int, oracle: ClassicalKL | None = None) -> Check:
+def kl_oracle(table: KLTable, length: int) -> Check:
     """The lower Bruhat ideal of every element up to `length` against the
     oracle's subword products, and P on each of its pairs against the
-    classical one-step recursion; a shared `oracle` keeps its memo across
-    calls."""
+    classical one-step recursion."""
     ball = table.ball
     length = min(length, ball.radius)
-    if oracle is None:
-        oracle = ClassicalKL(table.group.presentation)
+    oracle = ClassicalKL(table.group.presentation)
     bad = 0
     for wi, w in enumerate(ball.elements):
         if w.length > length:

@@ -146,19 +146,6 @@ class PolygonGroup:
         self.state_rdesc = [frozenset(simple_of[r] for r in st if r in simple_of)
                             for st in sets]
 
-    # --- word primitives -------------------------------------------------
-
-    def run(self, word, state: int = 0) -> int | None:
-        trans = self.transitions
-        for s in word:
-            state = trans[state][s]
-            if state is None:
-                break
-        return state
-
-    def is_reduced(self, word) -> bool:
-        return self.run(word) is not None
-
     # --- elements ---------------------------------------------------------
 
     def element(self, word) -> Element:

@@ -34,13 +34,14 @@ def bruhat_leq(table, v, w):
     return bool(table._leq[w] >> v & 1)
 
 
-def kl_mu(table, v, w):
-    """mu(v, w): the coefficient of q^((n - 1) / 2) in P_{v,w} for an odd
-    length difference n, 0 otherwise."""
+def kl_mu(table, column, v, w):
+    """mu(v, w) from `column`, the column P(., w) of `table.column(w)`: the
+    coefficient of q^((n - 1) / 2) in P_{v,w} for an odd length difference
+    n, 0 otherwise."""
     n = table.ball.lengths[w] - table.ball.lengths[v]
     if n <= 0 or n % 2 == 0:
         return 0
-    return poly_coeff(table.p_idx(v, w), (n - 1) // 2)
+    return poly_coeff(column.get(v, ()), (n - 1) // 2)
 
 
 def realized_area(real):
@@ -130,7 +131,7 @@ def nfa_minimal_dfa(a: dict) -> FSA:
         return not near.isdisjoint(a["accepting"]), [
             (s, t) for p in near for s in syms for t in a["moves"].get((p, s), ())]
 
-    return minimal_dfa(a["alphabet"], a["initial"], expand)
+    return minimal_dfa(a["alphabet"], [a["initial"]], expand)
 
 
 @pytest.fixture(scope="session")
@@ -171,18 +172,3 @@ def kl237(g237):
     table.fill()
     return table
 
-
-# the classical recursion memoizes by word: one oracle per group serves
-# every test that cross-examines the engine
-@pytest.fixture(scope="session")
-def classical237(w237):
-    from polycell.oracle import ClassicalKL
-
-    return ClassicalKL(w237)
-
-
-@pytest.fixture(scope="session")
-def classical2224(w2224):
-    from polycell.oracle import ClassicalKL
-
-    return ClassicalKL(w2224)

@@ -41,7 +41,7 @@ from polycell.fsa import (
     shortest_word,
     to_text,
 )
-from polycell.oracle import braid_closure
+from polycell.oracle import braid_closure, closure_is_reduced
 from tests.conftest import K_W237, K_W2224, nfa, nfa_minimal_dfa
 
 
@@ -52,12 +52,16 @@ def test_canonical_rejects_non_reduced(g237):
     assert can.accepts((0, 1, 0))
 
 
-def test_canonical_agrees_with_engine_exhaustively(g237, g2224):
+def test_canonical_agrees_with_tits_criterion_exhaustively(g237, g2224):
+    # a word is reduced exactly when no word of its braid closure repeats a
+    # letter (Tits), which the oracle reads off braid moves alone, without
+    # the small roots behind the canonical machine
     for g, max_len in ((g237, 7), (g2224, 6)):
-        can = canonical_fsa(g)
+        can, pres = canonical_fsa(g), g.presentation
         for n in range(max_len + 1):
             for w in itertools.product(range(g.rank), repeat=n):
-                assert can.accepts(w) == g.is_reduced(w)
+                assert can.accepts(w) == closure_is_reduced(
+                    pres, braid_closure(pres, w))
 
 
 def test_canonical_counts_match_closure_census(g237):
@@ -467,12 +471,18 @@ def test_onesided_path_interns_few_pair_states(w2224, monkeypatch):
         n[2] += sum(live)
         return keys, rows, accepting, live
 
-    def record_sets(nsym, start, expand):
-        rows, accepting = subset_rows(nsym, start, expand)
+    rows_met = []
+
+    def record_rows(alphabet, rows, *rest):
+        rows_met.append(len(rows))
+        return moore(alphabet, rows, *rest)
+
+    def record_sets(alphabet, starts, expand):
+        out = minimal_dfa(alphabet, starts, expand)
         stage = expand.__qualname__.partition(".")[0]
         # the sets met, without the empty one, which is the dead state
-        subsets[stage] = subsets.get(stage, 0) + len(rows) - 1
-        return rows, accepting
+        subsets[stage] = subsets.get(stage, 0) + rows_met[-1] - 1
+        return out
 
     offsets = []
     pairs = automata.equal_endpoint_pairs
@@ -481,9 +491,10 @@ def test_onesided_path_interns_few_pair_states(w2224, monkeypatch):
         offsets.append(offset)
         return pairs(group, B, offset, k)
 
-    subset_rows = fsa._subset_rows
+    moore, minimal_dfa = fsa._moore, automata.minimal_dfa
     monkeypatch.setattr(fsa, "search", record)
-    monkeypatch.setattr(fsa, "_subset_rows", record_sets)
+    monkeypatch.setattr(fsa, "_moore", record_rows)
+    monkeypatch.setattr(automata, "minimal_dfa", record_sets)
     monkeypatch.setattr(automata, "search", record)
     monkeypatch.setattr(automata, "equal_endpoint_pairs", record_offset)
     part = build_partition(PolygonGroup(w2224), K_W2224)
@@ -705,7 +716,8 @@ def test_fellow_traveler_constant_grows_at_radius_21(g237, w237):
     assert fellow_traveler_constant(g237, 21) == 8
     alpha = w237.parse_word("ststsrtstsrstsrtststs")
     beta = w237.parse_word("tstsrtsrtstsrtsrtstst")
-    assert g237.is_reduced(alpha) and g237.is_reduced(beta)
+    can = canonical_fsa(g237)
+    assert can.accepts(alpha) and can.accepts(beta)
     assert g237.element(alpha) == g237.element(beta)
     differences = [g237.element(alpha[:i][::-1] + beta[:i]).length
                    for i in range(len(alpha) + 1)]

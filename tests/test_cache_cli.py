@@ -17,7 +17,7 @@ from polycell.cache import Workspace, group_hash
 from polycell.cli import _parser, main
 from polycell.errors import CorruptCache, ResourceLimit
 from polycell.fsa import from_text
-from polycell.kl import KLTable, empirical_cells
+from polycell.kl import KLTable, empirical_cells, unpack
 from tests.conftest import bruhat_leq, kl_mu
 
 
@@ -54,34 +54,36 @@ def test_kl_roundtrip(tmp_path, w237, g237):
         vi = table.ball.index[v_word]
         wi = table.ball.index[w_word]
         assert bruhat_leq(table, vi, wi)
-        assert (table.r_idx(vi, wi) or (0,)) == r
-        assert (table.p_idx(vi, wi) or (0,)) == p
-        assert kl_mu(table, vi, wi) == mu
+        column = table.column(wi)
+        assert (unpack(table._r(vi, wi)) or (0,)) == r
+        assert (column[vi] or (0,)) == p
+        assert kl_mu(table, column, vi, wi) == mu
 
 
 def _per_row_kl_bytes(pres, table):
-    # the per-row encoder `write_kl` replaced: every pair through r_idx,
-    # p_idx and kl_mu, each polynomial formatted where it occurs
+    # the per-row encoder `write_kl` replaced: every pair through R, the
+    # column of P and kl_mu, each polynomial formatted where it occurs
     table.fill()
     names = pres.names
     codes = ["".join(names[s] for s in e.word) or "-" for e in table.ball.elements]
     lines = []
     n = len(table.ball.elements)
+    columns = [table.column(w) for w in range(n)]
     for v in range(n):
         for w in (x for x in range(n) if bruhat_leq(table, v, x)):
             lines.append("\t".join([
                 codes[v],
                 codes[w],
-                ",".join(str(c) for c in table.r_idx(v, w)) or "0",
-                ",".join(str(c) for c in table.p_idx(v, w)) or "0",
-                str(kl_mu(table, v, w)),
+                ",".join(str(c) for c in unpack(table._r(v, w))) or "0",
+                ",".join(str(c) for c in columns[w][v]) or "0",
+                str(kl_mu(table, columns[w], v, w)),
             ]))
     return ("\n".join(lines) + "\n").encode()
 
 
 @pytest.mark.parametrize("group, radius, warm", [
     pytest.param(g, r, warm, id="-".join([g, str(r), *filter(None, [warm])]))
-    for warm in (None, "empirical_cells", "p_idx")
+    for warm in (None, "empirical_cells", "column")
     for g, r in (("w237", 8), ("w2224", 6))])
 def test_kl_table_bytes_match_per_row_encoder(tmp_path, request, group, radius,
                                               warm):
@@ -93,8 +95,8 @@ def test_kl_table_bytes_match_per_row_encoder(tmp_path, request, group, radius,
     table = KLTable(g, g.ball(radius))
     if warm == "empirical_cells":
         empirical_cells(table)
-    elif warm == "p_idx":
-        table.p_idx(0, len(table.ball) - 1)  # the identity and the last element
+    elif warm == "column":
+        table.column(len(table.ball) - 1)  # the last element's lower ideal
     if warm:
         assert any(list(row) != sorted(row) for row in table._R)
     path = Workspace(tmp_path / "ws").write_kl(pres, table)
@@ -108,8 +110,10 @@ def test_records_hold_each_bruhat_pair_once_in_file_order(g2224):
     assert [(v, w) for v, w, *_ in records] == [
         (v, w) for v in range(n) for w in range(n) if bruhat_leq(table, v, w)]
     assert len(records) == sum(len(table.lower(w)) for w in range(n))
+    columns = [table.column(w) for w in range(n)]
     for v, w, r, p, mu in records:
-        assert (r, p, mu) == (table.r_idx(v, w), table.p_idx(v, w), kl_mu(table, v, w))
+        assert (r, p, mu) == (unpack(table._r(v, w)), columns[w][v],
+                              kl_mu(table, columns[w], v, w))
 
 
 def test_kl_r7_matches_the_benchmark_reference(tmp_path):
@@ -158,6 +162,19 @@ def test_cli_kl_past_the_r_bound_builds_nothing(tmp_path, w237_config, capsys,
     assert capsys.readouterr().err == (
         "error: ResourceLimit: KL polynomials: R on ball(40) may carry a "
         "coefficient past the packed digit's 2^63\n")
+
+
+def test_cli_kl_cap_is_exit_2(tmp_path, w237_config, capsys, monkeypatch):
+    # w237's ball(4) has 25 elements: a cap of 24 stops the table before
+    # its Bruhat ideals are built, and no kl file is written; 25 lets it be
+    monkeypatch.setattr("polycell.kl.KL_CAP", 24)
+    assert run(tmp_path, "kl", "--group", str(w237_config), "--radius", "4") == 2
+    assert capsys.readouterr().err == (
+        "error: ResourceLimit: KL table: ball(4) has 25 elements, past cap 24\n")
+    assert list((tmp_path / "ws").rglob("kl.*")) == []
+    monkeypatch.setattr("polycell.kl.KL_CAP", 25)
+    assert run(tmp_path, "kl", "--group", str(w237_config), "--radius", "4") == 0
+    assert [p.name for p in (tmp_path / "ws").rglob("kl.*")] == ["kl.r4.tsv"]
 
 
 def test_fsa_roundtrip_bit_exact(tmp_path, w237, g237):
@@ -334,8 +351,8 @@ def test_cli_fsa_build_stats_equiv(tmp_path, w237_config, capsys):
 
 def test_cli_fsa_stats_counts_words_of_nondeterministic_file(tmp_path, w237_config,
                                                             capsys):
-    # r+ with a dead state: the file reads as its subset DFA, {0} and
-    # {0, 1}, and `states` counts the DFA's states, not the file's
+    # r+ with a dead state: the file reads as its minimal DFA, the sets {0}
+    # and {0, 1}, and `states` counts the DFA's states, not the file's
     path = tmp_path / "nfa.fsa"
     path.write_text("states 3 alphabet r s t initial 0\n"
                     "0 r 0\n0 r 1\n0 s 2\naccept 1\n")
@@ -348,7 +365,7 @@ def test_cli_fsa_stats_counts_words_of_nondeterministic_file(tmp_path, w237_conf
 def test_cli_subset_search_cap_is_exit_2(tmp_path, w237_config, capsys,
                                          monkeypatch):
     # the third letter from the end is r: 4 states in the file and 8 sets
-    # in its subset DFA, so a cap of 5 stops loading the file; descent:rs
+    # in its subset search, so a cap of 5 stops loading the file; descent:rs
     # reverses a 35-state machine into 52 sets, so a cap of 40 stops the
     # reversal.  Both stop in the subset search, and each names its stage
     path = tmp_path / "nfa.fsa"

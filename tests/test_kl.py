@@ -9,8 +9,10 @@ from polycell.kl import (
     KLTable,
     empirical_cells,
     strongly_connected_components,
+    unpack,
     w_graph,
 )
+from polycell.oracle import ClassicalKL
 from tests.conftest import bruhat_leq, kl_mu
 
 
@@ -66,7 +68,7 @@ def _scan_interval(below, v, w):
 
 
 def _r_poly(table, v, w):
-    return table.r_idx(table.ball.index[v.word], table.ball.index[w.word])
+    return unpack(table._r(table.ball.index[v.word], table.ball.index[w.word]))
 
 
 def _is_extremal(ball, v, w):
@@ -80,8 +82,9 @@ def _full_scan_w_graph(ball, side, table):
     edges = {i: [] for i in range(len(ball.elements))}
     desc = [e.left if side == "left" else e.right for e in ball.elements]
     for b in range(len(ball.elements)):
-        for a in table.lower(b):
-            if kl_mu(table, a, b) == 0:
+        column = table.column(b)
+        for a in column:
+            if kl_mu(table, column, a, b) == 0:
                 continue
             if not desc[a] <= desc[b]:
                 edges[a].append(b)
@@ -107,7 +110,7 @@ def test_r_poly_degree_and_constant(g237, kl237):
             if not bruhat_leq(kl237, vi, wi) or vi == wi:
                 continue
             n = w.length - v.length
-            r = kl237.r_idx(vi, wi)
+            r = unpack(kl237._r(vi, wi))
             assert len(r) - 1 == n
             assert r[0] == (-1) ** n
 
@@ -116,8 +119,9 @@ def test_kl_poly_base_cases(g237, kl237):
     e = g237.element(())
     w = g237.element((1, 2, 1, 2, 1))
     wi = kl237.ball.index[w.word]
-    assert kl237.p_idx(wi, wi) == (1,)
-    assert kl237.p_idx(kl237.ball.index[e.word], wi) == (1,)
+    column = kl237.column(wi)
+    assert column[wi] == (1,)
+    assert column[kl237.ball.index[e.word]] == (1,)
 
 
 def test_kl_poly_dihedral_always_one(g237, kl237):
@@ -125,42 +129,41 @@ def test_kl_poly_dihedral_always_one(g237, kl237):
     ball = g237.ball(7)
     dihedral = [i for i, e in enumerate(ball.elements)
                 if set(e.word) <= {1, 2}]
-    for vi in dihedral:
-        for wi in dihedral:
+    for wi in dihedral:
+        column = kl237.column(wi)
+        for vi in dihedral:
             if bruhat_leq(kl237, vi, wi):
-                assert kl237.p_idx(vi, wi) == (1,)
+                assert column[vi] == (1,)
 
 
 def test_kl_poly_short_intervals_are_one(g237, kl237):
-    ball = g237.ball(10)
-    for vi, v in enumerate(ball.elements):
-        for wi, w in enumerate(ball.elements):
-            if 0 < w.length - v.length <= 2 and bruhat_leq(kl237, vi, wi):
-                assert kl237.p_idx(vi, wi) == (1,)
+    lengths = g237.ball(10).lengths
+    for wi, length in enumerate(lengths):
+        for vi, p in kl237.column(wi).items():
+            if 0 < length - lengths[vi] <= 2:
+                assert p == (1,)
 
 
 def test_kl_degree_bound(g237, kl237):
-    ball = g237.ball(10)
-    for vi, v in enumerate(ball.elements):
-        for wi, w in enumerate(ball.elements):
-            if bruhat_leq(kl237, vi, wi) and vi != wi:
-                p = kl237.p_idx(vi, wi)
-                assert 2 * (len(p) - 1) <= w.length - v.length - 1
+    lengths = g237.ball(10).lengths
+    for wi, length in enumerate(lengths):
+        for vi, p in kl237.column(wi).items():
+            if vi != wi:
+                assert 2 * (len(p) - 1) <= length - lengths[vi] - 1
 
 
 def test_defining_identity_recheck(g237, kl237):
-    ball = g237.ball(8)
-    for vi in range(len(ball.elements)):
-        for wi in range(len(ball.elements)):
-            if not bruhat_leq(kl237, vi, wi):
-                continue
-            n = ball.elements[wi].length - ball.elements[vi].length
+    lengths = g237.ball(8).lengths
+    for wi, length in enumerate(lengths):
+        column = kl237.column(wi)
+        for vi, p in column.items():
+            n = length - lengths[vi]
             rhs = [0] * (n + 1)
-            for x in kl237.lower(wi):
+            for x, px in column.items():
                 if bruhat_leq(kl237, vi, x):  # x in [v, w]
-                    _poly_mul_into(rhs, kl237.r_idx(vi, x), kl237.p_idx(x, wi))
+                    _poly_mul_into(rhs, unpack(kl237._r(vi, x)), px)
             lhs = [0] * (n + 1)
-            for i, c in enumerate(kl237.p_idx(vi, wi)):
+            for i, c in enumerate(p):
                 lhs[n - i] = c
             assert lhs == rhs
 
@@ -168,18 +171,19 @@ def test_defining_identity_recheck(g237, kl237):
 def test_mu_conventions(g237, kl237):
     e, s, st, rt = (kl237.ball.index[g237.element(w).word]
                     for w in ((), (1,), (1, 2), (0, 2)))
-    assert kl_mu(kl237, e, st) == 0      # even length difference
-    assert kl_mu(kl237, s, st) == 1      # covering pair
-    assert kl_mu(kl237, st, s) == 0      # wrong order
-    assert kl_mu(kl237, st, rt) == 0      # incomparable
+    assert kl_mu(kl237, kl237.column(st), e, st) == 0     # even length difference
+    assert kl_mu(kl237, kl237.column(st), s, st) == 1     # covering pair
+    assert kl_mu(kl237, kl237.column(s), st, s) == 0      # wrong order
+    assert kl_mu(kl237, kl237.column(rt), st, rt) == 0    # incomparable
 
 
 def test_mu_covering_pairs_are_one(g237, kl237):
-    ball = g237.ball(8)
-    for vi, v in enumerate(ball.elements):
-        for wi, w in enumerate(ball.elements):
-            if w.length - v.length == 1 and bruhat_leq(kl237, vi, wi):
-                assert kl_mu(kl237, vi, wi) == 1
+    lengths = g237.ball(8).lengths
+    for wi, length in enumerate(lengths):
+        column = kl237.column(wi)
+        for vi in column:
+            if length - lengths[vi] == 1:
+                assert kl_mu(kl237, column, vi, wi) == 1
 
 
 def test_bruhat_examples(g237, kl237):
@@ -192,13 +196,12 @@ def test_bruhat_examples(g237, kl237):
     assert not bruhat_leq(kl237, rt, st)
 
 
-def test_bruhat_matches_subexpression_search(g237, kl237, g2224, classical237,
-                                             classical2224):
+def test_bruhat_matches_subexpression_search(g237, kl237, g2224):
     """The engine's ideals (from covers) and the oracle's `below` (subword
     products grown a letter at a time) against the reference: all 2^l
     subsequences of one fixed reduced word."""
-    for g, table, oracle in ((g237, kl237, classical237),
-                             (g2224, KLTable(g2224, g2224.ball(5)), classical2224)):
+    for g, table in ((g237, kl237), (g2224, KLTable(g2224, g2224.ball(5)))):
+        oracle = ClassicalKL(g.presentation)
         ball = g.ball(5)
         for w in ball.elements:
             subelems = set()
@@ -222,7 +225,7 @@ def test_ideals_match_pairwise_scan(request, group, radius):
 
     for w in range(n):
         assert table.lower(w) == sorted(below[w])
-        # the upper ideal, which records() walks and p_idx intersects
+        # the upper ideal, which mu_lists joins over the far x
         assert _members(table._geq[w]) == [x for x in range(n) if w in below[x]]
         for v in range(n):
             assert bruhat_leq(table, v, w) == (v in below[w])
@@ -258,16 +261,15 @@ def test_p_idx_matches_classical_on_every_pair(request, group, radius):
     # are summed; test_bruhat_matches_subexpression_search covers the order
     # itself, and P is zero off it
     g = request.getfixturevalue(group)
-    oracle = request.getfixturevalue("classical" + group[1:])
     ball = g.ball(radius)
     table = KLTable(g, ball)
-    assert verify.kl_oracle(table, radius, oracle).ok
+    assert verify.kl_oracle(table, radius).ok
     kinds = {_is_extremal(ball, v, w)
              for w in range(len(ball)) for v in table.lower(w)}
     assert kinds == {False, True}
 
 
-def test_kl_oracle_catches_a_wrong_ideal_or_p(g2224, classical2224):
+def test_kl_oracle_catches_a_wrong_ideal_or_p(g2224):
     """kl_oracle compares each lower ideal as well as P on it: a Bruhat pair
     dropped from the engine's ideal is caught, though kl_identity, which
     walks the same ideal, passes; so is one wrong extremal P."""
@@ -275,12 +277,12 @@ def test_kl_oracle_catches_a_wrong_ideal_or_p(g2224, classical2224):
     table = KLTable(g2224, ball)
     table._leq[-1] &= ~1  # the identity, bit 0, no longer below the last element
     assert verify.kl_identity(table).ok
-    check = verify.kl_oracle(table, 6, classical2224)
+    check = verify.kl_oracle(table, 6)
     assert (check.ok, check.detail) == (False, "1 mismatches up to length 6")
     table = KLTable(g2224, ball)
     v, w = _far_extremal_pair(ball, table)
     table._P[v, w] = 7  # packed: P_{v,w} = 7, stored before its column is solved
-    assert not verify.kl_oracle(table, 6, classical2224).ok
+    assert not verify.kl_oracle(table, 6).ok
 
 
 @pytest.mark.parametrize("group, radius", [("g237", 8), ("g2224", 6)])
@@ -298,14 +300,17 @@ def test_fill_stores_extremal_pairs_only(request, group, radius):
                          [("g237", 8), ("g237", 12), ("g2224", 6), ("g2224", 7)])
 def test_sweep_agrees_with_the_lazy_route(request, group, radius):
     """records() reads the sweep's store.  A second cold table answers
-    every pair through the lazy r_idx and p_idx; a third, warmed by
-    the W-graph route before its sweep, covers the mixed order; and the
-    sweep re-checks the identity on a table with one bad R term."""
+    every pair through the lazy R and its columns, solved without the
+    sweep; a third, warmed by the W-graph route before its sweep, covers
+    the mixed order; and the sweep re-checks the identity on a table with
+    one bad R term."""
     g = request.getfixturevalue(group)
     ball = g.ball(radius)
     records = list(KLTable(g, ball).records())
     lazy = KLTable(g, ball)
-    assert records == [(v, w, lazy.r_idx(v, w), lazy.p_idx(v, w), kl_mu(lazy, v, w))
+    columns = [lazy.column(w) for w in range(len(ball))]
+    assert records == [(v, w, unpack(lazy._r(v, w)), columns[w][v],
+                        kl_mu(lazy, columns[w], v, w))
                        for v in range(len(ball)) for w in range(len(ball))
                        if bruhat_leq(lazy, v, w)]
     warm = KLTable(g, ball)
@@ -346,10 +351,10 @@ def test_defining_identity_recheck_rejects_a_bad_term(g237):
     ball = g237.ball(6)
     table = KLTable(g237, ball)
     v, w = _far_extremal_pair(ball, table)
-    table.r_idx(v, w)
+    table._r(v, w)
     table._R[v][w] += 1  # the constant term of the x = w term of the sum
     with pytest.raises(ArithmeticError, match="defining identity failed"):
-        table.p_idx(v, w)
+        table.column(w)
 
 
 def test_coefficient_bound_stores_nothing_past_the_packed_digit(g237):
@@ -358,7 +363,7 @@ def test_coefficient_bound_stores_nothing_past_the_packed_digit(g237):
     v, w = _far_extremal_pair(ball, table)
     table._pmax = 1 << 64
     with pytest.raises(ResourceLimit, match="KL polynomials"):
-        table.p_idx(v, w)
+        table.column(w)
     assert table._P == {}
 
 
@@ -369,12 +374,13 @@ def test_nonzero_mu_off_extremal_pairs_is_a_cover(kl237):
     for w, e in enumerate(ball.elements):
         if e.length > 10:
             break
-        for v in kl237.lower(w):
+        column = kl237.column(w)
+        for v in column:
             n = e.length - ball.elements[v].length
             if _is_extremal(ball, v, w) or n % 2 == 0:
                 continue
             far_pairs += n >= 3
-            if kl_mu(kl237, v, w):
+            if kl_mu(kl237, column, v, w):
                 assert n == 1
     assert far_pairs > 0
 
@@ -398,7 +404,8 @@ def test_side_filter_drops_only_far_pairs_with_equal_descents(request, group, ra
     right = [e.right for e in ball.elements]
 
     def want(w):
-        return [x for x in scan.lower(w) if kl_mu(scan, x, w)
+        column = scan.column(w)
+        return [x for x in column if kl_mu(scan, column, x, w)
                 and (ball.lengths[w] - ball.lengths[x] == 1
                      or right[x] != right[w])]
 

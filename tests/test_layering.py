@@ -19,8 +19,8 @@ reversal or a file has several.  Fellow-traveler validation, the
 word-difference tables and the Bruhat ideals read no `Element` record.
 `python -m polycell` and the `polycell` script share one entry point,
 `cli.run`, the only code that freezes the heap.  Every function the
-package defines is named by the package, its scripts or the benchmark,
-save a short allow-list: none is kept only for the tests."""
+package defines is named by the package, its scripts or the benchmark:
+none is kept only for the tests."""
 
 import ast
 import importlib
@@ -172,7 +172,7 @@ def test_hecke_stays_on_the_kl_table():
     """Hecke arithmetic runs on the KL table's ball indices and packed
     integers: no field arithmetic and no call into the word engine."""
     path = PACKAGE / "hecke.py"
-    offenders = _method_calls(path, WORD_REWRITING | {"is_reduced"})
+    offenders = _method_calls(path, WORD_REWRITING)
     for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "field":
             offenders.append(f"from {node.module} import")
@@ -182,7 +182,7 @@ def test_hecke_stays_on_the_kl_table():
             offenders += [alias.name for alias in node.names
                           if alias.name.split(".")[-1] == "field"]
         elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-              and node.func.id in ("nf", "element", "is_reduced")):
+              and node.func.id in ("nf", "element")):
             offenders.append(f"{node.func.id}()")
     assert offenders == []
 
@@ -214,37 +214,38 @@ def test_benchmark_tracer_hooks_resolve():
 
 
 # functions defined in the package that only the tests name, each with why
-TEST_ONLY = {
-    "kl.KLTable.r_idx": "the lazy-R route that the sweep in `fill` is compared against",
-    "kl.KLTable.p_idx": "ROADMAP item 18 reads the Lusztig Delta function through it",
-}
+TEST_ONLY: dict[str, str] = {}
 
 
 def test_no_function_only_the_tests_call():
     """Each module-level function and method of the package (dunders aside)
-    is named in `src/`, `scripts/` or `perfbench/`, a method as an attribute
-    (so a local variable of the same name does not count): the tests reach
-    the package only through what the program itself uses, and `TEST_ONLY`."""
+    is named in `src/`, `scripts/` or `perfbench/`: a method as an
+    attribute, a module-level function as an attribute, as an imported
+    name or inside its own module, so a local variable of the same name
+    elsewhere does not count.  The tests reach the package only through
+    what the program itself uses, and `TEST_ONLY`."""
     root = PACKAGE.parents[1]
-    attrs, names = set(), set()
+    attrs, imported, own = set(), set(), {}
     for folder in ("src", "scripts", "perfbench"):
         for path in sorted((root / folder).rglob("*.py")):
+            named = own.setdefault(path, set())
             for node in ast.walk(ast.parse(path.read_text())):
                 if isinstance(node, ast.Attribute):
                     attrs.add(node.attr)
                 elif isinstance(node, ast.Name):
-                    names.add(node.id)
+                    named.add(node.id)
                 elif isinstance(node, ast.alias):
-                    names.add(node.name.split(".")[-1])
+                    imported.add(node.name.split(".")[-1])
     unused = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text()).body:
             is_class = isinstance(node, ast.ClassDef)
+            used = attrs if is_class else attrs | imported | own[path]
             unused += [f"{path.stem}.{node.name + '.' if is_class else ''}{fn.name}"
                        for fn in (node.body if is_class else [node])
                        if isinstance(fn, ast.FunctionDef)
                        and not (fn.name.startswith("__") and fn.name.endswith("__"))
-                       and fn.name not in (attrs if is_class else attrs | names)]
+                       and fn.name not in used]
     assert sorted(unused) == sorted(TEST_ONLY)
 
 
@@ -340,12 +341,12 @@ def test_every_automaton_is_a_dfa():
                                  "accepting", "transitions")
     ab = ("a", "b")
     a = fsa.make_dfa(ab, 2, 0, {1}, {(0, 0): 1, (1, 1): 0})
-    # two targets for 0 a: the file reads as its subset DFA
+    # two targets for 0 a: the file reads as its minimal DFA
     read = fsa.from_text("states 2 alphabet a b initial 0\n"
                          "0 a 0\n0 a 1\n1 b 0\naccept 1\n")
     machines = [fsa.reverse(a), read, fsa.intersect(a, read),
                 fsa.union(a, read), fsa.difference(read, a),
-                fsa.minimal_dfa(ab, 0, lambda q: (q == 1, [(0, 0), (0, 1)]))]
+                fsa.minimal_dfa(ab, [0], lambda q: (q == 1, [(0, 0), (0, 1)]))]
     for m in machines:
         assert type(m) is fsa.FSA and m.transitions
         assert {type(t) for t in m.transitions.values()} == {int}
@@ -359,7 +360,7 @@ def test_every_cap_is_a_module_integer():
             caps.update({f"{info.name}.{name}": value
                          for name, value in vars(module).items() if name.endswith("_CAP")})
     assert {"words.BALL_CAP", "smallroots.ROOT_CAP", "oracle.CLOSURE_CAP",
-            "fsa.STATE_CAP", "field.PRECISION_CAP"} <= caps.keys()
+            "fsa.STATE_CAP", "field.PRECISION_CAP", "kl.KL_CAP"} <= caps.keys()
     assert [name for name, value in caps.items() if type(value) is not int] == []
 
 
